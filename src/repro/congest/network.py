@@ -15,16 +15,15 @@ the asymptotic scaling experiments use :mod:`repro.congest.cost`.
 
 from __future__ import annotations
 
-import time
 from collections import defaultdict, deque
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Hashable, Iterable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Hashable
 
 import networkx as nx
 
 from repro.congest.message import Message, words_for_payload
 from repro.congest.metrics import CongestMetrics
-from repro.congest.vertex import VertexAlgorithm, VertexFactory
+from repro.congest.vertex import VertexFactory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.engine.backend import Backend
@@ -83,30 +82,25 @@ class CongestNetwork:
         self.graph = graph
         self.n = graph.number_of_nodes()
         self.metrics = metrics if metrics is not None else CongestMetrics()
-        # Optional delivery model (repro.engine.scenarios); None is the
-        # clean synchronous CONGEST model and skips the per-edge query.
-        self.scenario = scenario
-        # The scenario's two fault axes split here: the delivery loop
-        # queries ``transmits`` only when link faults exist (vertex-fault
-        # scenarios keep the clean per-edge pop), and the run loop does
-        # crash/corruption bookkeeping only when vertex faults exist.
-        self._link_scenario = (
-            scenario
-            if scenario is not None and getattr(scenario, "has_link_faults", True)
-            else None
-        )
-        self._vertex_faults = scenario is not None and getattr(
-            scenario, "has_vertex_faults", False
-        )
-        if tracer is None:
-            from repro.obs.tracer import NULL_TRACER
+        # Local imports: repro.engine imports this module.
+        from repro.engine.scenarios import link_projection, resolve_scenario
+        from repro.obs.tracer import resolve_tracer
 
-            tracer = NULL_TRACER
-        self.tracer = tracer
-        # Per directed edge FIFO of outstanding word fragments.
+        # Delivery model (repro.engine.scenarios); None is the clean
+        # synchronous CONGEST model.  The edge queues see only its link
+        # part, and a clean link part skips the per-edge query entirely.
+        self.scenario = resolve_scenario(scenario)
+        link = link_projection(self.scenario)
+        self._link_scenario = None if link.is_clean else link
+        self.tracer = resolve_tracer(tracer)
+        self.has_edge = graph.has_edge
+        # Per directed edge FIFO of outstanding word fragments, and the
+        # number of messages among them.
         self._edge_queues: dict[tuple[Hashable, Hashable], deque] = defaultdict(deque)
-        # Scenario-blocked edge count of the last executed round (an
-        # observability detail of _deliver_one_round, not an API).
+        self.pending_messages = 0
+        # This round's sends and scenario-blocked edge count (observability
+        # details of the traced delivery, not an API).
+        self._sent: list[Message] = []
         self._last_blocked = 0
 
     # -- driving an algorithm ------------------------------------------------
@@ -119,6 +113,10 @@ class CongestNetwork:
     ) -> SynchronousRun:
         """Instantiate ``factory`` on every vertex and run to termination.
 
+        The round itself is :func:`repro.engine.rounds.run_rounds`; this
+        network is its transport (the per-edge word queues below) and one
+        in-process :class:`~repro.engine.rounds.ShardState` its compute step.
+
         Args:
             factory: called as ``factory(vertex, neighbors, n)`` for every
                 vertex of the graph.
@@ -128,168 +126,28 @@ class CongestNetwork:
         Returns:
             A :class:`SynchronousRun` with metrics and per-vertex outputs.
         """
-        # Materialised neighbour tuples: a factory must be able to iterate
-        # its neighbours more than once (a lazy generator would silently
-        # read empty on the second pass).
-        algorithms: dict[Hashable, VertexAlgorithm] = {
-            v: factory(v, tuple(self.graph.neighbors(v)), self.n)
-            for v in self.graph.nodes
-        }
-        inboxes: dict[Hashable, list[Message]] = {v: [] for v in algorithms}
+        from repro.engine.rounds import ShardState, ShardStep, run_rounds
+
+        nodes = list(self.graph.nodes)
+        shard = ShardState(nodes, factory, self.graph)
         self._edge_queues.clear()
-        tracer = self.tracer
-        traced = tracer.enabled
-        scenario = self.scenario
-        vertex_faults = self._vertex_faults
-        adaptive = scenario is not None and getattr(scenario, "is_adaptive", False)
-        if vertex_faults or adaptive:
-            scenario.bind_nodes(list(self.graph.nodes))
-        if adaptive:
-            # Adaptive adversaries consume per-vertex delivered counters in
-            # dense-id order (the bind_nodes order); numpy stays a local
-            # import so the pure-Python simulator keeps its stdlib footprint
-            # on non-adaptive runs.
-            import numpy as np
-
-            from repro.engine.scenarios import RoundStats
-
-            node_ids = {v: i for i, v in enumerate(self.graph.nodes)}
-        # Crash-stop accumulator: once a vertex appears in the scenario's
-        # faulty set it stays crashed for the rest of the run.
-        crashed: set[Hashable] = set()
-
-        rounds_executed = 0
-        for round_index in range(max_rounds):
-            if (
-                all(
-                    alg.halted or v in crashed for v, alg in algorithms.items()
-                )
-                and not self._has_pending()
-            ):
-                break
-            rounds_executed += 1
-            if vertex_faults:
-                corrupted = 0
-                for vertex in scenario.faulty_vertices(round_index):
-                    if vertex not in crashed:
-                        crashed.add(vertex)
-                        if traced:
-                            tracer.vertex_crashed(round_index, vertex)
-            if traced:
-                round_start = time.perf_counter()
-                tracer.round_begin(
-                    round_index,
-                    active=sum(
-                        1 for alg in algorithms.values() if not alg.halted
-                    ),
-                    pending=len(self._edge_queues),
-                )
-            outgoing: list[Message] = []
-            for vertex, algorithm in algorithms.items():
-                if algorithm.halted or vertex in crashed:
-                    continue
-                sent = algorithm.on_round(round_index, inboxes[vertex])
-                inboxes[vertex] = []
-                for message in sent:
-                    if message.sender != vertex:
-                        raise ValueError(
-                            f"vertex {vertex!r} attempted to forge sender {message.sender!r}"
-                        )
-                    if not self.graph.has_edge(vertex, message.receiver):
-                        raise ValueError(
-                            f"vertex {vertex!r} attempted to send to non-neighbour "
-                            f"{message.receiver!r}"
-                        )
-                    if vertex_faults:
-                        # Byzantine corruption is applied sender-side at
-                        # send time, before fragmentation, so every backend
-                        # sizes and delivers the identical corrupted value.
-                        payload = scenario.corrupt_payload(
-                            vertex, message.receiver, round_index, message.payload
-                        )
-                        if payload is not message.payload:
-                            message = replace(message, payload=payload)
-                            corrupted += 1
-                    outgoing.append(message)
-
-            if traced:
-                compute_done = time.perf_counter()
-                tracer.span_add(
-                    "compute", compute_done - round_start, round_index
-                )
-                if vertex_faults and corrupted:
-                    tracer.payload_corrupted(round_index, corrupted)
-            self._enqueue(outgoing)
-            delivered, words_crossed = self._deliver_one_round(round_index)
-            if adaptive:
-                # Pre-drop counts: the same delivery set the cross-backend
-                # messages_delivered tracer event reports, so every backend
-                # feeds the adversary identical observations.
-                counts = np.zeros(self.n, dtype=np.int64)
-                for message in delivered:
-                    counts[node_ids[message.receiver]] += 1
-                scenario.observe_round(RoundStats(round_index, counts))
-            dropped = 0
-            for message in delivered:
-                # A halted vertex never consumes its inbox again; queueing
-                # would grow memory without bound on long runs.  Crashed
-                # endpoints behave the same: words a crashed sender queued
-                # before dying still consumed bandwidth, but the message is
-                # discarded on arrival (and nothing reaches a dead receiver).
-                if algorithms[message.receiver].halted or (
-                    vertex_faults
-                    and (message.sender in crashed or message.receiver in crashed)
-                ):
-                    dropped += 1
-                    continue
-                inboxes[message.receiver].append(message)
-            if dropped:
-                self.metrics.add_dropped(dropped, phase=phase)
-            self.metrics.add_rounds(1, phase=phase)
-            self.metrics.add_messages(len(delivered), phase=phase, words=words_crossed)
-            if traced:
-                now = time.perf_counter()
-                tracer.span_add("deliver", now - compute_done, round_index)
-                # A message defers when its last word does not cross in the
-                # round it was sent — the same definition the batch
-                # scheduler reports (completion round > enqueue round).
-                sent_ids = {id(m) for m in outgoing}
-                completed_now = sum(
-                    1 for m in delivered if id(m) in sent_ids
-                )
-                tracer.messages_scheduled(
-                    round_index,
-                    count=len(outgoing),
-                    deferred=len(outgoing) - completed_now,
-                )
-                if self._last_blocked:
-                    tracer.edges_blocked(round_index, self._last_blocked)
-                tracer.messages_delivered(round_index, delivered)
-                tracer.round_end(
-                    round_index,
-                    delivered=len(delivered),
-                    words=words_crossed,
-                    dropped=dropped,
-                    seconds=now - round_start,
-                )
-        else:
-            rounds_executed = max_rounds
-
-        outputs = {v: alg.output for v, alg in algorithms.items()}
-        halted = all(
-            alg.halted for v, alg in algorithms.items() if v not in crashed
-        )
-        return SynchronousRun(
-            rounds=rounds_executed,
+        self.pending_messages = 0
+        return run_rounds(
+            ShardStep([shard]),
+            self,
+            self.scenario,
+            nodes,
+            max_rounds=max_rounds,
+            phase=phase,
             metrics=self.metrics,
-            outputs=outputs,
-            halted=halted,
+            tracer=self.tracer,
         )
 
     # -- bandwidth-constrained delivery ---------------------------------------
 
-    def _enqueue(self, outgoing: Iterable[Message]) -> None:
+    def _enqueue(self, outgoing: list[Message]) -> None:
         """Fragment messages into words and append them to edge queues."""
+        self.pending_messages += len(outgoing)
         for message in outgoing:
             edge = (message.sender, message.receiver)
             fragments = words_for_payload(message.payload, self.n)
@@ -328,10 +186,33 @@ class CongestNetwork:
         for edge in drained:
             del self._edge_queues[edge]
         self._last_blocked = blocked
+        self.pending_messages -= len(delivered)
         return delivered, words_crossed
 
-    def _has_pending(self) -> bool:
-        return any(queue for queue in self._edge_queues.values())
+    # -- the round driver's transport protocol (repro.engine.rounds) ---------
+
+    def schedule(self, outgoing: list[Message], round_index: int) -> None:
+        self._enqueue(outgoing)
+        self._sent = outgoing
+
+    def deliver(self, round_index: int) -> tuple[list[Message], int]:
+        """One round of edge-queue delivery, plus the reference-only events."""
+        delivered, words_crossed = self._deliver_one_round(round_index)
+        tracer = self.tracer
+        if tracer.enabled:
+            # A message defers when its last word does not cross in the
+            # round it was sent — the same definition the batch scheduler
+            # reports (completion round > enqueue round).
+            sent_ids = {id(m) for m in self._sent}
+            completed_now = sum(1 for m in delivered if id(m) in sent_ids)
+            tracer.messages_scheduled(
+                round_index,
+                count=len(self._sent),
+                deferred=len(self._sent) - completed_now,
+            )
+            if self._last_blocked:
+                tracer.edges_blocked(round_index, self._last_blocked)
+        return delivered, words_crossed
 
 
 def run_algorithm(

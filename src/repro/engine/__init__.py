@@ -2,25 +2,31 @@
 
 The engine separates *what a distributed algorithm does* (the per-vertex
 :class:`~repro.congest.vertex.VertexAlgorithm` code) from *how the rounds
-are executed*:
+are executed*.  The round itself is written once, in
+:mod:`repro.engine.rounds`: one driver with two pluggable parts, a compute
+step (per-vertex shards, in-process or forked, or one vector algorithm) and
+a transport (the reference per-edge queues or the batch
+:class:`~repro.engine.delivery.WordScheduler`).  Each backend is a short
+set-up that picks the two parts:
 
 * :mod:`repro.engine.backend` -- the :class:`Backend` strategy interface.
 * :mod:`repro.engine.registry` -- open backend / scenario registries:
   ``@register_backend`` and ``@register_scenario`` make new implementations
   selectable by name everywhere without editing library internals.
-* :mod:`repro.engine.reference` -- wraps the faithful edge-by-edge
-  :class:`~repro.congest.network.CongestNetwork`; the semantic ground truth.
-* :mod:`repro.engine.vectorized` -- batch delivery over numpy edge
-  occupancy; ~10-100x faster on fragmentation-heavy workloads.
+* :mod:`repro.engine.reference` -- one in-process shard on
+  :class:`~repro.congest.network.CongestNetwork`'s edge-by-edge queues; the
+  semantic ground truth.
+* :mod:`repro.engine.vectorized` -- one in-process shard on the batch
+  scheduler; ~10-100x faster on fragmentation-heavy workloads.
 * :mod:`repro.engine.vector` -- the vectorized per-vertex layer: a
   :class:`VectorAlgorithm` steps *all* vertices in one numpy ``on_round``
   call, eliminating the Python per-vertex loop entirely on the vectorized
   backend while still running per-vertex (via its ``per_vertex`` twin) on
   the reference and sharded backends.
-* :mod:`repro.engine.sharded` -- vertex-partitioned execution across forked
-  worker processes with per-round barriers; message traffic crosses through
-  shared-memory columnar blocks (:mod:`repro.engine.shm`), the pipes carry
-  only control tokens.
+* :mod:`repro.engine.sharded` -- one shard per forked worker process with
+  per-round barriers; message traffic crosses through shared-memory
+  columnar blocks (:mod:`repro.engine.shm`), the pipes carry only control
+  tokens and each round's crashes.
 * :mod:`repro.engine.scenarios` -- pluggable, composable delivery models:
   clean synchronous, per-round link drops, adversarial bounded delay,
   correlated bursty outages, per-edge heterogeneous bandwidth, and the

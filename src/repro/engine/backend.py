@@ -4,7 +4,9 @@ A backend is a *strategy for driving a synchronous CONGEST execution*: it
 instantiates one :class:`~repro.congest.vertex.VertexAlgorithm` per vertex,
 runs them in lockstep rounds under the model's one-word-per-edge bandwidth
 constraint, and returns the same :class:`~repro.congest.network.SynchronousRun`
-regardless of how the rounds were executed.  The contract is semantic
+regardless of how the rounds were executed.  The built-in backends share one
+round driver (:func:`repro.engine.rounds.run_rounds`) and differ only in the
+compute step and transport they plug into it.  The contract is semantic
 equivalence: for any algorithm and any delivery scenario, all backends must
 agree on per-vertex outputs, round counts, and message/word totals — only
 wall-clock time may differ.

@@ -61,6 +61,8 @@ class GraphIndex:
     """
 
     def __init__(self, graph: nx.Graph):
+        if graph.number_of_nodes() == 0:
+            raise ValueError("cannot build a CONGEST network over an empty graph")
         self.nodes: list[Hashable] = list(graph.nodes)
         self.n = len(self.nodes)
         self.index: dict[Hashable, int] = {v: i for i, v in enumerate(self.nodes)}
@@ -105,6 +107,7 @@ class WordScheduler:
         tracer: Tracer = NULL_TRACER,
     ):
         self.index = index
+        self.has_edge = index.has_edge
         self.scenario = scenario if scenario is not None else CleanSynchronous()
         # Observability sink; the batch-enqueue paths emit one scheduler
         # event per round when (and only when) the tracer is enabled.
@@ -135,26 +138,19 @@ class WordScheduler:
     def _transfer_done(self, edge: Edge, edge_id: int, round_index: int, words: int) -> int:
         """Completion round of one transfer; updates occupancy and word levels."""
         start = max(int(self.edge_free_at[edge_id]) + 1, round_index)
-        if self.scenario.is_clean:
-            done = start + words - 1
-            self._level_diff[start] += 1
-            self._level_diff[done + 1] -= 1
+        crossings = self.scenario.transfer_schedule(edge, start, words, self.horizon)
+        for crossing in crossings:
+            self._level_diff[crossing] += 1
+            self._level_diff[crossing + 1] -= 1
+        if len(crossings) < words:
+            # The scenario blocks this edge past the run's horizon: the
+            # message never completes.  Park it one round beyond the last
+            # executable round so it stays pending (the reference simulator
+            # likewise keeps its queue non-empty forever) and occupies the
+            # edge for any traffic queued behind it.
+            done = self.horizon
         else:
-            crossings = self.scenario.transfer_schedule(
-                edge, start, words, self.horizon
-            )
-            for crossing in crossings:
-                self._level_diff[crossing] += 1
-                self._level_diff[crossing + 1] -= 1
-            if len(crossings) < words:
-                # The scenario blocks this edge past the run's horizon: the
-                # message never completes.  Park it one round beyond the
-                # last executable round so it stays pending (the reference
-                # simulator likewise keeps its queue non-empty forever) and
-                # occupies the edge for any traffic queued behind it.
-                done = self.horizon
-            else:
-                done = crossings[-1]
+            done = crossings[-1]
         self.edge_free_at[edge_id] = done
         return done
 
@@ -288,118 +284,93 @@ class WordScheduler:
         """
         count = int(edge_ids.size)
         scenario = self.scenario
-        if scenario.is_clean:
-            order = np.argsort(edge_ids, kind="stable")
-            e = edge_ids[order]
-            w = words[order]
-            positions = np.arange(count)
-            group_first = np.empty(count, dtype=bool)
-            group_first[0] = True
-            group_first[1:] = e[1:] != e[:-1]
-            first_index = np.maximum.accumulate(
-                np.where(group_first, positions, 0)
-            )
-            # Within an edge's FIFO group, transfer k starts right after the
-            # cumulative words of transfers 0..k-1 queued before it.
-            cumulative = np.cumsum(w)
-            preceding = cumulative - w
-            offset = preceding - preceding[first_index]
-            base = np.maximum(self.edge_free_at[e] + 1, round_index)
-            start = base[first_index] + offset
-            done_sorted = start + w - 1
-            group_last = np.empty(count, dtype=bool)
-            group_last[-1] = True
-            group_last[:-1] = group_first[1:]
-            self.edge_free_at[e[group_last]] = done_sorted[group_last]
-            for r, c in zip(*np.unique(start, return_counts=True)):
-                self._level_diff[int(r)] += int(c)
-            for r, c in zip(*np.unique(done_sorted + 1, return_counts=True)):
-                self._level_diff[int(r)] -= int(c)
+        windows = window_cols = 0
+        if not (scenario.is_clean or scenario.has_kernel):
+            # Scalar fallback: the scenario only implements per-(edge, round)
+            # ``transmits``; replay decisions per transfer in array order.
+            path = "scalar"
+            edges = self.index.edges
             done = np.empty(count, dtype=np.int64)
-            done[order] = done_sorted
-            tracer = self.tracer
-            if tracer.enabled:
-                tracer.scheduler_batch(
-                    round_index,
-                    path="clean",
-                    transfers=count,
-                    edges=int(group_first.sum()),
-                    deferred=int((done > round_index).sum()),
+            for i in range(count):
+                edge_id = int(edge_ids[i])
+                done[i] = self._transfer_done(
+                    edges[edge_id], edge_id, round_index, int(words[i])
                 )
-            return done
-        if scenario.has_kernel:
-            # Group FIFO traffic per edge, then answer "in which round does
-            # this edge's k-th word cross?" with one prefix-sum search per
-            # batch instead of a per-round Python replay per transfer.
+        else:
+            # Group FIFO traffic per edge: a stable sort keeps each edge's
+            # transfers in queue order.
             order = np.argsort(edge_ids, kind="stable")
             e = edge_ids[order]
             w = words[order]
             group_first = np.empty(count, dtype=bool)
             group_first[0] = True
             group_first[1:] = e[1:] != e[:-1]
-            first_pos = np.flatnonzero(group_first)
-            group_sizes = np.diff(np.append(first_pos, count))
-            group_ids = np.cumsum(group_first) - 1
-            u_edges = e[first_pos]
-            cumulative = np.cumsum(w)
-            group_base = cumulative[first_pos] - w[first_pos]
-            cum_within = cumulative - np.repeat(group_base, group_sizes)
-            last_pos = np.append(first_pos[1:], count) - 1
-            totals = cum_within[last_pos]
-            starts = np.maximum(self.edge_free_at[u_edges] + 1, round_index)
-            done_sorted = self._kernel_completions(
-                u_edges, starts, totals, group_ids, cum_within
-            )
-            self.edge_free_at[u_edges] = done_sorted[last_pos]
+            if scenario.is_clean:
+                path = "clean"
+                positions = np.arange(count)
+                first_index = np.maximum.accumulate(
+                    np.where(group_first, positions, 0)
+                )
+                # Within an edge's FIFO group, transfer k starts right after
+                # the cumulative words of transfers 0..k-1 queued before it.
+                cumulative = np.cumsum(w)
+                preceding = cumulative - w
+                offset = preceding - preceding[first_index]
+                base = np.maximum(self.edge_free_at[e] + 1, round_index)
+                start = base[first_index] + offset
+                done_sorted = start + w - 1
+                group_last = np.empty(count, dtype=bool)
+                group_last[-1] = True
+                group_last[:-1] = group_first[1:]
+                self.edge_free_at[e[group_last]] = done_sorted[group_last]
+                for r, c in zip(*np.unique(start, return_counts=True)):
+                    self._level_diff[int(r)] += int(c)
+                for r, c in zip(*np.unique(done_sorted + 1, return_counts=True)):
+                    self._level_diff[int(r)] -= int(c)
+            else:
+                # Answer "in which round does this edge's k-th word cross?"
+                # with one prefix-sum search per batch instead of a
+                # per-round Python replay per transfer.
+                path = "kernel"
+                first_pos = np.flatnonzero(group_first)
+                group_sizes = np.diff(np.append(first_pos, count))
+                group_ids = np.cumsum(group_first) - 1
+                u_edges = e[first_pos]
+                cumulative = np.cumsum(w)
+                group_base = cumulative[first_pos] - w[first_pos]
+                cum_within = cumulative - np.repeat(group_base, group_sizes)
+                last_pos = np.append(first_pos[1:], count) - 1
+                totals = cum_within[last_pos]
+                starts = np.maximum(self.edge_free_at[u_edges] + 1, round_index)
+                done_sorted = self._kernel_completions(
+                    u_edges, starts, totals, group_ids, cum_within
+                )
+                self.edge_free_at[u_edges] = done_sorted[last_pos]
+                windows, window_cols = self._last_windows, self._last_window_cols
             done = np.empty(count, dtype=np.int64)
             done[order] = done_sorted
-            tracer = self.tracer
-            if tracer.enabled:
-                tracer.scheduler_batch(
-                    round_index,
-                    path="kernel",
-                    transfers=count,
-                    edges=int(u_edges.size),
-                    deferred=int((done > round_index).sum()),
-                    windows=self._last_windows,
-                    window_cols=self._last_window_cols,
-                )
-            return done
-        # Scalar fallback: the scenario only implements per-(edge, round)
-        # ``transmits``; replay decisions per transfer in array order.
-        edges = self.index.edges
-        done = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            edge_id = int(edge_ids[i])
-            done[i] = self._transfer_done(
-                edges[edge_id], edge_id, round_index, int(words[i])
-            )
         tracer = self.tracer
         if tracer.enabled:
             tracer.scheduler_batch(
                 round_index,
-                path="scalar",
+                path=path,
                 transfers=count,
                 edges=int(np.unique(edge_ids).size),
                 deferred=int((done > round_index).sum()),
+                windows=windows,
+                window_cols=window_cols,
             )
         return done
 
     # -- enqueueing -----------------------------------------------------------
 
-    def schedule(self, message: Message, round_index: int, words: int) -> int:
-        """Enqueue one message; returns the round its last word crosses.
-
-        For whole-round traffic prefer :meth:`schedule_messages`, which
-        computes completion rounds for the entire batch in one mask query.
-        """
-        edge_id = self.index.edge_ids[(message.sender, message.receiver)]
-        done = self._transfer_done(
-            (message.sender, message.receiver), edge_id, round_index, words
-        )
-        self._buckets[done].append(message)
-        self.pending_messages += 1
-        return done
+    def schedule(self, messages: list[Message], round_index: int) -> None:
+        """Size one round's messages and bulk-enqueue them (the round driver's
+        entry point; see :mod:`repro.engine.rounds`)."""
+        # Broadcast-style senders share one payload object; size it once.
+        cache: dict[int, tuple[object, int]] = {}
+        words = [payload_words(message, self.index.n, cache) for message in messages]
+        self.schedule_messages(messages, words, round_index)
 
     def schedule_messages(
         self,
@@ -409,7 +380,7 @@ class WordScheduler:
     ) -> None:
         """Bulk-enqueue message objects (one round's outgoing traffic).
 
-        Semantics are identical to calling :meth:`schedule` once per
+        Semantics are identical to calling :meth:`_transfer_done` once per
         message in sequence order — including FIFO queueing when the same
         directed edge appears more than once — but completion rounds are
         computed for the whole batch at once, which keeps faulty-scenario
@@ -446,7 +417,7 @@ class WordScheduler:
         matching directed-edge ids of this scheduler's :class:`GraphIndex`,
         ``words`` the per-transfer word counts, and ``values`` the payload
         words handed back verbatim by :meth:`deliver_batch`.  Semantics are
-        identical to calling :meth:`schedule` once per row in array order —
+        identical to calling :meth:`_transfer_done` once per row in array order —
         including FIFO queueing when the same directed edge appears more
         than once — and the whole computation stays in numpy for the clean
         scenario and for every scenario with a batch kernel.
@@ -501,7 +472,7 @@ class WordScheduler:
         """Messages completing in ``round_index`` and words crossed in it.
 
         Must be called once per executed round, in increasing round order,
-        after that round's :meth:`schedule` calls.
+        after that round's :meth:`schedule_messages` calls.
         """
         self._level += self._level_diff.pop(round_index, 0)
         completed = self._buckets.pop(round_index, [])

@@ -1,8 +1,8 @@
 """The reference backend: the faithful edge-by-edge simulator, wrapped.
 
 This backend delegates to :class:`repro.congest.network.CongestNetwork`,
-which materialises every word fragment in per-edge FIFO queues and pops one
-per directed edge per round.  It is the semantic ground truth the fast
+the round driver's reference transport: it materialises every word fragment
+in per-edge FIFO queues and pops one per directed edge per round.  It is the semantic ground truth the fast
 backends are validated against, and the right choice when debugging an
 algorithm on small graphs.
 """
@@ -37,10 +37,6 @@ class ReferenceBackend(Backend):
         tracer: Tracer | None = None,
     ) -> SynchronousRun:
         factory = self.resolve_factory(factory)
-        # A clean scenario is the network's native behaviour; passing None
-        # lets the delivery loop skip the per-edge scenario query entirely.
-        if scenario is not None and scenario.is_clean:
-            scenario = None
         network = CongestNetwork(
             graph, metrics=metrics, scenario=scenario, tracer=tracer
         )

@@ -225,14 +225,12 @@ class DeliveryScenario(ABC):
     # ``False`` so the schedulers keep the clean arithmetic fast path.
     has_link_faults: bool = True
     # Vertex faults: whether ``faulty_vertices`` / ``corrupt_payload`` can
-    # ever act.  Backends skip the per-round fault bookkeeping entirely when
-    # this stays ``False``.
+    # ever act.  The round driver skips the per-round fault bookkeeping
+    # entirely when this stays ``False``.
     has_vertex_faults: bool = False
     # Adaptive adversaries: whether :meth:`observe_round` carries state the
-    # scenario's later fault decisions depend on.  Backends only pay the
-    # per-round statistics feedback when this is ``True``, and the sharded
-    # backend ships the parent's fault decisions to its workers instead of
-    # letting each fork replay a stale copy.
+    # scenario's later fault decisions depend on.  The round driver only pays
+    # the per-round statistics feedback when this is ``True``.
     is_adaptive: bool = False
     name: str = ""
     _bound_edges: list[Edge] | None = None
@@ -373,7 +371,7 @@ class DeliveryScenario(ABC):
     def observe_round(self, stats: "RoundStats") -> None:
         """Feed back one round's observed delivery traffic (adaptive faults).
 
-        Called by every backend after the deliveries of
+        Called by the round driver after the deliveries of
         ``stats.round_index`` have been computed (before halted/crashed
         drops, matching the cross-backend ``messages_delivered`` tracer
         contract), but only when ``is_adaptive`` is ``True``.  ``stats``

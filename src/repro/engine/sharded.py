@@ -1,14 +1,17 @@
 """Sharded backend: vertex-partitioned execution across worker processes.
 
 Vertices are split into contiguous shards (in ``graph.nodes`` order); each
-shard runs its vertices' ``on_round`` code in a forked worker process while
-the parent owns the bandwidth-constrained delivery layer (the same
-:class:`~repro.engine.delivery.WordScheduler` the vectorized backend uses).
+shard is one :class:`~repro.engine.rounds.ShardState`, the per-vertex
+compute step every backend runs, stepped in a forked worker process.  The
+parent runs the round driver (:mod:`repro.engine.rounds`) on the
+:class:`~repro.engine.delivery.WordScheduler`.  Shards never consult the
+scenario: each round token carries the vertices crashed that round.
+
 One synchronous round is one barrier: the parent broadcasts the round's
-deliveries to every worker, the workers step their vertices concurrently,
-and the parent collects the outgoing traffic, validates it, and schedules
-it.  The request/response pair over each worker's pipe *is* the barrier —
-no worker can run ahead of the round the parent is driving.
+deliveries and crashes to every worker, the workers step their vertices
+concurrently, and the parent collects the outgoing traffic.  The
+request/response pair over each worker's pipe *is* the barrier — no worker
+can run ahead of the round the parent is driving.
 
 Workers are started with the ``fork`` start method so that arbitrary vertex
 factories (including classes defined in test modules or notebooks) need not
@@ -16,13 +19,13 @@ be picklable.  Message traffic crosses process boundaries through
 **shared-memory columnar blocks** (:mod:`repro.engine.shm`): five dense
 ``int64`` columns plus a payload arena per direction per worker, with the
 pipe reduced to a tiny per-round control token.  A round that overflows its
-block falls back to the PR 4 pickled columnar batch
-(:func:`_pack_messages`) for that round while the parent provisions a
-doubled replacement, and ``ShardedBackend(transport="pipe")`` selects the
-pickling transport outright (benchmarks compare the two).  Where ``fork``
-is unavailable (or for ``num_workers=1``) the shards run inline in-process
-with identical semantics — and **no serialisation layer at all**: inline
-shards exchange the very ``Message`` objects the parent holds.
+block falls back to the pickled columnar batch (:func:`_pack_messages`) for
+that round while the parent provisions a doubled replacement, and
+``ShardedBackend(transport="pipe")`` selects the pickling transport
+outright.  Where ``fork`` is unavailable (or for ``num_workers=1``) the
+shards run in-process with identical semantics — and **no serialisation
+layer at all**: in-process shards exchange the very ``Message`` objects the
+parent holds.
 """
 
 from __future__ import annotations
@@ -31,32 +34,25 @@ import multiprocessing
 import os
 import pickle
 import time
-from dataclasses import replace
 from typing import Hashable
 
 import networkx as nx
-import numpy as np
 
 from repro.congest.message import Message
 from repro.congest.metrics import CongestMetrics
 from repro.congest.network import SynchronousRun
-from repro.congest.vertex import VertexAlgorithm
 from repro.engine.backend import Backend, VertexFactory
-from repro.engine.delivery import GraphIndex, WordScheduler, payload_words
+from repro.engine.delivery import GraphIndex, WordScheduler
 from repro.engine.registry import register_backend
-from repro.engine.scenarios import (
-    DeliveryScenario,
-    RoundStats,
-    link_projection,
-    resolve_scenario,
-)
+from repro.engine.rounds import ShardState, ShardStep, run_rounds
+from repro.engine.scenarios import DeliveryScenario, link_projection, resolve_scenario
 from repro.engine.shm import (
     ColumnBlock,
     ColumnReader,
     ColumnWriter,
     shared_memory_available,
 )
-from repro.obs.tracer import NULL_TRACER, Tracer, resolve_tracer
+from repro.obs.tracer import Tracer, resolve_tracer
 
 _ROUND = "round"
 _FINISH = "finish"
@@ -98,106 +94,7 @@ def _unpack_messages(batch: tuple[tuple, ...]) -> list[Message]:
     ]
 
 
-class _ShardState:
-    """The per-shard execution state: algorithms, inboxes, active set."""
-
-    def __init__(
-        self,
-        vertices: list[Hashable],
-        factory: VertexFactory,
-        neighbor_map: dict[Hashable, tuple],
-        n: int,
-        fault_scenario: "DeliveryScenario | None" = None,
-    ):
-        self.algorithms: dict[Hashable, VertexAlgorithm] = {
-            v: factory(v, neighbor_map[v], n) for v in vertices
-        }
-        self.inboxes: dict[Hashable, list[Message]] = {v: [] for v in vertices}
-        # A factory may construct vertices already halted; they must not
-        # count toward the parent's active total or a spurious round runs.
-        self.active = [v for v in vertices if not self.algorithms[v].halted]
-        self.initial_halted = [v for v in vertices if self.algorithms[v].halted]
-        # Vertex-fault scenario (bound by the parent before the shards were
-        # created, so fork-inherited copies share its decisions): the shard
-        # skips stepping its crashed vertices, exactly as the parent skips
-        # their deliveries.  Decisions are pure seeded hashes, so the
-        # shard-side and parent-side views of the fault pattern agree.
-        self.fault_scenario = fault_scenario
-        self.crashed: set = set()
-
-    def _apply_crashes(self, round_index: int) -> None:
-        scenario = self.fault_scenario
-        if scenario is None:
-            return
-        for vertex in scenario.faulty_vertices(round_index):
-            if vertex in self.algorithms:
-                self.crashed.add(vertex)
-
-    def step(
-        self,
-        round_index: int,
-        deliveries: list[Message],
-        crashes: tuple = (),
-    ) -> tuple[list[Message], int, list[Hashable]]:
-        """Run one round; returns (outgoing, active_count, newly_halted).
-
-        ``newly_halted`` lets the parent keep a global halted set so it can
-        drop deliveries addressed to halted vertices before they ever cross
-        a pipe (the same rule every backend applies).  ``crashes`` carries
-        the parent's fault decisions for adaptive scenarios — a
-        fork-inherited scenario copy never sees the parent's observe_round
-        feedback, so the shard must not replay adaptive decisions locally.
-        """
-        for vertex in crashes:
-            if vertex in self.algorithms:
-                self.crashed.add(vertex)
-        self._apply_crashes(round_index)
-        crashed = self.crashed
-        for message in deliveries:
-            self.inboxes[message.receiver].append(message)
-        outgoing: list[Message] = []
-        still_active: list[Hashable] = []
-        newly_halted: list[Hashable] = []
-        for vertex in self.active:
-            algorithm = self.algorithms[vertex]
-            if vertex in crashed:
-                # Crash-stop: the vertex leaves the active set silently —
-                # not reported as halted (the parent tracks crashes itself).
-                continue
-            if algorithm.halted:
-                newly_halted.append(vertex)
-                continue
-            sent = algorithm.on_round(round_index, self.inboxes[vertex])
-            self.inboxes[vertex] = []
-            for message in sent:
-                # The sender check must happen shard-side: only the shard
-                # knows which vertex produced the message.
-                if message.sender != vertex:
-                    raise ValueError(
-                        f"vertex {vertex!r} attempted to forge sender "
-                        f"{message.sender!r}"
-                    )
-            outgoing.extend(sent)
-            if not algorithm.halted:
-                still_active.append(vertex)
-            else:
-                newly_halted.append(vertex)
-        self.active = still_active
-        return outgoing, len(still_active), newly_halted
-
-    def finish(self) -> tuple[dict[Hashable, object], bool]:
-        outputs = {v: alg.output for v, alg in self.algorithms.items()}
-        halted = all(
-            alg.halted
-            for v, alg in self.algorithms.items()
-            if v not in self.crashed
-        )
-        return outputs, halted
-
-
-def _shard_worker(
-    conn, vertices, factory, neighbor_map, n, channel, fault_scenario=None
-) -> None:
+def _shard_worker(conn, vertices, factory, graph, channel) -> None:
     """Worker-process loop: step the shard once per parent request.
 
     ``channel`` is ``None`` for the pipe transport, or ``(down_block,
@@ -208,9 +105,7 @@ def _shard_worker(
     """
     down_reader = up_writer = None
     try:
-        state = _ShardState(
-            vertices, factory, neighbor_map, n, fault_scenario=fault_scenario
-        )
+        state = ShardState(vertices, factory, graph)
         if channel is not None:
             down_block, up_block, nodes, vertex_index = channel
             # The fork-inherited objects carry the parent's owner flag;
@@ -219,7 +114,7 @@ def _shard_worker(
             up_block.owner = False
             down_reader = ColumnReader(down_block, nodes)
             up_writer = ColumnWriter(up_block, vertex_index)
-        conn.send(("ready", len(state.active), state.initial_halted))
+        conn.send(("ready", state.initial_active, state.initial_halted))
         while True:
             request = conn.recv()
             if request[0] == _ROUND:
@@ -233,9 +128,8 @@ def _shard_worker(
                     deliveries = down_reader.decode(part[1])
                 else:
                     deliveries = _unpack_messages(part[1])
-                outgoing, active, newly_halted = state.step(
-                    round_index, deliveries, crashes
-                )
+                state.begin_round(round_index, deliveries, crashes)
+                outgoing, active, newly_halted = state.collect_round()
                 if up_writer is not None:
                     encoded = up_writer.encode(outgoing)
                     if encoded is not None:
@@ -251,7 +145,7 @@ def _shard_worker(
                     reply_part = ("pipe", _pack_messages(outgoing), None)
                 conn.send(("stepped", reply_part, active, newly_halted))
             elif request[0] == _FINISH:
-                conn.send(("outputs",) + state.finish())
+                conn.send(("outputs", state.finish()))
                 return
     except (KeyboardInterrupt, SystemExit):
         # Control flow must terminate the worker, not turn into an error
@@ -272,30 +166,6 @@ def _shard_worker(
         conn.close()
 
 
-class _InlineShard:
-    """Same protocol as a worker process, executed in the parent.
-
-    Inline shards exchange the parent's ``Message`` objects directly —
-    no columnar packing, no shared memory, no pickling of any kind.
-    """
-
-    def __init__(self, vertices, factory, neighbor_map, n, fault_scenario=None):
-        self.state = _ShardState(
-            vertices, factory, neighbor_map, n, fault_scenario=fault_scenario
-        )
-        self.initial_active = len(self.state.active)
-        self.initial_halted = self.state.initial_halted
-
-    def step(self, round_index, deliveries, crashes=()):
-        return self.state.step(round_index, deliveries, crashes)
-
-    def finish(self):
-        return self.state.finish()
-
-    def close(self) -> None:
-        pass
-
-
 class _ProcessShard:
     """A forked worker process driven over a duplex pipe.
 
@@ -306,13 +176,11 @@ class _ProcessShard:
     """
 
     def __init__(
-        self, context, vertices, factory, neighbor_map, n,
-        index: GraphIndex | None = None, transport: str = "pipe",
-        tracer: Tracer = NULL_TRACER, shard_id: int = 0,
-        fault_scenario: DeliveryScenario | None = None,
+        self, context, vertices, factory, graph: nx.Graph, index: GraphIndex,
+        transport: str, tracer: Tracer, shard_id: int,
     ):
         self.vertices = vertices
-        self.transport = transport if index is not None else "pipe"
+        self.transport = transport
         self.tracer = tracer
         self.shard_id = shard_id
         self._round = 0
@@ -329,10 +197,7 @@ class _ProcessShard:
         self._conn, child_conn = context.Pipe(duplex=True)
         self._process = context.Process(
             target=_shard_worker,
-            args=(
-                child_conn, vertices, factory, neighbor_map, n, channel,
-                fault_scenario,
-            ),
+            args=(child_conn, vertices, factory, graph, channel),
             daemon=True,
         )
         self._process.start()
@@ -362,57 +227,65 @@ class _ProcessShard:
         return replacement.descriptor()
 
     def begin_round(
-        self, round_index: int, deliveries: list[Message], crashes: tuple = ()
+        self, round_index: int, deliveries: list[Message], crashes: tuple
     ) -> None:
-        """Publish the round's deliveries and the go token (no reply yet)."""
+        """Publish the round's deliveries, crashes and go token (no reply yet)."""
         self._round = round_index
-        if self.transport != "shm":
-            self._conn.send(
-                (_ROUND, round_index, ("pipe", _pack_messages(deliveries)),
-                 None, None, crashes)
-            )
-            return
         tracer = self.tracer
-        new_up = self._replace_up_block() if self._up_rows_needed else None
-        self._up_rows_needed = 0
-        new_down = None
-        encoded = self._down_writer.encode(deliveries)
-        while encoded is None:
-            # Overflow: the parent owns both sides of the resize, so it
-            # simply doubles until the round fits and announces the
-            # replacement in the same token.
-            if tracer.enabled:
-                tracer.shm_overflow(
-                    round_index, self.shard_id, "down", action="resize"
-                )
-            old = self._down_writer.block
-            replacement = ColumnBlock(
-                max(old.rows_capacity * 2, 2 * len(deliveries)),
-                old.arena_capacity * 2,
-            )
-            self._down_writer.adopt(replacement)
-            old.unlink()
-            new_down = replacement.descriptor()
-            encoded = self._down_writer.encode(deliveries)
-        rows, arena_bytes, new_tags = encoded
         if tracer.enabled:
-            block = self._down_writer.block
-            tracer.shm_block(
-                round_index, self.shard_id, "down",
-                rows=rows,
-                rows_capacity=block.rows_capacity,
-                arena_bytes=arena_bytes,
-                arena_capacity=block.arena_capacity,
-            )
-        self._conn.send(
-            (_ROUND, round_index, ("shm", rows, new_tags), new_down, new_up,
-             crashes)
-        )
+            start = time.perf_counter()
+        if self.transport != "shm":
+            part = ("pipe", _pack_messages(deliveries))
+            new_down = new_up = None
+        else:
+            new_up = self._replace_up_block() if self._up_rows_needed else None
+            self._up_rows_needed = 0
+            new_down = None
+            encoded = self._down_writer.encode(deliveries)
+            while encoded is None:
+                # Overflow: the parent owns both sides of the resize, so it
+                # simply doubles until the round fits and announces the
+                # replacement in the same token.
+                if tracer.enabled:
+                    tracer.shm_overflow(
+                        round_index, self.shard_id, "down", action="resize"
+                    )
+                old = self._down_writer.block
+                replacement = ColumnBlock(
+                    max(old.rows_capacity * 2, 2 * len(deliveries)),
+                    old.arena_capacity * 2,
+                )
+                self._down_writer.adopt(replacement)
+                old.unlink()
+                new_down = replacement.descriptor()
+                encoded = self._down_writer.encode(deliveries)
+            rows, arena_bytes, new_tags = encoded
+            if tracer.enabled:
+                block = self._down_writer.block
+                tracer.shm_block(
+                    round_index, self.shard_id, "down",
+                    rows=rows,
+                    rows_capacity=block.rows_capacity,
+                    arena_bytes=arena_bytes,
+                    arena_capacity=block.arena_capacity,
+                )
+            part = ("shm", rows, new_tags)
+        self._conn.send((_ROUND, round_index, part, new_down, new_up, crashes))
+        if tracer.enabled:
+            tracer.span_add("broadcast", time.perf_counter() - start, round_index)
 
     def collect_round(self) -> tuple[list[Message], int, list[Hashable]]:
         """Receive the round's (outgoing, active, newly_halted)."""
-        part, active, newly_halted = self._expect("stepped")
         tracer = self.tracer
+        if tracer.enabled:
+            wait_start = time.perf_counter()
+        part, active, newly_halted = self._expect("stepped")
+        if tracer.enabled:
+            # The recv blocks until the worker finishes the round: the wait
+            # *is* the barrier, and its length is the straggler signal.
+            tracer.barrier_wait(
+                self._round, self.shard_id, time.perf_counter() - wait_start
+            )
         if part[0] == "shm":
             self._up_reader.learn(part[2])
             messages = self._up_reader.decode(part[1])
@@ -437,11 +310,11 @@ class _ProcessShard:
                     )
         return messages, active, newly_halted
 
-    def finish(self):
+    def finish(self) -> dict[Hashable, object]:
         self._conn.send((_FINISH,))
-        outputs, halted = self._expect("outputs")
+        (outputs,) = self._expect("outputs")
         self._process.join(timeout=5)
-        return outputs, halted
+        return outputs
 
     def close(self) -> None:
         try:
@@ -511,39 +384,16 @@ class ShardedBackend(Backend):
         tracer: Tracer | None = None,
     ) -> SynchronousRun:
         factory = self.resolve_factory(factory)
-        if graph.number_of_nodes() == 0:
-            raise ValueError("cannot build a CONGEST network over an empty graph")
-        metrics = metrics if metrics is not None else CongestMetrics()
-        tracer = resolve_tracer(tracer)
-        traced = tracer.enabled
         index = GraphIndex(graph)
         n = index.n
-        neighbor_map = {v: tuple(graph.neighbors(v)) for v in index.nodes}
-        scenario_obj = resolve_scenario(scenario)
-        vertex_faults = scenario_obj.has_vertex_faults
-        adaptive = scenario_obj.is_adaptive
-        if vertex_faults or adaptive:
-            # Bind before forking so every shard inherits the bound caches
-            # and draws the identical fault pattern.
-            scenario_obj.bind_nodes(index.nodes)
-        # Adaptive scenarios decide faults from parent-side observations a
-        # fork-inherited copy never sees: the shards get no scenario and the
-        # parent ships each round's crash decisions in the round token.
-        fault_scenario = (
-            scenario_obj if vertex_faults and not adaptive else None
-        )
-        # The scheduler sees only the link component: vertex-fault-only
-        # scenarios keep the clean arithmetic scheduling path.
-        scheduler = WordScheduler(
-            index, link_projection(scenario_obj), horizon=max_rounds, tracer=tracer
-        )
-
+        tracer = resolve_tracer(tracer)
+        scenario = resolve_scenario(scenario)
         workers = self._resolve_workers(n)
         use_processes = (
             workers > 1 and self.start_method in multiprocessing.get_all_start_methods()
         )
         transport = self.transport
-        if transport == "shm" and (
+        if use_processes and transport == "shm" and (
             self.start_method != "fork" or not shared_memory_available()
         ):
             # The shm blocks rely on fork inheritance (and on fork's shared
@@ -553,9 +403,7 @@ class ShardedBackend(Backend):
         # responses in shard order reproduces the reference simulator's
         # global vertex iteration order.
         block = (n + workers - 1) // workers
-        partitions = [
-            index.nodes[i : i + block] for i in range(0, n, block)
-        ]
+        partitions = [index.nodes[i : i + block] for i in range(0, n, block)]
 
         shards: list = []
         try:
@@ -564,206 +412,23 @@ class ShardedBackend(Backend):
                 for shard_id, part in enumerate(partitions):
                     shards.append(
                         _ProcessShard(
-                            context, part, factory, neighbor_map, n,
-                            index=index, transport=transport,
-                            tracer=tracer, shard_id=shard_id,
-                            fault_scenario=fault_scenario,
+                            context, part, factory, graph, index,
+                            transport, tracer, shard_id,
                         )
                     )
             else:
-                for part in partitions:
-                    shards.append(
-                        _InlineShard(
-                            part, factory, neighbor_map, n,
-                            fault_scenario=fault_scenario,
-                        )
-                    )
-
-            owner = {
-                v: shard_id
-                for shard_id, part in enumerate(partitions)
-                for v in part
-            }
-            total_active = sum(shard.initial_active for shard in shards)
-            # Global halted set, fed by per-shard reports: the parent drops
-            # deliveries to halted vertices at routing time, matching the
-            # other backends and keeping dead traffic off the pipes.
-            halted_vertices: set = set()
-            for shard in shards:
-                halted_vertices.update(shard.initial_halted)
-            # Parent-side crash accumulator: mirrors the shards' own view
-            # (same scenario, same pure decisions) and drives the delivery
-            # drops and tracer events.
-            crashed_vertices: set = set()
-            next_deliveries: list[list[Message]] = [[] for _ in shards]
-            words_cache: dict[int, tuple[object, int]] = {}
-
-            rounds_executed = 0
-            for round_index in range(max_rounds):
-                if total_active == 0 and not scheduler.has_pending:
-                    break
-                rounds_executed += 1
-                new_crashes: tuple = ()
-                if vertex_faults:
-                    corrupted = 0
-                    newly: list = []
-                    for vertex in scenario_obj.faulty_vertices(round_index):
-                        if vertex not in crashed_vertices:
-                            crashed_vertices.add(vertex)
-                            newly.append(vertex)
-                            if traced:
-                                tracer.vertex_crashed(round_index, vertex)
-                    if adaptive and newly:
-                        new_crashes = tuple(newly)
-                words_cache.clear()
-                if traced:
-                    round_start = time.perf_counter()
-                    tracer.round_begin(
-                        round_index,
-                        active=total_active,
-                        pending=scheduler.pending_messages,
-                    )
-                # Barrier in, barrier out: broadcast the round to every
-                # shard, then wait for every shard's response.
-                for shard_id, shard in enumerate(shards):
-                    if isinstance(shard, _ProcessShard):
-                        shard.begin_round(
-                            round_index, next_deliveries[shard_id], new_crashes
-                        )
-                if traced:
-                    broadcast_done = time.perf_counter()
-                    tracer.span_add(
-                        "broadcast", broadcast_done - round_start, round_index
-                    )
-                total_active = 0
-                outgoing: list[Message] = []
-                for shard_id, shard in enumerate(shards):
-                    if isinstance(shard, _ProcessShard):
-                        # The recv blocks until the worker finishes the
-                        # round: the wait *is* the barrier, and its length
-                        # is the straggler signal worth tracing.
-                        if traced:
-                            wait_start = time.perf_counter()
-                            sent, active, newly_halted = shard.collect_round()
-                            tracer.barrier_wait(
-                                round_index, shard_id,
-                                time.perf_counter() - wait_start,
-                            )
-                        else:
-                            sent, active, newly_halted = shard.collect_round()
-                    else:
-                        if traced:
-                            step_start = time.perf_counter()
-                        sent, active, newly_halted = shard.step(
-                            round_index, next_deliveries[shard_id], new_crashes
-                        )
-                        if traced:
-                            tracer.span_add(
-                                "compute",
-                                time.perf_counter() - step_start,
-                                round_index,
-                            )
-                    outgoing.extend(sent)
-                    total_active += active
-                    halted_vertices.update(newly_halted)
-                next_deliveries = [[] for _ in shards]
-
-                if traced:
-                    collect_done = time.perf_counter()
-                outgoing_words: list[int] = []
-                if vertex_faults:
-                    # Byzantine corruption is applied parent-side, after the
-                    # shards reply and before word sizing — the same
-                    # sender-side send-time semantics as every backend.
-                    checked: list[Message] = []
-                    for message in outgoing:
-                        if not index.has_edge(message.sender, message.receiver):
-                            raise ValueError(
-                                f"vertex {message.sender!r} attempted to send to "
-                                f"non-neighbour {message.receiver!r}"
-                            )
-                        payload = scenario_obj.corrupt_payload(
-                            message.sender, message.receiver, round_index,
-                            message.payload,
-                        )
-                        if payload is not message.payload:
-                            message = replace(message, payload=payload)
-                            corrupted += 1
-                        checked.append(message)
-                        outgoing_words.append(
-                            payload_words(message, n, words_cache)
-                        )
-                    outgoing = checked
-                    if traced and corrupted:
-                        tracer.payload_corrupted(round_index, corrupted)
-                else:
-                    for message in outgoing:
-                        if not index.has_edge(message.sender, message.receiver):
-                            raise ValueError(
-                                f"vertex {message.sender!r} attempted to send to "
-                                f"non-neighbour {message.receiver!r}"
-                            )
-                        outgoing_words.append(
-                            payload_words(message, n, words_cache)
-                        )
-                # Bulk enqueue: one transmit-mask prefix-sum query per round
-                # instead of a per-message decision replay.
-                scheduler.schedule_messages(outgoing, outgoing_words, round_index)
-                if traced:
-                    schedule_done = time.perf_counter()
-                    tracer.span_add(
-                        "schedule", schedule_done - collect_done, round_index
-                    )
-                delivered, words_crossed = scheduler.deliver(round_index)
-                if adaptive:
-                    # Parent-side feedback only: the parent owns delivery
-                    # and every adaptive decision, so the shards never need
-                    # (and never see) the traffic statistics.
-                    counts = np.zeros(n, dtype=np.int64)
-                    id_of = index.index
-                    for message in delivered:
-                        counts[id_of[message.receiver]] += 1
-                    scenario_obj.observe_round(RoundStats(round_index, counts))
-                dropped = 0
-                for message in delivered:
-                    if message.receiver in halted_vertices or (
-                        vertex_faults
-                        and (
-                            message.sender in crashed_vertices
-                            or message.receiver in crashed_vertices
-                        )
-                    ):
-                        dropped += 1
-                        continue
-                    next_deliveries[owner[message.receiver]].append(message)
-                if dropped:
-                    metrics.add_dropped(dropped, phase=phase)
-                metrics.add_rounds(1, phase=phase)
-                metrics.add_messages(len(delivered), phase=phase, words=words_crossed)
-                if traced:
-                    now = time.perf_counter()
-                    tracer.span_add("deliver", now - schedule_done, round_index)
-                    tracer.messages_delivered(round_index, delivered)
-                    tracer.round_end(
-                        round_index,
-                        delivered=len(delivered),
-                        words=words_crossed,
-                        dropped=dropped,
-                        seconds=now - round_start,
-                    )
-
-            outputs: dict[Hashable, object] = {}
-            halted = True
-            for shard in shards:
-                shard_outputs, shard_halted = shard.finish()
-                outputs.update(shard_outputs)
-                halted = halted and shard_halted
-            outputs = {v: outputs[v] for v in index.nodes}
-            return SynchronousRun(
-                rounds=rounds_executed,
+                shards = [ShardState(part, factory, graph) for part in partitions]
+            return run_rounds(
+                ShardStep(shards),
+                WordScheduler(
+                    index, link_projection(scenario), horizon=max_rounds, tracer=tracer
+                ),
+                scenario,
+                index.nodes,
+                max_rounds=max_rounds,
+                phase=phase,
                 metrics=metrics,
-                outputs=outputs,
-                halted=halted,
+                tracer=tracer,
             )
         finally:
             for shard in shards:

@@ -34,7 +34,6 @@ agree on outputs, rounds, and word totals under every delivery scenario.
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Hashable
@@ -46,12 +45,8 @@ from repro.congest.metrics import CongestMetrics
 from repro.congest.network import SynchronousRun
 from repro.congest.vertex import VertexFactory
 from repro.engine.delivery import GraphIndex, WordScheduler
-from repro.engine.scenarios import (
-    DeliveryScenario,
-    RoundStats,
-    link_projection,
-    resolve_scenario,
-)
+from repro.engine.rounds import run_rounds
+from repro.engine.scenarios import DeliveryScenario, link_projection, resolve_scenario
 from repro.obs.tracer import Tracer, resolve_tracer
 
 
@@ -302,6 +297,110 @@ def as_vertex_factory(algorithm: type[VectorAlgorithm]) -> VertexFactory:
     return twin
 
 
+class VectorStep:
+    """The round driver's compute step for one :class:`VectorAlgorithm`.
+
+    One ``on_round`` call steps every vertex; the outgoing
+    :class:`VectorSends` batch is validated in bulk here (lengths, id
+    ranges, halted senders, word costs, adjacency) and handed to the driver
+    as dense ``(senders, receivers, edge_ids, words, values)`` arrays.
+
+    ``crashed[i]`` marks dense vertex ``i`` crash-stopped.  A crashed
+    vertex's sends are filtered out, its deliveries (either direction) are
+    dropped by the driver, and its output is frozen at its pre-crash value
+    — exactly what not stepping the per-vertex twin produces.  The vector
+    state array itself keeps evolving (one ``on_round`` steps everyone), but
+    a crashed vertex's state can only reach the network through sends.
+    """
+
+    arrays = True
+
+    def __init__(self, algorithm: type[VectorAlgorithm], topology: VectorTopology):
+        self.topology = topology
+        self.algorithm = algorithm(topology)
+        if self.algorithm.halted.shape != (topology.n,):
+            raise ValueError("VectorAlgorithm.halted must be a length-n bool array")
+        self.crashed = np.zeros(topology.n, dtype=bool)
+        self.frozen_outputs: dict[Hashable, object] = {}
+        self.inbox = VectorInbox.empty()
+
+    @property
+    def halted(self) -> np.ndarray:
+        return self.algorithm.halted
+
+    @property
+    def live(self) -> int:
+        return self.topology.n - int(
+            np.count_nonzero(self.algorithm.halted | self.crashed)
+        )
+
+    def crash(self, vertices: list[Hashable]) -> None:
+        # Freeze outputs as of the crash-round start = the state after the
+        # vertex's last completed round, which is what a never-stepped-again
+        # per-vertex twin reports.
+        snapshot = self.algorithm.outputs()
+        for v in vertices:
+            self.crashed[self.topology.id_of(v)] = True
+            self.frozen_outputs[v] = snapshot[v]
+
+    def compute(self, round_index: int) -> tuple[np.ndarray, ...] | None:
+        topology = self.topology
+        n = topology.n
+        halted_before = self.algorithm.halted.copy()
+        sends = self.algorithm.on_round(round_index, self.inbox)
+        if sends is None or not sends.count:
+            return None
+        senders = np.asarray(sends.senders, dtype=np.int64)
+        receivers = np.asarray(sends.receivers, dtype=np.int64)
+        values = np.asarray(sends.values, dtype=np.int64)
+        words = np.asarray(sends.words, dtype=np.int64)
+        if not (senders.size == receivers.size == values.size == words.size):
+            raise ValueError("VectorSends arrays must all have the same length")
+        if senders.size and (
+            int(senders.min()) < 0 or int(senders.max()) >= n
+            or int(receivers.min()) < 0 or int(receivers.max()) >= n
+        ):
+            raise ValueError("VectorSends vertex ids out of range")
+        edge_ids = sends.edge_ids
+        if self.crashed.any():
+            # A crashed vertex is silent: its rows are filtered out rather
+            # than validated (the vector state array cannot know who the
+            # scenario crashed).
+            keep_rows = ~self.crashed[senders]
+            if not keep_rows.all():
+                senders = senders[keep_rows]
+                receivers = receivers[keep_rows]
+                values = values[keep_rows]
+                words = words[keep_rows]
+                if edge_ids is not None and int(edge_ids.size) == int(
+                    keep_rows.size
+                ):
+                    edge_ids = np.asarray(edge_ids)[keep_rows]
+        halted_senders = halted_before[senders]
+        if halted_senders.any():
+            offender = int(senders[int(np.flatnonzero(halted_senders)[0])])
+            raise ValueError(
+                f"halted vertex {topology.nodes[offender]!r} attempted to send"
+            )
+        if (words < 1).any():
+            raise ValueError("every send must cost at least one word")
+        if edge_ids is None:
+            edge_ids = topology.edge_id_lookup(senders, receivers)
+        elif int(edge_ids.size) != int(senders.size):
+            # edge_ids sizes the scheduler batch; a short array would
+            # silently drop the trailing sends instead of erroring.
+            raise ValueError("VectorSends.edge_ids must have one entry per send")
+        return senders, receivers, edge_ids, words, values
+
+    def accept(self, delivered: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+        self.inbox = VectorInbox(*delivered)
+
+    def finish(self) -> dict[Hashable, object]:
+        outputs = self.algorithm.outputs()
+        outputs.update(self.frozen_outputs)
+        return outputs
+
+
 def run_vector_algorithm(
     graph: nx.Graph,
     algorithm: type[VectorAlgorithm],
@@ -315,205 +414,24 @@ def run_vector_algorithm(
     """Drive a :class:`VectorAlgorithm` with batched validation and delivery.
 
     This is the vectorized backend's fast path: no per-vertex dispatch, no
-    :class:`~repro.congest.message.Message` objects — dense arrays go into
-    the :class:`~repro.engine.delivery.WordScheduler` and dense arrays come
-    back out, with identical round/word/output semantics to running the
-    class's ``per_vertex`` twin on any backend.
+    :class:`~repro.congest.message.Message` objects — a :class:`VectorStep`
+    on the round driver, with dense arrays into and out of the
+    :class:`~repro.engine.delivery.WordScheduler`, and identical
+    round/word/output semantics to running the class's ``per_vertex`` twin
+    on any backend.
     """
-    if graph.number_of_nodes() == 0:
-        raise ValueError("cannot build a CONGEST network over an empty graph")
-    metrics = metrics if metrics is not None else CongestMetrics()
-    tracer = resolve_tracer(tracer)
-    traced = tracer.enabled
     index = GraphIndex(graph)
-    topology = VectorTopology(graph, index)
-    algo = algorithm(topology)
-    if algo.halted.shape != (topology.n,):
-        raise ValueError("VectorAlgorithm.halted must be a length-n bool array")
-    scenario_obj = resolve_scenario(scenario)
-    vertex_faults = scenario_obj.has_vertex_faults
-    adaptive = scenario_obj.is_adaptive
-    if vertex_faults or adaptive:
-        scenario_obj.bind_nodes(topology.nodes)
-    n = topology.n
-    # crashed[i]: dense vertex i is crash-stopped.  A crashed vertex's sends
-    # are suppressed, its deliveries (either direction) are dropped, and its
-    # output is frozen at its pre-crash value — exactly what not stepping
-    # the per-vertex twin produces.  The vector state array itself keeps
-    # evolving (one ``on_round`` steps everyone), but a crashed vertex's
-    # state can only reach the network through sends, which are filtered.
-    crashed = np.zeros(n, dtype=bool)
-    frozen_outputs: dict[Hashable, object] = {}
-    # The scheduler sees only the link component: vertex-fault-only
-    # scenarios keep the clean arithmetic scheduling path.
-    scheduler = WordScheduler(
-        index, link_projection(scenario_obj), horizon=max_rounds, tracer=tracer
-    )
-    inbox = VectorInbox.empty()
-
-    rounds_executed = 0
-    for round_index in range(max_rounds):
-        if bool((algo.halted | crashed).all()) and not scheduler.has_pending:
-            break
-        rounds_executed += 1
-        if vertex_faults:
-            newly_crashed = [
-                v
-                for v in scenario_obj.faulty_vertices(round_index)
-                if not crashed[topology.id_of(v)]
-            ]
-            if newly_crashed:
-                # Freeze outputs as of the crash-round start = the state
-                # after the vertex's last completed round, which is what a
-                # never-stepped-again per-vertex twin reports.
-                snapshot = algo.outputs()
-                for v in newly_crashed:
-                    crashed[topology.id_of(v)] = True
-                    frozen_outputs[v] = snapshot[v]
-                    if traced:
-                        tracer.vertex_crashed(round_index, v)
-        if traced:
-            round_start = time.perf_counter()
-            tracer.round_begin(
-                round_index,
-                active=int(n - int(algo.halted.sum())),
-                pending=scheduler.pending_messages,
-            )
-        halted_before = algo.halted.copy()
-        sends = algo.on_round(round_index, inbox)
-        if sends is not None and sends.count:
-            senders = np.asarray(sends.senders, dtype=np.int64)
-            receivers = np.asarray(sends.receivers, dtype=np.int64)
-            values = np.asarray(sends.values, dtype=np.int64)
-            words = np.asarray(sends.words, dtype=np.int64)
-            if not (senders.size == receivers.size == values.size == words.size):
-                raise ValueError(
-                    "VectorSends arrays must all have the same length"
-                )
-            if senders.size and (
-                int(senders.min()) < 0 or int(senders.max()) >= n
-                or int(receivers.min()) < 0 or int(receivers.max()) >= n
-            ):
-                raise ValueError("VectorSends vertex ids out of range")
-            edge_ids = sends.edge_ids
-            if vertex_faults and crashed.any():
-                # A crashed vertex is silent: its rows are filtered out
-                # rather than validated (the vector state array cannot know
-                # who the scenario crashed).
-                keep_rows = ~crashed[senders]
-                if not keep_rows.all():
-                    senders = senders[keep_rows]
-                    receivers = receivers[keep_rows]
-                    values = values[keep_rows]
-                    words = words[keep_rows]
-                    if edge_ids is not None and int(edge_ids.size) == int(
-                        keep_rows.size
-                    ):
-                        edge_ids = np.asarray(edge_ids)[keep_rows]
-            halted_senders = halted_before[senders]
-            if halted_senders.any():
-                offender = int(senders[int(np.flatnonzero(halted_senders)[0])])
-                raise ValueError(
-                    f"halted vertex {topology.nodes[offender]!r} attempted to send"
-                )
-            if (words < 1).any():
-                raise ValueError("every send must cost at least one word")
-            if edge_ids is None:
-                edge_ids = topology.edge_id_lookup(senders, receivers)
-            elif int(edge_ids.size) != int(senders.size):
-                # edge_ids sizes the scheduler batch; a short array would
-                # silently drop the trailing sends instead of erroring.
-                raise ValueError(
-                    "VectorSends.edge_ids must have one entry per send"
-                )
-            if vertex_faults:
-                # Batch Byzantine corruption, sender-side before scheduling
-                # — the array twin of ``corrupt_payload``.
-                corrupted = scenario_obj.corrupt_values(
-                    senders, receivers, round_index, values
-                )
-                if corrupted is not values:
-                    if traced:
-                        tracer.payload_corrupted(
-                            round_index, int((corrupted != values).sum())
-                        )
-                    values = corrupted
-            if traced:
-                compute_done = time.perf_counter()
-                tracer.span_add(
-                    "compute", compute_done - round_start, round_index
-                )
-            scheduler.schedule_batch(
-                senders, receivers, edge_ids, words, values, round_index
-            )
-            if traced:
-                tracer.span_add(
-                    "schedule",
-                    time.perf_counter() - compute_done,
-                    round_index,
-                )
-        elif traced:
-            compute_done = time.perf_counter()
-            tracer.span_add("compute", compute_done - round_start, round_index)
-        if traced:
-            deliver_start = time.perf_counter()
-        d_senders, d_receivers, d_values, words_crossed = scheduler.deliver_batch(
-            round_index
-        )
-        delivered_count = int(d_senders.size)
-        if adaptive:
-            # Batch kernel of the adaptive feedback: pre-drop per-receiver
-            # counts, the dense twin of the per-vertex backends' loop.
-            scenario_obj.observe_round(
-                RoundStats(
-                    round_index, np.bincount(d_receivers, minlength=n)
-                )
-            )
-        if traced and tracer.record_messages and delivered_count:
-            # Pre-drop record: what crossed the wire this round (the drop
-            # filter below narrows the arrays in place).
-            tracer.arrays_delivered(
-                round_index, d_senders, d_receivers, d_values, topology.nodes
-            )
-        dropped = 0
-        if delivered_count:
-            keep = ~algo.halted[d_receivers]
-            if vertex_faults:
-                # Crashed endpoints drop the delivery like a halted
-                # receiver: the words crossed, the message is discarded.
-                keep &= ~crashed[d_senders]
-                keep &= ~crashed[d_receivers]
-            dropped = delivered_count - int(keep.sum())
-            if dropped:
-                # Same rule as every per-vertex backend: deliveries to
-                # halted vertices are dropped, never queued.
-                metrics.add_dropped(dropped, phase=phase)
-                d_senders = d_senders[keep]
-                d_receivers = d_receivers[keep]
-                d_values = d_values[keep]
-            inbox = VectorInbox(d_senders, d_receivers, d_values)
-        else:
-            inbox = VectorInbox.empty()
-        metrics.add_rounds(1, phase=phase)
-        metrics.add_messages(delivered_count, phase=phase, words=words_crossed)
-        if traced:
-            now = time.perf_counter()
-            tracer.span_add("deliver", now - deliver_start, round_index)
-            tracer.round_end(
-                round_index,
-                delivered=delivered_count,
-                words=words_crossed,
-                dropped=dropped,
-                seconds=now - round_start,
-            )
-
-    outputs = algo.outputs()
-    if frozen_outputs:
-        outputs.update(frozen_outputs)
-    halted = bool(algo.halted[~crashed].all())
-    return SynchronousRun(
-        rounds=rounds_executed,
+    tracer = resolve_tracer(tracer)
+    scenario = resolve_scenario(scenario)
+    return run_rounds(
+        VectorStep(algorithm, VectorTopology(graph, index)),
+        WordScheduler(
+            index, link_projection(scenario), horizon=max_rounds, tracer=tracer
+        ),
+        scenario,
+        index.nodes,
+        max_rounds=max_rounds,
+        phase=phase,
         metrics=metrics,
-        outputs=outputs,
-        halted=halted,
+        tracer=tracer,
     )

@@ -1,7 +1,9 @@
 """Batch-delivery backend: numpy edge occupancy, bucketed completions.
 
-Semantically identical to the reference simulator — same per-edge FIFO
-bandwidth discipline, same validation, same metrics — but delivery costs
+Semantically identical to the reference simulator — the same round driver
+(:mod:`repro.engine.rounds`), so the same validation, fault handling and
+metrics — but delivery goes through the
+:class:`~repro.engine.delivery.WordScheduler` instead of per-edge deques:
 ``O(1)`` per transfer instead of ``O(words)`` deque operations, and a round
 with no completions costs ``O(active vertices)`` instead of
 ``O(directed edges)``.  Intermediate word fragments are never materialised:
@@ -17,26 +19,16 @@ reference backend.  CONGEST algorithms must not depend on such ordering
 
 from __future__ import annotations
 
-import time
-
 import networkx as nx
-import numpy as np
-
-from dataclasses import replace
 
 from repro.congest.metrics import CongestMetrics
 from repro.congest.network import SynchronousRun
 from repro.engine.backend import Backend, VertexFactory
-from repro.engine.delivery import GraphIndex, WordScheduler, payload_words
 from repro.engine.registry import register_backend
-from repro.engine.scenarios import (
-    DeliveryScenario,
-    RoundStats,
-    link_projection,
-    resolve_scenario,
-)
+from repro.engine.scenarios import DeliveryScenario
+from repro.engine.sharded import ShardedBackend
 from repro.engine.vector import is_vector_algorithm, run_vector_algorithm
-from repro.obs.tracer import Tracer, resolve_tracer
+from repro.obs.tracer import Tracer
 
 
 @register_backend("vectorized")
@@ -48,7 +40,8 @@ class VectorizedBackend(Backend):
     vertices on numpy arrays and the outgoing sender/receiver/word arrays go
     straight into the :class:`~repro.engine.delivery.WordScheduler` (see
     :func:`repro.engine.vector.run_vector_algorithm`).  Ordinary per-vertex
-    factories run on the batch-delivery loop below.
+    factories run in one in-process :class:`~repro.engine.rounds.ShardState`
+    on the same scheduler: exactly ``ShardedBackend(num_workers=1)``.
     """
 
     name = "vectorized"
@@ -64,158 +57,19 @@ class VectorizedBackend(Backend):
         scenario: DeliveryScenario | None = None,
         tracer: Tracer | None = None,
     ) -> SynchronousRun:
-        if is_vector_algorithm(factory):
-            return run_vector_algorithm(
-                graph,
-                factory,
-                max_rounds=max_rounds,
-                phase=phase,
-                metrics=metrics,
-                scenario=scenario,
-                tracer=tracer,
-            )
-        if graph.number_of_nodes() == 0:
-            raise ValueError("cannot build a CONGEST network over an empty graph")
-        metrics = metrics if metrics is not None else CongestMetrics()
-        tracer = resolve_tracer(tracer)
-        traced = tracer.enabled
-        index = GraphIndex(graph)
-        n = index.n
-        algorithms = {
-            v: factory(v, tuple(graph.neighbors(v)), n) for v in index.nodes
-        }
-        inboxes: dict = {v: [] for v in index.nodes}
-        scenario_obj = resolve_scenario(scenario)
-        vertex_faults = scenario_obj.has_vertex_faults
-        adaptive = scenario_obj.is_adaptive
-        if vertex_faults or adaptive:
-            scenario_obj.bind_nodes(index.nodes)
-        crashed: set = set()
-        # The scheduler sees only the link component: vertex-fault-only
-        # scenarios keep the clean arithmetic scheduling path.
-        scheduler = WordScheduler(
-            index,
-            link_projection(scenario_obj),
-            horizon=max_rounds,
-            tracer=tracer,
+        # Per-vertex factories run on one in-process shard: the same compute
+        # code on the same transport as an inline sharded run.
+        run = (
+            run_vector_algorithm
+            if is_vector_algorithm(factory)
+            else ShardedBackend(num_workers=1).run
         )
-        active = index.nodes
-        words_cache: dict[int, tuple[object, int]] = {}
-
-        rounds_executed = 0
-        for round_index in range(max_rounds):
-            active = [v for v in active if not algorithms[v].halted]
-            if not active and not scheduler.has_pending:
-                break
-            rounds_executed += 1
-            if vertex_faults:
-                # Crash application mirrors the reference simulator's order:
-                # after the termination check, before compute, so round
-                # counts agree across backends.
-                corrupted = 0
-                for vertex in scenario_obj.faulty_vertices(round_index):
-                    if vertex not in crashed:
-                        crashed.add(vertex)
-                        if traced:
-                            tracer.vertex_crashed(round_index, vertex)
-                if crashed:
-                    active = [v for v in active if v not in crashed]
-            if traced:
-                round_start = time.perf_counter()
-                tracer.round_begin(
-                    round_index,
-                    active=len(active),
-                    pending=scheduler.pending_messages,
-                )
-            words_cache.clear()
-            outgoing: list = []
-            outgoing_words: list[int] = []
-            for vertex in active:
-                algorithm = algorithms[vertex]
-                sent = algorithm.on_round(round_index, inboxes[vertex])
-                inboxes[vertex] = []
-                for message in sent:
-                    if message.sender != vertex:
-                        raise ValueError(
-                            f"vertex {vertex!r} attempted to forge sender "
-                            f"{message.sender!r}"
-                        )
-                    if not index.has_edge(vertex, message.receiver):
-                        raise ValueError(
-                            f"vertex {vertex!r} attempted to send to non-neighbour "
-                            f"{message.receiver!r}"
-                        )
-                    if vertex_faults:
-                        # Sender-side Byzantine corruption, before word
-                        # sizing — identical to the reference simulator.
-                        payload = scenario_obj.corrupt_payload(
-                            vertex, message.receiver, round_index, message.payload
-                        )
-                        if payload is not message.payload:
-                            message = replace(message, payload=payload)
-                            corrupted += 1
-                    outgoing.append(message)
-                    outgoing_words.append(payload_words(message, n, words_cache))
-            if traced:
-                compute_done = time.perf_counter()
-                tracer.span_add(
-                    "compute", compute_done - round_start, round_index
-                )
-                if vertex_faults and corrupted:
-                    tracer.payload_corrupted(round_index, corrupted)
-            # One bulk enqueue per round: completion rounds for the whole
-            # batch come from a single transmit-mask prefix-sum query, so
-            # faulty kernel scenarios schedule as fast as clean ones.
-            scheduler.schedule_messages(outgoing, outgoing_words, round_index)
-            if traced:
-                schedule_done = time.perf_counter()
-                tracer.span_add(
-                    "schedule", schedule_done - compute_done, round_index
-                )
-            delivered, words_crossed = scheduler.deliver(round_index)
-            if adaptive:
-                # Pre-drop per-receiver counts, identical to the reference
-                # simulator's feedback (same delivery set, same order).
-                counts = np.zeros(n, dtype=np.int64)
-                id_of = index.index
-                for message in delivered:
-                    counts[id_of[message.receiver]] += 1
-                scenario_obj.observe_round(RoundStats(round_index, counts))
-            dropped = 0
-            for message in delivered:
-                # Same rule as the reference simulator: a halted receiver
-                # never consumes its inbox, so queueing would leak memory;
-                # crashed endpoints drop the delivery the same way.
-                if algorithms[message.receiver].halted or (
-                    vertex_faults
-                    and (message.sender in crashed or message.receiver in crashed)
-                ):
-                    dropped += 1
-                    continue
-                inboxes[message.receiver].append(message)
-            if dropped:
-                metrics.add_dropped(dropped, phase=phase)
-            metrics.add_rounds(1, phase=phase)
-            metrics.add_messages(len(delivered), phase=phase, words=words_crossed)
-            if traced:
-                now = time.perf_counter()
-                tracer.span_add("deliver", now - schedule_done, round_index)
-                tracer.messages_delivered(round_index, delivered)
-                tracer.round_end(
-                    round_index,
-                    delivered=len(delivered),
-                    words=words_crossed,
-                    dropped=dropped,
-                    seconds=now - round_start,
-                )
-
-        outputs = {v: alg.output for v, alg in algorithms.items()}
-        halted = all(
-            alg.halted for v, alg in algorithms.items() if v not in crashed
-        )
-        return SynchronousRun(
-            rounds=rounds_executed,
+        return run(
+            graph,
+            factory,
+            max_rounds=max_rounds,
+            phase=phase,
             metrics=metrics,
-            outputs=outputs,
-            halted=halted,
+            scenario=scenario,
+            tracer=tracer,
         )

@@ -1,8 +1,9 @@
 """Engine tracers: structured per-round events, spans, and export sinks.
 
 A :class:`Tracer` is the one observability hook threaded through every
-engine layer: the backends emit round begin/end events (with wall time and
-the round's delivered/word/dropped totals), the
+engine layer: the round driver (:mod:`repro.engine.rounds`) emits round
+begin/end events (with wall time and the round's delivered/word/dropped
+totals, identical on every backend apart from the wall-clock fields), the
 :class:`~repro.engine.delivery.WordScheduler` emits per-batch scheduling
 events (which path ran — clean arithmetic, transmit-mask kernel, or the
 scalar fallback — plus window statistics of the kernel search), the sharded
@@ -121,8 +122,9 @@ class Tracer:
     # -- round lifecycle ------------------------------------------------------
 
     def round_begin(self, round_index: int, *, active: int, pending: int) -> None:
-        """A synchronous round starts: ``active`` unhalted vertices,
-        ``pending`` in-flight transfers (backend-specific pressure gauge)."""
+        """A synchronous round starts: ``active`` vertices neither halted
+        nor crashed once the round's crashes apply, ``pending`` messages in
+        flight."""
         self._emit(
             {
                 "kind": "round_begin",

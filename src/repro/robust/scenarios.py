@@ -32,8 +32,8 @@ runs stay backend-identical exactly like the oblivious pair.
 All four follow the engine's determinism discipline: every decision is a
 pure splitmix64/blake2b function of ``(seed, vertex, round)`` (plus, for
 the adaptive pair, the deterministic observation stream), so all three
-backends (and forked shard workers) observe the identical fault pattern,
-pinned by the property suite.  Links stay clean
+backends observe the identical fault pattern, pinned by the property
+suite.  Links stay clean
 (``has_link_faults = False``), which keeps the batch schedulers on their
 arithmetic fast path; the explicit all-ones :meth:`transmit_mask` kernels
 exist so the scenario contract (REP005) holds uniformly.
@@ -136,7 +136,7 @@ class CrashStopVertexScenario(_VertexFaultBase):
     the halted-receiver rule.  The faulty subset is the budgeted seeded
     draw of :class:`_VertexFaultBase`: ``max_faulty`` vertices (or
     ``round(fraction * n)`` when ``fraction`` is given), chosen purely from
-    per-vertex hashes so every backend — and every forked shard — agrees.
+    per-vertex hashes so every backend agrees.
     """
 
     _hash_label = "crash-vertices"

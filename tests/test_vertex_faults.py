@@ -1,19 +1,18 @@
 """Vertex-fault scenarios: determinism, backend equivalence, drop accounting.
 
 The crash-stop / Byzantine scenarios (``repro.robust.scenarios``) extend the
-delivery-scenario contract with a *vertex*-fault axis, and every backend
-threads it independently (the reference simulator's run loop, the vectorized
-per-vertex loop, the vector fast path's array filters, the sharded parent +
-shard workers).  Three contracts pin the layer:
+delivery-scenario contract with a *vertex*-fault axis, which the round
+driver (``repro.engine.rounds``) applies for every backend; forked shard
+workers get each round's crashes from the parent.  Three contracts pin the
+layer:
 
 1. **Seed determinism** — every fault decision is a pure function of
    ``(seed, vertex, round)``: rebinding a freshly constructed scenario must
-   reproduce the identical crash schedule / corruption masks, because forked
-   shard workers rely on exactly that to agree with their parent.
+   reproduce the identical crash schedule / corruption masks.
 2. **Backend equivalence** — the same workload under the same vertex-fault
    scenario must produce identical rounds / outputs / word totals / drop
-   counts on reference, vectorized, and sharded backends (and on the vector
-   fast path via the scalar twin).
+   counts on reference, vectorized, and sharded backends, in-process and
+   forked (and on the vector fast path via the scalar twin).
 3. **Drop accounting** — words a crashed vertex queued before dying still
    cross (bandwidth was spent) but the message is discarded on arrival and
    counted in ``CongestMetrics.dropped``, mirroring the halted-receiver rule.
@@ -28,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from common import vector_broadcast_workload
 from repro.congest.vertex import VertexAlgorithm
+from repro.engine import ShardedBackend
 from repro.engine.registry import scenario_registry
 from repro.engine.runner import run_algorithm
 from repro.engine.scenarios import ComposedScenario, resolve_scenario
@@ -36,7 +36,14 @@ from repro.graphs import erdos_renyi
 from repro.obs import RecordingTracer
 from repro.robust.scenarios import ByzantineVertexScenario, CrashStopVertexScenario
 
-BACKENDS = ["reference", "vectorized", "sharded"]
+# "sharded" sizes itself from the affinity mask, so a 1-core host never
+# forks it; the explicit 2-worker fork backend always crosses processes.
+FORKED = ShardedBackend(num_workers=2, start_method="fork")
+BACKENDS = ["reference", "vectorized", "sharded", FORKED]
+
+
+def backend_id(backend) -> str:
+    return backend if isinstance(backend, str) else "sharded-forked"
 
 seeds = st.integers(min_value=0, max_value=2**31)
 
@@ -183,12 +190,13 @@ def run_matrix(factory, graph, scenario_builder):
     }
     base = runs["reference"]
     for backend, run in runs.items():
-        assert run.rounds == base.rounds, backend
-        assert run.outputs == base.outputs, backend
-        assert run.metrics.words == base.metrics.words, backend
-        assert run.metrics.messages == base.metrics.messages, backend
-        assert run.metrics.dropped == base.metrics.dropped, backend
-        assert run.halted == base.halted, backend
+        label = backend_id(backend)
+        assert run.rounds == base.rounds, label
+        assert run.outputs == base.outputs, label
+        assert run.metrics.words == base.metrics.words, label
+        assert run.metrics.messages == base.metrics.messages, label
+        assert run.metrics.dropped == base.metrics.dropped, label
+        assert run.halted == base.halted, label
     return base
 
 
@@ -257,7 +265,7 @@ class BlobThenListen(VertexAlgorithm):
         return []
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, ids=backend_id)
 def test_crashed_vertex_in_flight_words_are_dropped_and_counted(backend):
     graph = nx.complete_graph(6)
     scenario = CrashStopVertexScenario(
@@ -300,14 +308,14 @@ def test_reference_and_sharded_agree_on_drop_counts_under_crashes():
     base = runs["reference"]
     assert base.metrics.dropped > 0
     for backend, run in runs.items():
-        assert run.metrics.dropped == base.metrics.dropped, backend
-        assert run.outputs == base.outputs, backend
+        assert run.metrics.dropped == base.metrics.dropped, backend_id(backend)
+        assert run.outputs == base.outputs, backend_id(backend)
 
 
 # -- tracer events, registry, composition ------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, ids=backend_id)
 def test_tracer_sees_crashes_and_corruptions(backend):
     graph = erdos_renyi(20, 4.0, seed=1)
     scenario = ComposedScenario.overlay(
