@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import networkx as nx
 
 from repro.congest.metrics import CongestMetrics
-from repro.graphs.cliques import Clique, canonical_clique
+from repro.graphs.cliques import Clique, cliques_in_edge_set
 from repro.listing.recursion import ListingResult
 
 Edge = tuple[int, int]
@@ -64,27 +64,6 @@ def congested_clique_listing(graph: nx.Graph, p: int = 3) -> tuple[ListingResult
         i, j = sorted((group_of[u], group_of[v]))
         pair_edges.setdefault((i, j), set()).add((u, v) if u <= v else (v, u))
 
-    adjacency = {v: set(graph.neighbors(v)) for v in graph.nodes}
-
-    def cliques_in(edges: set[Edge]) -> set[Clique]:
-        local = nx.Graph()
-        local.add_edges_from(edges)
-        local_adj = {v: set(local.neighbors(v)) for v in local.nodes}
-        found: set[Clique] = set()
-
-        def extend(partial: list[int], candidates: set[int]) -> None:
-            if len(partial) == p:
-                found.add(canonical_clique(partial))
-                return
-            for candidate in sorted(candidates):
-                if candidate <= partial[-1]:
-                    continue
-                extend(partial + [candidate], candidates & local_adj[candidate])
-
-        for vertex in sorted(local.nodes):
-            extend([vertex], {u for u in local_adj[vertex] if u > vertex})
-        return found
-
     cliques: set[Clique] = set()
     reports = 0
     max_load = 0
@@ -94,7 +73,7 @@ def congested_clique_listing(graph: nx.Graph, p: int = 3) -> tuple[ListingResult
         for i, j in itertools.combinations_with_replacement(sorted(set(part_tuple)), 2):
             learned |= pair_edges.get((i, j), set())
         max_load = max(max_load, len(learned))
-        found = cliques_in(learned)
+        found = cliques_in_edge_set(learned, p)
         reports += len(found)
         cliques |= found
 
@@ -116,5 +95,4 @@ def congested_clique_listing(graph: nx.Graph, p: int = 3) -> tuple[ListingResult
         cliques=cliques, p=p, rounds=rounds, levels=1, metrics=metrics,
         reports=reports, fallback_edges=0,
     )
-    _ = adjacency
     return result, report

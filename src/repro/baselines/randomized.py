@@ -25,30 +25,10 @@ import networkx as nx
 
 from repro.congest.cost import CostAccountant, RoutingOverhead, polylog_overhead
 from repro.congest.metrics import CongestMetrics
-from repro.graphs.cliques import Clique, canonical_clique
+from repro.graphs.cliques import Clique, cliques_in_edge_set
 from repro.listing.recursion import ListingResult
 
 Edge = tuple[int, int]
-
-
-def _cliques_in_edge_set(edges: set[Edge], p: int) -> set[Clique]:
-    graph = nx.Graph()
-    graph.add_edges_from(edges)
-    adjacency = {v: set(graph.neighbors(v)) for v in graph.nodes}
-    found: set[Clique] = set()
-
-    def extend(partial: list[int], candidates: set[int]) -> None:
-        if len(partial) == p:
-            found.add(canonical_clique(partial))
-            return
-        for candidate in sorted(candidates):
-            if candidate <= partial[-1]:
-                continue
-            extend(partial + [candidate], candidates & adjacency[candidate])
-
-    for vertex in sorted(graph.nodes):
-        extend([vertex], {u for u in adjacency[vertex] if u > vertex})
-    return found
 
 
 @dataclass
@@ -109,7 +89,7 @@ def randomized_partition_listing(
         for i, j in itertools.combinations_with_replacement(sorted(set(part_tuple)), 2):
             learned |= pair_edges.get((i, j), set())
         max_load = max(max_load, len(learned))
-        found = _cliques_in_edge_set(learned, p)
+        found = cliques_in_edge_set(learned, p)
         reports += len(found)
         cliques |= found
         _ = vertices[index % len(vertices)]

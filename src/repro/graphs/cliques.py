@@ -1,16 +1,20 @@
-"""Ground-truth clique enumeration.
+"""Ground-truth clique enumeration, and the clique kernel of local listing.
 
 The listing algorithms are validated against an independent, centralized
 enumeration of all ``K_p`` instances.  For triangles we use a sorted
 neighbourhood-intersection enumeration; for larger ``p`` we extend partial
 cliques vertex by vertex over higher-numbered neighbours, which enumerates
 each instance exactly once.
+
+The local step of every listing algorithm (a vertex listing the cliques in
+what it learned) runs :func:`extend_cliques` instead, which shares no code
+with the ground truth :func:`enumerate_cliques` it is checked against.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Hashable, Iterable, Iterator, Mapping
 
 import networkx as nx
 
@@ -67,20 +71,62 @@ def count_cliques(graph: nx.Graph, p: int) -> int:
     return len(enumerate_cliques(graph, p))
 
 
+def extend_cliques(
+    higher: Mapping[Hashable, set],
+    candidates: set,
+    size: int,
+    prefix: Clique,
+    found: set[Clique],
+) -> None:
+    """Add ``prefix + rest`` to ``found`` for every ``size``-clique ``rest`` of ``candidates``.
+
+    The clique kernel of every local listing step.  ``higher`` is an
+    adjacency mapping that keeps only higher-id neighbours (``higher[u]``
+    holds the neighbours of ``u`` larger than ``u``), so a clique is reached
+    once, along its sorted order, and comes out canonical when ``prefix`` is
+    sorted and below every candidate.  Candidates narrow by set
+    intersection, and the last level is emitted in one flat loop instead of
+    one call per clique.
+    """
+    if size <= 1:
+        if size == 0:
+            found.add(prefix)
+        else:
+            found.update([prefix + (c,) for c in candidates])
+        return
+    if size == 2:
+        for c in candidates:
+            pair = prefix + (c,)
+            found.update([pair + (w,) for w in candidates & higher[c]])
+        return
+    for c in candidates:
+        narrowed = candidates & higher[c]
+        if len(narrowed) >= size - 1:
+            extend_cliques(higher, narrowed, size - 1, prefix + (c,), found)
+
+
 def cliques_in_edge_set(edges: Iterable[tuple[int, int]], p: int) -> set[Clique]:
-    """All ``K_p`` formed by a (small) explicit edge set.
+    """All ``K_p`` formed by an explicit edge set.
 
     This is the local computation a vertex performs after *learning* a set of
     edges (the final step of Lemmas 34 and 37, and of the distributed
     edge-learning protocol): every ``p``-subset of endpoints whose
-    ``p(p-1)/2`` edges are all present in the set is a clique instance.
+    ``p(p-1)/2`` edges are all present in the set is a clique instance.  The
+    edges become a higher-id adjacency mapping (a dict of sets; no graph
+    object) that :func:`extend_cliques` lists from.
     """
-    edge_list = list(edges)
-    if not edge_list:
-        return set()
-    graph = nx.Graph()
-    graph.add_edges_from(edge_list)
-    return enumerate_cliques(graph, p)
+    if p < 1:
+        raise ValueError("clique size must be positive")
+    higher: dict[Hashable, set] = {}
+    for u, w in edges:
+        if w < u:
+            u, w = w, u
+        higher.setdefault(u, set()).add(w)
+        higher.setdefault(w, set())
+    found: set[Clique] = set()
+    for u, above in higher.items():
+        extend_cliques(higher, above, p - 1, (u,), found)
+    return found
 
 
 def cliques_containing_edge(graph: nx.Graph, edge: tuple[int, int], p: int) -> set[Clique]:

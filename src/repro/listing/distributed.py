@@ -188,12 +188,15 @@ class ListingVertex(VertexAlgorithm):
 
     * 2-hop exhaustive listing — round 0: listers announce their adjacency
       (tag ``adj``); any vertex receiving an announcement replies with the
-      announced vertices it is adjacent to (tag ``hits``).  A lister that
-      has collected all replies knows its induced neighbourhood and lists
-      every ``K_p`` through itself.
+      announced vertices it is adjacent to (tag ``hits``), in the order of
+      the announcement.  A lister that has collected all replies knows its
+      induced neighbourhood and lists every ``K_p`` through itself, handing
+      that view to :func:`~repro.listing.local.cliques_through_vertex` as an
+      adjacency mapping (a dict of sets; no vertex builds a graph object).
     * edge learning — round 0: demand sources inject ``edge`` packets;
       relays forward them along their precomputed tables; owners collect
-      them and finally list the cliques among the learned edges.
+      them and finally list the cliques among the learned edges with
+      :func:`~repro.graphs.cliques.cliques_in_edge_set`.
 
     Expected message counts are part of the plan, so every vertex can halt
     locally the moment its counters are met — there is no global
@@ -222,7 +225,7 @@ class ListingVertex(VertexAlgorithm):
         for message in inbox:
             if message.tag == "adj":
                 self._announcements_answered += 1
-                hits = tuple(v for v in message.payload if v in self._neighbor_set)
+                hits = tuple(filter(self._neighbor_set.__contains__, message.payload))
                 outgoing.append(self.send(message.sender, "hits", hits))
             elif message.tag == "hits":
                 self._replies[message.sender] = message.payload
@@ -265,16 +268,27 @@ class ListingVertex(VertexAlgorithm):
             return
         found: set[Clique] = set()
         if self.plan.is_lister:
-            local = nx.Graph()
-            local.add_node(self.vertex)
-            local.add_edges_from((self.vertex, u) for u in self.neighbors)
-            for neighbor, hits in self._replies.items():
-                local.add_edges_from((neighbor, v) for v in hits)
-            found |= cliques_through_vertex(local, self.vertex, self.plan.p)
+            found |= cliques_through_vertex(
+                self._induced_neighborhood(), self.vertex, self.plan.p
+            )
         if self._edges:
             found |= cliques_in_edge_set(self._edges, self.plan.p)
         self.output = found
         self.halt()
+
+    def _induced_neighborhood(self) -> dict[Hashable, set]:
+        """The lister's induced neighbourhood as a dict of sets.
+
+        ``u``–``w`` is an edge when ``u`` reported ``w`` or ``w`` reported
+        ``u``, and the lister is adjacent to each of its neighbours.
+        """
+        adjacency: dict[Hashable, set] = {u: {self.vertex} for u in self.neighbors}
+        adjacency[self.vertex] = set(self.neighbors)
+        for neighbor, hits in self._replies.items():
+            adjacency[neighbor].update(hits)
+            for w in hits:
+                adjacency.setdefault(w, set()).add(neighbor)
+        return adjacency
 
 
 # ---------------------------------------------------------------------------

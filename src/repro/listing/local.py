@@ -15,14 +15,14 @@ standalone exhaustive-search baseline of experiment E8.
 
 from __future__ import annotations
 
-import itertools
+import bisect
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Hashable, Iterable, Mapping
 
 import networkx as nx
 
 from repro.congest.cost import CostAccountant
-from repro.graphs.cliques import Clique, canonical_clique
+from repro.graphs.cliques import Clique, extend_cliques
 
 
 def exhaustive_rounds_bound(alpha: int) -> int:
@@ -33,29 +33,40 @@ def exhaustive_rounds_bound(alpha: int) -> int:
     return max(0, 2 * alpha)
 
 
-def cliques_through_vertex(graph: nx.Graph, vertex: int, p: int) -> set[Clique]:
+def cliques_through_vertex(
+    graph: Mapping[Hashable, Iterable[Hashable]], vertex: Hashable, p: int
+) -> set[Clique]:
     """All ``K_p`` of ``graph`` containing ``vertex`` (local computation).
 
+    ``graph`` is any adjacency mapping of an undirected graph: ``graph[v]``
+    yields the neighbours of ``v``, so an ``nx.Graph`` and a dict of sets
+    both qualify, and only ``vertex`` and its neighbours are looked up.
     This is exactly what the vertex can compute after learning its induced
     neighbourhood: every clique through ``v`` consists of ``v`` plus a
-    ``(p-1)``-clique among its neighbours.
+    ``(p-1)``-clique among its neighbours, listed by
+    :func:`~repro.graphs.cliques.extend_cliques`.
     """
     if p < 1:
         return set()
-    if p == 1:
-        return {(vertex,)}
-    neighbors = sorted(graph.neighbors(vertex))
+    order = sorted(graph[vertex])
+    higher = {u: set(order[i + 1 :]).intersection(graph[u]) for i, u in enumerate(order)}
+    split = bisect.bisect(order, vertex)
+    below, above = set(order[:split]), set(order[split:])
     found: set[Clique] = set()
-    adjacency = {u: set(graph.neighbors(u)) for u in neighbors}
-    def extend(partial: list[int], candidates: list[int]) -> None:
-        if len(partial) == p - 1:
-            found.add(canonical_clique([vertex] + partial))
-            return
-        for position, candidate in enumerate(candidates):
-            remaining = [c for c in candidates[position + 1 :] if c in adjacency[candidate]]
-            extend(partial + [candidate], remaining)
 
-    extend([], neighbors)
+    def through(prefix: Clique, candidates: set, size: int) -> None:
+        # ``prefix`` holds the clique's members below ``vertex`` chosen so
+        # far; ``vertex`` goes next, or another member below it does.
+        extend_cliques(higher, candidates & above, size, prefix + (vertex,), found)
+        if size == 1:
+            found.update([prefix + (c, vertex) for c in candidates & below])
+        elif size:
+            for c in candidates & below:
+                narrowed = candidates & higher[c]
+                if len(narrowed) >= size - 1:
+                    through(prefix + (c,), narrowed, size - 1)
+
+    through((), below | above, p - 1)
     return found
 
 

@@ -7,17 +7,21 @@ delivery scenario — returns exactly the ``K_p`` set that centralized
 enumeration (``nx.enumerate_all_cliques``) produces.
 """
 
+import itertools
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import AdversarialDelayScenario, LinkDropScenario
-from repro.graphs import erdos_renyi, planted_cliques
+from repro.experiments import Session
+from repro.graphs import enumerate_cliques, erdos_renyi, planted_cliques
 from repro.listing import (
     list_cliques_distributed,
     list_triangles_distributed,
     validate_distributed_listing,
 )
+from repro.listing.distributed import add_edge_learning, plan_two_hop_protocol
 
 BACKENDS = ["reference", "vectorized", "sharded"]
 
@@ -131,6 +135,40 @@ def test_distributed_listing_survives_faults_with_bounded_stretch():
     # it can only slow the execution down.
     assert delayed.measured_rounds >= clean.measured_rounds
     assert delayed.measured_rounds <= 4 * clean.measured_rounds + 16
+
+
+def _per_vertex_plan(p: int):
+    """Listers 0 and 4 on two K4s sharing a triangle; owner 6 learns the K4
+    {1, 2, 3, 4} it is not part of (relayed through 4 and 5) plus one edge of
+    its own; 7, 8 and 9 are idle."""
+    graph = nx.Graph()
+    graph.add_edges_from(itertools.combinations([0, 1, 2, 3], 2))
+    graph.add_edges_from([(4, 1), (4, 2), (4, 3), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9)])
+    owner_edges = {6: set(itertools.combinations([1, 2, 3, 4], 2)) | {(6, 7)}}
+    plan = plan_two_hop_protocol(graph, [0, 4], p)
+    add_edge_learning(plan, owner_edges)
+    return plan, owner_edges
+
+
+@pytest.mark.parametrize("backend", ["reference", "vectorized"])
+@pytest.mark.parametrize("p", [3, 4])
+def test_each_vertex_outputs_exactly_its_own_cliques(backend, p):
+    plan, owner_edges = _per_vertex_plan(p)
+    run = Session().execute(plan.graph, plan.factory(), backend=backend)
+    assert run.halted
+    truth = enumerate_cliques(plan.graph, p)
+    idle = sorted(v for v, vertex_plan in plan.plans.items() if vertex_plan.idle())
+    assert idle == [7, 8, 9]
+    for vertex, vertex_plan in plan.plans.items():
+        expected = set()
+        if vertex_plan.is_lister:
+            expected |= {clique for clique in truth if vertex in clique}
+        if vertex in owner_edges:
+            learned = enumerate_cliques(nx.Graph(list(owner_edges[vertex])), p)
+            assert learned and all(vertex not in clique for clique in learned)
+            expected |= learned
+        assert run.outputs[vertex] == expected, vertex
+    assert plan.plans[6].expected_edges == 6 and plan.demands == 6
 
 
 def test_distributed_kp_on_fixed_graph_across_backends():

@@ -2,6 +2,7 @@
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import CliqueListing, TriangleListing, list_cliques, list_triangles, validate_listing
 from repro.congest.cost import subpolynomial_overhead, unit_overhead
@@ -14,11 +15,37 @@ from repro.graphs import (
     power_law,
     ring_of_cliques,
 )
+from repro.graphs.cliques import cliques_in_edge_set
 from repro.listing.local import (
     cliques_through_vertex,
     exhaustive_rounds_bound,
     two_hop_exhaustive_listing,
 )
+
+
+def nx_cliques(graph: nx.Graph, p: int, vertex=None) -> set:
+    """``K_p`` of ``graph`` (through ``vertex`` when given), from networkx."""
+    return {
+        tuple(sorted(clique))
+        for clique in nx.enumerate_all_cliques(graph)
+        if len(clique) == p and (vertex is None or vertex in clique)
+    }
+
+
+@st.composite
+def kernel_cases(draw, max_vertices=12):
+    """A graph on arbitrary integer ids, one of its vertices, and an edge subset."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    ids = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True))
+    pairs = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    graph = nx.Graph()
+    graph.add_nodes_from(ids)
+    graph.add_edges_from(pair for pair, kept in zip(pairs, keep) if kept)
+    edges = list(graph.edges)
+    in_subset = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    subset = [edge for edge, kept in zip(edges, in_subset) if kept]
+    return graph, draw(st.sampled_from(ids)), subset
 
 
 class TestExhaustiveLocalListing:
@@ -30,6 +57,17 @@ class TestExhaustiveLocalListing:
         graph = nx.complete_graph(6)
         assert len(cliques_through_vertex(graph, 0, 3)) == 10  # C(5,2)
         assert len(cliques_through_vertex(graph, 0, 4)) == 10  # C(5,3)
+
+    @given(case=kernel_cases(), p=st.integers(min_value=2, max_value=5))
+    @example(case=(nx.empty_graph(3), 1, []), p=2)  # isolated vertex, empty S
+    @example(case=(nx.complete_graph(4), 2, list(nx.complete_graph(4).edges)), p=5)
+    @settings(max_examples=150, deadline=None)
+    def test_clique_kernel_matches_networkx(self, case, p):
+        graph, vertex, subset = case
+        assert cliques_through_vertex(graph, vertex, p) == nx_cliques(graph, p, vertex)
+        adjacency = {u: set(graph[u]) for u in graph}
+        assert cliques_through_vertex(adjacency, vertex, p) == nx_cliques(graph, p, vertex)
+        assert cliques_in_edge_set(subset, p) == nx_cliques(nx.Graph(subset), p)
 
     def test_two_hop_covers_all_cliques_through_selected_vertices(self, planted_graph):
         vertices = list(planted_graph.nodes)[:20]
