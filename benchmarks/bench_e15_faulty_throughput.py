@@ -1,4 +1,4 @@
-"""E15 — Faulty-scenario throughput: vectorized kernels + sharded transports.
+"""E15 — Faulty-scenario throughput: vectorized kernels + sharded worker counts.
 
 Before this experiment's PR, the engine's speed story collapsed the moment a
 delivery scenario was not clean: the
@@ -24,11 +24,12 @@ experiment pins the result:
   simulator needs minutes for the 1k faulty grid; semantics at 1k are
   already pinned by the listing section and the equivalence suites).
 * **Sharded scaling section.**  Per-worker-count timings of the sharded
-  backend under both transports (``shm`` shared-memory columnar blocks vs
-  ``pipe`` pickled batches) on the 1,000-vertex broadcast, together with
-  the host's usable core count.  On a single-core host the multi-worker
-  rows measure transport overhead, not parallel speedup — the JSON records
-  ``host_cores`` so multi-core readings are interpretable.
+  backend on the 1,000-vertex broadcast, together with the host's usable
+  core count.  One worker runs its shard in-process; two or more fork one
+  worker process per shard, which exchanges one pickled columnar batch
+  each way per round with the parent.  Every worker count must give the
+  same signature.  The JSON records ``host_cores`` so multi-core readings
+  are interpretable.
 
 Run standalone (writes BENCH_e15.json at the repo root by default)::
 
@@ -163,7 +164,7 @@ def run_broadcast_section(
 def run_sharded_section(
     n: int, seed: int, worker_counts: list[int]
 ) -> dict:
-    """Per-worker-count sharded timings under both transports."""
+    """Per-worker-count sharded timings (1 worker runs in-process)."""
     session = Session(name="e15-sharded")
     spec = ExperimentSpec(
         name="e15-sharded",
@@ -176,34 +177,28 @@ def run_sharded_section(
     )
     scenarios = [SCENARIO_GRID[0], SCENARIO_GRID[1]]  # clean + link-drop
     rows = []
-    table: dict[str, dict[str, dict[str, float]]] = {}
+    table: dict[str, dict[str, float]] = {}
     signatures: dict[str, tuple] = {}
-    for transport in ("shm", "pipe"):
-        for workers in worker_counts:
-            results = session.grid(
-                spec,
-                backends=[
-                    ("sharded", {"num_workers": workers, "transport": transport})
-                ],
-                scenarios=scenarios,
+    for workers in worker_counts:
+        results = session.grid(
+            spec,
+            backends=[("sharded", {"num_workers": workers})],
+            scenarios=scenarios,
+        )
+        for result in results:
+            row = result.to_row()
+            row["num_workers"] = workers
+            rows.append(row)
+            table.setdefault(f"workers={workers}", {})[result.scenario_name] = (
+                round(min(result.seconds), 3)
             )
-            for result in results:
-                row = result.to_row()
-                row["transport"] = transport
-                row["num_workers"] = workers
-                rows.append(row)
-                table.setdefault(transport, {}).setdefault(
-                    f"workers={workers}", {}
-                )[result.scenario_name] = round(min(result.seconds), 3)
-                # Worker count and transport must never change semantics —
-                # per scenario, every (transport, workers) cell must carry
-                # the identical signature.
-                current = result.signature()
-                expected = signatures.setdefault(result.scenario_name, current)
-                assert current == expected, (
-                    f"sharded cell diverged: {transport} x workers={workers} "
-                    f"x {result.scenario_name}"
-                )
+            # Worker count must never change semantics — per scenario, every
+            # worker count must carry the identical signature.
+            current = result.signature()
+            expected = signatures.setdefault(result.scenario_name, current)
+            assert current == expected, (
+                f"sharded cell diverged: workers={workers} x {result.scenario_name}"
+            )
     return {
         "n": n,
         "worker_counts": worker_counts,
@@ -230,13 +225,13 @@ def run_experiment(
     return {
         "experiment": (
             "E15 faulty-scenario throughput "
-            "(vectorized transmit-mask kernels + shared-memory sharded transport)"
+            "(vectorized transmit-mask kernels + sharded worker counts)"
         ),
         "workload": (
             "Theorem 32 listing grid (acceptance: faulty vectorized wall clock "
             "within 2x of clean, backends agree per cell) + 256-word broadcast "
             "stress (words/second per scenario) + sharded per-worker-count "
-            "timings under shm and pipe transports"
+            "timings (1 worker in-process, 2+ forked)"
         ),
         "seed": seed,
         "host_cores": cores,
@@ -265,13 +260,12 @@ def render(report: dict) -> str:
         for name, wps in per_scenario.items():
             lines.append(f"  n={n:<6} {name:<26s} {wps:>12,.0f} words/s")
     lines.append("")
-    lines.append("sharded seconds (transport x workers x scenario):")
-    for transport, per_workers in report["sharded"]["seconds"].items():
-        for workers, per_scenario in per_workers.items():
-            cells = "  ".join(
-                f"{name}={secs:.3f}s" for name, secs in per_scenario.items()
-            )
-            lines.append(f"  {transport:<5s} {workers:<12s} {cells}")
+    lines.append("sharded seconds (workers x scenario):")
+    for workers, per_scenario in report["sharded"]["seconds"].items():
+        cells = "  ".join(
+            f"{name}={secs:.3f}s" for name, secs in per_scenario.items()
+        )
+        lines.append(f"  {workers:<12s} {cells}")
     return "\n".join(lines)
 
 

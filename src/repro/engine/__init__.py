@@ -24,9 +24,8 @@ set-up that picks the two parts:
   backend while still running per-vertex (via its ``per_vertex`` twin) on
   the reference and sharded backends.
 * :mod:`repro.engine.sharded` -- one shard per forked worker process with
-  per-round barriers; message traffic crosses through shared-memory
-  columnar blocks (:mod:`repro.engine.shm`), the pipes carry only control
-  tokens and each round's crashes.
+  per-round barriers; each round crosses every worker's pipe as one
+  pickled columnar batch each way, plus the round's crashes.
 * :mod:`repro.engine.scenarios` -- pluggable, composable delivery models:
   clean synchronous, per-round link drops, adversarial bounded delay,
   correlated bursty outages, per-edge heterogeneous bandwidth, and the

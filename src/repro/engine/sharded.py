@@ -15,17 +15,13 @@ can run ahead of the round the parent is driving.
 
 Workers are started with the ``fork`` start method so that arbitrary vertex
 factories (including classes defined in test modules or notebooks) need not
-be picklable.  Message traffic crosses process boundaries through
-**shared-memory columnar blocks** (:mod:`repro.engine.shm`): five dense
-``int64`` columns plus a payload arena per direction per worker, with the
-pipe reduced to a tiny per-round control token.  A round that overflows its
-block falls back to the pickled columnar batch (:func:`_pack_messages`) for
-that round while the parent provisions a doubled replacement, and
-``ShardedBackend(transport="pipe")`` selects the pickling transport
-outright.  Where ``fork`` is unavailable (or for ``num_workers=1``) the
-shards run in-process with identical semantics — and **no serialisation
-layer at all**: in-process shards exchange the very ``Message`` objects the
-parent holds.
+be picklable.  Per round, a forked shard and the parent exchange one
+pickled columnar batch (:func:`_pack_messages`) each way over the shard's
+pipe: the deliveries and crashes down, the outgoing traffic up.  Where the
+start method is unavailable (or for ``num_workers=1``) the shards run
+in-process with identical semantics — and **no serialisation layer at
+all**: in-process shards exchange the very ``Message`` objects the parent
+holds.
 """
 
 from __future__ import annotations
@@ -46,12 +42,6 @@ from repro.engine.delivery import GraphIndex, WordScheduler
 from repro.engine.registry import register_backend
 from repro.engine.rounds import ShardState, ShardStep, run_rounds
 from repro.engine.scenarios import DeliveryScenario, link_projection, resolve_scenario
-from repro.engine.shm import (
-    ColumnBlock,
-    ColumnReader,
-    ColumnWriter,
-    shared_memory_available,
-)
 from repro.obs.tracer import Tracer, resolve_tracer
 
 _ROUND = "round"
@@ -65,8 +55,8 @@ _EMPTY_BATCH = ((), (), (), ())
 def _pack_messages(messages: list[Message]) -> tuple[tuple, ...]:
     """Columnar batch for one pipe crossing: four parallel tuples.
 
-    The pipe-fallback transport (and the ``transport="pipe"`` mode): one
-    batched payload per worker per round instead of a list of
+    How a forked shard's messages cross its pipe: one batch per worker per
+    direction per round instead of a list of
     :class:`Message` dataclass instances — pickling ``N`` instances spends
     per-object class/state records and a reconstruction call each, while
     four flat tuples cost one container record apiece and let pickle's
@@ -94,56 +84,18 @@ def _unpack_messages(batch: tuple[tuple, ...]) -> list[Message]:
     ]
 
 
-def _shard_worker(conn, vertices, factory, graph, channel) -> None:
-    """Worker-process loop: step the shard once per parent request.
-
-    ``channel`` is ``None`` for the pipe transport, or ``(down_block,
-    up_block, nodes, vertex_index)`` — the fork-inherited shared-memory
-    blocks plus the dense-id tables needed to decode deliveries and encode
-    outgoing traffic.  Replacement blocks (after overflow resizes) arrive
-    as descriptors in the round token and are attached by name.
-    """
-    down_reader = up_writer = None
+def _shard_worker(conn, vertices, factory, graph) -> None:
+    """Worker-process loop: step the shard once per parent request."""
     try:
         state = ShardState(vertices, factory, graph)
-        if channel is not None:
-            down_block, up_block, nodes, vertex_index = channel
-            # The fork-inherited objects carry the parent's owner flag;
-            # only the parent unlinks, so disown them on this side.
-            down_block.owner = False
-            up_block.owner = False
-            down_reader = ColumnReader(down_block, nodes)
-            up_writer = ColumnWriter(up_block, vertex_index)
         conn.send(("ready", state.initial_active, state.initial_halted))
         while True:
             request = conn.recv()
             if request[0] == _ROUND:
-                _, round_index, part, new_down, new_up, crashes = request
-                if new_down is not None:
-                    down_reader.adopt(ColumnBlock.attach(new_down))
-                if new_up is not None:
-                    up_writer.adopt(ColumnBlock.attach(new_up))
-                if part[0] == "shm":
-                    down_reader.learn(part[2])
-                    deliveries = down_reader.decode(part[1])
-                else:
-                    deliveries = _unpack_messages(part[1])
-                state.begin_round(round_index, deliveries, crashes)
+                _, round_index, batch, crashes = request
+                state.begin_round(round_index, _unpack_messages(batch), crashes)
                 outgoing, active, newly_halted = state.collect_round()
-                if up_writer is not None:
-                    encoded = up_writer.encode(outgoing)
-                    if encoded is not None:
-                        rows, _, new_tags = encoded
-                        reply_part = ("shm", rows, new_tags)
-                    else:
-                        # Overflow: ship this round over the pipe and tell
-                        # the parent how many rows a replacement needs.
-                        reply_part = (
-                            "pipe", _pack_messages(outgoing), len(outgoing)
-                        )
-                else:
-                    reply_part = ("pipe", _pack_messages(outgoing), None)
-                conn.send(("stepped", reply_part, active, newly_halted))
+                conn.send(("stepped", _pack_messages(outgoing), active, newly_halted))
             elif request[0] == _FINISH:
                 conn.send(("outputs", state.finish()))
                 return
@@ -159,50 +111,39 @@ def _shard_worker(conn, vertices, factory, graph, channel) -> None:
             # the parent reports EOF as an unexpected worker death.
             pass
     finally:
-        if down_reader is not None:
-            down_reader.block.close()
-        if up_writer is not None:
-            up_writer.block.close()
         conn.close()
 
 
 class _ProcessShard:
     """A forked worker process driven over a duplex pipe.
 
-    With ``transport="shm"`` the per-round message traffic crosses through
-    a pair of parent-owned shared-memory column blocks (one per direction)
-    and the pipe carries only control tokens; ``transport="pipe"`` keeps
-    everything on the pickled columnar batches.
+    Each round crosses the pipe as one request (the deliveries as a
+    :func:`_pack_messages` batch plus the round's crashes) and one reply
+    (the outgoing batch, the active count and the newly halted vertices).
     """
 
     def __init__(
-        self, context, vertices, factory, graph: nx.Graph, index: GraphIndex,
-        transport: str, tracer: Tracer, shard_id: int,
+        self, context, vertices, factory, graph: nx.Graph,
+        tracer: Tracer, shard_id: int,
     ):
         self.vertices = vertices
-        self.transport = transport
         self.tracer = tracer
         self.shard_id = shard_id
         self._round = 0
-        self._down_writer: ColumnWriter | None = None
-        self._up_reader: ColumnReader | None = None
-        self._up_rows_needed = 0
-        channel = None
-        if self.transport == "shm":
-            down_block = ColumnBlock()
-            up_block = ColumnBlock()
-            self._down_writer = ColumnWriter(down_block, index.index)
-            self._up_reader = ColumnReader(up_block, index.nodes)
-            channel = (down_block, up_block, index.nodes, index.index)
         self._conn, child_conn = context.Pipe(duplex=True)
         self._process = context.Process(
             target=_shard_worker,
-            args=(child_conn, vertices, factory, graph, channel),
+            args=(child_conn, vertices, factory, graph),
             daemon=True,
         )
         self._process.start()
         child_conn.close()
-        self.initial_active, self.initial_halted = self._expect("ready")
+        try:
+            self.initial_active, self.initial_halted = self._expect("ready")
+        except BaseException:
+            # The caller never receives this shard, so it cannot close it.
+            self.close()
+            raise
 
     def _expect(self, kind: str):
         try:
@@ -217,60 +158,15 @@ class _ProcessShard:
             raise RuntimeError(f"unexpected shard reply {reply[0]!r}")
         return reply[1:]
 
-    def _replace_up_block(self) -> tuple[str, int, int]:
-        """Provision a doubled worker->parent block after an overflow."""
-        old = self._up_reader.block
-        rows = max(old.rows_capacity * 2, self._up_rows_needed * 2)
-        replacement = ColumnBlock(rows, old.arena_capacity * 2)
-        self._up_reader.adopt(replacement)
-        old.unlink()
-        return replacement.descriptor()
-
     def begin_round(
         self, round_index: int, deliveries: list[Message], crashes: tuple
     ) -> None:
-        """Publish the round's deliveries, crashes and go token (no reply yet)."""
+        """Send the round's deliveries, crashes and go token (no reply yet)."""
         self._round = round_index
         tracer = self.tracer
         if tracer.enabled:
             start = time.perf_counter()
-        if self.transport != "shm":
-            part = ("pipe", _pack_messages(deliveries))
-            new_down = new_up = None
-        else:
-            new_up = self._replace_up_block() if self._up_rows_needed else None
-            self._up_rows_needed = 0
-            new_down = None
-            encoded = self._down_writer.encode(deliveries)
-            while encoded is None:
-                # Overflow: the parent owns both sides of the resize, so it
-                # simply doubles until the round fits and announces the
-                # replacement in the same token.
-                if tracer.enabled:
-                    tracer.shm_overflow(
-                        round_index, self.shard_id, "down", action="resize"
-                    )
-                old = self._down_writer.block
-                replacement = ColumnBlock(
-                    max(old.rows_capacity * 2, 2 * len(deliveries)),
-                    old.arena_capacity * 2,
-                )
-                self._down_writer.adopt(replacement)
-                old.unlink()
-                new_down = replacement.descriptor()
-                encoded = self._down_writer.encode(deliveries)
-            rows, arena_bytes, new_tags = encoded
-            if tracer.enabled:
-                block = self._down_writer.block
-                tracer.shm_block(
-                    round_index, self.shard_id, "down",
-                    rows=rows,
-                    rows_capacity=block.rows_capacity,
-                    arena_bytes=arena_bytes,
-                    arena_capacity=block.arena_capacity,
-                )
-            part = ("shm", rows, new_tags)
-        self._conn.send((_ROUND, round_index, part, new_down, new_up, crashes))
+        self._conn.send((_ROUND, round_index, _pack_messages(deliveries), crashes))
         if tracer.enabled:
             tracer.span_add("broadcast", time.perf_counter() - start, round_index)
 
@@ -279,36 +175,14 @@ class _ProcessShard:
         tracer = self.tracer
         if tracer.enabled:
             wait_start = time.perf_counter()
-        part, active, newly_halted = self._expect("stepped")
+        batch, active, newly_halted = self._expect("stepped")
         if tracer.enabled:
             # The recv blocks until the worker finishes the round: the wait
             # *is* the barrier, and its length is the straggler signal.
             tracer.barrier_wait(
                 self._round, self.shard_id, time.perf_counter() - wait_start
             )
-        if part[0] == "shm":
-            self._up_reader.learn(part[2])
-            messages = self._up_reader.decode(part[1])
-            if tracer.enabled:
-                block = self._up_reader.block
-                tracer.shm_block(
-                    self._round, self.shard_id, "up",
-                    rows=part[1],
-                    rows_capacity=block.rows_capacity,
-                    arena_capacity=block.arena_capacity,
-                )
-        else:
-            messages = _unpack_messages(part[1])
-            if self.transport == "shm" and part[2] is not None:
-                # The worker's block overflowed this round; remember the
-                # demand so the next begin_round provisions a replacement.
-                self._up_rows_needed = max(part[2], 1)
-                if tracer.enabled:
-                    tracer.shm_overflow(
-                        self._round, self.shard_id, "up",
-                        action="pipe-fallback",
-                    )
-        return messages, active, newly_halted
+        return _unpack_messages(batch), active, newly_halted
 
     def finish(self) -> dict[Hashable, object]:
         self._conn.send((_FINISH,))
@@ -320,44 +194,26 @@ class _ProcessShard:
         try:
             self._conn.close()
         finally:
-            try:
-                if self._process.is_alive():
-                    self._process.terminate()
-                    self._process.join(timeout=5)
-            finally:
-                for holder in (self._down_writer, self._up_reader):
-                    if holder is not None:
-                        block = holder.block
-                        block.close()
-                        block.unlink()
+            if self._process.is_alive():
+                self._process.terminate()
+                self._process.join(timeout=5)
 
 
 @register_backend("sharded")
 class ShardedBackend(Backend):
     """Multi-core backend: per-shard workers, per-round barrier sync.
 
-    ``transport`` selects how message traffic crosses process boundaries:
-    ``"shm"`` (default) uses the shared-memory columnar blocks of
-    :mod:`repro.engine.shm` with the pipes reduced to control tokens,
-    ``"pipe"`` uses the PR 4 pickled columnar batches.  Hosts without
-    working POSIX shared memory fall back to ``"pipe"`` automatically.
+    ``num_workers`` defaults to the cores this process may run on.  With
+    more than one worker and an available ``start_method``, every shard is
+    a worker process that exchanges one pickled columnar batch each way per
+    round with the parent; otherwise every shard runs in-process.
     """
 
     name = "sharded"
 
-    def __init__(
-        self,
-        num_workers: int | None = None,
-        start_method: str = "fork",
-        transport: str = "shm",
-    ):
-        if transport not in ("shm", "pipe"):
-            raise ValueError(
-                f"transport must be 'shm' or 'pipe'; got {transport!r}"
-            )
+    def __init__(self, num_workers: int | None = None, start_method: str = "fork"):
         self.num_workers = num_workers
         self.start_method = start_method
-        self.transport = transport
 
     def _resolve_workers(self, n: int) -> int:
         workers = self.num_workers
@@ -392,13 +248,6 @@ class ShardedBackend(Backend):
         use_processes = (
             workers > 1 and self.start_method in multiprocessing.get_all_start_methods()
         )
-        transport = self.transport
-        if use_processes and transport == "shm" and (
-            self.start_method != "fork" or not shared_memory_available()
-        ):
-            # The shm blocks rely on fork inheritance (and on fork's shared
-            # resource tracker for replacement-block attachment).
-            transport = "pipe"
         # Contiguous blocks in graph.nodes order: concatenating shard
         # responses in shard order reproduces the reference simulator's
         # global vertex iteration order.
@@ -411,10 +260,7 @@ class ShardedBackend(Backend):
                 context = multiprocessing.get_context(self.start_method)
                 for shard_id, part in enumerate(partitions):
                     shards.append(
-                        _ProcessShard(
-                            context, part, factory, graph, index,
-                            transport, tracer, shard_id,
-                        )
+                        _ProcessShard(context, part, factory, graph, tracer, shard_id)
                     )
             else:
                 shards = [ShardState(part, factory, graph) for part in partitions]

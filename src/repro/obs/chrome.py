@@ -7,7 +7,7 @@ https://ui.perfetto.dev: rounds render as slices on an ``engine`` track,
 named spans (``compute`` / ``schedule`` / ``deliver`` …) on one track per
 span name, per-worker barrier waits on one track per sharded worker — which
 is what makes a sharded run's worker timelines visually inspectable — and
-scheduler batches / shm overflows as instant markers.
+scheduler batches as instant markers.
 
 Usage::
 
@@ -95,10 +95,9 @@ def _instant(name: str, ts: float, tid: int, args: dict) -> dict:
 def chrome_trace_events(events: Iterable[dict]) -> list[dict]:
     """Trace Event Format records for an engine event stream.
 
-    Events without timestamps (scheduler batches, shm block usage) attach
-    to the enclosing round's slice position when one is known; they are
-    rendered as instant markers so counts stay visible without widening
-    the timeline.
+    Scheduler batches carry no timestamp of their own; they attach to the
+    latest timestamp seen and render as instant markers, so counts stay
+    visible without widening the timeline.
     """
     tracks = _Tracks()
     out: list[dict] = []
@@ -165,20 +164,8 @@ def chrome_trace_events(events: Iterable[dict]) -> list[dict]:
                     },
                 )
             )
-        elif kind == "shm_overflow":
-            out.append(
-                _instant(
-                    f"shm-overflow:{event['action']}",
-                    last_ts,
-                    tracks.tid(f"worker {event['worker']}"),
-                    {
-                        "round": event["round"],
-                        "direction": event["direction"],
-                    },
-                )
-            )
-        # shm_block / scheduled / blocked / delivered events carry no
-        # wall-clock position of their own and stay JSONL-only detail.
+        # scheduled / blocked / delivered events carry no wall-clock
+        # position of their own and stay JSONL-only detail.
     return tracks.metadata + out
 
 

@@ -7,10 +7,10 @@ totals, identical on every backend apart from the wall-clock fields), the
 :class:`~repro.engine.delivery.WordScheduler` emits per-batch scheduling
 events (which path ran — clean arithmetic, transmit-mask kernel, or the
 scalar fallback — plus window statistics of the kernel search), the sharded
-backend emits per-worker barrier waits and shared-memory block
-usage/overflow events, and every layer contributes *spans* — named wall-time
-buckets (``compute``, ``schedule``, ``deliver``, ``barrier`` …) that roll up
-into the per-layer time budget :meth:`Tracer.span_totals` and onto
+backend emits per-worker barrier waits of its forked shards, and every
+layer contributes *spans* — named wall-time buckets (``compute``,
+``schedule``, ``deliver``, ``barrier`` …) that roll up into the per-layer
+time budget :meth:`Tracer.span_totals` and onto
 :class:`~repro.experiments.session.RunResult.timings`.
 
 Three implementations:
@@ -301,7 +301,7 @@ class Tracer:
             }
         )
 
-    # -- sharded / shared-memory events ---------------------------------------
+    # -- sharded events -------------------------------------------------------
 
     def barrier_wait(self, round_index: int, worker: int, seconds: float) -> None:
         """Parent-side wall time blocked on worker ``worker``'s round reply."""
@@ -315,47 +315,6 @@ class Tracer:
                 "worker": worker,
                 "seconds": seconds,
                 "ts": self._now(),
-            }
-        )
-
-    def shm_block(
-        self,
-        round_index: int,
-        worker: int,
-        direction: str,
-        *,
-        rows: int,
-        rows_capacity: int,
-        arena_bytes: int | None = None,
-        arena_capacity: int | None = None,
-    ) -> None:
-        """One round's shared-memory block usage for one worker direction."""
-        self._emit(
-            {
-                "kind": "shm_block",
-                "round": round_index,
-                "worker": worker,
-                "direction": direction,
-                "rows": rows,
-                "rows_capacity": rows_capacity,
-                "arena_bytes": arena_bytes,
-                "arena_capacity": arena_capacity,
-            }
-        )
-
-    def shm_overflow(
-        self, round_index: int, worker: int, direction: str, *, action: str
-    ) -> None:
-        """A block overflowed: ``action`` is ``"resize"`` (parent doubles a
-        down block in place) or ``"pipe-fallback"`` (a worker's round ships
-        pickled while the parent provisions a replacement)."""
-        self._emit(
-            {
-                "kind": "shm_overflow",
-                "round": round_index,
-                "worker": worker,
-                "direction": direction,
-                "action": action,
             }
         )
 
@@ -515,12 +474,6 @@ class NullTracer(Tracer):
         pass
 
     def barrier_wait(self, *args, **kwargs) -> None:
-        pass
-
-    def shm_block(self, *args, **kwargs) -> None:
-        pass
-
-    def shm_overflow(self, *args, **kwargs) -> None:
         pass
 
     def event(self, *args, **kwargs) -> None:
