@@ -8,8 +8,10 @@ delivery scenario was not clean: the
 robust congested-clique regimes of arXiv:2508.08740 — executed at near
 reference-backend speed while clean runs enjoyed 17-24x (``BENCH_e11.json``,
 ``BENCH_e14.json``).  The scenario layer now exposes batch ``transmit_mask``
-kernels consumed by the scheduler as per-edge prefix sums, and this
-experiment pins the result:
+kernels that read each row from its own start round; the scheduler gives
+every edge its own window of the mask, from where that edge's traffic
+starts and sized from its own words, and consumes it as per-edge prefix
+sums.  This experiment pins the result:
 
 * **Listing section (acceptance).**  The engine-executed Theorem 32 listing
   (the E14 workload) over {clean, link-drop, bursty, heterogeneous-bandwidth}

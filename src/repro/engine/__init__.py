@@ -31,8 +31,10 @@ set-up that picks the two parts:
   correlated bursty outages, per-edge heterogeneous bandwidth, and the
   :class:`ComposedScenario` overlay/sequential combinator (JSON-serialisable
   via :func:`build_composed`).  Every built-in ships a batch
-  ``transmit_mask`` kernel, so the fast backends schedule faulty scenarios
-  with prefix sums instead of per-round decision replay.
+  ``transmit_mask`` kernel that reads each row from its own start round,
+  so the fast backends schedule faulty scenarios with per-edge prefix sums
+  over windows starting where each edge's traffic starts, instead of
+  per-round decision replay.
 * :mod:`repro.engine.runner` -- :func:`run_algorithm`, the single-execution
   compatibility shim; declarative sweeps and grids live one layer up in
   :mod:`repro.experiments`.

@@ -12,15 +12,17 @@ is reproduced exactly via a difference array over rounds.
 
 Under a faulty :class:`~repro.engine.scenarios.DeliveryScenario` the
 scheduler consumes the scenario's **batch transmit mask**
-(:meth:`~repro.engine.scenarios.DeliveryScenario.transmit_mask`): for the
-edges of a batch it materialises the per-(edge, round) decision matrix over
-a growing round window and turns it into per-edge cumulative-transmission
-prefix sums — the round in which a transfer's ``k``-th word crosses is the
-position of the ``k``-th set bit at/after the transfer's start.  That keeps
-faulty-scenario scheduling inside numpy for every scenario with a native
-kernel (all built-ins), while scenarios that only implement the scalar
-``transmits`` fall back to the per-round replay — in both cases agreeing
-word-for-word with the edge-by-edge reference under the same scenario.
+(:meth:`~repro.engine.scenarios.DeliveryScenario.transmit_mask`): every
+edge of a batch scans its own window of per-round decisions, from its own
+start round and sized from its own remaining words, and turns it into a
+cumulative-transmission prefix sum — the round in which a transfer's
+``k``-th word crosses is the position of the ``k``-th set bit at/after the
+transfer's start.  Edges whose windows have similar lengths share one
+rectangular mask query.  That keeps faulty-scenario scheduling inside numpy
+for every scenario with a native kernel (all built-ins), while scenarios
+that only implement the scalar ``transmits`` fall back to the per-round
+replay — in both cases agreeing word-for-word with the edge-by-edge
+reference under the same scenario.
 """
 
 from __future__ import annotations
@@ -37,11 +39,10 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 
 Edge = tuple[Hashable, Hashable]
 
-# Round-window sizing of the masked prefix-sum search: start near the batch's
-# largest transfer (a clean-ish scenario completes in one query), double on
-# a miss, never materialise more than _WINDOW_CAP columns at once.
-_WINDOW_MIN = 64
+# No edge group scans more than _WINDOW_CAP rounds of the transmit mask at
+# once; windows of up to _SHARED_WINDOW rounds share one mask query.
 _WINDOW_CAP = 1 << 15
+_SHARED_WINDOW = 64
 
 
 class GraphIndex:
@@ -91,7 +92,8 @@ class WordScheduler:
     ``w`` rounds later — exactly the FIFO head-of-line behaviour of the
     per-edge deques in the reference simulator.  Under a faulty scenario
     with a batch kernel the completion round comes from prefix sums over
-    the scenario's transmit mask; kernel-less scenarios replay the scalar
+    the scenario's transmit mask, each edge scanning a window that starts
+    at its own start round; kernel-less scenarios replay the scalar
     decisions per transfer.
 
     The scheduler binds the scenario to its graph's edge order at
@@ -159,115 +161,121 @@ class WordScheduler:
         edge_rows: np.ndarray,
         starts: np.ndarray,
         needed: np.ndarray,
-        query_group: np.ndarray,
+        group_sizes: np.ndarray,
         query_k: np.ndarray,
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, int, int]:
         """Per-transfer completion rounds from transmit-mask prefix sums.
 
-        ``edge_rows[g]`` queues ``needed[g]`` words starting at
-        ``starts[g]``; each query asks for the round in which edge group
-        ``query_group[i]``'s ``query_k[i]``-th word crosses (``query_k`` is
-        the cumulative word count within the group's FIFO, so the answer is
-        the position of the ``k``-th set mask bit at/after the start).
-        Queries the horizon cuts off resolve to ``horizon`` — the parked
+        Edge group ``g`` queues ``needed[g]`` words on edge ``edge_rows[g]``
+        from round ``starts[g]``.  Its ``group_sizes[g]`` transfers are
+        consecutive entries of ``query_k``, each the cumulative word count
+        of the group's FIFO up to that transfer, so the transfer completes
+        in the round its group's ``query_k``-th word crosses: the position
+        of the ``k``-th set mask bit at/after the start.  Transfers the
+        horizon cuts off resolve to ``horizon`` — the parked
         never-completes convention of :meth:`_transfer_done`.
 
-        The scenario's transmit mask is materialised over an adaptively
-        sized round window per iteration; within a window the per-edge
-        prefix sum answers every query falling inside it via one batched
-        ``searchsorted``, and the per-round word-level histogram (crossings
-        consumed by this batch, capped at each edge's demand) feeds the
-        difference array without ever extracting individual crossings.
+        Every pending group scans its own window of the mask from its
+        cursor (its start, then the end of its last window).  The first
+        window covers the group's words plus a quarter plus 16 rounds; a
+        later one is sized from the group's own transmit density, and
+        doubles after a window without a transmit.  Groups whose window
+        lengths agree within a factor of two share one rectangular mask
+        query, and all windows of up to ``_SHARED_WINDOW`` rounds share
+        one.  Within a query the per-row prefix sums answer every transfer
+        whose word falls inside it via one batched ``searchsorted``, and
+        the per-round histogram of the crossings the batch consumes
+        (capped at each group's demand) feeds the word-level difference
+        array without ever extracting individual crossings.
+
+        Returns the completion rounds, the number of mask queries and the
+        number of mask cells they evaluated.
         """
-        groups = int(edge_rows.size)
-        counts = np.zeros(groups, dtype=np.int64)
-        done = np.full(query_k.size, self.horizon, dtype=np.int64)
-        local_of_group = np.full(groups, -1, dtype=np.int64)
-        pending = np.arange(groups)
-        cursor = starts.astype(np.int64, copy=True)
         horizon = self.horizon
         level_diff = self._level_diff
-        width = int(min(max(int(needed.max()) + 16, _WINDOW_MIN), _WINDOW_CAP))
-        # Window statistics for the tracer: how many adaptive windows the
-        # search materialised and their total column width (the batched
-        # searchsorted sizes).  Plain int bumps — negligible next to the
-        # mask materialisation they describe.
-        self._last_windows = 0
-        self._last_window_cols = 0
+        done = np.full(query_k.size, horizon, dtype=np.int64)
+        query_first = np.cumsum(group_sizes) - group_sizes
+        counts = np.zeros(edge_rows.size, dtype=np.int64)
+        cursor = starts.astype(np.int64, copy=True)
+        # The pending groups and the lengths of their next windows; a group
+        # that starts at or past the horizon never completes.
+        pending = np.flatnonzero(cursor < horizon)
+        length = (needed + needed // 4 + 16)[pending]
+        windows = cells = 0
         while pending.size:
-            lo = int(cursor[pending].min())
-            hi = min(lo + width, horizon)
-            if hi <= lo:
-                break
-            num = hi - lo
-            self._last_windows += 1
-            self._last_window_cols += num
-            mask = self.scenario.transmit_mask(edge_rows[pending], lo, num)
-            if lo < int(cursor[pending].max()):
-                cols = np.arange(num, dtype=np.int64)
-                mask &= cols[None, :] >= (cursor[pending] - lo)[:, None]
-            prefix = np.cumsum(mask, axis=1)
-            before = counts[pending]
-            found = prefix[:, -1]
-            total = before + found
-            # Word-level accounting: the crossings this batch consumes in
-            # the window are the set bits whose running total stays within
-            # the edge's demand; their per-round histogram updates the
-            # difference array (+c at the round, -c one round later).
-            demand = needed[pending]
-            if bool((total <= demand).all()):
-                # No edge exceeds its demand inside this window (the common
-                # case for all but the last window), so every set bit is a
-                # consumed crossing — skip the cap comparison pass.
-                consumed = mask
-            else:
-                consumed = mask & (before[:, None] + prefix <= demand[:, None])
-            histogram = consumed.sum(axis=0)
-            for column in np.flatnonzero(histogram).tolist():
-                crossings = int(histogram[column])
-                level_diff[lo + column] += crossings
-                level_diff[lo + column + 1] -= crossings
-            # Resolve the queries whose k-th crossing falls in this window:
-            # the k-th set bit of row r is the first column whose prefix
-            # reaches k, found by one searchsorted over the row-offset
-            # flattened prefix (rows are kept monotonic by an offset larger
-            # than any prefix value).
-            local_of_group[pending] = np.arange(pending.size)
-            q_local = local_of_group[query_group]
-            q_safe = np.maximum(q_local, 0)
-            answerable = (
-                (q_local >= 0)
-                & (query_k > before[q_safe])
-                & (query_k <= total[q_safe])
-            )
-            if answerable.any():
-                rows = q_local[answerable]
-                row_base = rows * (num + 1)
-                flat = (prefix + (np.arange(pending.size) * (num + 1))[:, None]).ravel()
-                keys = (query_k[answerable] - before[rows]) + row_base
-                positions = np.searchsorted(flat, keys, side="left")
-                done[answerable] = lo + (positions - rows * num)
-            local_of_group[pending] = -1
-            counts[pending] = total
-            # Advance only rows the window actually scanned: a row whose
-            # start lies beyond this window keeps its cursor (and thereby
-            # its start-culling) for the windows that reach it.
-            cursor[pending] = np.maximum(cursor[pending], hi)
-            still = found < demand - before
-            pending = pending[still]
-            if hi >= horizon or not pending.size:
-                break
-            # Size the next window from the sparsest pending row's observed
-            # transmit density (fall back to doubling when a row was fully
-            # blocked, e.g. inside a burst).
-            remaining_max = int((needed[pending] - counts[pending]).max())
-            min_density = float((found[still] / num).min())
-            if min_density > 0.0:
-                width = int(remaining_max / min_density * 1.25) + 8
-            else:
-                width = width * 2
-            width = int(min(max(width, _WINDOW_MIN), _WINDOW_CAP))
-        return done
+            room = np.minimum(horizon - cursor[pending], _WINDOW_CAP)
+            length = np.minimum(length, room)
+            # Length blocks: 0 for windows of up to _SHARED_WINDOW rounds,
+            # then one block per doubling of the length.
+            block = np.frexp((length - 1) // _SHARED_WINDOW)[1]
+            unfinished, next_length = [], []
+            for key in np.unique(block).tolist():
+                in_block = block == key
+                rows = pending[in_block]
+                width = int(length[in_block].max())
+                first = cursor[rows]
+                mask = self.scenario.transmit_mask(edge_rows[rows], first, width)
+                windows += 1
+                cells += rows.size * width
+                limit = horizon - first
+                if int(limit.min()) < width:
+                    mask &= np.arange(width) < limit[:, None]
+                prefix = np.cumsum(mask, axis=1)
+                before = counts[rows]
+                found = prefix[:, -1]
+                demand = needed[rows]
+                left = demand - before - found
+                # Word-level accounting: the crossings this batch consumes
+                # are the set bits whose running total stays within the
+                # group's demand; their per-round histogram updates the
+                # difference array (+c at the round, -c one round later).
+                if int(left.min()) >= 0:
+                    # No group exceeds its demand: every set bit is consumed.
+                    consumed = mask
+                else:
+                    consumed = mask & (prefix <= (demand - before)[:, None])
+                lo = int(first.min())
+                if int(first.max()) == lo:
+                    histogram = consumed.sum(axis=0)
+                else:
+                    row, column = np.nonzero(consumed)
+                    histogram = np.bincount(first[row] - lo + column)
+                for offset in np.flatnonzero(histogram).tolist():
+                    crossings = int(histogram[offset])
+                    level_diff[lo + offset] += crossings
+                    level_diff[lo + offset + 1] -= crossings
+                # Resolve the transfers whose k-th crossing falls in this
+                # window: the k-th set bit of row r is the first column whose
+                # prefix reaches k, found by one searchsorted over the
+                # row-offset flattened prefix (rows are kept monotonic by an
+                # offset larger than any prefix value).
+                sizes = group_sizes[rows]
+                local = np.repeat(np.arange(rows.size), sizes)
+                # Row r's transfers are the queries from query_first[r] on.
+                shift = query_first[rows] - np.cumsum(sizes) + sizes
+                queries = np.repeat(shift, sizes) + np.arange(local.size)
+                k = query_k[queries] - before[local]
+                inside = (k > 0) & (k <= found[local])
+                if inside.any():
+                    local = local[inside]
+                    offsets = np.arange(rows.size) * (width + 1)
+                    flat = (prefix + offsets[:, None]).ravel()
+                    keys = k[inside] + local * (width + 1)
+                    positions = np.searchsorted(flat, keys, side="left")
+                    done[queries[inside]] = first[local] + positions - local * width
+                counts[rows] = before + found
+                cursor[rows] = first + width
+                # A group whose window reached the horizon never completes.
+                # Size each other unfinished group's next window from its own
+                # transmit density in this one (+25% and 8 rounds of slack);
+                # double it after a window without a transmit.
+                more = (left > 0) & (first + width < horizon)
+                unfinished.append(rows[more])
+                by_density = left * width * 5 // (4 * np.maximum(found, 1)) + 8
+                next_length.append(np.where(found > 0, by_density, 2 * width)[more])
+            pending = np.concatenate(unfinished)
+            length = np.concatenate(next_length)
+        return done, windows, cells
 
     def _schedule_transfers(
         self, edge_ids: np.ndarray, words: np.ndarray, round_index: int
@@ -284,7 +292,7 @@ class WordScheduler:
         """
         count = int(edge_ids.size)
         scenario = self.scenario
-        windows = window_cols = 0
+        windows = window_cells = 0
         if not (scenario.is_clean or scenario.has_kernel):
             # Scalar fallback: the scenario only implements per-(edge, round)
             # ``transmits``; replay decisions per transfer in array order.
@@ -334,7 +342,6 @@ class WordScheduler:
                 path = "kernel"
                 first_pos = np.flatnonzero(group_first)
                 group_sizes = np.diff(np.append(first_pos, count))
-                group_ids = np.cumsum(group_first) - 1
                 u_edges = e[first_pos]
                 cumulative = np.cumsum(w)
                 group_base = cumulative[first_pos] - w[first_pos]
@@ -342,11 +349,10 @@ class WordScheduler:
                 last_pos = np.append(first_pos[1:], count) - 1
                 totals = cum_within[last_pos]
                 starts = np.maximum(self.edge_free_at[u_edges] + 1, round_index)
-                done_sorted = self._kernel_completions(
-                    u_edges, starts, totals, group_ids, cum_within
+                done_sorted, windows, window_cells = self._kernel_completions(
+                    u_edges, starts, totals, group_sizes, cum_within
                 )
                 self.edge_free_at[u_edges] = done_sorted[last_pos]
-                windows, window_cols = self._last_windows, self._last_window_cols
             done = np.empty(count, dtype=np.int64)
             done[order] = done_sorted
         tracer = self.tracer
@@ -358,7 +364,7 @@ class WordScheduler:
                 edges=int(np.unique(edge_ids).size),
                 deferred=int((done > round_index).sum()),
                 windows=windows,
-                window_cols=window_cols,
+                window_cells=window_cells,
             )
         return done
 

@@ -18,9 +18,9 @@ Every scenario exposes the decision function twice:
 * :meth:`DeliveryScenario.transmits` — the scalar form the reference
   simulator queries per ``(edge, round)``;
 * :meth:`DeliveryScenario.transmit_mask` — the batch form
-  (``edge_ids x rounds`` boolean matrix) the
-  :class:`~repro.engine.delivery.WordScheduler` consumes when computing
-  completion rounds by prefix sums.
+  (``edge_ids x rounds`` boolean matrix, each row read from its own start
+  round) the :class:`~repro.engine.delivery.WordScheduler` consumes when
+  computing completion rounds by prefix sums.
 
 The built-in scenarios implement native numpy kernels for the batch form
 (``has_kernel = True``): the per-``(edge, round)`` decision is a
@@ -190,6 +190,14 @@ class RoundStats:
         )
 
 
+def _row_starts(first_round: int | np.ndarray, rows: int) -> np.ndarray:
+    """``first_round`` as one ``int64`` start round per mask row.
+
+    A scalar broadcasts to every row; an array must hold one start per row.
+    """
+    return np.broadcast_to(np.asarray(first_round, dtype=np.int64), (rows,))
+
+
 def _probability_threshold(probability: float) -> int:
     """The integer threshold of a uniform-[0,1) draw compared against ``p``.
 
@@ -260,14 +268,17 @@ class DeliveryScenario(ABC):
         """Hook for kernels to precompute dense per-edge arrays."""
 
     def transmit_mask(
-        self, edge_ids: np.ndarray, first_round: int, num_rounds: int
+        self, edge_ids: np.ndarray, first_round: int | np.ndarray, num_rounds: int
     ) -> np.ndarray:
-        """Boolean matrix: ``[i, j]`` is ``transmits(edge_ids[i], first_round + j)``.
+        """Boolean matrix: ``[i, j]`` is ``transmits(edge_ids[i], first_round[i] + j)``.
 
-        The base implementation replays the scalar :meth:`transmits` per
-        element, so every scenario supports the batch form; kernels
-        (``has_kernel = True``) override with array arithmetic.  Requires
-        :meth:`bind_edges` to have associated ids with edges.
+        ``first_round`` is one start round per row, or one int shared by
+        every row; each row is a window of ``num_rounds`` rounds from its
+        own start.  The base implementation replays the scalar
+        :meth:`transmits` per element, so every scenario supports the batch
+        form; kernels (``has_kernel = True``) override with array
+        arithmetic.  Requires :meth:`bind_edges` to have associated ids
+        with edges.
         """
         edges = self._bound_edges
         if edges is None:
@@ -276,12 +287,13 @@ class DeliveryScenario(ABC):
                 f"(the WordScheduler binds automatically)"
             )
         ids = np.asarray(edge_ids, dtype=np.int64)
+        starts = _row_starts(first_round, ids.size).tolist()
         mask = np.empty((ids.size, num_rounds), dtype=bool)
         for i, edge_id in enumerate(ids):
             edge = edges[int(edge_id)]
             row = mask[i]
             for j in range(num_rounds):
-                row[j] = self.transmits(edge, first_round + j)
+                row[j] = self.transmits(edge, starts[i] + j)
         return mask
 
     def transfer_schedule(
@@ -412,7 +424,7 @@ class CleanSynchronous(DeliveryScenario):
         return True
 
     def transmit_mask(
-        self, edge_ids: np.ndarray, first_round: int, num_rounds: int
+        self, edge_ids: np.ndarray, first_round: int | np.ndarray, num_rounds: int
     ) -> np.ndarray:
         return np.ones((np.asarray(edge_ids).size, num_rounds), dtype=bool)
 
@@ -456,13 +468,16 @@ class LinkDropScenario(_VertexHashMixin, DeliveryScenario):
         return bits >= self._threshold
 
     def transmit_mask(
-        self, edge_ids: np.ndarray, first_round: int, num_rounds: int
+        self, edge_ids: np.ndarray, first_round: int | np.ndarray, num_rounds: int
     ) -> np.ndarray:
-        base = self._base_by_id[np.asarray(edge_ids, dtype=np.int64)]
-        rounds = np.uint64(first_round) + np.arange(num_rounds, dtype=np.uint64)
-        bits = _mix64_array(
-            base[:, None] + np.uint64(_GOLDEN) * rounds[None, :]
-        )
+        ids = np.asarray(edge_ids, dtype=np.int64)
+        golden = np.uint64(_GOLDEN)
+        # base + GOLDEN * (start + j) splits into a per-row term and a
+        # per-column term (uint64 arithmetic wraps like the scalar form).
+        starts = _row_starts(first_round, ids.size).astype(np.uint64)
+        row = self._base_by_id[ids] + golden * starts
+        column = golden * np.arange(num_rounds, dtype=np.uint64)
+        bits = _mix64_array(row[:, None] + column[None, :])
         return bits >= np.uint64(self._threshold)
 
     def spec_params(self) -> dict[str, Any]:
@@ -514,13 +529,15 @@ class AdversarialDelayScenario(_VertexHashMixin, DeliveryScenario):
         return round_index % self.stall_period != self._phase(edge)
 
     def transmit_mask(
-        self, edge_ids: np.ndarray, first_round: int, num_rounds: int
+        self, edge_ids: np.ndarray, first_round: int | np.ndarray, num_rounds: int
     ) -> np.ndarray:
-        phases = self._phase_by_id[np.asarray(edge_ids, dtype=np.int64)]
-        offsets = (
-            first_round + np.arange(num_rounds, dtype=np.int64)
+        ids = np.asarray(edge_ids, dtype=np.int64)
+        # (start + j) % period == phase  <=>  j % period == (phase - start) % period
+        shifted = (
+            self._phase_by_id[ids] - _row_starts(first_round, ids.size)
         ) % self.stall_period
-        return offsets[None, :] != phases[:, None]
+        offsets = np.arange(num_rounds, dtype=np.int64) % self.stall_period
+        return offsets[None, :] != shifted[:, None]
 
     def spec_params(self) -> dict[str, Any]:
         return {"stall_period": self.stall_period, "seed": self.seed}
@@ -603,38 +620,32 @@ class BurstyFaultScenario(_VertexHashMixin, DeliveryScenario):
         return not (start <= offset < start + self.burst_length)
 
     def transmit_mask(
-        self, edge_ids: np.ndarray, first_round: int, num_rounds: int
+        self, edge_ids: np.ndarray, first_round: int | np.ndarray, num_rounds: int
     ) -> np.ndarray:
         ids = np.asarray(edge_ids, dtype=np.int64)
-        draw_base = self._draw_base_by_id[ids]
-        start_base = self._start_base_by_id[ids]
-        rounds = first_round + np.arange(num_rounds, dtype=np.int64)
-        windows, offsets = np.divmod(rounds, self.period)
-        first_window = int(windows[0])
-        window_range = np.arange(
-            first_window, int(windows[-1]) + 1, dtype=np.uint64
-        )
-        golden = np.uint64(_GOLDEN)
-        burst = (
-            _mix64_array(draw_base[:, None] + golden * window_range[None, :])
-            < np.uint64(self._threshold)
-        )
-        starts = (
-            _mix64_array(start_base[:, None] + golden * window_range[None, :])
-            % np.uint64(self._span)
-        ).astype(np.int64)
-        # Per column, index into this round's window; gather the window's
-        # burst flag / start offset for every (edge, round) cell.
-        window_of_col = windows - first_window
-        col_burst = burst[:, window_of_col]
-        col_start = starts[:, window_of_col]
-        offset_row = offsets[None, :]
-        blocked = (
-            col_burst
-            & (col_start <= offset_row)
-            & (offset_row < col_start + self.burst_length)
-        )
-        return ~blocked
+        period = self.period
+        first_window, offset = np.divmod(_row_starts(first_round, ids.size), period)
+        # Hash each row's windows once, from the window holding its start;
+        # the burst start is hashed only for the windows that burst.
+        count = (int(offset.max(initial=0)) + num_rounds) // period + 1
+        window_index = first_window[:, None] + np.arange(count)
+        windows = np.uint64(_GOLDEN) * window_index.astype(np.uint64)
+        burst = _mix64_array(
+            self._draw_base_by_id[ids][:, None] + windows
+        ) < np.uint64(self._threshold)
+        row, window = np.nonzero(burst)
+        start = _mix64_array(
+            self._start_base_by_id[ids[row]] + windows[row, window]
+        ) % np.uint64(self._span)
+        # Each burst blocks columns [begin, begin + burst_length) of its row.
+        # Mark both ends, clipped into the mask plus one sink column, and
+        # a cell is blocked when an odd number of marks lie at or before it
+        # (where one burst ends as the next begins, the two marks cancel).
+        begin = window * period + start.astype(np.int64) - offset[row]
+        marks = np.zeros((ids.size, num_rounds + 1), dtype=bool)
+        marks[row, np.clip(begin, 0, num_rounds)] = True
+        marks[row, np.clip(begin + self.burst_length, 0, num_rounds)] ^= True
+        return ~np.logical_xor.accumulate(marks, axis=1)[:, :num_rounds]
 
     def spec_params(self) -> dict[str, Any]:
         return {
@@ -732,17 +743,17 @@ class HeterogeneousBandwidthScenario(_VertexHashMixin, DeliveryScenario):
         return math.floor((round_index + 1) * rate) > math.floor(round_index * rate)
 
     def transmit_mask(
-        self, edge_ids: np.ndarray, first_round: int, num_rounds: int
+        self, edge_ids: np.ndarray, first_round: int | np.ndarray, num_rounds: int
     ) -> np.ndarray:
-        rates = self._rate_by_id[np.asarray(edge_ids, dtype=np.int64)]
-        rounds = np.arange(
-            first_round, first_round + num_rounds, dtype=np.float64
+        ids = np.asarray(edge_ids, dtype=np.int64)
+        rounds = _row_starts(first_round, ids.size).astype(np.float64)[:, None] + (
+            np.arange(num_rounds + 1, dtype=np.float64)[None, :]
         )
-        # The same IEEE-754 products and floors as the scalar form (rounds
-        # below 2**53 convert exactly), so both forms agree bit-for-bit.
-        return np.floor((rounds[None, :] + 1.0) * rates[:, None]) > np.floor(
-            rounds[None, :] * rates[:, None]
-        )
+        # floor(r * c) at every round boundary of the window, compared with
+        # its successor: the same IEEE-754 products and floors as the scalar
+        # form (rounds below 2**53 convert exactly), so both agree bit-for-bit.
+        tokens = np.floor(rounds * self._rate_by_id[ids][:, None])
+        return tokens[:, 1:] > tokens[:, :-1]
 
     def spec_params(self) -> dict[str, Any]:
         if self.edge_capacities:
@@ -911,29 +922,26 @@ class ComposedScenario(DeliveryScenario):
                 part.observe_round(stats)
 
     def transmit_mask(
-        self, edge_ids: np.ndarray, first_round: int, num_rounds: int
+        self, edge_ids: np.ndarray, first_round: int | np.ndarray, num_rounds: int
     ) -> np.ndarray:
         if self.mode == "overlay":
             mask = self.parts[0].transmit_mask(edge_ids, first_round, num_rounds)
             for part in self.parts[1:]:
                 mask &= part.transmit_mask(edge_ids, first_round, num_rounds)
             return mask
-        # Sequential: splice the active part's mask per phase segment.
+        # Sequential: each cell takes the mask of the part active in its own
+        # round.  A part is queried for the rows whose window meets its phase.
         ids = np.asarray(edge_ids, dtype=np.int64)
-        mask = np.empty((ids.size, num_rounds), dtype=bool)
-        column = 0
-        while column < num_rounds:
-            round_index = first_round + column
-            part = self._active(round_index)
-            end = num_rounds
-            for boundary in self._boundaries:
-                if round_index < boundary:
-                    end = min(num_rounds, column + (boundary - round_index))
-                    break
-            mask[:, column:end] = part.transmit_mask(
-                ids, round_index, end - column
-            )
-            column = end
+        starts = _row_starts(first_round, ids.size)
+        mask = np.zeros((ids.size, num_rounds), dtype=bool)
+        lower = 0
+        for part, upper in zip(self.parts, self._boundaries + (math.inf,)):
+            rows = np.flatnonzero((starts + num_rounds > lower) & (starts < upper))
+            if rows.size:
+                part_mask = part.transmit_mask(ids[rows], starts[rows], num_rounds)
+                rounds = starts[rows, None] + np.arange(num_rounds)
+                mask[rows] |= part_mask & (rounds >= lower) & (rounds < upper)
+            lower = upper
         return mask
 
     def spec_params(self) -> dict[str, Any]:

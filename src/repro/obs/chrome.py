@@ -159,7 +159,7 @@ def chrome_trace_events(events: Iterable[dict]) -> list[dict]:
                         k: event[k]
                         for k in (
                             "round", "transfers", "edges", "deferred",
-                            "windows", "window_cols",
+                            "windows", "window_cells",
                         )
                     },
                 )

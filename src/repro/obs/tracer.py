@@ -6,11 +6,11 @@ begin/end events (with wall time and the round's delivered/word/dropped
 totals, identical on every backend apart from the wall-clock fields), the
 :class:`~repro.engine.delivery.WordScheduler` emits per-batch scheduling
 events (which path ran — clean arithmetic, transmit-mask kernel, or the
-scalar fallback — plus window statistics of the kernel search), the sharded
-backend emits per-worker barrier waits of its forked shards, and every
-layer contributes *spans* — named wall-time buckets (``compute``,
-``schedule``, ``deliver``, ``barrier`` …) that roll up into the per-layer
-time budget :meth:`Tracer.span_totals` and onto
+scalar fallback — plus the mask queries and cells of the kernel search),
+the sharded backend emits per-worker barrier waits of its forked shards,
+and every layer contributes *spans* — named wall-time buckets
+(``compute``, ``schedule``, ``deliver``, ``barrier`` …) that roll up into
+the per-layer time budget :meth:`Tracer.span_totals` and onto
 :class:`~repro.experiments.session.RunResult.timings`.
 
 Three implementations:
@@ -277,16 +277,16 @@ class Tracer:
         edges: int,
         deferred: int,
         windows: int = 0,
-        window_cols: int = 0,
+        window_cells: int = 0,
     ) -> None:
         """One :class:`~repro.engine.delivery.WordScheduler` bulk enqueue.
 
         ``path`` names which scheduling path ran — ``"clean"`` (pure
         arithmetic), ``"kernel"`` (transmit-mask prefix sums), or
         ``"scalar"`` (the per-transfer fallback for scenarios without a
-        batch kernel).  For the kernel path ``windows`` / ``window_cols``
-        count the adaptive round windows materialised and their total
-        column width — the searchsorted batch-size statistics.
+        batch kernel).  For the kernel path ``windows`` counts the
+        transmit-mask queries the batch made and ``window_cells`` the
+        (edge, round) mask cells they evaluated.
         """
         self._emit(
             {
@@ -297,7 +297,7 @@ class Tracer:
                 "edges": edges,
                 "deferred": deferred,
                 "windows": windows,
-                "window_cols": window_cols,
+                "window_cells": window_cells,
             }
         )
 

@@ -111,10 +111,10 @@ class _VertexFaultBase(_VertexHashMixin, DeliveryScenario):
         return True
 
     def transmit_mask(
-        self, edge_ids: np.ndarray, first_round: int, num_rounds: int
+        self, edge_ids: np.ndarray, first_round: int | np.ndarray, num_rounds: int
     ) -> np.ndarray:
-        # Links are clean under vertex faults; the schedulers normally
-        # bypass this entirely via the link projection.
+        # Links are clean under vertex faults, whatever each row's start;
+        # the schedulers normally bypass this via the link projection.
         return np.ones((np.asarray(edge_ids).size, num_rounds), dtype=bool)
 
     def _require_bound(self) -> None:

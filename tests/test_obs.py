@@ -19,6 +19,8 @@ from common import VectorFloodMinimum
 from repro.baselines.naive import FloodMinimum
 from repro.congest.message import Message
 from repro.engine import ShardedBackend, run_algorithm
+from repro.engine.delivery import GraphIndex, WordScheduler
+from repro.engine.scenarios import LinkDropScenario
 from repro.experiments import ExperimentSpec, Session
 from repro.graphs import erdos_renyi
 from repro.obs import (
@@ -243,6 +245,27 @@ class TestEngineEvents:
         assert all(e["path"] in ("kernel", "scalar") for e in batches)
         kernel = [e for e in batches if e["path"] == "kernel"]
         assert kernel and all(e["windows"] >= 1 for e in kernel)
+        assert all(e["window_cells"] >= e["windows"] for e in kernel)
+
+    def test_scheduler_windows_follow_each_transfer(self):
+        """A long transfer does not widen the mask windows of short ones.
+
+        One 1,000-word transfer and 200 one-word transfers, each on its own
+        edge, are scheduled in round 0: the mask cells evaluated must scale
+        with the words of each transfer, not with the batch's longest one.
+        """
+        index = GraphIndex(nx.path_graph(203))
+        tracer = RecordingTracer()
+        scheduler = WordScheduler(
+            index, LinkDropScenario(0.1), horizon=10_000, tracer=tracer
+        )
+        messages = [Message(i, i + 1, "t", 0) for i in range(201)]
+        words = [1_000] + [1] * 200
+        scheduler.schedule_messages(messages, words, 0)
+        (event,) = tracer.events_of("scheduler")
+        assert event["path"] == "kernel"
+        assert event["window_cells"] <= 4 * sum(words) + 32 * len(words)
+        assert event["windows"] <= 4
 
     def test_vector_fast_path_records_array_deliveries(self):
         tracer = RecordingTracer()

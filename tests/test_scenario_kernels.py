@@ -4,17 +4,16 @@ Two contracts pin the vectorized scenario layer:
 
 1. **Kernel/scalar agreement** — for every registered scenario (and for
    random :class:`ComposedScenario` trees), the batch ``transmit_mask``
-   must agree call-for-call with the scalar ``transmits``, because the
-   fast backends consume the mask while the reference simulator replays
-   the scalar form.
+   must agree call-for-call with the scalar ``transmits``, for one shared
+   start round and for one start per row, because the fast backends
+   consume the mask while the reference simulator replays the scalar form.
 2. **Word-accounting equivalence** — the
    :class:`~repro.engine.delivery.WordScheduler`'s prefix-sum completion
    computation must reproduce the reference edge-by-edge word queues
    exactly: same delivery round per message, same words-per-round levels,
-   under every scenario, including FIFO contention and batches mixing
-   deeply queued and idle edges (the regression shape for the window
-   cursor: an edge whose start lies beyond the scan window must keep its
-   start culling).
+   under every scenario, including FIFO contention, batches mixing deeply
+   queued and idle edges (no crossing before an edge's own start may count
+   toward its words), and batches mixing long and short transfers.
 """
 
 from collections import defaultdict, deque
@@ -107,11 +106,12 @@ EDGES = (
     scenario=any_scenario,
     first_round=st.integers(min_value=0, max_value=5_000),
     num_rounds=st.integers(min_value=1, max_value=60),
+    per_row=st.booleans(),
     data=st.data(),
 )
 @settings(max_examples=80, deadline=None)
 def test_transmit_mask_agrees_with_scalar_transmits(
-    scenario, first_round, num_rounds, data
+    scenario, first_round, num_rounds, per_row, data
 ):
     scenario.bind_edges(EDGES)
     ids = data.draw(
@@ -120,16 +120,35 @@ def test_transmit_mask_agrees_with_scalar_transmits(
             min_size=1, max_size=8,
         )
     )
+    if per_row:
+        # One unsorted start per row, up to 5,000 apart, so rows cross
+        # bursty windows and sequential phase boundaries at different
+        # columns.  An int64 array also catches a kernel mixing uint64
+        # with int64 (numpy promotes that mix to float64).
+        first_round = np.asarray(
+            data.draw(
+                st.lists(
+                    st.one_of(
+                        st.integers(min_value=0, max_value=100),
+                        st.integers(min_value=0, max_value=5_000),
+                    ),
+                    min_size=len(ids), max_size=len(ids),
+                )
+            ),
+            dtype=np.int64,
+        )
+    starts = np.broadcast_to(first_round, (len(ids),))
     mask = scenario.transmit_mask(
         np.asarray(ids, dtype=np.int64), first_round, num_rounds
     )
     assert mask.shape == (len(ids), num_rounds) and mask.dtype == bool
     for row, edge_id in enumerate(ids):
         edge = EDGES[edge_id]
+        start = int(starts[row])
         for column in range(num_rounds):
             assert mask[row, column] == scenario.transmits(
-                edge, first_round + column
-            ), (scenario.describe(), edge, first_round + column)
+                edge, start + column
+            ), (scenario.describe(), edge, start + column)
 
 
 def test_every_registered_scenario_declares_a_working_mask():
@@ -151,6 +170,50 @@ def test_every_registered_scenario_declares_a_working_mask():
             ]
         )
         assert (mask == expected).all(), name
+        starts = np.array([40, 3, 2_011, 17], dtype=np.int64)
+        mask = scenario.transmit_mask(ids, starts, 17)
+        expected = np.array(
+            [
+                [scenario.transmits(EDGES[i], int(starts[i]) + j) for j in range(17)]
+                for i in range(4)
+            ]
+        )
+        assert (mask == expected).all(), name
+        assert scenario.transmit_mask(np.arange(3), 7, 0).shape == (3, 0), name
+        empty = np.arange(0, dtype=np.int64)
+        assert scenario.transmit_mask(empty, 7, 17).shape == (0, 17), name
+        assert scenario.transmit_mask(empty, empty, 17).shape == (0, 17), name
+
+
+def test_bursty_mask_with_a_long_period_agrees_with_scalar_transmits():
+    """A period of a million rounds builds, and its mask costs the queried
+    cells, not the period: bursts found in a two-window scan, then short
+    queries around each of them, agree with the scalar form."""
+    scenario = BurstyFaultScenario(0.5, 3, period=10**6)
+    scenario.bind_edges(EDGES)
+    ids = np.arange(8, dtype=np.int64)
+    blocked = np.argwhere(~scenario.transmit_mask(ids, 0, 2 * 10**6))
+    assert len(blocked) > 0
+    for row, column in blocked.tolist():
+        assert not scenario.transmits(EDGES[row], column)
+    # Each blocked cell, and the window boundary, seen from a few rounds
+    # earlier: once as a shared start, once as one start per row.
+    first = np.maximum(blocked[:, 1] - 5, 0)
+    rows = np.concatenate([blocked[:, 0], ids])
+    starts = np.concatenate([first, np.full(ids.size, 10**6 - 6)])
+    for start in sorted(set(starts.tolist())):
+        mask = scenario.transmit_mask(ids, start, 12)
+        for row in range(ids.size):
+            for column in range(12):
+                assert mask[row, column] == scenario.transmits(
+                    EDGES[row], start + column
+                ), (row, start + column)
+    mask = scenario.transmit_mask(rows, starts, 12)
+    for i, (row, start) in enumerate(zip(rows.tolist(), starts.tolist())):
+        for column in range(12):
+            assert mask[i, column] == scenario.transmits(
+                EDGES[row], start + column
+            ), (row, start + column)
 
 
 def test_scalar_fallback_mask_replays_transmits():
@@ -165,6 +228,10 @@ def test_scalar_fallback_mask_replays_transmits():
     scenario.bind_edges(EDGES)
     mask = scenario.transmit_mask(np.array([0, 1]), 0, 9)
     assert (mask == np.array([[False, True, True] * 3] * 2)).all()
+    mask = scenario.transmit_mask(np.array([0, 1]), np.array([4, 0]), 9)
+    assert (
+        mask == np.array([[True, True, False] * 3, [False, True, True] * 3])
+    ).all()
 
 
 def test_unbound_default_mask_raises():
@@ -279,6 +346,48 @@ def test_scheduler_window_cursor_keeps_far_starts_culled():
     plan.append((Message(4, 5, "t", 0), 1, 4))
     got, got_levels = _run_scheduler(plan, scenario, index, 800)
     want, want_levels = _reference_delivery(plan, scenario, 800)
+    assert got == want
+    for round_index in want_levels:
+        assert got_levels.get(round_index, 0) == want_levels[round_index]
+
+
+@pytest.mark.parametrize("horizon", [2_000, 150])
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        LinkDropScenario(0.1, seed=7),
+        LinkDropScenario(0.6, seed=8),
+        BurstyFaultScenario(0.5, 3, 8, seed=9),
+        HeterogeneousBandwidthScenario((0.25,), seed=10),
+        ComposedScenario.sequential(
+            (LinkDropScenario(0.3, seed=11), 10),
+            (BurstyFaultScenario(0.5, 3, 8, seed=12), 200),
+            (LinkDropScenario(0.1, seed=13), None),
+        ),
+    ],
+    ids=["drop-0.1", "drop-0.6", "bursty", "hetero-0.25", "sequential"],
+)
+def test_scheduler_matches_reference_on_mixed_length_batches(scenario, horizon):
+    """The batch shapes of the faulty listing cell: one long transfer among
+    many short ones, then traffic queued behind the long one.
+
+    Round 0 puts a 400-word transfer and 30 transfers of 1-3 words on
+    distinct edges, so windows of very different lengths are in play; the
+    sequential phases switch inside those windows.  Round 3 queues words
+    behind the long transfer and on idle edges.  At horizon 150 the horizon
+    cuts the long transfer while its edge still transmits.
+    """
+    graph = nx.path_graph(40)
+    index = GraphIndex(graph)
+    plan = [(Message(0, 1, "long", 0), 400, 0)]
+    for i in range(1, 31):
+        plan.append((Message(i, i + 1, "short", 0), 1 + i % 3, 0))
+    plan.append((Message(0, 1, "behind", 0), 5, 3))
+    plan.append((Message(2, 1, "idle", 0), 2, 3))
+    for i in range(32, 36):
+        plan.append((Message(i, i + 1, "idle", 0), i % 4 + 1, 3))
+    got, got_levels = _run_scheduler(plan, scenario, index, horizon)
+    want, want_levels = _reference_delivery(plan, scenario, horizon)
     assert got == want
     for round_index in want_levels:
         assert got_levels.get(round_index, 0) == want_levels[round_index]
