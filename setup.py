@@ -22,6 +22,7 @@ setup(
     install_requires=[
         "networkx>=2.8",
         "numpy>=1.22",
+        "scipy>=1.8",
     ],
     extras_require={
         "test": ["pytest", "pytest-benchmark", "hypothesis"],

@@ -124,10 +124,9 @@ class WordScheduler:
         self.edge_free_at = np.full(len(index.edge_ids), -1, dtype=np.int64)
         self._buckets: dict[int, list[Message]] = defaultdict(list)
         # Array-mode buckets (the vector layer): per completion round, a
-        # list of (senders, receivers, values) dense-id array chunks.
-        self._array_buckets: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = (
-            defaultdict(list)
-        )
+        # list of int64[3, k] chunks whose rows are senders, receivers and
+        # values.
+        self._array_buckets: dict[int, list[np.ndarray]] = defaultdict(list)
         # Difference array over rounds: +1 when an edge starts carrying a
         # word in a round, -1 the round after it stops.  The running sum is
         # the number of words crossing the cut in each round.
@@ -438,16 +437,16 @@ class WordScheduler:
         done = self._schedule_transfers(edge_ids, words, round_index)
         bucket_order = np.argsort(done, kind="stable")
         done_sorted = done[bucket_order]
+        # One sorted copy of the batch; each completion round's chunk is a
+        # column slice of it.
+        columns = np.stack((senders, receivers, values))[:, bucket_order]
         boundaries = np.flatnonzero(
             np.r_[True, done_sorted[1:] != done_sorted[:-1]]
-        )
-        boundaries = np.append(boundaries, count)
-        for k in range(len(boundaries) - 1):
-            lo, hi = int(boundaries[k]), int(boundaries[k + 1])
-            rows = bucket_order[lo:hi]
-            self._array_buckets[int(done_sorted[lo])].append(
-                (senders[rows], receivers[rows], values[rows])
-            )
+        ).tolist()
+        boundaries.append(count)
+        buckets = self._array_buckets
+        for lo, hi in zip(boundaries, boundaries[1:]):
+            buckets[int(done_sorted[lo])].append(columns[:, lo:hi])
         self.pending_messages += count
 
     # -- delivery -------------------------------------------------------------
@@ -465,12 +464,9 @@ class WordScheduler:
         if not chunks:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, empty, self._level
-        if len(chunks) == 1:
-            senders, receivers, values = chunks[0]
-        else:
-            senders = np.concatenate([c[0] for c in chunks])
-            receivers = np.concatenate([c[1] for c in chunks])
-            values = np.concatenate([c[2] for c in chunks])
+        senders, receivers, values = (
+            chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
+        )
         self.pending_messages -= int(senders.size)
         return senders, receivers, values, self._level
 

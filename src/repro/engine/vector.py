@@ -23,6 +23,13 @@ scheduler turns it into per-edge prefix sums, so link drops, bursts, and
 heterogeneous bandwidth cost numpy passes rather than per-(edge, round)
 Python replay.
 
+The first library :class:`VectorAlgorithm` is
+:class:`~repro.listing.distributed.ListingVector`, the cluster protocol of
+the distributed listing pipeline.  Its messages are multi-word (adjacency
+lists, replies, routed edges): each send's ``words`` charges the payload's
+full size, exactly what the twin's payload costs, while its single
+``values`` word carries a handle into the algorithm's own tables.
+
 Every :class:`VectorAlgorithm` subclass declares a ``per_vertex`` twin — the
 equivalent :class:`~repro.congest.vertex.VertexAlgorithm` factory — so the
 same class can be handed to *any* backend: the vectorized backend takes the

@@ -3,10 +3,11 @@
 This module is the bridge between the paper's listing algorithms and the
 pluggable execution engine (:mod:`repro.engine`): instead of *charging* a
 cost model for the communication each cluster performs, it *executes* the
-per-cluster work as an actual per-vertex CONGEST algorithm through
-:func:`repro.engine.runner.run_algorithm`, on any backend (reference /
+per-cluster work as an actual CONGEST algorithm through
+:meth:`repro.experiments.Session.execute`, on any backend (reference /
 vectorized / sharded) and under any delivery scenario (clean / link-drop /
-adversarial-delay).
+bursty / heterogeneous-bandwidth / adversarial-delay and their
+compositions).
 
 Execution model
 ---------------
@@ -36,6 +37,17 @@ Two message protocols implement the per-cluster work of Lemma 34:
   forwarded hop-by-hop along precomputed shortest paths inside the working
   graph, under the model's one-word-per-edge bandwidth constraint.
 
+Both protocols are compiled into one :class:`ClusterProtocolPlan` per
+execution, whose :meth:`~ClusterProtocolPlan.factory` is a plan-bound
+:class:`ListingVector`.  The vectorized backend steps each cluster as that
+one :class:`~repro.engine.vector.VectorAlgorithm`: every vertex once per
+round, on arrays, with no per-message Python work.  The reference and
+sharded backends run its ``per_vertex`` twin, :class:`ListingVertex`, which
+exchanges real :class:`~repro.congest.message.Message` objects.  The two
+agree on rounds, messages, words and every vertex's output under every
+delivery scenario (``tests/test_listing_vector.py``).  Vertex-fault
+scenarios are refused: the protocol waits for every reply it expects.
+
 Centralized preprocessing
 -------------------------
 
@@ -43,8 +55,8 @@ As in the paper, some machinery is a black box the algorithm *uses* rather
 than communicates for: the expander decomposition (Theorem 5, [CS20]) and
 the K3-partition-tree construction (Theorem 16, via the Theorem 11
 streaming simulation).  The orchestrator computes these centrally and
-installs their outcome into the per-vertex plans (adjacency announcements,
-forwarding tables, expected message counts) — the distributed analogue of
+installs their outcome into the plans (listers, packet routes, expected
+message counts) — the distributed analogue of
 vertices knowing the routing tables the deterministic schemes of [CS20]
 would have built.  Their round cost is still *charged* through the cost
 accountant, so the predicted totals remain end-to-end; the measured totals
@@ -60,20 +72,29 @@ cost rather than ``n^{1-2/p+o(1)}``).
 
 from __future__ import annotations
 
-import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Hashable, Iterable
 
 import networkx as nx
+import numpy as np
+import scipy.sparse
 
 from repro.congest.cost import CostAccountant, RoutingOverhead, polylog_overhead
-from repro.congest.message import Message
+from repro.congest.message import Message, words_for_payload
 from repro.congest.metrics import CongestMetrics
 from repro.congest.vertex import VertexAlgorithm
 from repro.engine.backend import Backend
 from repro.engine.runner import resolve_backend
 from repro.engine.scenarios import DeliveryScenario, resolve_scenario
+from repro.engine.vector import (
+    VectorAlgorithm,
+    VectorInbox,
+    VectorSends,
+    VectorTopology,
+)
 from repro.experiments.session import Session
 from repro.graphs.cliques import Clique, cliques_in_edge_set
 from repro.listing.local import charge_exhaustive_pass, cliques_through_vertex
@@ -102,16 +123,15 @@ class VertexPlan:
 
     Attributes:
         p: clique size the vertex lists.
-        announce: the adjacency list this vertex announces in round 0
-            (``None`` when the vertex is not a lister).
+        is_lister: whether the vertex runs the 2-hop exhaustive pass: it
+            announces its sorted adjacency list to every neighbour in
+            round 0.
         expected_announcements: number of lister neighbours whose
             announcements this vertex must answer.
         expected_replies: number of adjacency replies a lister waits for
             (its communication degree).
-        inject: edge-learning packets this vertex originates in round 0,
-            as ``(demand_id, u, w, first_hop)`` tuples.
-        forward: forwarding table ``demand_id -> next hop`` for packets
-            this vertex relays.
+        injects: number of edge-learning packets this vertex originates in
+            round 0 (their routes live on the :class:`ClusterProtocolPlan`).
         expected_relays: number of packets this vertex must relay.
         expected_edges: number of routed edges this vertex receives as a
             leaf-part owner.
@@ -120,34 +140,36 @@ class VertexPlan:
     """
 
     p: int = 3
-    announce: tuple[int, ...] | None = None
+    is_lister: bool = False
     expected_announcements: int = 0
     expected_replies: int = 0
-    inject: list[tuple[int, int, int, int]] = field(default_factory=list)
-    forward: dict[int, int] = field(default_factory=dict)
+    injects: int = 0
     expected_relays: int = 0
     expected_edges: int = 0
     preloaded_edges: list[Edge] = field(default_factory=list)
 
-    @property
-    def is_lister(self) -> bool:
-        return self.announce is not None
-
     def idle(self) -> bool:
         """True when the vertex neither sends nor expects anything."""
-        return (
-            self.announce is None
-            and not self.inject
-            and self.expected_announcements == 0
-            and self.expected_replies == 0
-            and self.expected_relays == 0
-            and self.expected_edges == 0
+        return not (
+            self.is_lister
+            or self.injects
+            or self.expected_announcements
+            or self.expected_replies
+            or self.expected_relays
+            or self.expected_edges
         )
+
+
+def _no_routes(*shape: int) -> np.ndarray:
+    return np.empty(shape or (0,), dtype=np.int64)
 
 
 @dataclass
 class ClusterProtocolPlan:
-    """A compiled per-cluster protocol: topology plus per-vertex plans.
+    """A compiled per-cluster protocol: topology, per-vertex plans, routes.
+
+    Vertices are addressed by dense id in the routes: the position of the
+    vertex in ``graph.nodes``, which is also the engine's dense order.
 
     Attributes:
         graph: the communication graph the engine executes on (the
@@ -157,28 +179,69 @@ class ClusterProtocolPlan:
         p: clique size.
         listers: number of vertices running the 2-hop exhaustive pass.
         demands: number of routed edge-learning packets.
+        route_hops: every demand's route, from the injecting endpoint to
+            the owner, concatenated in demand order.
+        route_ends: ``route_ends[d]`` is where demand ``d``'s route ends
+            (exclusive) in ``route_hops``.
+        route_edges: ``int64[demands, 2]`` — the demanded edge ``(u, w)``
+            of each demand, ``u`` the smaller label.
     """
 
     graph: nx.Graph
-    plans: dict[int, VertexPlan]
+    plans: dict[Hashable, VertexPlan]
     p: int
     listers: int = 0
     demands: int = 0
+    route_hops: np.ndarray = field(default_factory=_no_routes)
+    route_ends: np.ndarray = field(default_factory=_no_routes)
+    route_edges: np.ndarray = field(default_factory=lambda: _no_routes(0, 2))
 
-    def factory(self):
-        """A vertex factory for :func:`repro.engine.runner.run_algorithm`."""
-        plans = self.plans
-        p = self.p
+    def factory(self) -> type["ListingVector"]:
+        """The plan-bound :class:`ListingVector` class to hand the engine.
 
-        def make(vertex: Hashable, neighbors: Iterable[Hashable], n: int) -> "ListingVertex":
-            return make_listing_vertex(vertex, neighbors, n, plans.get(vertex), p)
+        The vectorized backend steps it on arrays; every other backend runs
+        its ``per_vertex`` twin, one :class:`ListingVertex` per vertex.
+        """
+        return type(
+            "PlannedListingVector",
+            (ListingVector,),
+            {"plan": self, "per_vertex": staticmethod(self._make_vertex)},
+        )
 
-        return make
+    def _make_vertex(
+        self, vertex: Hashable, neighbors: Iterable[Hashable], n: int
+    ) -> "ListingVertex":
+        inject, forward = self.packet_tables
+        return ListingVertex(
+            vertex,
+            neighbors,
+            n,
+            plan=self.plans.get(vertex) or VertexPlan(p=self.p),
+            inject=inject.get(vertex, ()),
+            forward=forward.get(vertex, {}),
+        )
 
+    @cached_property
+    def packet_tables(self) -> tuple[dict, dict]:
+        """The twin's per-vertex packet tables, derived from the routes.
 
-def make_listing_vertex(vertex, neighbors, n, plan: VertexPlan | None, p: int) -> "ListingVertex":
-    """Instantiate a :class:`ListingVertex` with a default-idle plan."""
-    return ListingVertex(vertex, neighbors, n, plan=plan or VertexPlan(p=p))
+        ``inject[v]`` lists the ``(demand, u, w, first_hop)`` packets ``v``
+        originates, in demand order; ``forward[v]`` maps each demand ``v``
+        relays to its next hop.
+        """
+        nodes = list(self.graph.nodes)
+        hops = [nodes[i] for i in self.route_hops.tolist()]
+        inject: dict[Hashable, list] = defaultdict(list)
+        forward: dict[Hashable, dict[int, Hashable]] = defaultdict(dict)
+        start = 0
+        for demand, ((u, w), end) in enumerate(
+            zip(self.route_edges.tolist(), self.route_ends.tolist())
+        ):
+            inject[hops[start]].append((demand, nodes[u], nodes[w], hops[start + 1]))
+            for position in range(start + 1, end - 1):
+                forward[hops[position]][demand] = hops[position + 1]
+            start = end
+        return inject, forward
 
 
 class ListingVertex(VertexAlgorithm):
@@ -193,19 +256,30 @@ class ListingVertex(VertexAlgorithm):
       induced neighbourhood and lists every ``K_p`` through itself, handing
       that view to :func:`~repro.listing.local.cliques_through_vertex` as an
       adjacency mapping (a dict of sets; no vertex builds a graph object).
-    * edge learning — round 0: demand sources inject ``edge`` packets;
-      relays forward them along their precomputed tables; owners collect
-      them and finally list the cliques among the learned edges with
-      :func:`~repro.graphs.cliques.cliques_in_edge_set`.
+    * edge learning — round 0: demand sources inject ``edge`` packets
+      (``inject``); relays forward them along their tables (``forward``);
+      owners collect them and finally list the cliques among the learned
+      edges with :func:`~repro.graphs.cliques.cliques_in_edge_set`.
 
     Expected message counts are part of the plan, so every vertex can halt
     locally the moment its counters are met — there is no global
-    termination detection, matching the CONGEST model.
+    termination detection, matching the CONGEST model.  This is the
+    ``per_vertex`` twin of :class:`ListingVector`.
     """
 
-    def __init__(self, vertex, neighbors, n, plan: VertexPlan):
+    def __init__(
+        self,
+        vertex,
+        neighbors,
+        n,
+        plan: VertexPlan,
+        inject: Iterable[tuple[int, Hashable, Hashable, Hashable]] = (),
+        forward: dict[int, Hashable] | None = None,
+    ):
         super().__init__(vertex, neighbors, n)
         self.plan = plan
+        self._inject = inject
+        self._forward = forward or {}
         self._neighbor_set = set(self.neighbors)
         self._announcements_answered = 0
         self._replies: dict[Hashable, tuple] = {}
@@ -220,7 +294,6 @@ class ListingVertex(VertexAlgorithm):
     # -- protocol rounds -----------------------------------------------------
 
     def on_round(self, round_index: int, inbox: list[Message]) -> list[Message]:
-        plan = self.plan
         outgoing: list[Message] = []
         for message in inbox:
             if message.tag == "adj":
@@ -231,7 +304,7 @@ class ListingVertex(VertexAlgorithm):
                 self._replies[message.sender] = message.payload
             elif message.tag == "edge":
                 demand_id, u, w = message.payload
-                next_hop = plan.forward.get(demand_id)
+                next_hop = self._forward.get(demand_id)
                 if next_hop is None:
                     self._edges.add(_canonical(u, w))
                     self._edges_received += 1
@@ -240,14 +313,14 @@ class ListingVertex(VertexAlgorithm):
                     outgoing.append(self.send(next_hop, "edge", (demand_id, u, w)))
         if not self._initial_sent:
             self._initial_sent = True
-            if plan.announce is not None:
+            if self.plan.is_lister:
                 outgoing.extend(
-                    self.send(neighbor, "adj", plan.announce)
-                    for neighbor in plan.announce
+                    self.send(neighbor, "adj", self.neighbors)
+                    for neighbor in self.neighbors
                 )
             outgoing.extend(
                 self.send(hop, "edge", (demand_id, u, w))
-                for demand_id, u, w, hop in plan.inject
+                for demand_id, u, w, hop in self._inject
             )
         if self._complete():
             self._finish()
@@ -291,6 +364,246 @@ class ListingVertex(VertexAlgorithm):
         return adjacency
 
 
+def _edge_ids(
+    topology: VectorTopology, senders: np.ndarray, receivers: np.ndarray
+) -> np.ndarray:
+    """Directed-edge ids of ``(sender, receiver)`` pairs, none for none."""
+    if not senders.size:
+        return senders
+    return topology.edge_id_lookup(senders, receivers)
+
+
+# Message kinds of the array path: a delivered value is ``ident << 2 | kind``.
+_ADJ, _HITS, _EDGE = 0, 1, 2
+# Columns of ListingVector's per-vertex counters, in VertexPlan order.
+_ANSWERED, _REPLIES, _RELAYED, _RECEIVED = range(4)
+
+
+class ListingVector(VectorAlgorithm):
+    """The Lemma 34 cluster protocol, every vertex stepped once per round.
+
+    The array form of :class:`ListingVertex` (its ``per_vertex`` twin): the
+    same messages with the same word costs, sent in the same order, and
+    the same halting rule.  :meth:`ClusterProtocolPlan.factory` binds it to
+    a plan.  A message's value is a handle ``ident << 2 | kind`` into the
+    plan's tables, and its ``words`` are the twin's payload size:
+
+    * ``adj`` (``ident``: the announcement) costs one word plus the
+      lister's labels; the receiver answers ``hits``, costing one word plus
+      the labels the pair has in common, from a label-weighted
+      common-neighbour count on the topology's CSR;
+    * ``hits`` is counted by the lister;
+    * ``edge`` (``ident``: the receiver's position in the plan's flat
+      routes) costs the twin's ``(demand, u, w)`` words; a relay forwards
+      it one position on, the route's owner counts it.
+
+    Round 0 sends every announcement and injects every packet; later rounds
+    only answer the inbox.  Sends leave in the twin's order — by sender in
+    dense-id order, and within a sender replies in inbox order, then
+    announcements, then injects — so every per-edge FIFO, and with it every
+    completion round, matches.  A vertex halts once its counters meet its
+    plan, then lists with :func:`cliques_through_vertex` (listers, over the
+    plan graph: a halted lister has heard every reply) and
+    :func:`cliques_in_edge_set` (owners, over their routed edges).
+    """
+
+    plan: ClusterProtocolPlan
+
+    def __init__(self, topology: VectorTopology):
+        super().__init__(topology)
+        plan = self.plan
+        n = topology.n
+        nodes = topology.nodes
+        idle_plan = VertexPlan(p=plan.p)
+        self._plans = [plan.plans.get(v) or idle_plan for v in nodes]
+        self._need = np.array(
+            [
+                (
+                    vp.expected_announcements,
+                    vp.expected_replies,
+                    vp.expected_relays,
+                    vp.expected_edges,
+                )
+                for vp in self._plans
+            ],
+            dtype=np.int64,
+        ).reshape(n, 4)
+        self._got = np.zeros((n, 4), dtype=np.int64)
+        self._outputs: dict[int, set[Clique]] = {}
+        if topology.node_values is not None:
+            cost = np.ones(n, dtype=np.int64)
+            label_order = np.argsort(topology.node_values, kind="stable")
+        else:
+            cost = np.fromiter(
+                (words_for_payload(v, n) for v in nodes), dtype=np.int64, count=n
+            )
+            label_order = np.array(sorted(range(n), key=nodes.__getitem__), dtype=int)
+        rank = np.empty(n, dtype=np.int64)
+        rank[label_order] = np.arange(n)
+
+        # Announcements: one per CSR slot of a lister, in label order.
+        lister = np.fromiter((vp.is_lister for vp in self._plans), dtype=bool, count=n)
+        indptr, targets = topology.indptr, topology.targets
+        slot_senders = topology.csr_senders
+        slots = np.flatnonzero(lister[slot_senders])
+        slots = slots[np.lexsort((rank[targets[slots]], slot_senders[slots]))]
+        announcers, answerers = slot_senders[slots], targets[slots]
+        prefix = np.concatenate(([0], np.cumsum(cost[targets])))
+        label_words = prefix[indptr[1:]] - prefix[indptr[:-1]]
+        self._hits_words = 1 + self._common_label_words(
+            lister, cost, announcers, answerers
+        )
+        self._hits_edges = _edge_ids(topology, answerers, announcers)
+
+        # Edge packets: one flat route per demand.
+        hops, ends = plan.route_hops, plan.route_ends
+        starts = ends - np.diff(ends, prepend=0)
+        edges = plan.route_edges
+        self._hops = hops
+        packet_words = 2 + cost[edges[:, 0]] + cost[edges[:, 1]]
+        self._hop_words = np.repeat(packet_words, ends - starts)
+        self._hop_is_end = np.zeros(hops.size, dtype=bool)
+        self._hop_is_end[ends - 1] = True
+        self._hop_edges = np.zeros(hops.size, dtype=np.int64)
+        inner = np.ones(hops.size, dtype=bool)
+        inner[starts] = False
+        inner = np.flatnonzero(inner)
+        self._hop_edges[inner] = _edge_ids(topology, hops[inner - 1], hops[inner])
+        owners = hops[ends - 1]
+        self._owned = np.argsort(owners, kind="stable")
+        self._owned_ptr = [0, *np.cumsum(np.bincount(owners, minlength=n)).tolist()]
+        self._labels = np.fromiter(nodes, dtype=object, count=n)
+
+        # Round 0: announcements, then injects (on_round groups by sender).
+        first = starts + 1
+        initial = (
+            np.concatenate((announcers, hops[starts])),
+            np.concatenate((answerers, hops[first])),
+            np.concatenate(
+                ((np.arange(slots.size) << 2) | _ADJ, (first << 2) | _EDGE)
+            ),
+            np.concatenate((1 + label_words[announcers], self._hop_words[first])),
+            np.concatenate((topology.csr_edge_ids[slots], self._hop_edges[first])),
+        )
+        self._initial: tuple[np.ndarray, ...] | None = initial
+
+        idle = np.fromiter((vp.idle() for vp in self._plans), dtype=bool, count=n)
+        self.halted |= idle
+        for vertex_id in np.flatnonzero(idle).tolist():
+            if self._plans[vertex_id].preloaded_edges:
+                self._finish(vertex_id)
+
+    def _common_label_words(
+        self,
+        lister: np.ndarray,
+        cost: np.ndarray,
+        announcers: np.ndarray,
+        answerers: np.ndarray,
+    ) -> np.ndarray:
+        """Per announcement, the words of the labels both endpoints neighbour.
+
+        One sparse product ``A[listers] · diag(cost) · A`` counts them for
+        every lister row at once; each announcement reads its pair's entry.
+        """
+        topology = self.topology
+        n = topology.n
+        if not announcers.size:
+            return np.zeros(0, dtype=np.int64)
+        ones = np.ones(topology.targets.size, dtype=np.int64)
+        adjacency = scipy.sparse.csr_matrix(
+            (ones, topology.targets, topology.indptr), shape=(n, n)
+        )
+        listers = np.flatnonzero(lister)
+        rows = adjacency[listers]
+        rows.data = cost[rows.indices]
+        common = (rows @ adjacency).tocsr()
+        if not common.nnz:
+            return np.zeros(announcers.size, dtype=np.int64)
+        common.sort_indices()
+        rows_of = np.repeat(np.arange(listers.size), np.diff(common.indptr))
+        keys = rows_of * n + common.indices
+        wanted = np.searchsorted(listers, announcers) * n + answerers
+        at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+        return np.where(keys[at] == wanted, common.data[at], 0)
+
+    def on_round(self, round_index: int, inbox: VectorInbox) -> VectorSends | None:
+        # Only round 0 and an inbox can move a counter.
+        if self._initial is not None:
+            senders, receivers, values, words, edge_ids = self._initial
+            self._initial = None
+            candidates = np.flatnonzero(~self.halted)
+        elif inbox.size:
+            senders, receivers, values, words, edge_ids = self._answer(inbox)
+            candidates = inbox.receivers
+        else:
+            return None
+        complete = (self._got[candidates] >= self._need[candidates]).all(axis=1)
+        if complete.any():
+            newly = np.unique(candidates[complete])
+            self.halted[newly] = True
+            for vertex_id in newly.tolist():
+                self._finish(vertex_id)
+        if not senders.size:
+            return None
+        order = np.argsort(senders, kind="stable")
+        return VectorSends(
+            senders=senders[order],
+            receivers=receivers[order],
+            values=values[order],
+            words=words[order],
+            edge_ids=edge_ids[order],
+        )
+
+    def _answer(self, inbox: VectorInbox) -> tuple[np.ndarray, ...]:
+        """Count the inbox; return its replies and relays, in inbox order."""
+        receivers = inbox.receivers
+        ident = inbox.values >> 2
+        column = inbox.values & 3  # _ADJ -> _ANSWERED, _HITS -> _REPLIES
+        edge = np.flatnonzero(column == _EDGE)
+        column[edge] += self._hop_is_end[ident[edge]]  # _RELAYED or _RECEIVED
+        np.add.at(self._got, (receivers, column), 1)
+        answer = column == _ANSWERED
+        rows = np.flatnonzero(answer | (column == _RELAYED))
+        answer = answer[rows]
+        relay = ~answer
+        ident = ident[rows]
+        hop = ident[relay] + 1
+        out_receivers, out_values, out_words, out_edges = out = np.empty(
+            (4, rows.size), dtype=np.int64
+        )
+        out_receivers[answer] = inbox.senders[rows[answer]]
+        out_values[answer] = _HITS
+        out_words[answer] = self._hits_words[ident[answer]]
+        out_edges[answer] = self._hits_edges[ident[answer]]
+        out_receivers[relay] = self._hops[hop]
+        out_values[relay] = (hop << 2) | _EDGE
+        out_words[relay] = self._hop_words[hop]
+        out_edges[relay] = self._hop_edges[hop]
+        return (receivers[rows], *out)
+
+    def _finish(self, vertex_id: int) -> None:
+        vertex_plan = self._plans[vertex_id]
+        found: set[Clique] = set()
+        if vertex_plan.is_lister:
+            found |= cliques_through_vertex(
+                self.plan.graph.adj, self.topology.nodes[vertex_id], vertex_plan.p
+            )
+        first, last = self._owned_ptr[vertex_id : vertex_id + 2]
+        if last > first or vertex_plan.preloaded_edges:
+            # Routed edges stream into the kernel as label pairs, so no
+            # list of them is ever built.
+            demands = self._owned[first:last]
+            us, ws = self._labels[self.plan.route_edges[demands]].T.tolist()
+            found |= cliques_in_edge_set(
+                chain(vertex_plan.preloaded_edges, zip(us, ws)), vertex_plan.p
+            )
+        self._outputs[vertex_id] = found
+
+    def outputs(self) -> dict[Hashable, set[Clique]]:
+        outputs = self._outputs
+        return {v: outputs.get(i, set()) for i, v in enumerate(self.topology.nodes)}
+
+
 # ---------------------------------------------------------------------------
 # Compiling plans
 # ---------------------------------------------------------------------------
@@ -307,14 +620,14 @@ def plan_two_hop_protocol(
     contains every edge a lister's 2-hop view can mention).
     """
     lister_set = {v for v in listers if v in comm_graph}
+    adjacency = comm_graph.adj
     plans: dict[int, VertexPlan] = {v: VertexPlan(p=p) for v in comm_graph.nodes}
     for vertex in lister_set:
-        adjacency = tuple(sorted(comm_graph.neighbors(vertex)))
-        plans[vertex].announce = adjacency
-        plans[vertex].expected_replies = len(adjacency)
+        plans[vertex].is_lister = True
+        plans[vertex].expected_replies = len(adjacency[vertex])
     for vertex in comm_graph.nodes:
         plans[vertex].expected_announcements = sum(
-            1 for u in comm_graph.neighbors(vertex) if u in lister_set
+            1 for u in adjacency[vertex] if u in lister_set
         )
     return ClusterProtocolPlan(
         graph=comm_graph, plans=plans, p=p, listers=len(lister_set)
@@ -343,12 +656,17 @@ def add_edge_learning(
 
     Each demanded edge is injected by one of its endpoints and forwarded
     hop-by-hop along the BFS shortest path to the owner inside the plan's
-    communication graph; the owner's expected count and every relay's
-    forwarding entry are installed so all vertices can halt locally.
+    communication graph.  The path is appended to the plan's flat routes,
+    and every vertex on it gets its inject, relay or receive count, so all
+    vertices can halt locally.
     """
     comm = plan.graph
     plans = plan.plans
-    demand_id = 0
+    index = {v: i for i, v in enumerate(comm.nodes)}
+    base = int(plan.route_hops.size)
+    hops: list[int] = []
+    ends: list[int] = []
+    edges: list[int] = []
     for owner in sorted(owner_edges):
         demands = {_canonical(*e) for e in owner_edges[owner]}
         if not demands:
@@ -365,20 +683,36 @@ def add_edge_learning(
                 )
             # The endpoint closer to the owner injects (shorter route).
             if u in parents and (w not in parents or depths[u] <= depths[w]):
-                source = u
+                step = u
             else:
-                source = w
-            path = [source]
-            while path[-1] != owner:
-                path.append(parents[path[-1]])
-            plans[source].inject.append((demand_id, u, w, path[1]))
-            for position in range(1, len(path) - 1):
-                relay = path[position]
-                plans[relay].forward[demand_id] = path[position + 1]
-                plans[relay].expected_relays += 1
-            plans[owner].expected_edges += 1
-            plan.demands += 1
-            demand_id += 1
+                step = w
+            hops.append(index[step])
+            while step != owner:
+                step = parents[step]
+                hops.append(index[step])
+            ends.append(base + len(hops))
+            edges += (index[u], index[w])
+    if not ends:
+        return
+    new_hops = np.array(hops, dtype=np.int64)
+    new_ends = np.array(ends, dtype=np.int64)
+    starts = new_ends - base - np.diff(new_ends, prepend=base)
+    n = len(index)
+    sources = np.bincount(new_hops[starts], minlength=n)
+    owners = np.bincount(new_hops[new_ends - base - 1], minlength=n)
+    relays = np.bincount(new_hops, minlength=n) - sources - owners
+    nodes = list(index)
+    for vertex_id in np.flatnonzero(sources + owners + relays).tolist():
+        vertex_plan = plans[nodes[vertex_id]]
+        vertex_plan.injects += int(sources[vertex_id])
+        vertex_plan.expected_relays += int(relays[vertex_id])
+        vertex_plan.expected_edges += int(owners[vertex_id])
+    plan.route_hops = np.concatenate((plan.route_hops, new_hops))
+    plan.route_ends = np.concatenate((plan.route_ends, new_ends))
+    plan.route_edges = np.concatenate(
+        (plan.route_edges, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    )
+    plan.demands += len(ends)
 
 
 # ---------------------------------------------------------------------------
@@ -509,15 +843,28 @@ class DistributedListingDriver:
     session: Session | None = None
 
     def run(self, graph: nx.Graph) -> DistributedListingResult:
-        """Execute the full recursive listing pipeline on the engine."""
+        """Execute the full recursive listing pipeline on the engine.
+
+        Raises:
+            ValueError: when the scenario crashes or corrupts vertices.  The
+                Lemma 34 protocol has no fault tolerance: every vertex waits
+                for each reply its plan expects, so it takes delivery
+                scenarios only.
+        """
+        self._scenario = (
+            None if self.scenario is None else resolve_scenario(self.scenario)
+        )
+        if self._scenario is not None and self._scenario.has_vertex_faults:
+            raise ValueError(
+                "distributed listing takes delivery scenarios only; "
+                f"{self._scenario.describe()} crashes or corrupts vertices, "
+                "and the listing protocol waits for every reply it expects"
+            )
         self._session = (
             self.session if self.session is not None
             else Session(name="distributed-listing")
         )
         self._backend = resolve_backend(self.backend)
-        self._scenario = (
-            None if self.scenario is None else resolve_scenario(self.scenario)
-        )
         self._executions: list[ClusterExecution] = []
         self._triangle = TriangleListing(
             epsilon=self.epsilon,

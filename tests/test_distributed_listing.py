@@ -8,12 +8,14 @@ enumeration (``nx.enumerate_all_cliques``) produces.
 """
 
 import itertools
+import re
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import AdversarialDelayScenario, LinkDropScenario
+from repro.engine import AdversarialDelayScenario, ComposedScenario, LinkDropScenario
+from repro.engine.scenarios import resolve_scenario
 from repro.experiments import Session
 from repro.graphs import enumerate_cliques, erdos_renyi, planted_cliques
 from repro.listing import (
@@ -21,6 +23,7 @@ from repro.listing import (
     list_triangles_distributed,
     validate_distributed_listing,
 )
+from repro.listing import distributed
 from repro.listing.distributed import add_edge_learning, plan_two_hop_protocol
 
 BACKENDS = ["reference", "vectorized", "sharded"]
@@ -169,6 +172,32 @@ def test_each_vertex_outputs_exactly_its_own_cliques(backend, p):
             expected |= learned
         assert run.outputs[vertex] == expected, vertex
     assert plan.plans[6].expected_edges == 6 and plan.demands == 6
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        "crash-vertices",
+        "byzantine-vertices",
+        "adaptive-crash",
+        ComposedScenario.overlay("link-drop", "crash-vertices"),
+    ],
+    ids=["crash-vertices", "byzantine-vertices", "adaptive-crash", "composed"],
+)
+def test_vertex_fault_scenarios_are_refused_before_any_work(backend, scenario, monkeypatch):
+    """The protocol waits on every expected reply, so it takes delivery
+    scenarios only: the driver refuses a vertex-fault scenario up front
+    instead of spinning to its round cap."""
+
+    def no_recursion(*args, **kwargs):
+        raise AssertionError("the driver decomposed under a vertex-fault scenario")
+
+    monkeypatch.setattr(distributed, "RecursiveListingDriver", no_recursion)
+    graph = planted_cliques(60, 4, 3, background_avg_degree=3.0, seed=2)
+    named = re.escape(resolve_scenario(scenario).describe())
+    with pytest.raises(ValueError, match=f"delivery scenarios only; {named}"):
+        list_cliques_distributed(graph, 3, backend=backend, scenario=scenario)
 
 
 def test_distributed_kp_on_fixed_graph_across_backends():

@@ -1,0 +1,158 @@
+"""``ListingVector`` is held to its per-vertex twin, ``ListingVertex``.
+
+:meth:`~repro.listing.distributed.ClusterProtocolPlan.factory` returns one
+plan-bound class: the vectorized backend steps it on arrays, the reference
+and sharded backends run its ``per_vertex`` twin.  For every plan and
+delivery scenario below, the three runs must agree on everything
+:func:`test_vector_layer.run_signature` checks: rounds, messages, words,
+drops, halting, per-phase rounds and each vertex's output.
+
+The plans cover the places the two paths could part:
+
+* the small hand-built plan of ``test_distributed_listing`` (two listers,
+  one owner learning a ``K_4`` through two relays), for ``p`` = 3 and 4;
+* a power-law graph whose low-degree vertices list and whose ten hubs each
+  learn 30 edges they are not on, so ``hits`` replies and relayed packets
+  share edges in the same round and send order decides every completion;
+* the same plan over string labels, whose words cost more than one word
+  each (``1 + len`` per payload would undercount);
+* an edgeless graph and a graph with isolated vertices;
+* a run cut off by ``max_rounds`` while some listers still wait.
+"""
+
+import itertools
+
+import networkx as nx
+import pytest
+
+from repro.engine import (
+    AdversarialDelayScenario,
+    BurstyFaultScenario,
+    ComposedScenario,
+    HeterogeneousBandwidthScenario,
+    LinkDropScenario,
+    ShardedBackend,
+)
+from repro.engine.vector import is_vector_algorithm
+from repro.experiments import Session
+from repro.graphs import planted_cliques, power_law
+from repro.listing import list_cliques_distributed
+from repro.listing.distributed import add_edge_learning, plan_two_hop_protocol
+from test_distributed_listing import _per_vertex_plan
+from test_vector_layer import run_signature
+
+
+def _hub_plan(relabel: bool = False):
+    """Low-degree listers plus ten hubs learning 30 far edges each."""
+    graph = power_law(150, avg_degree=12, seed=1)
+    degree = dict(graph.degree)
+    listers = [v for v in graph if degree[v] <= 6]
+    hubs = sorted(graph, key=lambda v: (-degree[v], v))[:10]
+    edges = sorted(tuple(sorted(e)) for e in graph.edges)
+    owner_edges = {hub: set([e for e in edges if hub not in e][:30]) for hub in hubs}
+    if relabel:
+        name = "v%03d".__mod__
+        graph = nx.relabel_nodes(graph, name)
+        listers = [name(v) for v in listers]
+        owner_edges = {
+            name(hub): {(name(u), name(w)) for u, w in far}
+            for hub, far in owner_edges.items()
+        }
+    plan = plan_two_hop_protocol(graph, listers, 3)
+    add_edge_learning(plan, owner_edges)
+    return plan
+
+
+def _isolated_plan():
+    """A K4 with a tail to an owner, plus two isolated vertices (one lists)."""
+    graph = nx.Graph()
+    graph.add_edges_from(itertools.combinations([0, 1, 2, 3], 2))
+    graph.add_edges_from([(3, 4), (4, 5)])
+    graph.add_nodes_from([6, 7])
+    plan = plan_two_hop_protocol(graph, [0, 6], 3)
+    add_edge_learning(plan, {5: {(0, 1), (0, 2), (1, 2), (4, 5)}})
+    return plan
+
+
+PLANS = [
+    pytest.param(lambda: _per_vertex_plan(3)[0], None, id="per-vertex-p3"),
+    pytest.param(lambda: _per_vertex_plan(4)[0], None, id="per-vertex-p4"),
+    pytest.param(_hub_plan, None, id="power-law-hubs"),
+    pytest.param(lambda: _hub_plan(relabel=True), None, id="string-labels"),
+    pytest.param(
+        lambda: plan_two_hop_protocol(nx.empty_graph(5), [0, 2, 4], 3), None,
+        id="edgeless",
+    ),
+    pytest.param(_isolated_plan, None, id="isolated-vertices"),
+    pytest.param(_hub_plan, 12, id="truncated"),
+]
+
+SCENARIOS = [
+    pytest.param(None, id="clean"),
+    pytest.param(LinkDropScenario(drop_probability=0.15, seed=21), id="link-drop"),
+    pytest.param(BurstyFaultScenario(0.5, 3, 8, seed=9), id="bursty"),
+    pytest.param(
+        HeterogeneousBandwidthScenario((1.0, 0.5, 0.25), seed=4),
+        id="heterogeneous-bandwidth",
+    ),
+    pytest.param(
+        AdversarialDelayScenario(stall_period=4, seed=2), id="adversarial-delay"
+    ),
+    pytest.param(
+        ComposedScenario.sequential(
+            (LinkDropScenario(0.3, seed=11), 10),
+            (BurstyFaultScenario(0.5, 3, 8, seed=12), 40),
+            ("clean", None),
+        ),
+        id="sequential",
+    ),
+]
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("build,max_rounds", PLANS)
+def test_listing_vector_matches_its_twin_on_every_backend(build, max_rounds, scenario):
+    plan = build()
+    factory = plan.factory()
+    assert is_vector_algorithm(factory)
+    cap = max_rounds or 100_000
+    session = Session()
+    runs = {
+        name: run_signature(
+            session.execute(
+                plan.graph, factory, backend=backend, scenario=scenario, max_rounds=cap
+            )
+        )
+        for name, backend in [
+            ("vectorized", "vectorized"),
+            ("reference", "reference"),
+            ("sharded", ShardedBackend(num_workers=2)),
+        ]
+    }
+    assert runs["vectorized"] == runs["reference"]
+    assert runs["sharded"] == runs["reference"]
+    if max_rounds is None:
+        assert runs["vectorized"]["halted"]
+    else:
+        # Cut off mid-run: a vertex that halted has its full output, one
+        # that had not has the empty set.
+        assert not runs["vectorized"]["halted"]
+        assert runs["vectorized"]["rounds"] == max_rounds
+        full = session.execute(
+            plan.graph, factory, backend="vectorized", scenario=scenario
+        ).outputs
+        cut = runs["vectorized"]["outputs"]
+        assert all(cut[v] in (set(), full[v]) for v in full)
+        assert any(cut[v] == set() != full[v] for v in full)
+
+
+def test_string_labels_cost_their_words_in_a_full_listing():
+    """Each string label costs its own words, on both paths, end to end."""
+    graph = planted_cliques(60, 4, 3, background_avg_degree=3.0, seed=2)
+    named = nx.relabel_nodes(graph, "v%03d".__mod__)
+    signatures = {}
+    for backend in ("vectorized", "reference"):
+        result = list_cliques_distributed(named, 3, backend=backend)
+        assert len(result.cliques) == len(list_cliques_distributed(graph, 3).cliques)
+        signatures[backend] = (result.measured_rounds, result.measured_words)
+    assert signatures["vectorized"] == signatures["reference"] == (341, 8644)
