@@ -13,9 +13,10 @@ The public API re-exports the main entry points:
 * :func:`repro.validate_listing` / :func:`repro.validate_distributed_listing`
   -- coverage checks against ground truth (plus the measured-vs-predicted
   round cross-check for distributed runs).
-* :func:`repro.run_on_engine` -- run any per-vertex CONGEST algorithm on
+* :func:`repro.run_algorithm` -- run any per-vertex CONGEST algorithm on
   the pluggable execution engine (:mod:`repro.engine`): reference,
-  vectorized, or sharded backend, under pluggable delivery scenarios.
+  vectorized, or sharded backend, under pluggable delivery scenarios.  It
+  is :func:`repro.engine.run_algorithm`, the engine's one entry point.
 * :class:`repro.ExperimentSpec` / :class:`repro.Session` -- the declarative
   experiment layer (:mod:`repro.experiments`): JSON-round-tripping
   experiment specs over open registries, executed as single runs, seed
@@ -49,8 +50,7 @@ from repro.listing import (
     validate_distributed_listing,
 )
 from repro.listing.validation import CoverageReport, DistributedValidationReport
-from repro.engine import VectorAlgorithm
-from repro.engine import run_algorithm as run_on_engine
+from repro.engine import VectorAlgorithm, run_algorithm
 from repro.experiments import ExperimentSpec, ResultSet, RunResult, Session
 from repro.obs import JsonlTracer, NullTracer, RecordingTracer, Tracer
 
@@ -78,7 +78,7 @@ __all__ = [
     "validate_listing",
     "validate_on_engine",
     "validate_distributed_listing",
-    "run_on_engine",
+    "run_algorithm",
     "CoverageReport",
     "DistributedValidationReport",
     "__version__",

@@ -22,7 +22,7 @@ driven.
 from repro.congest.message import Message, message_size_bits, words_for_payload
 from repro.congest.metrics import CongestMetrics
 from repro.congest.vertex import VertexAlgorithm
-from repro.congest.network import CongestNetwork, SynchronousRun, run_algorithm
+from repro.congest.network import CongestNetwork, SynchronousRun
 from repro.congest.cost import (
     BandwidthModel,
     CostAccountant,
@@ -39,7 +39,6 @@ __all__ = [
     "VertexAlgorithm",
     "CongestNetwork",
     "SynchronousRun",
-    "run_algorithm",
     "BandwidthModel",
     "CostAccountant",
     "RoutingOverhead",

@@ -8,9 +8,10 @@ to stretch a large transfer over multiple rounds.
 
 This executor is the *reference semantics* of the execution engine
 (:mod:`repro.engine`): the vectorized and sharded backends are validated
-against it.  For large graphs, select a faster backend through
-:func:`run_algorithm`'s ``backend`` argument or :func:`repro.engine.run_algorithm`;
-the asymptotic scaling experiments use :mod:`repro.congest.cost`.
+against it.  Algorithms run through :func:`repro.engine.run_algorithm`,
+whose ``backend`` argument selects this network (``"reference"``, the
+default) or a faster backend; the asymptotic scaling experiments use
+:mod:`repro.congest.cost`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.congest.metrics import CongestMetrics
 from repro.congest.vertex import VertexFactory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.engine.backend import Backend
     from repro.engine.scenarios import DeliveryScenario
     from repro.obs.tracer import Tracer
 
@@ -214,32 +214,3 @@ class CongestNetwork:
                 tracer.edges_blocked(round_index, self._last_blocked)
         return delivered, words_crossed
 
-
-def run_algorithm(
-    graph: nx.Graph,
-    factory: VertexFactory,
-    max_rounds: int = 10_000,
-    phase: str = "simulated",
-    metrics: CongestMetrics | None = None,
-    backend: "Backend | type[Backend] | str | None" = None,
-    scenario: "DeliveryScenario | str | None" = None,
-) -> SynchronousRun:
-    """Run ``factory`` on the execution engine (reference backend by default).
-
-    This is the historical entry point; it now routes through
-    :func:`repro.engine.runner.run_algorithm`, so existing callers keep the
-    faithful edge-by-edge semantics unchanged while gaining backend
-    (``"reference"`` / ``"vectorized"`` / ``"sharded"``) and delivery-scenario
-    selection.
-    """
-    from repro.engine.runner import run_algorithm as engine_run
-
-    return engine_run(
-        graph,
-        factory,
-        backend=backend,
-        max_rounds=max_rounds,
-        phase=phase,
-        metrics=metrics,
-        scenario=scenario,
-    )

@@ -23,21 +23,22 @@ set-up that picks the two parts:
   call, eliminating the Python per-vertex loop entirely on the vectorized
   backend while still running per-vertex (via its ``per_vertex`` twin) on
   the reference and sharded backends.
-* :mod:`repro.engine.sharded` -- one shard per forked worker process with
-  per-round barriers; each round crosses every worker's pipe as one
-  pickled columnar batch each way, plus the round's crashes.
+* :mod:`repro.engine.sharded` -- per-vertex shards on the batch scheduler:
+  one in-process shard by default, or ``num_workers=k`` shards in forked
+  worker processes with per-round barriers, each round crossing every
+  worker's pipe as one pickled columnar batch each way.
 * :mod:`repro.engine.scenarios` -- pluggable, composable delivery models:
   clean synchronous, per-round link drops, adversarial bounded delay,
   correlated bursty outages, per-edge heterogeneous bandwidth, and the
   :class:`ComposedScenario` overlay/sequential combinator (JSON-serialisable
-  via :func:`build_composed`).  Every built-in ships a batch
-  ``transmit_mask`` kernel that reads each row from its own start round,
-  so the fast backends schedule faulty scenarios with per-edge prefix sums
-  over windows starting where each edge's traffic starts, instead of
-  per-round decision replay.
-* :mod:`repro.engine.runner` -- :func:`run_algorithm`, the single-execution
-  compatibility shim; declarative sweeps and grids live one layer up in
-  :mod:`repro.experiments`.
+  via :func:`build_composed`).  The fast backends schedule every faulty
+  scenario with per-edge prefix sums over its batch ``transmit_mask``, each
+  row read from where that edge's traffic starts; every built-in ships a
+  numpy kernel for it, and a ``transmits``-only scenario gets the base
+  mask, which replays ``transmits`` cell by cell.
+* :mod:`repro.engine.runner` -- :func:`run_algorithm`, the one entry point
+  for a single execution (``Session().execute``); declarative sweeps and
+  grids live one layer up in :mod:`repro.experiments`.
 
 All backends are semantically equivalent: same outputs, same round counts,
 same message/word accounting, under every scenario.
@@ -53,13 +54,8 @@ from repro.engine.registry import (
     register_scenario,
     scenario_registry,
 )
-from repro.engine.runner import (
-    BACKENDS,
-    resolve_backend,
-    run_algorithm,
-)
+from repro.engine.runner import resolve_backend, run_algorithm
 from repro.engine.scenarios import (
-    SCENARIOS,
     AdversarialDelayScenario,
     BurstyFaultScenario,
     CleanSynchronous,
@@ -92,7 +88,6 @@ __all__ = [
     "is_vector_algorithm",
     "run_vector_algorithm",
     "Backend",
-    "BACKENDS",
     "ReferenceBackend",
     "VectorizedBackend",
     "ShardedBackend",
@@ -112,7 +107,6 @@ __all__ = [
     "HeterogeneousBandwidthScenario",
     "ComposedScenario",
     "RoundStats",
-    "SCENARIOS",
     "build_composed",
     "resolve_scenario",
 ]

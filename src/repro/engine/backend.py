@@ -33,8 +33,8 @@ class Backend(ABC):
 
     Attributes:
         name: registry key of the backend (``reference``, ``vectorized``,
-            ``sharded``); used by :func:`repro.engine.runner.run_algorithm`
-            to select backends by string.
+            ``sharded``); :func:`repro.engine.run_algorithm` and
+            :class:`~repro.experiments.ExperimentSpec` select backends by it.
     """
 
     name: str = "abstract"

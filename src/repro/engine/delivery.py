@@ -18,11 +18,12 @@ start round and sized from its own remaining words, and turns it into a
 cumulative-transmission prefix sum — the round in which a transfer's
 ``k``-th word crosses is the position of the ``k``-th set bit at/after the
 transfer's start.  Edges whose windows have similar lengths share one
-rectangular mask query.  That keeps faulty-scenario scheduling inside numpy
-for every scenario with a native kernel (all built-ins), while scenarios
-that only implement the scalar ``transmits`` fall back to the per-round
-replay — in both cases agreeing word-for-word with the edge-by-edge
-reference under the same scenario.
+rectangular mask query.  Every faulty scenario takes this path: the
+built-ins answer the mask query with a numpy kernel, and a scenario that
+only implements the scalar ``transmits`` answers it through the base
+``transmit_mask``, one ``transmits`` call per cell.  Either way the
+schedule agrees word-for-word with the edge-by-edge reference under the
+same scenario.
 """
 
 from __future__ import annotations
@@ -91,10 +92,9 @@ class WordScheduler:
     ``max(edge_free_at[e] + 1, r)`` and, under the clean scenario, completes
     ``w`` rounds later — exactly the FIFO head-of-line behaviour of the
     per-edge deques in the reference simulator.  Under a faulty scenario
-    with a batch kernel the completion round comes from prefix sums over
-    the scenario's transmit mask, each edge scanning a window that starts
-    at its own start round; kernel-less scenarios replay the scalar
-    decisions per transfer.
+    the completion round comes from prefix sums over the scenario's
+    transmit mask, each edge scanning a window that starts at its own start
+    round.
 
     The scheduler binds the scenario to its graph's edge order at
     construction, so a scenario instance schedules for one graph at a time
@@ -136,25 +136,6 @@ class WordScheduler:
 
     # -- completion-round computation ----------------------------------------
 
-    def _transfer_done(self, edge: Edge, edge_id: int, round_index: int, words: int) -> int:
-        """Completion round of one transfer; updates occupancy and word levels."""
-        start = max(int(self.edge_free_at[edge_id]) + 1, round_index)
-        crossings = self.scenario.transfer_schedule(edge, start, words, self.horizon)
-        for crossing in crossings:
-            self._level_diff[crossing] += 1
-            self._level_diff[crossing + 1] -= 1
-        if len(crossings) < words:
-            # The scenario blocks this edge past the run's horizon: the
-            # message never completes.  Park it one round beyond the last
-            # executable round so it stays pending (the reference simulator
-            # likewise keeps its queue non-empty forever) and occupies the
-            # edge for any traffic queued behind it.
-            done = self.horizon
-        else:
-            done = crossings[-1]
-        self.edge_free_at[edge_id] = done
-        return done
-
     def _kernel_completions(
         self,
         edge_rows: np.ndarray,
@@ -171,8 +152,11 @@ class WordScheduler:
         of the group's FIFO up to that transfer, so the transfer completes
         in the round its group's ``query_k``-th word crosses: the position
         of the ``k``-th set mask bit at/after the start.  Transfers the
-        horizon cuts off resolve to ``horizon`` — the parked
-        never-completes convention of :meth:`_transfer_done`.
+        horizon cuts off resolve to ``horizon``: such a message never
+        completes, so it is parked one round beyond the last executable
+        round, stays pending (the reference simulator likewise keeps its
+        queue non-empty forever) and occupies the edge for any traffic
+        queued behind it.
 
         Every pending group scans its own window of the mask from its
         cursor (its start, then the end of its last window).  The first
@@ -281,79 +265,64 @@ class WordScheduler:
     ) -> np.ndarray:
         """Completion rounds (original array order) of a batch of transfers.
 
-        Semantics are identical to calling :meth:`_transfer_done` once per
-        row in array order — including FIFO queueing when the same directed
-        edge appears more than once — with occupancy (``edge_free_at``) and
-        the word-level difference array updated.  Three paths: clean
-        (pure arithmetic), scenario kernel (prefix sums over the transmit
-        mask), scalar fallback (per-transfer decision replay for scenarios
-        without a kernel).
+        Each row queues its words on its directed edge behind everything
+        queued there before, rows of the same edge in array order (the
+        reference simulator's per-edge FIFO), with occupancy
+        (``edge_free_at``) and the word-level difference array updated.
+        Two paths: clean (pure arithmetic) and kernel (prefix sums over the
+        scenario's transmit mask).
         """
         count = int(edge_ids.size)
-        scenario = self.scenario
         windows = window_cells = 0
-        if not (scenario.is_clean or scenario.has_kernel):
-            # Scalar fallback: the scenario only implements per-(edge, round)
-            # ``transmits``; replay decisions per transfer in array order.
-            path = "scalar"
-            edges = self.index.edges
-            done = np.empty(count, dtype=np.int64)
-            for i in range(count):
-                edge_id = int(edge_ids[i])
-                done[i] = self._transfer_done(
-                    edges[edge_id], edge_id, round_index, int(words[i])
-                )
+        # Group FIFO traffic per edge: a stable sort keeps each edge's
+        # transfers in queue order.
+        order = np.argsort(edge_ids, kind="stable")
+        e = edge_ids[order]
+        w = words[order]
+        group_first = np.empty(count, dtype=bool)
+        group_first[0] = True
+        group_first[1:] = e[1:] != e[:-1]
+        if self.scenario.is_clean:
+            path = "clean"
+            positions = np.arange(count)
+            first_index = np.maximum.accumulate(
+                np.where(group_first, positions, 0)
+            )
+            # Within an edge's FIFO group, transfer k starts right after
+            # the cumulative words of transfers 0..k-1 queued before it.
+            cumulative = np.cumsum(w)
+            preceding = cumulative - w
+            offset = preceding - preceding[first_index]
+            base = np.maximum(self.edge_free_at[e] + 1, round_index)
+            start = base[first_index] + offset
+            done_sorted = start + w - 1
+            group_last = np.empty(count, dtype=bool)
+            group_last[-1] = True
+            group_last[:-1] = group_first[1:]
+            self.edge_free_at[e[group_last]] = done_sorted[group_last]
+            for r, c in zip(*np.unique(start, return_counts=True)):
+                self._level_diff[int(r)] += int(c)
+            for r, c in zip(*np.unique(done_sorted + 1, return_counts=True)):
+                self._level_diff[int(r)] -= int(c)
         else:
-            # Group FIFO traffic per edge: a stable sort keeps each edge's
-            # transfers in queue order.
-            order = np.argsort(edge_ids, kind="stable")
-            e = edge_ids[order]
-            w = words[order]
-            group_first = np.empty(count, dtype=bool)
-            group_first[0] = True
-            group_first[1:] = e[1:] != e[:-1]
-            if scenario.is_clean:
-                path = "clean"
-                positions = np.arange(count)
-                first_index = np.maximum.accumulate(
-                    np.where(group_first, positions, 0)
-                )
-                # Within an edge's FIFO group, transfer k starts right after
-                # the cumulative words of transfers 0..k-1 queued before it.
-                cumulative = np.cumsum(w)
-                preceding = cumulative - w
-                offset = preceding - preceding[first_index]
-                base = np.maximum(self.edge_free_at[e] + 1, round_index)
-                start = base[first_index] + offset
-                done_sorted = start + w - 1
-                group_last = np.empty(count, dtype=bool)
-                group_last[-1] = True
-                group_last[:-1] = group_first[1:]
-                self.edge_free_at[e[group_last]] = done_sorted[group_last]
-                for r, c in zip(*np.unique(start, return_counts=True)):
-                    self._level_diff[int(r)] += int(c)
-                for r, c in zip(*np.unique(done_sorted + 1, return_counts=True)):
-                    self._level_diff[int(r)] -= int(c)
-            else:
-                # Answer "in which round does this edge's k-th word cross?"
-                # with one prefix-sum search per batch instead of a
-                # per-round Python replay per transfer.
-                path = "kernel"
-                first_pos = np.flatnonzero(group_first)
-                group_sizes = np.diff(np.append(first_pos, count))
-                u_edges = e[first_pos]
-                cumulative = np.cumsum(w)
-                group_base = cumulative[first_pos] - w[first_pos]
-                cum_within = cumulative - np.repeat(group_base, group_sizes)
-                last_pos = np.append(first_pos[1:], count) - 1
-                totals = cum_within[last_pos]
-                starts = np.maximum(self.edge_free_at[u_edges] + 1, round_index)
-                done_sorted, windows, window_cells = self._kernel_completions(
-                    u_edges, starts, totals, group_sizes, cum_within
-                )
-                self.edge_free_at[u_edges] = done_sorted[last_pos]
-            done = np.empty(count, dtype=np.int64)
-            done[order] = done_sorted
+            # Answer "in which round does this edge's k-th word cross?"
+            # with one prefix-sum search over the transmit mask per batch.
+            path = "kernel"
+            first_pos = np.flatnonzero(group_first)
+            group_sizes = np.diff(np.append(first_pos, count))
+            u_edges = e[first_pos]
+            cumulative = np.cumsum(w)
+            group_base = cumulative[first_pos] - w[first_pos]
+            cum_within = cumulative - np.repeat(group_base, group_sizes)
+            last_pos = np.append(first_pos[1:], count) - 1
+            totals = cum_within[last_pos]
+            starts = np.maximum(self.edge_free_at[u_edges] + 1, round_index)
+            done_sorted, windows, window_cells = self._kernel_completions(
+                u_edges, starts, totals, group_sizes, cum_within
+            )
+            self.edge_free_at[u_edges] = done_sorted[last_pos]
+        done = np.empty(count, dtype=np.int64)
+        done[order] = done_sorted
         tracer = self.tracer
         if tracer.enabled:
             tracer.scheduler_batch(
@@ -385,11 +354,9 @@ class WordScheduler:
     ) -> None:
         """Bulk-enqueue message objects (one round's outgoing traffic).
 
-        Semantics are identical to calling :meth:`_transfer_done` once per
-        message in sequence order — including FIFO queueing when the same
-        directed edge appears more than once — but completion rounds are
-        computed for the whole batch at once, which keeps faulty-scenario
-        scheduling vectorized for every kernel scenario.
+        Messages queue per directed edge in sequence order (the reference
+        simulator's FIFO), with completion rounds computed for the whole
+        batch at once by :meth:`_schedule_transfers`.
         """
         count = len(messages)
         if count == 0:
@@ -421,11 +388,9 @@ class WordScheduler:
         ``senders`` / ``receivers`` are dense vertex ids, ``edge_ids`` the
         matching directed-edge ids of this scheduler's :class:`GraphIndex`,
         ``words`` the per-transfer word counts, and ``values`` the payload
-        words handed back verbatim by :meth:`deliver_batch`.  Semantics are
-        identical to calling :meth:`_transfer_done` once per row in array order —
-        including FIFO queueing when the same directed edge appears more
-        than once — and the whole computation stays in numpy for the clean
-        scenario and for every scenario with a batch kernel.
+        words handed back verbatim by :meth:`deliver_batch`.  Rows queue
+        per directed edge in array order (the reference simulator's FIFO),
+        with completion rounds from :meth:`_schedule_transfers`.
 
         Completed rounds must then be drained with :meth:`deliver_batch`;
         a scheduler instance uses either the message-object API or the

@@ -38,9 +38,7 @@ class Registry:
     Attributes:
         kind: what the registry holds (``"backend"`` / ``"scenario"``);
             used in error messages.
-        entries: the live name -> class mapping.  Exported under the legacy
-            names ``BACKENDS`` / ``SCENARIOS``, so code holding those dicts
-            observes registrations immediately.
+        entries: the live name -> class mapping.
     """
 
     def __init__(self, kind: str):

@@ -1,4 +1,4 @@
-"""Single entry point for running a CONGEST algorithm on any backend.
+"""The one entry point for running a CONGEST algorithm on any backend.
 
 Usage::
 
@@ -15,18 +15,14 @@ and scenarios live in the open registries of :mod:`repro.engine.registry`:
 ``@register_backend`` / ``@register_scenario`` make new implementations
 selectable by name here without touching this module.
 
-.. note:: **Migration.** :func:`run_algorithm` is kept as a thin
-   compatibility shim over the declarative experiment layer
-   (:mod:`repro.experiments`).  New code that runs more than a single ad-hoc
-   execution — seed sweeps, repeats, backend x scenario grids, JSON
-   reporting — should build an :class:`~repro.experiments.ExperimentSpec`
-   and execute it through a :class:`~repro.experiments.Session` instead;
-   ``run_algorithm(...)`` is exactly ``Session().execute(...)``.  For
-   *batch* use — many grids, repeated submissions, several consumers
-   sharing results — run the experiment service (:mod:`repro.service`,
-   ``scripts/reprod.py serve``): it executes cells on a worker pool with
-   fair-share queueing and answers repeated cells from a
-   content-addressed result cache.
+:func:`run_algorithm` is exactly ``Session().execute(...)``
+(:mod:`repro.experiments`), which calls the backend's ``run``; there is no
+other way in.  Seed sweeps, repeats, backend x scenario grids and JSON
+reporting build an :class:`~repro.experiments.ExperimentSpec` and run it
+through a :class:`~repro.experiments.Session`; batch use (many grids,
+repeated submissions, several consumers sharing results) goes through the
+experiment service (:mod:`repro.service`, ``scripts/reprod.py serve``),
+which answers repeated cells from a content-addressed result cache.
 """
 
 from __future__ import annotations
@@ -42,11 +38,6 @@ from repro.engine.scenarios import DeliveryScenario
 from repro.engine.sharded import ShardedBackend  # noqa: F401  (registers itself)
 from repro.engine.vectorized import VectorizedBackend  # noqa: F401  (registers itself)
 from repro.obs.tracer import Tracer
-
-# Legacy alias: the live name -> class mapping of the open registry.  Code
-# that iterated the old closed dict keeps working and now sees every
-# @register_backend registration as well.
-BACKENDS: dict[str, type[Backend]] = backend_registry.entries
 
 
 def resolve_backend(backend: Backend | type[Backend] | str | None) -> Backend:
@@ -80,10 +71,7 @@ def run_algorithm(
 ) -> SynchronousRun:
     """Run ``factory`` on every vertex of ``graph`` on the selected backend.
 
-    This is a compatibility shim over
-    :meth:`repro.experiments.Session.execute` — see the module docstring for
-    the migration note.  The argument surface is unchanged from earlier
-    releases.
+    Runs :meth:`repro.experiments.Session.execute` on a fresh session.
 
     Args:
         graph: undirected communication topology.

@@ -22,17 +22,17 @@ Every scenario exposes the decision function twice:
   round) the :class:`~repro.engine.delivery.WordScheduler` consumes when
   computing completion rounds by prefix sums.
 
-The built-in scenarios implement native numpy kernels for the batch form
-(``has_kernel = True``): the per-``(edge, round)`` decision is a
+The built-in scenarios override the batch form with native numpy kernels:
+the per-``(edge, round)`` decision is a
 `splitmix64 <https://prng.di.unimi.it/splitmix64.c>`_ finalizer applied to a
 per-edge blake2b base hash combined with the round (or burst window) index,
 computable as pure ``uint64`` array arithmetic.  The scalar ``transmits``
 evaluates the *same* integer formula, so both forms agree call-for-call —
 a guarantee pinned by the property suite (``tests/test_scenario_kernels.py``).
 User scenarios only need to implement ``transmits``: the default
-``transmit_mask`` replays it element-wise (correct everywhere, just not
-vectorized — see the README's Performance section for when that fallback
-fires and how to add a kernel).
+``transmit_mask`` replays it cell by cell, so the scheduler takes the same
+prefix-sum path at one Python ``transmits`` call per mask cell (see the
+README's Performance section for how to add a kernel).
 
 Batch queries address edges by the dense ids of a
 :class:`~repro.engine.delivery.GraphIndex`; :meth:`DeliveryScenario.bind_edges`
@@ -213,21 +213,14 @@ class DeliveryScenario(ABC):
 
     Attributes:
         is_clean: ``True`` when ``transmits`` is constantly ``True``; lets
-            batch schedulers skip the decision replay entirely and compute
+            batch schedulers skip the transmit mask entirely and compute
             delivery rounds arithmetically.
-        has_kernel: ``True`` when :meth:`transmit_mask` is a native numpy
-            kernel; the scheduler then computes faulty-scenario completion
-            rounds by prefix sums over the mask instead of replaying the
-            scalar ``transmits`` per round.  The default ``False`` keeps
-            every ``transmits``-only user scenario working (the base
-            ``transmit_mask`` loops the scalar form).
         name: registry key when the class is registered via
             :func:`repro.engine.registry.register_scenario`; registered
             classes are selectable by name wherever a scenario is accepted.
     """
 
     is_clean: bool = False
-    has_kernel: bool = False
     # Link faults: whether ``transmits`` can ever say no.  Scenarios whose
     # faults live entirely at the vertices (crash-stop, Byzantine) set this
     # ``False`` so the schedulers keep the clean arithmetic fast path.
@@ -275,10 +268,9 @@ class DeliveryScenario(ABC):
         ``first_round`` is one start round per row, or one int shared by
         every row; each row is a window of ``num_rounds`` rounds from its
         own start.  The base implementation replays the scalar
-        :meth:`transmits` per element, so every scenario supports the batch
-        form; kernels (``has_kernel = True``) override with array
-        arithmetic.  Requires :meth:`bind_edges` to have associated ids
-        with edges.
+        :meth:`transmits` per cell, so every scenario supports the batch
+        form; kernels override it with array arithmetic.  Requires
+        :meth:`bind_edges` to have associated ids with edges.
         """
         edges = self._bound_edges
         if edges is None:
@@ -295,32 +287,6 @@ class DeliveryScenario(ABC):
             for j in range(num_rounds):
                 row[j] = self.transmits(edge, starts[i] + j)
         return mask
-
-    def transfer_schedule(
-        self, edge: Edge, start_round: int, words: int, horizon: int | None = None
-    ) -> list[int]:
-        """Rounds in which the ``words`` words of one transfer cross.
-
-        The transfer occupies the edge from ``start_round`` until the last
-        returned round; the result has at most ``words`` entries, one per
-        word, in increasing round order.  Used by batch schedulers to
-        replay the same decisions the edge-by-edge simulator would make.
-
-        ``horizon`` bounds the replay (exclusive): a scenario that blocks
-        an edge forever would otherwise never accumulate ``words``
-        successes.  Callers that execute at most ``max_rounds`` rounds pass
-        that as the horizon; a short result then means the transfer does
-        not complete within the run.
-        """
-        if self.is_clean:
-            return list(range(start_round, start_round + words))
-        schedule: list[int] = []
-        round_index = start_round
-        while len(schedule) < words and (horizon is None or round_index < horizon):
-            if self.transmits(edge, round_index):
-                schedule.append(round_index)
-            round_index += 1
-        return schedule
 
     # -- vertex-fault interface ----------------------------------------------
     #
@@ -417,7 +383,6 @@ class CleanSynchronous(DeliveryScenario):
     """The standard fault-free synchronous CONGEST model."""
 
     is_clean = True
-    has_kernel = True
     has_link_faults = False
 
     def transmits(self, edge: Edge, round_index: int) -> bool:
@@ -446,7 +411,6 @@ class LinkDropScenario(_VertexHashMixin, DeliveryScenario):
     deterministic across processes and backends.
     """
 
-    has_kernel = True
     _hash_label = "link-drop"
 
     def __init__(self, drop_probability: float = 0.1, seed: int = 0):
@@ -499,7 +463,6 @@ class AdversarialDelayScenario(_VertexHashMixin, DeliveryScenario):
     worst case for algorithms that rely on lockstep arrival.
     """
 
-    has_kernel = True
     _hash_label = "adv-delay"
 
     def __init__(self, stall_period: int = 4, seed: int = 0):
@@ -567,7 +530,6 @@ class BurstyFaultScenario(_VertexHashMixin, DeliveryScenario):
     ``(edge, round)``, reproducible across all backends.
     """
 
-    has_kernel = True
 
     def __init__(
         self,
@@ -683,7 +645,6 @@ class HeterogeneousBandwidthScenario(_VertexHashMixin, DeliveryScenario):
     choosing uniformly from ``capacities``.
     """
 
-    has_kernel = True
 
     def __init__(
         self,
@@ -833,7 +794,6 @@ class ComposedScenario(DeliveryScenario):
             self.durations = ()
             self._boundaries = ()
         self.is_clean = all(part.is_clean for part in self.parts)
-        self.has_kernel = all(part.has_kernel for part in self.parts)
         self.has_link_faults = any(part.has_link_faults for part in self.parts)
         self.has_vertex_faults = any(part.has_vertex_faults for part in self.parts)
         self.is_adaptive = any(part.is_adaptive for part in self.parts)
@@ -1088,11 +1048,6 @@ def resolve_scenario(scenario: DeliveryScenario | str | None) -> DeliveryScenari
     raise TypeError(f"cannot interpret {scenario!r} as a delivery scenario")
 
 
-# Legacy alias: the live name -> class mapping of the open registry.  Code
-# that iterated the old closed dict keeps working and now sees every
-# @register_scenario registration as well.
-SCENARIOS: dict[str, type[DeliveryScenario]] = scenario_registry.entries
-
 __all__ = [
     "AdversarialDelayScenario",
     "BurstyFaultScenario",
@@ -1102,7 +1057,6 @@ __all__ = [
     "HeterogeneousBandwidthScenario",
     "LinkDropScenario",
     "RoundStats",
-    "SCENARIOS",
     "available_scenarios",
     "build_composed",
     "link_projection",

@@ -1,25 +1,31 @@
-"""Sharded backend: vertex-partitioned execution across worker processes.
+"""Sharded backend: vertex-partitioned execution, in-process or forked.
 
-Vertices are split into contiguous shards (in ``graph.nodes`` order); each
-shard is one :class:`~repro.engine.rounds.ShardState`, the per-vertex
-compute step every backend runs, stepped in a forked worker process.  The
-parent runs the round driver (:mod:`repro.engine.rounds`) on the
-:class:`~repro.engine.delivery.WordScheduler`.  Shards never consult the
-scenario: each round token carries the vertices crashed that round.
+Vertices are split into ``num_workers`` contiguous shards (in
+``graph.nodes`` order); each shard is one
+:class:`~repro.engine.rounds.ShardState`, the per-vertex compute step every
+backend runs.  The parent runs the round driver (:mod:`repro.engine.rounds`)
+on the :class:`~repro.engine.delivery.WordScheduler`.  Shards never consult
+the scenario: each round token carries the vertices crashed that round.
 
-One synchronous round is one barrier: the parent broadcasts the round's
-deliveries and crashes to every worker, the workers step their vertices
-concurrently, and the parent collects the outgoing traffic.  The
-request/response pair over each worker's pipe *is* the barrier — no worker
-can run ahead of the round the parent is driving.
+The default, ``num_workers=1``, is one shard stepped in the parent process:
+on every workload of this repository it beats forked workers (the README's
+sharded table).  ``num_workers=k`` with ``k > 1`` forks one worker process
+per shard, which pays off only when per-vertex compute dominates the pipe
+traffic.
+
+With forked workers one synchronous round is one barrier: the parent
+broadcasts the round's deliveries and crashes to every worker, the workers
+step their vertices concurrently, and the parent collects the outgoing
+traffic.  The request/response pair over each worker's pipe *is* the
+barrier — no worker can run ahead of the round the parent is driving.
 
 Workers are started with the ``fork`` start method so that arbitrary vertex
 factories (including classes defined in test modules or notebooks) need not
 be picklable.  Per round, a forked shard and the parent exchange one
 pickled columnar batch (:func:`_pack_messages`) each way over the shard's
-pipe: the deliveries and crashes down, the outgoing traffic up.  Where the
-start method is unavailable (or for ``num_workers=1``) the shards run
-in-process with identical semantics — and **no serialisation layer at
+pipe: the deliveries and crashes down, the outgoing traffic up.  With
+``num_workers=1``, or where the start method is unavailable, the shards
+run in-process with identical semantics — and **no serialisation layer at
 all**: in-process shards exchange the very ``Message`` objects the parent
 holds.
 """
@@ -27,7 +33,6 @@ holds.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
 import time
 from typing import Hashable
@@ -201,32 +206,30 @@ class _ProcessShard:
 
 @register_backend("sharded")
 class ShardedBackend(Backend):
-    """Multi-core backend: per-shard workers, per-round barrier sync.
+    """Per-vertex shards on the batch scheduler, optionally forked.
 
-    ``num_workers`` defaults to the cores this process may run on.  With
-    more than one worker and an available ``start_method``, every shard is
-    a worker process that exchanges one pickled columnar batch each way per
+    ``num_workers`` (an ``int`` >= 1, default 1) is the shard count, capped
+    by the vertex count.  One shard runs in the parent process.  With more
+    than one and an available ``start_method``, every shard is a forked
+    worker process that exchanges one pickled columnar batch each way per
     round with the parent; otherwise every shard runs in-process.
     """
 
     name = "sharded"
 
-    def __init__(self, num_workers: int | None = None, start_method: str = "fork"):
+    def __init__(self, num_workers: int = 1, start_method: str = "fork"):
+        # Spec parameters arrive as JSON: reject what would otherwise run
+        # silently as one shard (0, -2, True) or fail mid-run (2.5, "2").
+        if (
+            not isinstance(num_workers, int)
+            or isinstance(num_workers, bool)
+            or num_workers < 1
+        ):
+            raise ValueError(
+                f"num_workers must be an int >= 1; got {num_workers!r}"
+            )
         self.num_workers = num_workers
         self.start_method = start_method
-
-    def _resolve_workers(self, n: int) -> int:
-        workers = self.num_workers
-        if workers is None:
-            # The cores this process may actually run on: cgroup/taskset
-            # affinity masks, not the host's total core count — so a
-            # container pinned to 2 of 64 cores forks 2 workers, and an
-            # unrestricted 8-core host genuinely shards 8 ways.
-            try:
-                workers = len(os.sched_getaffinity(0))
-            except (AttributeError, OSError):  # pragma: no cover - non-Linux
-                workers = os.cpu_count() or 1
-        return max(1, min(workers, n))
 
     def run(
         self,
@@ -244,7 +247,7 @@ class ShardedBackend(Backend):
         n = index.n
         tracer = resolve_tracer(tracer)
         scenario = resolve_scenario(scenario)
-        workers = self._resolve_workers(n)
+        workers = min(self.num_workers, n)
         use_processes = (
             workers > 1 and self.start_method in multiprocessing.get_all_start_methods()
         )

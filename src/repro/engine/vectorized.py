@@ -8,7 +8,7 @@ metrics — but delivery goes through the
 with no completions costs ``O(active vertices)`` instead of
 ``O(directed edges)``.  Intermediate word fragments are never materialised:
 the completion round of each message is computed arithmetically (clean
-scenario) or by replaying the scenario's transmit decisions (faulty
+scenario) or by prefix sums over the scenario's transmit mask (faulty
 scenarios), and word counts are recovered from a difference array.
 
 The one observable difference is *within-round inbox ordering*: messages
@@ -41,7 +41,7 @@ class VectorizedBackend(Backend):
     straight into the :class:`~repro.engine.delivery.WordScheduler` (see
     :func:`repro.engine.vector.run_vector_algorithm`).  Ordinary per-vertex
     factories run in one in-process :class:`~repro.engine.rounds.ShardState`
-    on the same scheduler: exactly ``ShardedBackend(num_workers=1)``.
+    on the same scheduler: exactly ``ShardedBackend()``.
     """
 
     name = "vectorized"
@@ -62,7 +62,7 @@ class VectorizedBackend(Backend):
         run = (
             run_vector_algorithm
             if is_vector_algorithm(factory)
-            else ShardedBackend(num_workers=1).run
+            else ShardedBackend().run
         )
         return run(
             graph,

@@ -8,8 +8,9 @@ serialisable experiments:
   Validates eagerly against the open registries; round-trips through JSON.
 * :class:`Session` — executes specs: :meth:`Session.run` (one cell),
   :meth:`Session.sweep` (seed sweeps), :meth:`Session.grid` (backend x
-  scenario grids), plus the imperative :meth:`Session.execute` substrate
-  the :func:`repro.engine.run_algorithm` compatibility shim delegates to.
+  scenario grids), plus the imperative :meth:`Session.execute`, the one
+  call site of a backend's ``run`` (:func:`repro.engine.run_algorithm` is
+  ``Session().execute(...)``).
 * :class:`RunResult` / :class:`ResultSet` — typed results with metric
   totals, wall-clock samples, output digests, a deterministic
   :meth:`ResultSet.digest`, a ``BENCH_*.json``-shaped

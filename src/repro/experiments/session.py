@@ -1,9 +1,11 @@
 """Experiment sessions: execute specs, sweeps, and backend x scenario grids.
 
-A :class:`Session` is the one place experiment cells are executed: the
-single-run compatibility shim :func:`repro.engine.run_algorithm` delegates
-to :meth:`Session.execute`, the distributed listing driver routes its
-per-cluster executions through a session, and the benchmarks are thin
+A :class:`Session` is the one place engine runs start: every library
+caller of a backend's ``run`` goes through :meth:`Session.execute`.
+:func:`repro.engine.run_algorithm` (which the robust compiler calls) is
+``Session().execute(...)``, the distributed listing driver routes its
+per-cluster executions through a session, experiment cells of per-vertex
+workloads call :meth:`Session.execute`, and the benchmarks are thin
 wrappers over :meth:`Session.sweep` / :meth:`Session.grid`.
 
 Results are typed: every cell produces a :class:`RunResult` (metrics,
@@ -19,7 +21,6 @@ equivalence guarantee cell-by-cell.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -83,31 +84,6 @@ def _digest_outputs(outputs: dict[Hashable, Any]) -> str:
         sorted((repr(k), _canonical_repr(v)) for k, v in outputs.items())
     )
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-_TRACER_AWARE: dict[type, bool] = {}
-
-
-def _backend_accepts_tracer(engine: Backend) -> bool:
-    """Whether ``engine.run`` declares a ``tracer`` keyword (cached per class).
-
-    Custom :class:`Backend` subclasses that predate the ``tracer`` keyword
-    must keep working, so the session only forwards the tracer to backends
-    whose ``run`` signature accepts it (by name or via ``**kwargs``).
-    """
-    cls = type(engine)
-    known = _TRACER_AWARE.get(cls)
-    if known is None:
-        try:
-            parameters = inspect.signature(cls.run).parameters
-            known = "tracer" in parameters or any(
-                parameter.kind is inspect.Parameter.VAR_KEYWORD
-                for parameter in parameters.values()
-            )
-        except (TypeError, ValueError):  # pragma: no cover - exotic callables
-            known = False
-        _TRACER_AWARE[cls] = known
-    return known
 
 
 # RunResult fields that deliberately never appear in to_row(): identity
@@ -396,29 +372,25 @@ class Session:
         scenario: DeliveryScenario | str | None = None,
         tracer: Tracer | None = None,
     ) -> SynchronousRun:
-        """One engine execution; the substrate under :func:`run_algorithm`.
+        """One engine execution: the library's one call of ``Backend.run``.
 
-        Accepts exactly the shim's surface (names, instances, classes) and
-        returns the raw :class:`SynchronousRun` — no result bookkeeping.
-        ``tracer`` overrides the session's tracer for this execution.
+        Accepts backend names, instances and classes (what
+        :func:`~repro.engine.run_algorithm` accepts) and returns the raw
+        :class:`SynchronousRun` — no result bookkeeping.  ``tracer``
+        overrides the session's tracer for this execution; the backend
+        always receives the resolved tracer (the null tracer when tracing
+        is off), so it sees the same call shape traced or untraced.
         """
         engine = resolve_backend(backend)
-        resolved = None if scenario is None else resolve_scenario(scenario)
-        active_tracer = self.tracer if tracer is None else resolve_tracer(tracer)
-        kwargs: dict[str, Any] = dict(
+        return engine.run(
+            graph,
+            factory,
             max_rounds=max_rounds,
             phase=phase,
             metrics=metrics,
-            scenario=resolved,
+            scenario=None if scenario is None else resolve_scenario(scenario),
+            tracer=self.tracer if tracer is None else resolve_tracer(tracer),
         )
-        # Backends that declare ``tracer=`` always see the resolved tracer
-        # (the null tracer when tracing is off) so a custom backend cannot
-        # observe a traced/untraced difference in its call shape; backends
-        # that predate the keyword are never passed it and simply run
-        # untraced.
-        if _backend_accepts_tracer(engine):
-            kwargs["tracer"] = active_tracer
-        return engine.run(graph, factory, **kwargs)
 
     # -- declarative execution -----------------------------------------------
 
@@ -494,13 +466,6 @@ class Session:
                 digest, spec=spec.name, backend=engine.name, seed=seed
             )
         spans_before = dict(tracer.span_totals()) if traced else {}
-        engine_kwargs: dict[str, Any] = dict(
-            max_rounds=spec.max_rounds, phase=spec.name, scenario=concrete
-        )
-        # Same contract as :meth:`execute`: tracer-aware backends always
-        # receive the resolved tracer, legacy backends never do.
-        if _backend_accepts_tracer(engine):
-            engine_kwargs["tracer"] = tracer
         seconds: list[float] = []
         run: SynchronousRun | None = None
         signature: tuple | None = None
@@ -516,7 +481,14 @@ class Session:
                         session=self,
                     )
                 else:
-                    candidate = engine.run(graph, workload, **engine_kwargs)
+                    candidate = self.execute(
+                        graph,
+                        workload,
+                        backend=engine,
+                        max_rounds=spec.max_rounds,
+                        phase=spec.name,
+                        scenario=concrete,
+                    )
             seconds.append(time.perf_counter() - start)
             current = (
                 candidate.rounds, candidate.metrics.messages,

@@ -16,9 +16,7 @@ nearly broken) in this repo's history:
   ``except Exception`` could swallow pool control exceptions; fork
   worker targets must also not capture fork-unsafe module state.
 * REP005 — a ``@register_scenario`` class without ``spec_params()``
-  cannot round-trip through ``ExperimentSpec`` JSON; ``has_kernel=True``
-  without a ``transmit_mask`` override silently falls back to the
-  scalar replay path.
+  cannot round-trip through ``ExperimentSpec`` JSON.
 * REP006 — E16 pins null-tracer overhead at <= 3%; an unguarded tracer
   event call in a round loop pays dict/f-string costs even when
   tracing is off.
@@ -607,8 +605,7 @@ def _decorator_names(node: ast.ClassDef) -> Iterator[str]:
     severity="error",
     description=(
         "@register_scenario classes with constructor parameters must "
-        "implement spec_params(); has_kernel=True requires a transmit_mask "
-        "override"
+        "implement spec_params()"
     ),
 )
 def rep005_registry_hygiene(ctx: ModuleContext) -> Iterable[Finding]:
@@ -642,24 +639,6 @@ def rep005_registry_hygiene(ctx: ModuleContext) -> Iterable[Finding]:
                     "but does not override spec_params(); it cannot "
                     "round-trip through ExperimentSpec JSON",
                 )
-        has_kernel_true = any(
-            isinstance(item, ast.Assign)
-            and any(
-                isinstance(target, ast.Name) and target.id == "has_kernel"
-                for target in item.targets
-            )
-            and isinstance(item.value, ast.Constant)
-            and item.value.value is True
-            for item in node.body
-        )
-        if has_kernel_true and "transmit_mask" not in methods:
-            yield ctx.finding(
-                "REP005",
-                node,
-                f"scenario {node.name!r} declares has_kernel=True without a "
-                "transmit_mask override; the vectorized backend would "
-                "silently fall back to the scalar replay path",
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -922,22 +922,12 @@ class DistributedListingDriver:
 
         Every clique containing a residual edge between two core vertices
         has a core endpoint, which lists it from its full-graph 2-hop
-        view; the communication graph is the subgraph induced on the
-        closed neighbourhood of the core, which contains that view.
+        view.
         """
-        core = sorted(task.core)
-        closure = set(core)
-        for vertex in core:
-            closure.update(task.graph.neighbors(vertex))
-        comm_graph = nx.Graph(task.graph.subgraph(closure))
-        plan = plan_two_hop_protocol(comm_graph, core, p=self.p)
-        predicted = self._new_accountant(task.graph.number_of_nodes())
-        alpha = max((task.graph.degree(v) for v in core), default=1)
-        charge_exhaustive_pass(
-            task.graph, core, max(1, alpha), predicted,
+        return self._plan_exhaustive_pass(
+            task.graph, sorted(task.core), self.p,
             phase=f"level{task.level}-c{task.cluster_index}:core-exhaustive",
         )
-        return plan, predicted
 
     # -- fallback ----------------------------------------------------------------
 
@@ -955,15 +945,8 @@ class DistributedListingDriver:
         ``G`` and list every clique through themselves.
         """
         endpoints = sorted({u for e in residual for u in e})
-        closure = set(endpoints)
-        for vertex in endpoints:
-            closure.update(graph.neighbors(vertex))
-        comm_graph = nx.Graph(graph.subgraph(closure))
-        plan = plan_two_hop_protocol(comm_graph, endpoints, p=p)
-        predicted = self._new_accountant(graph.number_of_nodes())
-        alpha = max((graph.degree(v) for v in endpoints), default=1)
-        charge_exhaustive_pass(
-            graph, endpoints, max(1, alpha), predicted, phase="fallback-exhaustive"
+        plan, predicted = self._plan_exhaustive_pass(
+            graph, endpoints, p, phase="fallback-exhaustive"
         )
         return self._execute(
             plan,
@@ -975,6 +958,28 @@ class DistributedListingDriver:
         )
 
     # -- shared execution path ---------------------------------------------------
+
+    def _plan_exhaustive_pass(
+        self, graph: nx.Graph, listers: list[Hashable], p: int, phase: str
+    ) -> tuple[ClusterProtocolPlan, CostAccountant]:
+        """Plan and cost one exhaustive pass in which ``listers`` list every
+        ``K_p`` through themselves from their 2-hop view of ``graph``.
+
+        The communication graph is the subgraph induced on the listers'
+        closed neighbourhood, which contains that view; the prediction is
+        :func:`charge_exhaustive_pass` with alpha the largest lister degree,
+        charged to ``phase`` of a fresh accountant.
+        """
+        closure = set(listers)
+        for vertex in listers:
+            closure.update(graph.neighbors(vertex))
+        plan = plan_two_hop_protocol(
+            nx.Graph(graph.subgraph(closure)), listers, p=p
+        )
+        predicted = self._new_accountant(graph.number_of_nodes())
+        alpha = max((graph.degree(v) for v in listers), default=1)
+        charge_exhaustive_pass(graph, listers, max(1, alpha), predicted, phase=phase)
+        return plan, predicted
 
     def _new_accountant(self, n: int) -> CostAccountant:
         return CostAccountant(

@@ -11,8 +11,10 @@
   round where two executions' delivered-message multisets differ.
 
 Enable tracing by passing ``tracer=`` to
-:func:`repro.engine.run_algorithm`, any backend's ``run``, or a
-:class:`repro.experiments.Session`; see the README's Observability section.
+:func:`repro.engine.run_algorithm` or to a
+:class:`repro.experiments.Session` (its constructor or
+:meth:`~repro.experiments.Session.execute`); see the README's
+Observability section.
 """
 
 from repro.obs.chrome import (

@@ -12,7 +12,8 @@ scheduler batches as instant markers.
 Usage::
 
     tracer = RecordingTracer()
-    run_algorithm(graph, Algo, backend="sharded", tracer=tracer)
+    run_algorithm(graph, Algo, backend=ShardedBackend(num_workers=2),
+                  tracer=tracer)
     write_chrome_trace(tracer, "trace.json")   # open in Perfetto
 
 Timestamps in the event stream are seconds relative to the tracer's

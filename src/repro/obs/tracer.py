@@ -5,8 +5,8 @@ engine layer: the round driver (:mod:`repro.engine.rounds`) emits round
 begin/end events (with wall time and the round's delivered/word/dropped
 totals, identical on every backend apart from the wall-clock fields), the
 :class:`~repro.engine.delivery.WordScheduler` emits per-batch scheduling
-events (which path ran — clean arithmetic, transmit-mask kernel, or the
-scalar fallback — plus the mask queries and cells of the kernel search),
+events (which path ran — clean arithmetic or the transmit-mask kernel —
+plus the mask queries and cells of the kernel search),
 the sharded backend emits per-worker barrier waits of its forked shards,
 and every layer contributes *spans* — named wall-time buckets
 (``compute``, ``schedule``, ``deliver``, ``barrier`` …) that roll up into
@@ -282,11 +282,10 @@ class Tracer:
         """One :class:`~repro.engine.delivery.WordScheduler` bulk enqueue.
 
         ``path`` names which scheduling path ran — ``"clean"`` (pure
-        arithmetic), ``"kernel"`` (transmit-mask prefix sums), or
-        ``"scalar"`` (the per-transfer fallback for scenarios without a
-        batch kernel).  For the kernel path ``windows`` counts the
-        transmit-mask queries the batch made and ``window_cells`` the
-        (edge, round) mask cells they evaluated.
+        arithmetic) or ``"kernel"`` (transmit-mask prefix sums).  For the
+        kernel path ``windows`` counts the transmit-mask queries the batch
+        made and ``window_cells`` the (edge, round) mask cells they
+        evaluated.
         """
         self._emit(
             {

@@ -77,7 +77,7 @@ from repro.congest.metrics import CongestMetrics
 from repro.congest.network import SynchronousRun
 from repro.congest.vertex import VertexAlgorithm, VertexFactory
 from repro.engine.backend import Backend
-from repro.engine.runner import resolve_backend
+from repro.engine.runner import resolve_backend, run_algorithm
 from repro.engine.scenarios import DeliveryScenario
 from repro.engine.vector import as_vertex_factory, is_vector_algorithm
 from repro.obs.tracer import Tracer
@@ -623,12 +623,14 @@ class RobustCompiled:
         """
         engine = resolve_backend(backend)
         if baseline_rounds is None:
-            baseline_rounds = engine.run(
-                graph, self.algorithm, max_rounds=max_rounds, phase=phase
+            baseline_rounds = run_algorithm(
+                graph, self.algorithm, engine,
+                max_rounds=max_rounds, phase=phase,
             ).rounds
-        physical = engine.run(
+        physical = run_algorithm(
             replica_graph(graph, self.strategy.k),
             self._runtime_factory(tracer),
+            engine,
             max_rounds=max_rounds,
             phase=phase,
             metrics=metrics,

@@ -30,6 +30,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.congest.vertex import VertexAlgorithm
+from repro.engine import ShardedBackend
 from repro.engine.runner import run_algorithm
 from repro.engine.scenarios import (
     BurstyFaultScenario,
@@ -50,7 +51,10 @@ from repro.robust import (
 from repro.robust.coding import CodecError
 from repro.robust.scenarios import ByzantineVertexScenario
 
-BACKENDS = ["reference", "vectorized", "sharded"]
+# Forked shards: fault decisions are made in the parent and reach the
+# workers only through the per-round crash tokens.
+FORKED = ShardedBackend(num_workers=2)
+BACKENDS = ["reference", "vectorized", FORKED]
 
 POLICIES = ["hottest", "cut-critical", "round-robin"]
 
@@ -304,7 +308,7 @@ def test_heal_is_backend_identical():
         )
         runs[backend] = (run.rounds, run.outputs, run.reseats)
     assert runs["vectorized"] == runs["reference"]
-    assert runs["sharded"] == runs["reference"]
+    assert runs[FORKED] == runs["reference"]
     assert runs["reference"][2] >= 1
 
 
@@ -420,7 +424,7 @@ def test_compiled_run_is_backend_identical_under_crash_plus_link_drop(seed):
         )
         runs[backend] = (run.rounds, run.outputs)
     assert runs["vectorized"] == runs["reference"]
-    assert runs["sharded"] == runs["reference"]
+    assert runs[FORKED] == runs["reference"]
 
 
 @given(seed=st.integers(min_value=0, max_value=2**20))
@@ -444,4 +448,4 @@ def test_compiled_run_is_backend_identical_under_adaptive_byzantine_bursty(
         )
         runs[backend] = (run.rounds, run.outputs)
     assert runs["vectorized"] == runs["reference"]
-    assert runs["sharded"] == runs["reference"]
+    assert runs[FORKED] == runs["reference"]

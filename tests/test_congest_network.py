@@ -4,8 +4,9 @@ import networkx as nx
 import pytest
 
 from repro.congest.message import Message
-from repro.congest.network import CongestNetwork, run_algorithm
+from repro.congest.network import CongestNetwork
 from repro.congest.vertex import VertexAlgorithm
+from repro.engine import run_algorithm
 from repro.baselines.naive import NeighborhoodExchangeTriangles
 from repro.graphs.cliques import enumerate_cliques
 

@@ -14,7 +14,12 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import AdversarialDelayScenario, ComposedScenario, LinkDropScenario
+from repro.engine import (
+    AdversarialDelayScenario,
+    ComposedScenario,
+    LinkDropScenario,
+    ShardedBackend,
+)
 from repro.engine.scenarios import resolve_scenario
 from repro.experiments import Session
 from repro.graphs import enumerate_cliques, erdos_renyi, planted_cliques
@@ -206,3 +211,22 @@ def test_distributed_kp_on_fixed_graph_across_backends():
     for backend in BACKENDS:
         result = list_cliques_distributed(graph, 4, backend=backend)
         assert result.cliques == truth, backend
+
+
+@pytest.mark.parametrize(
+    "backend",
+    ["reference", "vectorized", "sharded", ShardedBackend(num_workers=2)],
+    ids=["reference", "vectorized", "sharded", "sharded-forked"],
+)
+@pytest.mark.parametrize("p", [3, 4])
+def test_fallback_pass_alone_lists_every_clique(backend, p):
+    """With the recursion capped at zero levels, the engine-executed
+    fallback covers every edge in one exhaustive pass."""
+    graph = planted_cliques(60, 4, 3, background_avg_degree=3.0, seed=2)
+    result = list_cliques_distributed(graph, p, backend=backend, max_levels=0)
+    assert result.cliques == set(enumerate_cliques(graph, p))
+    assert result.fallback_edges == graph.number_of_edges()
+    (record,) = result.executions
+    assert record.is_fallback
+    assert record.rounds <= record.predicted_rounds
+    assert result.measured_rounds <= result.predicted_rounds

@@ -1,10 +1,11 @@
 """Equivalence suite: every backend must agree with the reference simulator.
 
 For a matrix of per-vertex algorithms x seeded workload graphs x delivery
-scenarios, the vectorized and sharded backends must reproduce the reference
-backend's per-vertex outputs, combined output, round count, and
-message/word totals exactly.  This is the contract that lets large
-experiments run on the fast backends without re-validating semantics.
+scenarios, the vectorized backend and the sharded backend with two forked
+workers must reproduce the reference backend's per-vertex outputs, combined
+output, round count, and message/word totals exactly.  This is the
+contract that lets large experiments run on the fast backends without
+re-validating semantics.
 """
 
 import networkx as nx
@@ -23,7 +24,8 @@ from repro.graphs import erdos_renyi
 from repro.graphs.cliques import enumerate_cliques
 from repro.listing.validation import validate_on_engine
 
-FAST_BACKENDS = ["vectorized", "sharded"]
+# Two forked workers, so every case also crosses the sharded pipe.
+FAST_BACKENDS = ["vectorized", ShardedBackend(num_workers=2)]
 
 # Flooding moved into the library proper (it now has a vector twin); the
 # equivalence matrix keeps exercising the same semantics via the import.

@@ -2,19 +2,17 @@
 
 Regressions the equivalence matrix does not pin down directly:
 
-* the sharded backend silently falls back to in-process shards when only
-  one worker is requested or the configured start method is unavailable on
-  the host — both paths must stay bit-for-bit equivalent to the reference
-  simulator;
+* the sharded backend steps its shards in-process by default (one shard),
+  for one requested worker, or when the configured start method is
+  unavailable on the host — every such path must stay bit-for-bit
+  equivalent to the reference simulator;
 * delivery scenarios are pure functions of ``(seed, edge, round)``, so a
   faulty run repeated with the same seed must reproduce the identical
   execution on every backend — this is what makes fault experiments
   reproducible at all;
-* the bugfix sweep of the vector-layer PR: every backend must materialise
-  neighbour tuples before calling a vertex factory, drop (and count)
-  deliveries addressed to halted vertices, and size the default sharded
-  worker pool from the scheduler affinity mask rather than the host's raw
-  core count;
+* the bugfix sweep of the vector-layer change: every backend must
+  materialise neighbour tuples before calling a vertex factory and drop
+  (and count) deliveries addressed to halted vertices;
 * forked shard workers: a worker's exception, its death, or a failure
   while it starts up reaches the caller, and no worker process outlives
   the run.
@@ -68,6 +66,40 @@ def test_sharded_single_worker_runs_inline_and_matches_reference():
         )
     )
     assert inline == reference
+
+
+class PidRecorder(VertexAlgorithm):
+    """Each vertex outputs the pid of the process that stepped it."""
+
+    def on_round(self, round_index, inbox):
+        self.output = os.getpid()
+        self.halt()
+        return []
+
+
+def test_sharded_default_steps_its_shard_in_the_parent_process():
+    """``ShardedBackend()`` forks nothing: one shard, stepped in-process."""
+    graph = erdos_renyi(24, 6.0, seed=4)
+    built_in: list[int] = []
+
+    def factory(vertex, neighbors, n):
+        built_in.append(os.getpid())
+        return PidRecorder(vertex, neighbors, n)
+
+    for backend in (ShardedBackend(), "sharded"):
+        built_in.clear()
+        run = run_algorithm(graph, factory, backend=backend, max_rounds=10)
+        assert run.halted
+        assert set(built_in) == {os.getpid()}
+        assert set(run.outputs.values()) == {os.getpid()}
+    assert ShardedBackend().num_workers == 1
+    if "fork" in multiprocessing.get_all_start_methods():
+        # The probe does see forked workers when they are asked for.
+        forked = run_algorithm(
+            graph, PidRecorder, backend=ShardedBackend(num_workers=2),
+            max_rounds=10,
+        )
+        assert os.getpid() not in set(forked.outputs.values())
 
 
 def test_sharded_unavailable_start_method_falls_back_inline():
@@ -208,7 +240,7 @@ def test_distributed_listing_deterministic_under_link_drop():
 
 
 # ---------------------------------------------------------------------------
-# Bugfix sweep: neighbour materialisation, halted-inbox drops, worker sizing
+# Bugfix sweep: neighbour materialisation, halted-inbox drops
 # ---------------------------------------------------------------------------
 
 
@@ -291,28 +323,6 @@ def test_dropped_accounting_is_identical_across_backends():
         assert run.metrics.dropped == reference.metrics.dropped
         assert run.metrics.messages == reference.metrics.messages
         assert run.outputs == reference.outputs
-
-
-def test_sharded_worker_default_respects_affinity_mask(monkeypatch):
-    """The default pool size is the affinity mask, not min(4, cpu_count)."""
-    backend = ShardedBackend()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
-                        raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert backend._resolve_workers(1000) == 8
-    # Still capped by the vertex count...
-    assert backend._resolve_workers(3) == 3
-    # ...and an explicit worker count always wins.
-    assert ShardedBackend(num_workers=2)._resolve_workers(1000) == 2
-
-
-def test_sharded_worker_default_falls_back_to_cpu_count(monkeypatch):
-    def unavailable(pid):
-        raise AttributeError("sched_getaffinity unavailable on this platform")
-
-    monkeypatch.setattr(os, "sched_getaffinity", unavailable, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 6)
-    assert ShardedBackend()._resolve_workers(1000) == 6
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,27 @@ class TestExperimentSpec:
         cell = spec._build_backend(("sharded", {"num_workers": 3}))
         assert cell.num_workers == 3
 
+    @pytest.mark.parametrize("bad", [0, -2, True, 2.5, "2", None])
+    def test_sharded_num_workers_validated_at_spec_construction(self, bad):
+        """Spec params arrive as JSON; a bad worker count fails eagerly
+        instead of running one shard silently or failing mid-run."""
+        from repro.service import SubmitRequest
+        from repro.service.protocol import ProtocolError
+
+        with pytest.raises(ValueError, match="num_workers"):
+            ExperimentSpec(
+                **SPEC_KWARGS, backend="sharded",
+                backend_params={"num_workers": bad},
+            )
+        payload = ExperimentSpec(**SPEC_KWARGS, backend="sharded").to_json()
+        payload["backend"]["params"] = {"num_workers": bad}
+        with pytest.raises(ProtocolError, match="num_workers"):
+            SubmitRequest(spec=payload).build_spec()
+        spec = ExperimentSpec(
+            **SPEC_KWARGS, backend="sharded", backend_params={"num_workers": 2}
+        )
+        assert spec._build_backend().num_workers == 2
+
     def test_workload_params_rejected_for_live_objects(self):
         from repro.baselines.naive import FloodMinimum
 
@@ -654,10 +675,9 @@ class TestCanonicalReprUnambiguous:
 
 
 class TestTracerForwarding:
-    """Regression: ``Session.execute`` must hand tracer-aware backends the
+    """Regression: ``Session.execute`` must hand every backend the
     *resolved* tracer on every call — the null tracer when tracing is off —
-    so a custom backend sees one call shape; legacy backends that predate
-    the keyword are never passed it."""
+    so a custom backend sees one call shape."""
 
     def _graph(self):
         return nx.path_graph(4)
@@ -716,29 +736,3 @@ class TestTracerForwarding:
             self._graph(), self._factory(), backend=TracerProbe()
         )
         assert seen["tracer"] is recording
-
-    def test_legacy_backend_without_tracer_keyword_still_runs(self):
-        from repro.congest.metrics import CongestMetrics
-        from repro.congest.network import SynchronousRun
-        from repro.engine.backend import Backend
-        from repro.obs import RecordingTracer
-
-        seen = {}
-
-        class Legacy(Backend):
-            name = "legacy-probe"
-
-            def run(self, graph, factory, *, max_rounds=10_000,
-                    phase="simulated", metrics=None, scenario=None):
-                seen["called"] = True
-                return SynchronousRun(
-                    rounds=1, metrics=CongestMetrics(), outputs={},
-                    halted=True,
-                )
-
-        # Even a *traced* session must not explode on a legacy backend:
-        # it simply runs untraced.
-        Session(tracer=RecordingTracer()).execute(
-            self._graph(), self._factory(), backend=Legacy()
-        )
-        assert seen["called"]

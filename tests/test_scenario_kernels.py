@@ -13,7 +13,9 @@ Two contracts pin the vectorized scenario layer:
    exactly: same delivery round per message, same words-per-round levels,
    under every scenario, including FIFO contention, batches mixing deeply
    queued and idle edges (no crossing before an edge's own start may count
-   toward its words), and batches mixing long and short transfers.
+   toward its words), and batches mixing long and short transfers.  A
+   scenario that implements only ``transmits`` takes the same prefix-sum
+   path through the base ``transmit_mask`` and meets the same oracle.
 """
 
 from collections import defaultdict, deque
@@ -33,9 +35,28 @@ from repro.engine.scenarios import (
     DeliveryScenario,
     HeterogeneousBandwidthScenario,
     LinkDropScenario,
+    _stable_hash,
     build_composed,
     scenario_registry,
 )
+
+
+class TransmitsOnlyDrop(DeliveryScenario):
+    """A user scenario with no ``transmit_mask`` override.
+
+    Drops each (edge, round) word with probability ``drop_probability``
+    from a stable hash; the scheduler queries the base ``transmit_mask``,
+    one ``transmits`` call per cell.
+    """
+
+    def __init__(self, drop_probability: float, seed: int = 0):
+        self.threshold = drop_probability * 2.0**64
+        self.seed = seed
+
+    def transmits(self, edge, round_index):
+        draw = _stable_hash("transmits-only", self.seed, edge, round_index)
+        return draw >= self.threshold
+
 
 # -- strategies --------------------------------------------------------------
 
@@ -43,13 +64,18 @@ seeds = st.integers(min_value=0, max_value=2**31)
 
 
 @st.composite
-def leaf_scenarios(draw):
-    kind = draw(st.sampled_from(
-        ["clean", "link-drop", "adversarial-delay", "bursty", "hetero"]
-    ))
+def leaf_scenarios(draw, registered_only: bool = False):
+    kinds = ["clean", "link-drop", "adversarial-delay", "bursty", "hetero"]
+    if not registered_only:
+        kinds.append("transmits-only")
+    kind = draw(st.sampled_from(kinds))
     seed = draw(seeds)
     if kind == "clean":
         return CleanSynchronous()
+    if kind == "transmits-only":
+        return TransmitsOnlyDrop(
+            draw(st.floats(min_value=0.0, max_value=1.0)), seed=seed
+        )
     if kind == "link-drop":
         return LinkDropScenario(
             draw(st.floats(min_value=0.0, max_value=0.9)), seed=seed
@@ -76,11 +102,17 @@ def leaf_scenarios(draw):
 
 
 @st.composite
-def composed_scenarios(draw, depth: int = 1):
+def composed_scenarios(draw, depth: int = 1, registered_only: bool = False):
+    leaves = leaf_scenarios(registered_only=registered_only)
     children = st.deferred(
-        lambda: leaf_scenarios()
+        lambda: leaves
         if depth == 0
-        else st.one_of(leaf_scenarios(), composed_scenarios(depth=depth - 1))
+        else st.one_of(
+            leaves,
+            composed_scenarios(
+                depth=depth - 1, registered_only=registered_only
+            ),
+        )
     )
     parts = draw(st.lists(children, min_size=1, max_size=3))
     if draw(st.booleans()):
@@ -224,7 +256,6 @@ def test_scalar_fallback_mask_replays_transmits():
             return round_index % 3 != 0
 
     scenario = EveryThird()
-    assert not scenario.has_kernel
     scenario.bind_edges(EDGES)
     mask = scenario.transmit_mask(np.array([0, 1]), 0, 9)
     assert (mask == np.array([[False, True, True] * 3] * 2)).all()
@@ -364,8 +395,14 @@ def test_scheduler_window_cursor_keeps_far_starts_culled():
             (BurstyFaultScenario(0.5, 3, 8, seed=12), 200),
             (LinkDropScenario(0.1, seed=13), None),
         ),
+        TransmitsOnlyDrop(0.1, seed=14),
+        TransmitsOnlyDrop(0.6, seed=15),
+        TransmitsOnlyDrop(1.0, seed=16),
     ],
-    ids=["drop-0.1", "drop-0.6", "bursty", "hetero-0.25", "sequential"],
+    ids=[
+        "drop-0.1", "drop-0.6", "bursty", "hetero-0.25", "sequential",
+        "transmits-only-0.1", "transmits-only-0.6", "transmits-only-1.0",
+    ],
 )
 def test_scheduler_matches_reference_on_mixed_length_batches(scenario, horizon):
     """The batch shapes of the faulty listing cell: one long transfer among
@@ -415,7 +452,6 @@ def test_blocked_edge_parks_at_horizon_in_bulk_path():
 
     class Blackout(CleanSynchronous):
         is_clean = False
-        has_kernel = True
 
         def transmits(self, edge, round_index):
             return False
@@ -438,7 +474,7 @@ def test_blocked_edge_parks_at_horizon_in_bulk_path():
 # -- 3. composed round-trip through the spec JSON form -----------------------
 
 
-@given(scenario=composed_scenarios(), data=st.data())
+@given(scenario=composed_scenarios(registered_only=True), data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_composed_spec_params_round_trip(scenario, data):
     params = scenario.spec_params()

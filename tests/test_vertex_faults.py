@@ -36,8 +36,8 @@ from repro.graphs import erdos_renyi
 from repro.obs import RecordingTracer
 from repro.robust.scenarios import ByzantineVertexScenario, CrashStopVertexScenario
 
-# "sharded" sizes itself from the affinity mask, so a 1-core host never
-# forks it; the explicit 2-worker fork backend always crosses processes.
+# "sharded" is one in-process shard; the explicit 2-worker fork backend
+# always crosses processes.
 FORKED = ShardedBackend(num_workers=2, start_method="fork")
 BACKENDS = ["reference", "vectorized", "sharded", FORKED]
 
