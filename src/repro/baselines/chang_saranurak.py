@@ -24,7 +24,7 @@ import networkx as nx
 from repro.congest.cost import RoutingOverhead
 from repro.decomposition.cluster import K3CompatibleCluster
 from repro.decomposition.routing import ClusterRouter
-from repro.graphs.cliques import Clique, canonical_clique
+from repro.graphs.cliques import Clique, cliques_in_edge_set
 from repro.listing.local import two_hop_exhaustive_listing
 from repro.listing.recursion import ClusterTask, ListingResult, RecursiveListingDriver
 
@@ -44,8 +44,8 @@ class CS20TriangleListing:
         return driver.run(graph, self._handle_cluster)
 
     def _handle_cluster(self, task: ClusterTask) -> set[Clique]:
-        working = task.working_graph()
         cluster = K3CompatibleCluster.from_edges(task.graph, task.working_edges)
+        working = cluster.cluster_graph
         router = ClusterRouter(
             cluster=cluster, accountant=task.accountant,
             phase_prefix=f"cs20-level{task.level}-c{task.cluster_index}",
@@ -76,24 +76,15 @@ class CS20TriangleListing:
         # Without partition trees, the deterministic load balancing known to
         # [CS20] leaves each of the k high-degree vertices responsible for a
         # ~(m_C / k^{1/3})-edge share: charge that load and list centrally.
-        member_set = set(members)
-        core_graph = working.subgraph(members)
-        m_core = core_graph.number_of_edges()
-        k = len(members)
         # Every high-degree vertex may need a k^{2/3}-fold share of its degree
         # in edges (versus the k^{1/3}-fold share the partition-tree approach
         # achieves), which is the source of the n^{2/3} total.
         router.route_proportional(
-            load_per_degree=max(1.0, k ** (2.0 / 3.0)),
-            total_words=m_core,
+            load_per_degree=max(1.0, len(members) ** (2.0 / 3.0)),
+            total_words=cluster.core.num_edges,
             phase="cs20-edge-learning",
         )
-        adjacency = {v: set(core_graph.neighbors(v)) for v in members}
-        for u, v in core_graph.edges:
-            for w in adjacency[u] & adjacency[v]:
-                found.add(canonical_clique((u, v, w)))
-        _ = member_set
-        return found
+        return found | cliques_in_edge_set(cluster.core.edges(), 3)
 
 
 def cs20_triangle_listing(graph: nx.Graph, **kwargs) -> ListingResult:

@@ -19,10 +19,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Hashable, Mapping
 
 import networkx as nx
 
 from repro.congest.metrics import CongestMetrics
+from repro.graphs import canonical_edge
 from repro.graphs.cliques import Clique, cliques_in_edge_set
 from repro.listing.recursion import ListingResult
 
@@ -38,6 +40,32 @@ class CongestedCliqueReport:
     tuples: int
     max_words_per_vertex: int
     theoretical_rounds: float
+
+
+def list_by_part_tuples(
+    graph: nx.Graph, part_of: Mapping[Hashable, int], parts: int, p: int
+) -> tuple[dict[tuple[int, int], set[Edge]], set[Clique], int, int]:
+    """Partition listing: each ``p``-tuple of parts (with repetition) learns
+    the edges between its parts and lists the cliques among them.
+
+    Returns the edges of each part pair, the cliques, the number of reports
+    before deduplication and the most edges one tuple learns.
+    """
+    pair_edges: dict[tuple[int, int], set[Edge]] = {}
+    for u, v in graph.edges:
+        i, j = sorted((part_of[u], part_of[v]))
+        pair_edges.setdefault((i, j), set()).add(canonical_edge(u, v))
+    cliques: set[Clique] = set()
+    reports = max_load = 0
+    for part_tuple in itertools.combinations_with_replacement(range(parts), p):
+        learned: set[Edge] = set()
+        for i, j in itertools.combinations_with_replacement(sorted(set(part_tuple)), 2):
+            learned |= pair_edges.get((i, j), set())
+        max_load = max(max_load, len(learned))
+        found = cliques_in_edge_set(learned, p)
+        reports += len(found)
+        cliques |= found
+    return pair_edges, cliques, reports, max_load
 
 
 def congested_clique_listing(graph: nx.Graph, p: int = 3) -> tuple[ListingResult, CongestedCliqueReport]:
@@ -59,35 +87,19 @@ def congested_clique_listing(graph: nx.Graph, p: int = 3) -> tuple[ListingResult
         for vertex in group:
             group_of[vertex] = index
 
-    pair_edges: dict[tuple[int, int], set[Edge]] = {}
-    for u, v in graph.edges:
-        i, j = sorted((group_of[u], group_of[v]))
-        pair_edges.setdefault((i, j), set()).add((u, v) if u <= v else (v, u))
-
-    cliques: set[Clique] = set()
-    reports = 0
-    max_load = 0
-    tuples = list(itertools.combinations_with_replacement(range(len(groups)), p))
-    for part_tuple in tuples:
-        learned: set[Edge] = set()
-        for i, j in itertools.combinations_with_replacement(sorted(set(part_tuple)), 2):
-            learned |= pair_edges.get((i, j), set())
-        max_load = max(max_load, len(learned))
-        found = cliques_in_edge_set(learned, p)
-        reports += len(found)
-        cliques |= found
-
+    pair_edges, cliques, reports, max_load = list_by_part_tuples(
+        graph, group_of, len(groups), p
+    )
     rounds = math.ceil(max_load / max(1, n - 1))
     metrics.add_rounds(rounds, phase="congested-clique")
     metrics.add_messages(
-        sum(len(edges) for edges in pair_edges.values()) * len(tuples) // max(1, len(tuples)),
-        phase="congested-clique",
+        sum(len(edges) for edges in pair_edges.values()), phase="congested-clique"
     )
     theoretical = (n ** (1.0 - 2.0 / p)) / max(1.0, math.log2(max(2, n)))
     report = CongestedCliqueReport(
         x=x,
         groups=len(groups),
-        tuples=len(tuples),
+        tuples=math.comb(len(groups) + p - 1, p),
         max_words_per_vertex=max_load,
         theoretical_rounds=theoretical,
     )

@@ -28,7 +28,6 @@ in ``benchmarks/common.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 import networkx as nx
@@ -221,14 +220,6 @@ def gossip_max_workload(
         (GossipMaximum,),
         {"horizon": horizon, "period": period},
     )
-
-
-@dataclass
-class NaiveListingConfig:
-    """Options of the cost-model naive baseline."""
-
-    p: int = 3
-    overhead: RoutingOverhead | None = None
 
 
 def naive_listing(graph: nx.Graph, p: int = 3,

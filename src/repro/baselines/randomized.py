@@ -16,19 +16,16 @@ and that the routing overhead can be taken as the cheaper randomized one.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 
 import networkx as nx
 
+from repro.baselines.congested_clique import list_by_part_tuples
 from repro.congest.cost import CostAccountant, RoutingOverhead, polylog_overhead
 from repro.congest.metrics import CongestMetrics
-from repro.graphs.cliques import Clique, cliques_in_edge_set
 from repro.listing.recursion import ListingResult
-
-Edge = tuple[int, int]
 
 
 @dataclass
@@ -67,32 +64,10 @@ def randomized_partition_listing(
     rng = random.Random(seed)
     x = max(2, math.ceil(n ** (1.0 / p)))
     part_of = {v: rng.randrange(x) for v in graph.nodes}
-    parts: dict[int, set[int]] = {i: set() for i in range(x)}
-    for vertex, index in part_of.items():
-        parts[index].add(vertex)
-
-    pair_edges: dict[tuple[int, int], set[Edge]] = {}
-    for u, v in graph.edges:
-        i, j = sorted((part_of[u], part_of[v]))
-        pair_edges.setdefault((i, j), set()).add((u, v) if u <= v else (v, u))
-
     # Each p-tuple of parts (with repetition) is assigned to a vertex, which
     # learns all edges between parts of its tuple.  The per-vertex load is the
     # quantity the round cost is driven by.
-    tuples = list(itertools.combinations_with_replacement(range(x), p))
-    vertices = sorted(graph.nodes)
-    cliques: set[Clique] = set()
-    reports = 0
-    max_load = 0
-    for index, part_tuple in enumerate(tuples):
-        learned: set[Edge] = set()
-        for i, j in itertools.combinations_with_replacement(sorted(set(part_tuple)), 2):
-            learned |= pair_edges.get((i, j), set())
-        max_load = max(max_load, len(learned))
-        found = cliques_in_edge_set(learned, p)
-        reports += len(found)
-        cliques |= found
-        _ = vertices[index % len(vertices)]
+    pair_edges, cliques, reports, max_load = list_by_part_tuples(graph, part_of, x, p)
 
     # Cost: every vertex sends each of its edges O(x^{p-2} / n^{(p-2)/p}) = O(1)
     # times per tuple dimension; the binding term is the per-vertex receive

@@ -19,18 +19,17 @@ vertices).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import networkx as nx
+import numpy as np
+
+from repro.graphs.index import LabelCSR, canonical_edge
 
 Edge = tuple[int, int]
 DirectedEdge = tuple[int, int]
-
-
-def _canonical_edge(u: int, v: int) -> Edge:
-    return (u, v) if u <= v else (v, u)
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +43,7 @@ def core_vertices(graph: nx.Graph, cluster_edges: Iterable[Edge]) -> set[int]:
     Formally (Section 2): vertices ``v`` of the cluster with
     ``deg_{E_i}(v) >= deg_{E \\ E_i}(v)``.
     """
-    cluster_edges = {_canonical_edge(*e) for e in cluster_edges}
+    cluster_edges = {canonical_edge(*e) for e in cluster_edges}
     degree_inside: dict[int, int] = {}
     for u, v in cluster_edges:
         degree_inside[u] = degree_inside.get(u, 0) + 1
@@ -59,7 +58,7 @@ def core_vertices(graph: nx.Graph, cluster_edges: Iterable[Edge]) -> set[int]:
 
 def core_edge_set(graph: nx.Graph, cluster_edges: Iterable[Edge]) -> set[Edge]:
     """``E_i^-``: cluster edges whose both endpoints are core vertices."""
-    cluster_edges = {_canonical_edge(*e) for e in cluster_edges}
+    cluster_edges = {canonical_edge(*e) for e in cluster_edges}
     core = core_vertices(graph, cluster_edges)
     return {e for e in cluster_edges if e[0] in core and e[1] in core}
 
@@ -67,13 +66,13 @@ def core_edge_set(graph: nx.Graph, cluster_edges: Iterable[Edge]) -> set[Edge]:
 def augmented_edge_set(graph: nx.Graph, cluster_edges: Iterable[Edge]) -> set[Edge]:
     """``E_i^+ = E_i ∪ E(V_i^\\circ, V_i^\\circ)``: cluster edges plus all
     graph edges between core vertices (Section 6.1)."""
-    cluster_edges = {_canonical_edge(*e) for e in cluster_edges}
+    cluster_edges = {canonical_edge(*e) for e in cluster_edges}
     core = core_vertices(graph, cluster_edges)
     augmented = set(cluster_edges)
     for u in core:
         for w in graph.neighbors(u):
             if w in core:
-                augmented.add(_canonical_edge(u, w))
+                augmented.add(canonical_edge(u, w))
     return augmented
 
 
@@ -88,7 +87,8 @@ class CommunicationCluster:
 
     Attributes:
         graph: the ambient graph ``G``.
-        cluster_graph: the cluster ``C = (V_C, E_C)`` as a subgraph.
+        index: the cluster ``C = (V_C, E_C)`` as a label-sorted CSR, the one
+            copy of its edges every layer reads (:mod:`repro.graphs.index`).
         delta: the degree threshold ``δ``.
         phi: certified conductance lower bound of the cluster.
         v_minus: the designated subset ``V_C^-`` of vertices with
@@ -96,18 +96,23 @@ class CommunicationCluster:
     """
 
     graph: nx.Graph
-    cluster_graph: nx.Graph
+    index: LabelCSR
     delta: float
     phi: float
     v_minus: frozenset[int] = field(init=False)
 
     def __post_init__(self) -> None:
-        members = {
-            v
-            for v in self.cluster_graph.nodes
-            if self.cluster_graph.degree(v) >= self.delta
-        }
-        self.v_minus = frozenset(members)
+        self.v_minus = frozenset(self.core.labels)
+
+    @property
+    def cluster_graph(self) -> nx.Graph:
+        """The cluster as a ``networkx`` graph, built once, in label order."""
+        return self.index.graph
+
+    @cached_property
+    def core(self) -> LabelCSR:
+        """``C[V_C^-]`` as its own index: an interval of the members is an id range."""
+        return self.index.induced(np.flatnonzero(self.index.degrees >= self.delta))
 
     # -- notation from Definition 7 ------------------------------------------
 
@@ -119,7 +124,7 @@ class CommunicationCluster:
     @property
     def big_k(self) -> int:
         """``K = |V_C|``."""
-        return self.cluster_graph.number_of_nodes()
+        return self.index.n
 
     @property
     def k(self) -> int:
@@ -128,7 +133,7 @@ class CommunicationCluster:
 
     def communication_degree(self, vertex: int) -> int:
         """``deg_C(v)``: number of cluster edges incident to ``v``."""
-        return self.cluster_graph.degree(vertex)
+        return int(self.index.degrees[self.index.id_of[vertex]])
 
     @property
     def mu(self) -> float:
@@ -148,20 +153,12 @@ class CommunicationCluster:
     @property
     def v_low(self) -> frozenset[int]:
         """``V_C^L = V_C \\ V_C^-``: the low-degree cluster vertices."""
-        return frozenset(set(self.cluster_graph.nodes) - set(self.v_minus))
-
-    def core_edges(self) -> set[Edge]:
-        """Edges of the cluster between two ``V_C^-`` vertices."""
-        return {
-            _canonical_edge(u, v)
-            for u, v in self.cluster_graph.edges
-            if u in self.v_minus and v in self.v_minus
-        }
+        return frozenset(self.index.labels) - self.v_minus
 
     def ordered_members(self) -> list[int]:
         """``V_C^-`` sorted by identifier (the contiguous numbering the
         streaming simulation relies on)."""
-        return sorted(self.v_minus)
+        return list(self.core.labels)
 
     def validate(self) -> None:
         """Sanity checks on the Definition 7 invariants."""
@@ -170,7 +167,7 @@ class CommunicationCluster:
                 f"vertex {vertex} in V^- has communication degree "
                 f"{self.communication_degree(vertex)} < delta={self.delta}"
             )
-        assert set(self.cluster_graph.nodes) <= set(self.graph.nodes)
+        assert set(self.index.labels) <= set(self.graph.nodes)
 
 
 def build_communication_cluster(
@@ -180,11 +177,8 @@ def build_communication_cluster(
     phi: float = 0.0,
 ) -> CommunicationCluster:
     """Build a :class:`CommunicationCluster` from an edge set of ``graph``."""
-    edges = [_canonical_edge(*e) for e in cluster_edges]
-    cluster_graph = nx.Graph()
-    cluster_graph.add_edges_from(edges)
     return CommunicationCluster(
-        graph=graph, cluster_graph=cluster_graph, delta=delta, phi=phi
+        graph=graph, index=LabelCSR.from_edges(cluster_edges), delta=delta, phi=phi
     )
 
 
@@ -201,12 +195,9 @@ class K3CompatibleCluster(CommunicationCluster):
     def from_edges(
         cls, graph: nx.Graph, cluster_edges: Iterable[Edge], phi: float = 0.0
     ) -> "K3CompatibleCluster":
-        edges = [_canonical_edge(*e) for e in cluster_edges]
-        cluster_graph = nx.Graph()
-        cluster_graph.add_edges_from(edges)
-        big_k = cluster_graph.number_of_nodes()
-        delta = big_k ** (1.0 / 3.0) if big_k else 0.0
-        return cls(graph=graph, cluster_graph=cluster_graph, delta=delta, phi=phi)
+        index = LabelCSR.from_edges(cluster_edges)
+        delta = index.n ** (1.0 / 3.0) if index.n else 0.0
+        return cls(graph=graph, index=index, delta=delta, phi=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +238,13 @@ class KpCompatibleCluster(CommunicationCluster):
     ) -> "KpCompatibleCluster":
         if p <= 3:
             raise ValueError("KpCompatibleCluster requires p > 3; use K3CompatibleCluster")
-        edges = [_canonical_edge(*e) for e in cluster_edges]
-        cluster_graph = nx.Graph()
-        cluster_graph.add_edges_from(edges)
         n = graph.number_of_nodes()
         if delta is None:
             delta = n ** (1.0 - 2.0 / p) if n else 0.0
-        cluster = cls(
-            graph=graph, cluster_graph=cluster_graph, delta=delta, phi=phi, p=p
+        return cls(
+            graph=graph, index=LabelCSR.from_edges(cluster_edges), delta=delta,
+            phi=phi, p=p,
         )
-        return cluster
 
     # -- imported-edge bookkeeping -------------------------------------------
 

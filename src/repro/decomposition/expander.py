@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import networkx as nx
 import numpy as np
@@ -37,13 +37,9 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from repro.congest.cost import CostAccountant
-from repro.graphs.properties import conductance_of_cut
+from repro.graphs import canonical_edge
 
 Edge = tuple[int, int]
-
-
-def _canonical_edge(u: int, v: int) -> Edge:
-    return (u, v) if u <= v else (v, u)
 
 
 @dataclass(frozen=True)
@@ -128,7 +124,7 @@ class ExpanderDecomposition:
             assert not overlap, f"clusters share vertices: {sorted(overlap)[:5]}"
             seen_vertices.update(cluster.vertices)
         covered = self.covered_edges()
-        all_edges = {_canonical_edge(*e) for e in self.graph.edges}
+        all_edges = {canonical_edge(*e) for e in self.graph.edges}
         assert covered | self.remainder_edges == all_edges, "edges lost by decomposition"
         assert not (covered & self.remainder_edges), "edge both covered and in remainder"
 
@@ -274,7 +270,7 @@ def expander_decompose(
             return
         other = set(piece.nodes) - cut
         for u, v in nx.edge_boundary(piece, cut, other):
-            remainder.add(_canonical_edge(u, v))
+            remainder.add(canonical_edge(u, v))
         recurse(piece.subgraph(cut).copy())
         recurse(piece.subgraph(other).copy())
 
@@ -282,11 +278,11 @@ def expander_decompose(
         return ExpanderCluster(
             index=len(clusters),
             vertices=frozenset(piece.nodes),
-            edges=frozenset(_canonical_edge(u, v) for u, v in piece.edges),
+            edges=frozenset(canonical_edge(u, v) for u, v in piece.edges),
             conductance_lower_bound=bound,
         )
 
-    recurse(graph.copy())
+    recurse(graph)  # recurse never mutates a piece
 
     decomposition = ExpanderDecomposition(
         graph=graph,

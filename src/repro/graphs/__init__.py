@@ -1,4 +1,5 @@
-"""Graph substrate: generators, structural properties, ground-truth cliques."""
+"""Graph substrate: generators, structural properties, ground-truth cliques,
+and the label-sorted CSR index the listing pipeline reads."""
 
 from repro.graphs.generators import (
     erdos_renyi,
@@ -23,6 +24,7 @@ from repro.graphs.cliques import (
     canonical_clique,
     cliques_containing_edge,
 )
+from repro.graphs.index import LabelCSR, canonical_edge
 
 __all__ = [
     "erdos_renyi",
@@ -42,4 +44,6 @@ __all__ = [
     "count_cliques",
     "canonical_clique",
     "cliques_containing_edge",
+    "LabelCSR",
+    "canonical_edge",
 ]

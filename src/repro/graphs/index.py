@@ -1,0 +1,179 @@
+"""One array index of a graph, its vertices numbered in label order.
+
+:class:`LabelCSR` holds a graph once, as compressed sparse rows.  Dense id
+``i`` is the ``i``-th smallest label, so an interval of a sorted vertex
+universe (a partition-tree part) is an id range, and each row lists its
+neighbours in increasing id, hence label, order.  The ``networkx`` graph the
+engine runs on is built from the index in that order (:attr:`LabelCSR.graph`),
+so the engine's dense ids are the index's ids.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from typing import Hashable, Iterable
+
+import networkx as nx
+import numpy as np
+import scipy.sparse
+
+Edge = tuple[int, int]
+
+
+def canonical_edge(u: Hashable, v: Hashable) -> Edge:
+    """The undirected edge ``{u, v}`` as a tuple, smaller label first."""
+    return (u, v) if u <= v else (v, u)
+
+
+@dataclass(frozen=True, eq=False)
+class LabelCSR:
+    """A simple undirected graph as label-sorted compressed sparse rows.
+
+    Attributes:
+        labels: vertex labels in increasing order; id ``i`` is ``labels[i]``.
+        indptr: ``int64[n + 1]``; the neighbours of ``i`` are
+            ``indices[indptr[i]:indptr[i + 1]]``, increasing.
+        indices: ``int64[2m]`` neighbour ids.
+    """
+
+    labels: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def from_edges(
+        cls, edges: Iterable[tuple], vertices: Iterable[Hashable] = ()
+    ) -> "LabelCSR":
+        """The graph of ``edges`` (either orientation, repeats allowed) on
+        their endpoints plus ``vertices``."""
+        flat = list(chain.from_iterable(edges))
+        labels = tuple(sorted(set(flat).union(vertices)))
+        n = len(labels)
+        id_of = dict(zip(labels, range(n)))
+        ends = np.fromiter(map(id_of.__getitem__, flat), dtype=np.int64, count=len(flat))
+        us, ws = ends[0::2], ends[1::2]
+        rows, indices = np.divmod(
+            np.unique(np.concatenate((us * n + ws, ws * n + us))), max(n, 1)
+        )
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls(labels=labels, indptr=indptr, indices=indices)
+
+    @classmethod
+    def from_graph(cls, graph: nx.Graph) -> "LabelCSR":
+        """The index of a ``networkx`` graph, isolated vertices included."""
+        return cls.from_edges(graph.edges, graph.nodes)
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+    @property
+    def num_edges(self) -> int:
+        return int(self.indices.size) // 2
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The row (source id) of every entry of ``indices``."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+
+    @cached_property
+    def id_of(self) -> dict[Hashable, int]:
+        return dict(zip(self.labels, range(self.n)))
+
+    def ids(self, labels: Iterable[Hashable]) -> np.ndarray:
+        """Dense ids of ``labels``, in their order (``KeyError`` on a stranger)."""
+        return np.fromiter(map(self.id_of.__getitem__, labels), dtype=np.int64)
+
+    @cached_property
+    def label_array(self) -> np.ndarray:
+        """``labels`` as an object array, to map id arrays to labels."""
+        return np.fromiter(self.labels, dtype=object, count=self.n)
+
+    def label_pairs(self, keys: np.ndarray) -> list[tuple]:
+        """The label pairs of edge keys ``u * n + w``."""
+        us, ws = np.divmod(keys, self.n)
+        return list(zip(self.label_array[us].tolist(), self.label_array[ws].tolist()))
+
+    def edges(self) -> list[tuple]:
+        """Every edge once, smaller label first, in row order."""
+        upper = self.rows < self.indices
+        return self.label_pairs(self.rows[upper] * self.n + self.indices[upper])
+
+    @cached_property
+    def graph(self) -> nx.Graph:
+        """The ``networkx`` graph: nodes and every adjacency in label order."""
+        graph = nx.Graph()
+        graph.add_nodes_from(self.labels)
+        graph.add_edges_from(self.edges())
+        return graph
+
+    @cached_property
+    def matrix(self) -> scipy.sparse.csr_matrix:
+        """The 0/1 adjacency matrix over the index's own arrays."""
+        ones = np.ones(self.indices.size, dtype=np.int64)
+        return scipy.sparse.csr_matrix(
+            (ones, self.indices, self.indptr), shape=(self.n, self.n)
+        )
+
+    def induced(self, ids: np.ndarray) -> "LabelCSR":
+        """The subgraph induced on the increasing ``ids``, renumbered ``0..k-1``."""
+        position = np.full(self.n, -1, dtype=np.int64)
+        position[ids] = np.arange(len(ids))
+        rows, cols = position[self.rows], position[self.indices]
+        keep = (rows >= 0) & (cols >= 0)
+        indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[keep], minlength=len(ids)), out=indptr[1:])
+        labels = tuple(self.label_array[ids].tolist())
+        return LabelCSR(labels=labels, indptr=indptr, indices=cols[keep])
+
+    def degrees_into(self, lo: int, hi: int) -> np.ndarray:
+        """Per row, the number of neighbours with id in ``[lo, hi]``."""
+        if hi < lo:
+            return np.zeros(self.n, dtype=np.int64)
+        keys = self.rows * self.n + self.indices  # increasing
+        base = np.arange(self.n, dtype=np.int64) * self.n
+        return np.searchsorted(keys, base + hi, "right") - np.searchsorted(keys, base + lo)
+
+    def edges_between(self, rows: tuple[int, int], columns: tuple[int, int]) -> np.ndarray:
+        """Edges with one end in the id range ``rows`` and the other in the id
+        range ``columns`` (inclusive), as keys ``u * n + w`` with ``u < w``."""
+        (lo, hi), (first, last) = rows, columns
+        start, stop = self.indptr[lo], self.indptr[max(lo, hi + 1)]
+        us, ws = self.rows[start:stop], self.indices[start:stop]
+        hit = (first <= ws) & (ws <= last)
+        us, ws = us[hit], ws[hit]
+        return np.minimum(us, ws) * self.n + np.maximum(us, ws)
+
+    def bfs_trees(self, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Parents and depths of the FIFO BFS tree from each root that scans
+        neighbours in label order, as ``int64[len(roots), n]`` arrays:
+        ``parents[r, root] = root``, and ``-1`` in both where a vertex is
+        unreachable from root ``r``."""
+        # csgraph costs ~70 ms to import, and only edge learning traverses.
+        from scipy.sparse.csgraph import breadth_first_order
+
+        parents = np.empty((len(roots), self.n), dtype=np.int64)
+        for row, root in enumerate(np.asarray(roots).tolist()):
+            parents[row] = breadth_first_order(
+                self.matrix, root, directed=True, return_predecessors=True
+            )[1]
+            parents[row, root] = root
+        reached = parents >= 0
+        # Pointer doubling: ``depths`` counts hops up to ``jump``, which climbs
+        # twice as far per pass until it rests on the root (unreached: itself).
+        itself = np.broadcast_to(np.arange(self.n), parents.shape)
+        jump = np.where(reached, parents, itself)
+        depths = (jump != itself).astype(np.int64)
+        tree = np.arange(len(roots))[:, None]
+        while not np.array_equal(further := jump[tree, jump], jump):
+            depths += depths[tree, jump]
+            jump = further
+        parents[~reached] = depths[~reached] = -1
+        return parents, depths

@@ -23,7 +23,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "Finding",
@@ -328,12 +328,6 @@ class LintReport:
 
     files: int = 0
     findings: list[Finding] = field(default_factory=list)
-
-    def by_rule(self) -> Mapping[str, int]:
-        counts: dict[str, int] = {}
-        for finding in self.findings:
-            counts[finding.rule] = counts.get(finding.rule, 0) + 1
-        return dict(sorted(counts.items()))
 
 
 def lint_paths(

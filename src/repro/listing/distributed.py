@@ -38,7 +38,16 @@ Two message protocols implement the per-cluster work of Lemma 34:
   graph, under the model's one-word-per-edge bandwidth constraint.
 
 Both protocols are compiled into one :class:`ClusterProtocolPlan` per
-execution, whose :meth:`~ClusterProtocolPlan.factory` is a plan-bound
+execution.  A plan is arrays over one numbering: the communication graph's
+:class:`~repro.graphs.index.LabelCSR` numbers its vertices in label order,
+the ``networkx`` graph the engine runs on is built from that index in the
+same order, so the index's ids are the engine's dense ids.  Per vertex the
+plan keeps a lister flag and the four counts it waits for (announcements,
+replies, relays, received packets); per demand a flat route of dense ids.
+:func:`plan_two_hop_protocol` derives the counts with one sparse product,
+and :func:`add_edge_learning` routes along BFS trees computed on the index
+(``scipy.sparse.csgraph``).  The plan's
+:meth:`~ClusterProtocolPlan.factory` is a plan-bound
 :class:`ListingVector`.  The vectorized backend steps each cluster as that
 one :class:`~repro.engine.vector.VectorAlgorithm`: every vertex once per
 round, on arrays, with no per-message Python work.  The reference and
@@ -72,15 +81,14 @@ cost rather than ``n^{1-2/p+o(1)}``).
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Mapping
 
 import networkx as nx
 import numpy as np
-import scipy.sparse
 
 from repro.congest.cost import CostAccountant, RoutingOverhead, polylog_overhead
 from repro.congest.message import Message, words_for_payload
@@ -97,6 +105,7 @@ from repro.engine.vector import (
 )
 from repro.experiments.session import Session
 from repro.graphs.cliques import Clique, cliques_in_edge_set
+from repro.graphs.index import LabelCSR, canonical_edge
 from repro.listing.local import charge_exhaustive_pass, cliques_through_vertex
 from repro.listing.recursion import (
     ClusterTask,
@@ -108,56 +117,13 @@ from repro.listing.triangles import TriangleListing
 Edge = tuple[int, int]
 
 
-def _canonical(u: int, v: int) -> Edge:
-    return (u, v) if u <= v else (v, u)
-
-
 # ---------------------------------------------------------------------------
-# Per-vertex protocol plans
+# Compiled protocol plans
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class VertexPlan:
-    """Everything one vertex must know before a cluster execution starts.
-
-    Attributes:
-        p: clique size the vertex lists.
-        is_lister: whether the vertex runs the 2-hop exhaustive pass: it
-            announces its sorted adjacency list to every neighbour in
-            round 0.
-        expected_announcements: number of lister neighbours whose
-            announcements this vertex must answer.
-        expected_replies: number of adjacency replies a lister waits for
-            (its communication degree).
-        injects: number of edge-learning packets this vertex originates in
-            round 0 (their routes live on the :class:`ClusterProtocolPlan`).
-        expected_relays: number of packets this vertex must relay.
-        expected_edges: number of routed edges this vertex receives as a
-            leaf-part owner.
-        preloaded_edges: demanded edges incident to the owner itself — no
-            communication needed, the vertex already knows them.
-    """
-
-    p: int = 3
-    is_lister: bool = False
-    expected_announcements: int = 0
-    expected_replies: int = 0
-    injects: int = 0
-    expected_relays: int = 0
-    expected_edges: int = 0
-    preloaded_edges: list[Edge] = field(default_factory=list)
-
-    def idle(self) -> bool:
-        """True when the vertex neither sends nor expects anything."""
-        return not (
-            self.is_lister
-            or self.injects
-            or self.expected_announcements
-            or self.expected_replies
-            or self.expected_relays
-            or self.expected_edges
-        )
+# Columns of a plan's per-vertex counts, and of ListingVector's counters.
+_ANSWERED, _REPLIES, _RELAYED, _RECEIVED = range(4)
 
 
 def _no_routes(*shape: int) -> np.ndarray:
@@ -166,35 +132,64 @@ def _no_routes(*shape: int) -> np.ndarray:
 
 @dataclass
 class ClusterProtocolPlan:
-    """A compiled per-cluster protocol: topology, per-vertex plans, routes.
+    """A compiled per-cluster protocol: topology, per-vertex counts, routes.
 
-    Vertices are addressed by dense id in the routes: the position of the
-    vertex in ``graph.nodes``, which is also the engine's dense order.
+    Arrays are indexed by the dense ids of :attr:`index` (label order),
+    which are also the engine's dense ids on :attr:`graph`.
 
     Attributes:
-        graph: the communication graph the engine executes on (the
-            cluster's working graph, or the induced residual neighbourhood
-            for fallback passes).
-        plans: per-vertex plans; vertices without an entry stay idle.
+        index: the communication graph (the cluster's working graph, or the
+            induced residual neighbourhood for exhaustive passes).
         p: clique size.
-        listers: number of vertices running the 2-hop exhaustive pass.
-        demands: number of routed edge-learning packets.
+        lister: ``bool[n]`` — the vertex runs the 2-hop exhaustive pass: it
+            announces its sorted adjacency list to every neighbour in round 0.
+        counts: ``int64[n, 4]`` — what each vertex waits for before it
+            halts: announcements to answer (its lister neighbours), replies
+            to collect (a lister's degree), packets to relay and packets to
+            receive as an owner.
         route_hops: every demand's route, from the injecting endpoint to
             the owner, concatenated in demand order.
         route_ends: ``route_ends[d]`` is where demand ``d``'s route ends
             (exclusive) in ``route_hops``.
         route_edges: ``int64[demands, 2]`` — the demanded edge ``(u, w)``
             of each demand, ``u`` the smaller label.
+        preloaded: ``int64[k, 3]`` — ``(owner, u, w)`` for each demanded
+            edge incident to its owner, which knows it without communication.
     """
 
-    graph: nx.Graph
-    plans: dict[Hashable, VertexPlan]
+    index: LabelCSR
     p: int
-    listers: int = 0
-    demands: int = 0
+    lister: np.ndarray
+    counts: np.ndarray
     route_hops: np.ndarray = field(default_factory=_no_routes)
     route_ends: np.ndarray = field(default_factory=_no_routes)
     route_edges: np.ndarray = field(default_factory=lambda: _no_routes(0, 2))
+    preloaded: np.ndarray = field(default_factory=lambda: _no_routes(0, 3))
+
+    @property
+    def graph(self) -> nx.Graph:
+        """The communication graph the engine executes on."""
+        return self.index.graph
+
+    @property
+    def listers(self) -> int:
+        """Number of vertices running the 2-hop exhaustive pass."""
+        return int(self.lister.sum())
+
+    @property
+    def demands(self) -> int:
+        """Number of routed edge-learning packets."""
+        return int(self.route_ends.size)
+
+    @property
+    def route_starts(self) -> np.ndarray:
+        """Where each demand's route starts in ``route_hops``."""
+        return self.route_ends - np.diff(self.route_ends, prepend=0)
+
+    def idle(self) -> np.ndarray:
+        """``bool[n]``: vertices that neither send nor expect anything."""
+        injects = np.bincount(self.route_hops[self.route_starts], minlength=self.index.n)
+        return ~(self.lister | (injects > 0) | self.counts.any(axis=1))
 
     def factory(self) -> type["ListingVector"]:
         """The plan-bound :class:`ListingVector` class to hand the engine.
@@ -205,43 +200,34 @@ class ClusterProtocolPlan:
         return type(
             "PlannedListingVector",
             (ListingVector,),
-            {"plan": self, "per_vertex": staticmethod(self._make_vertex)},
-        )
-
-    def _make_vertex(
-        self, vertex: Hashable, neighbors: Iterable[Hashable], n: int
-    ) -> "ListingVertex":
-        inject, forward = self.packet_tables
-        return ListingVertex(
-            vertex,
-            neighbors,
-            n,
-            plan=self.plans.get(vertex) or VertexPlan(p=self.p),
-            inject=inject.get(vertex, ()),
-            forward=forward.get(vertex, {}),
+            {"plan": self, "per_vertex": staticmethod(partial(ListingVertex, plan=self))},
         )
 
     @cached_property
-    def packet_tables(self) -> tuple[dict, dict]:
-        """The twin's per-vertex packet tables, derived from the routes.
+    def packet_tables(self) -> tuple[dict, dict, dict]:
+        """The twin's per-vertex tables, keyed by label.
 
         ``inject[v]`` lists the ``(demand, u, w, first_hop)`` packets ``v``
         originates, in demand order; ``forward[v]`` maps each demand ``v``
-        relays to its next hop.
+        relays to its next hop; ``preloaded[v]`` lists the demanded edges
+        ``v`` owns and is an endpoint of.
         """
-        nodes = list(self.graph.nodes)
-        hops = [nodes[i] for i in self.route_hops.tolist()]
+        labels = self.index.labels
+        hops = [labels[i] for i in self.route_hops.tolist()]
         inject: dict[Hashable, list] = defaultdict(list)
         forward: dict[Hashable, dict[int, Hashable]] = defaultdict(dict)
+        preloaded: dict[Hashable, list[Edge]] = defaultdict(list)
         start = 0
         for demand, ((u, w), end) in enumerate(
             zip(self.route_edges.tolist(), self.route_ends.tolist())
         ):
-            inject[hops[start]].append((demand, nodes[u], nodes[w], hops[start + 1]))
+            inject[hops[start]].append((demand, labels[u], labels[w], hops[start + 1]))
             for position in range(start + 1, end - 1):
                 forward[hops[position]][demand] = hops[position + 1]
             start = end
-        return inject, forward
+        for owner, u, w in self.preloaded.tolist():
+            preloaded[labels[owner]].append((labels[u], labels[w]))
+        return inject, forward, preloaded
 
 
 class ListingVertex(VertexAlgorithm):
@@ -263,32 +249,27 @@ class ListingVertex(VertexAlgorithm):
 
     Expected message counts are part of the plan, so every vertex can halt
     locally the moment its counters are met — there is no global
-    termination detection, matching the CONGEST model.  This is the
-    ``per_vertex`` twin of :class:`ListingVector`.
+    termination detection, matching the CONGEST model.  A vertex reads its
+    own row of the plan's arrays.  This is the ``per_vertex`` twin of
+    :class:`ListingVector`.
     """
 
-    def __init__(
-        self,
-        vertex,
-        neighbors,
-        n,
-        plan: VertexPlan,
-        inject: Iterable[tuple[int, Hashable, Hashable, Hashable]] = (),
-        forward: dict[int, Hashable] | None = None,
-    ):
+    def __init__(self, vertex, neighbors, n, plan: ClusterProtocolPlan):
         super().__init__(vertex, neighbors, n)
-        self.plan = plan
-        self._inject = inject
-        self._forward = forward or {}
+        vertex_id = plan.index.id_of[vertex]
+        inject, forward, preloaded = plan.packet_tables
+        self._p = plan.p
+        self._is_lister = bool(plan.lister[vertex_id])
+        self._need = plan.counts[vertex_id].tolist()
+        self._got = [0] * len(self._need)
+        self._inject = inject.get(vertex, ())
+        self._forward = forward.get(vertex, {})
         self._neighbor_set = set(self.neighbors)
-        self._announcements_answered = 0
         self._replies: dict[Hashable, tuple] = {}
-        self._edges: set[Edge] = {_canonical(*e) for e in plan.preloaded_edges}
-        self._edges_received = 0
-        self._relayed = 0
+        self._edges: set[Edge] = set(preloaded.get(vertex, ()))
         self._initial_sent = False
         self.output: set[Clique] = set()
-        if plan.idle():
+        if not (self._is_lister or self._inject or any(self._need)):
             self._finish()
 
     # -- protocol rounds -----------------------------------------------------
@@ -297,23 +278,24 @@ class ListingVertex(VertexAlgorithm):
         outgoing: list[Message] = []
         for message in inbox:
             if message.tag == "adj":
-                self._announcements_answered += 1
+                self._got[_ANSWERED] += 1
                 hits = tuple(filter(self._neighbor_set.__contains__, message.payload))
                 outgoing.append(self.send(message.sender, "hits", hits))
             elif message.tag == "hits":
+                self._got[_REPLIES] += 1
                 self._replies[message.sender] = message.payload
             elif message.tag == "edge":
                 demand_id, u, w = message.payload
                 next_hop = self._forward.get(demand_id)
                 if next_hop is None:
-                    self._edges.add(_canonical(u, w))
-                    self._edges_received += 1
+                    self._got[_RECEIVED] += 1
+                    self._edges.add(canonical_edge(u, w))
                 else:
-                    self._relayed += 1
+                    self._got[_RELAYED] += 1
                     outgoing.append(self.send(next_hop, "edge", (demand_id, u, w)))
         if not self._initial_sent:
             self._initial_sent = True
-            if self.plan.is_lister:
+            if self._is_lister:
                 outgoing.extend(
                     self.send(neighbor, "adj", self.neighbors)
                     for neighbor in self.neighbors
@@ -327,25 +309,20 @@ class ListingVertex(VertexAlgorithm):
         return outgoing
 
     def _complete(self) -> bool:
-        plan = self.plan
-        return (
-            self._initial_sent
-            and self._announcements_answered >= plan.expected_announcements
-            and len(self._replies) >= plan.expected_replies
-            and self._relayed >= plan.expected_relays
-            and self._edges_received >= plan.expected_edges
+        return self._initial_sent and all(
+            got >= need for got, need in zip(self._got, self._need)
         )
 
     def _finish(self) -> None:
         if self.halted:
             return
         found: set[Clique] = set()
-        if self.plan.is_lister:
+        if self._is_lister:
             found |= cliques_through_vertex(
-                self._induced_neighborhood(), self.vertex, self.plan.p
+                self._induced_neighborhood(), self.vertex, self._p
             )
         if self._edges:
-            found |= cliques_in_edge_set(self._edges, self.plan.p)
+            found |= cliques_in_edge_set(self._edges, self._p)
         self.output = found
         self.halt()
 
@@ -375,8 +352,6 @@ def _edge_ids(
 
 # Message kinds of the array path: a delivered value is ``ident << 2 | kind``.
 _ADJ, _HITS, _EDGE = 0, 1, 2
-# Columns of ListingVector's per-vertex counters, in VertexPlan order.
-_ANSWERED, _REPLIES, _RELAYED, _RECEIVED = range(4)
 
 
 class ListingVector(VectorAlgorithm):
@@ -390,8 +365,8 @@ class ListingVector(VectorAlgorithm):
 
     * ``adj`` (``ident``: the announcement) costs one word plus the
       lister's labels; the receiver answers ``hits``, costing one word plus
-      the labels the pair has in common, from a label-weighted
-      common-neighbour count on the topology's CSR;
+      the labels the pair has in common, a label-weighted common-neighbour
+      count on the plan's index;
     * ``hits`` is counted by the lister;
     * ``edge`` (``ident``: the receiver's position in the plan's flat
       routes) costs the twin's ``(demand, u, w)`` words; a relay forwards
@@ -400,9 +375,10 @@ class ListingVector(VectorAlgorithm):
     Round 0 sends every announcement and injects every packet; later rounds
     only answer the inbox.  Sends leave in the twin's order — by sender in
     dense-id order, and within a sender replies in inbox order, then
-    announcements, then injects — so every per-edge FIFO, and with it every
-    completion round, matches.  A vertex halts once its counters meet its
-    plan, then lists with :func:`cliques_through_vertex` (listers, over the
+    announcements (neighbours in label order, which is CSR order), then
+    injects — so every per-edge FIFO, and with it every completion round,
+    matches.  A vertex halts once its counters meet the plan's counts, then
+    lists with :func:`cliques_through_vertex` (listers, over the
     plan graph: a halted lister has heard every reply) and
     :func:`cliques_in_edge_set` (owners, over their routed edges).
     """
@@ -413,54 +389,35 @@ class ListingVector(VectorAlgorithm):
         super().__init__(topology)
         plan = self.plan
         n = topology.n
-        nodes = topology.nodes
-        idle_plan = VertexPlan(p=plan.p)
-        self._plans = [plan.plans.get(v) or idle_plan for v in nodes]
-        self._need = np.array(
-            [
-                (
-                    vp.expected_announcements,
-                    vp.expected_replies,
-                    vp.expected_relays,
-                    vp.expected_edges,
-                )
-                for vp in self._plans
-            ],
-            dtype=np.int64,
-        ).reshape(n, 4)
         self._got = np.zeros((n, 4), dtype=np.int64)
         self._outputs: dict[int, set[Clique]] = {}
         if topology.node_values is not None:
             cost = np.ones(n, dtype=np.int64)
-            label_order = np.argsort(topology.node_values, kind="stable")
         else:
             cost = np.fromiter(
-                (words_for_payload(v, n) for v in nodes), dtype=np.int64, count=n
+                (words_for_payload(v, n) for v in topology.nodes),
+                dtype=np.int64,
+                count=n,
             )
-            label_order = np.array(sorted(range(n), key=nodes.__getitem__), dtype=int)
-        rank = np.empty(n, dtype=np.int64)
-        rank[label_order] = np.arange(n)
 
-        # Announcements: one per CSR slot of a lister, in label order.
-        lister = np.fromiter((vp.is_lister for vp in self._plans), dtype=bool, count=n)
-        indptr, targets = topology.indptr, topology.targets
-        slot_senders = topology.csr_senders
-        slots = np.flatnonzero(lister[slot_senders])
-        slots = slots[np.lexsort((rank[targets[slots]], slot_senders[slots]))]
-        announcers, answerers = slot_senders[slots], targets[slots]
-        prefix = np.concatenate(([0], np.cumsum(cost[targets])))
-        label_words = prefix[indptr[1:]] - prefix[indptr[:-1]]
-        self._hits_words = 1 + self._common_label_words(
-            lister, cost, announcers, answerers
-        )
+        # Announcements: one per CSR slot of a lister.  A reply's labels are
+        # the common neighbours of its pair: an entry of A[listers]·diag(cost)·A.
+        adjacency = plan.index.matrix
+        slots = np.flatnonzero(plan.lister[topology.csr_senders])
+        announcers, answerers = topology.csr_senders[slots], topology.targets[slots]
+        label_words = adjacency @ cost
+        self._hits_words = np.ones(slots.size, dtype=np.int64)
+        if slots.size:
+            listers = np.flatnonzero(plan.lister)
+            common = adjacency[listers].multiply(cost).tocsr() @ adjacency
+            at = np.searchsorted(listers, announcers)
+            self._hits_words += np.asarray(common[at, answerers]).ravel()
         self._hits_edges = _edge_ids(topology, answerers, announcers)
 
         # Edge packets: one flat route per demand.
-        hops, ends = plan.route_hops, plan.route_ends
-        starts = ends - np.diff(ends, prepend=0)
-        edges = plan.route_edges
+        hops, ends, starts = plan.route_hops, plan.route_ends, plan.route_starts
         self._hops = hops
-        packet_words = 2 + cost[edges[:, 0]] + cost[edges[:, 1]]
+        packet_words = 2 + cost[plan.route_edges].sum(axis=1)
         self._hop_words = np.repeat(packet_words, ends - starts)
         self._hop_is_end = np.zeros(hops.size, dtype=bool)
         self._hop_is_end[ends - 1] = True
@@ -469,10 +426,15 @@ class ListingVector(VectorAlgorithm):
         inner[starts] = False
         inner = np.flatnonzero(inner)
         self._hop_edges[inner] = _edge_ids(topology, hops[inner - 1], hops[inner])
-        owners = hops[ends - 1]
-        self._owned = np.argsort(owners, kind="stable")
-        self._owned_ptr = [0, *np.cumsum(np.bincount(owners, minlength=n)).tolist()]
-        self._labels = np.fromiter(nodes, dtype=object, count=n)
+        # Each owner's edges as label pairs: preloaded, then routed in
+        # demand order.
+        known = np.concatenate(
+            (plan.preloaded, np.column_stack((hops[ends - 1], plan.route_edges)))
+        )
+        order = np.argsort(known[:, 0], kind="stable")
+        self._known = plan.index.label_array[known[order, 1:]]
+        self._known_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(known[:, 0], minlength=n), out=self._known_ptr[1:])
 
         # Round 0: announcements, then injects (on_round groups by sender).
         first = starts + 1
@@ -487,44 +449,10 @@ class ListingVector(VectorAlgorithm):
         )
         self._initial: tuple[np.ndarray, ...] | None = initial
 
-        idle = np.fromiter((vp.idle() for vp in self._plans), dtype=bool, count=n)
+        idle = plan.idle()
         self.halted |= idle
-        for vertex_id in np.flatnonzero(idle).tolist():
-            if self._plans[vertex_id].preloaded_edges:
-                self._finish(vertex_id)
-
-    def _common_label_words(
-        self,
-        lister: np.ndarray,
-        cost: np.ndarray,
-        announcers: np.ndarray,
-        answerers: np.ndarray,
-    ) -> np.ndarray:
-        """Per announcement, the words of the labels both endpoints neighbour.
-
-        One sparse product ``A[listers] · diag(cost) · A`` counts them for
-        every lister row at once; each announcement reads its pair's entry.
-        """
-        topology = self.topology
-        n = topology.n
-        if not announcers.size:
-            return np.zeros(0, dtype=np.int64)
-        ones = np.ones(topology.targets.size, dtype=np.int64)
-        adjacency = scipy.sparse.csr_matrix(
-            (ones, topology.targets, topology.indptr), shape=(n, n)
-        )
-        listers = np.flatnonzero(lister)
-        rows = adjacency[listers]
-        rows.data = cost[rows.indices]
-        common = (rows @ adjacency).tocsr()
-        if not common.nnz:
-            return np.zeros(announcers.size, dtype=np.int64)
-        common.sort_indices()
-        rows_of = np.repeat(np.arange(listers.size), np.diff(common.indptr))
-        keys = rows_of * n + common.indices
-        wanted = np.searchsorted(listers, announcers) * n + answerers
-        at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
-        return np.where(keys[at] == wanted, common.data[at], 0)
+        for vertex_id in np.flatnonzero(idle & (np.diff(self._known_ptr) > 0)).tolist():
+            self._finish(vertex_id)
 
     def on_round(self, round_index: int, inbox: VectorInbox) -> VectorSends | None:
         # Only round 0 and an inbox can move a counter.
@@ -537,7 +465,7 @@ class ListingVector(VectorAlgorithm):
             candidates = inbox.receivers
         else:
             return None
-        complete = (self._got[candidates] >= self._need[candidates]).all(axis=1)
+        complete = (self._got[candidates] >= self.plan.counts[candidates]).all(axis=1)
         if complete.any():
             newly = np.unique(candidates[complete])
             self.halted[newly] = True
@@ -582,21 +510,16 @@ class ListingVector(VectorAlgorithm):
         return (receivers[rows], *out)
 
     def _finish(self, vertex_id: int) -> None:
-        vertex_plan = self._plans[vertex_id]
+        plan = self.plan
         found: set[Clique] = set()
-        if vertex_plan.is_lister:
+        if plan.lister[vertex_id]:
             found |= cliques_through_vertex(
-                self.plan.graph.adj, self.topology.nodes[vertex_id], vertex_plan.p
+                plan.graph.adj, self.topology.nodes[vertex_id], plan.p
             )
-        first, last = self._owned_ptr[vertex_id : vertex_id + 2]
-        if last > first or vertex_plan.preloaded_edges:
-            # Routed edges stream into the kernel as label pairs, so no
-            # list of them is ever built.
-            demands = self._owned[first:last]
-            us, ws = self._labels[self.plan.route_edges[demands]].T.tolist()
-            found |= cliques_in_edge_set(
-                chain(vertex_plan.preloaded_edges, zip(us, ws)), vertex_plan.p
-            )
+        first, last = self._known_ptr[vertex_id : vertex_id + 2]
+        if last > first:
+            us, ws = self._known[first:last].T.tolist()
+            found |= cliques_in_edge_set(zip(us, ws), plan.p)
         self._outputs[vertex_id] = found
 
     def outputs(self) -> dict[Hashable, set[Clique]]:
@@ -610,109 +533,94 @@ class ListingVector(VectorAlgorithm):
 
 
 def plan_two_hop_protocol(
-    comm_graph: nx.Graph, listers: Iterable[int], p: int
+    comm_graph: nx.Graph | LabelCSR, listers: Iterable[Hashable], p: int
 ) -> ClusterProtocolPlan:
     """Compile the Lemma 35 announce/reply protocol over ``comm_graph``.
 
     ``comm_graph`` must equal the graph the cliques are listed in: for
     cluster executions it is the working graph, for fallback passes the
     subgraph of ``G`` induced on the listers' closed neighbourhood (which
-    contains every edge a lister's 2-hop view can mention).
+    contains every edge a lister's 2-hop view can mention), as a
+    :class:`~repro.graphs.index.LabelCSR` or a graph to index.  The engine's
+    graph is built here, in the index's order.
     """
-    lister_set = {v for v in listers if v in comm_graph}
-    adjacency = comm_graph.adj
-    plans: dict[int, VertexPlan] = {v: VertexPlan(p=p) for v in comm_graph.nodes}
-    for vertex in lister_set:
-        plans[vertex].is_lister = True
-        plans[vertex].expected_replies = len(adjacency[vertex])
-    for vertex in comm_graph.nodes:
-        plans[vertex].expected_announcements = sum(
-            1 for u in adjacency[vertex] if u in lister_set
-        )
-    return ClusterProtocolPlan(
-        graph=comm_graph, plans=plans, p=p, listers=len(lister_set)
-    )
-
-
-def _bfs_tree(graph: nx.Graph, root: int) -> tuple[dict[int, int], dict[int, int]]:
-    """Parent pointers (toward ``root``) and hop depths of a BFS tree."""
-    parents: dict[int, int] = {root: root}
-    depths: dict[int, int] = {root: 0}
-    queue = deque([root])
-    while queue:
-        current = queue.popleft()
-        for neighbor in sorted(graph.neighbors(current)):
-            if neighbor not in parents:
-                parents[neighbor] = current
-                depths[neighbor] = depths[current] + 1
-                queue.append(neighbor)
-    return parents, depths
+    index = comm_graph
+    if not isinstance(index, LabelCSR):
+        index = LabelCSR.from_graph(comm_graph)
+    graph = index.graph
+    lister = np.zeros(index.n, dtype=bool)
+    lister[index.ids(v for v in listers if v in graph)] = True
+    counts = np.zeros((index.n, 4), dtype=np.int64)
+    counts[:, _ANSWERED] = index.matrix @ lister.astype(np.int64)
+    counts[lister, _REPLIES] = index.degrees[lister]
+    return ClusterProtocolPlan(index=index, p=p, lister=lister, counts=counts)
 
 
 def add_edge_learning(
-    plan: ClusterProtocolPlan, owner_edges: dict[int, set[Edge]]
+    plan: ClusterProtocolPlan, owner_edges: Mapping[Hashable, Iterable[Edge]]
 ) -> None:
     """Compile per-owner edge demands into routed packets.
 
-    Each demanded edge is injected by one of its endpoints and forwarded
-    hop-by-hop along the BFS shortest path to the owner inside the plan's
-    communication graph.  The path is appended to the plan's flat routes,
-    and every vertex on it gets its inject, relay or receive count, so all
+    Demands are taken in (owner, edge) label order.  An edge incident to its
+    owner is preloaded.  Any other is injected by the endpoint closer to the
+    owner (the smaller label on a tie) and forwarded hop by hop along the
+    owner's BFS tree in the plan's communication graph, which scans
+    neighbours in label order.  The route is appended to the plan's flat
+    routes, and every vertex on it gets its relay or receive count, so all
     vertices can halt locally.
     """
-    comm = plan.graph
-    plans = plan.plans
-    index = {v: i for i, v in enumerate(comm.nodes)}
-    base = int(plan.route_hops.size)
-    hops: list[int] = []
-    ends: list[int] = []
-    edges: list[int] = []
-    for owner in sorted(owner_edges):
-        demands = {_canonical(*e) for e in owner_edges[owner]}
-        if not demands:
-            continue
-        parents, depths = _bfs_tree(comm, owner)
-        for u, w in sorted(demands):
-            if owner in (u, w):
-                plans[owner].preloaded_edges.append((u, w))
-                continue
-            if u not in parents and w not in parents:
-                raise ValueError(
-                    f"edge ({u}, {w}) unreachable from owner {owner} in the "
-                    "cluster working graph"
-                )
-            # The endpoint closer to the owner injects (shorter route).
-            if u in parents and (w not in parents or depths[u] <= depths[w]):
-                step = u
-            else:
-                step = w
-            hops.append(index[step])
-            while step != owner:
-                step = parents[step]
-                hops.append(index[step])
-            ends.append(base + len(hops))
-            edges += (index[u], index[w])
-    if not ends:
+    index = plan.index
+    demands = _demand_rows(index, owner_edges)
+    own = (demands[:, 0] == demands[:, 1]) | (demands[:, 0] == demands[:, 2])
+    plan.preloaded = np.concatenate((plan.preloaded, demands[own]))
+    owners, us, ws = demands[~own].T
+    if not owners.size:
         return
-    new_hops = np.array(hops, dtype=np.int64)
-    new_ends = np.array(ends, dtype=np.int64)
-    starts = new_ends - base - np.diff(new_ends, prepend=base)
-    n = len(index)
-    sources = np.bincount(new_hops[starts], minlength=n)
-    owners = np.bincount(new_hops[new_ends - base - 1], minlength=n)
-    relays = np.bincount(new_hops, minlength=n) - sources - owners
-    nodes = list(index)
-    for vertex_id in np.flatnonzero(sources + owners + relays).tolist():
-        vertex_plan = plans[nodes[vertex_id]]
-        vertex_plan.injects += int(sources[vertex_id])
-        vertex_plan.expected_relays += int(relays[vertex_id])
-        vertex_plan.expected_edges += int(owners[vertex_id])
-    plan.route_hops = np.concatenate((plan.route_hops, new_hops))
-    plan.route_ends = np.concatenate((plan.route_ends, new_ends))
-    plan.route_edges = np.concatenate(
-        (plan.route_edges, np.array(edges, dtype=np.int64).reshape(-1, 2))
-    )
-    plan.demands += len(ends)
+    roots, tree = np.unique(owners, return_inverse=True)
+    parents, depths = index.bfs_trees(roots)
+    depth_u, depth_w = depths[tree, us], depths[tree, ws]
+    lost = np.flatnonzero((depth_u < 0) & (depth_w < 0))
+    if lost.size:
+        u, w, owner = (index.labels[ids[lost[0]]] for ids in (us, ws, owners))
+        raise ValueError(
+            f"edge ({u}, {w}) unreachable from owner {owner} in the "
+            "cluster working graph"
+        )
+    # The endpoint closer to the owner injects (shorter route).
+    sources = np.where((depth_u >= 0) & ((depth_w < 0) | (depth_u <= depth_w)), us, ws)
+    lengths = depths[tree, sources] + 1
+    table = np.empty((sources.size, int(lengths.max())), dtype=np.int64)
+    step = sources
+    for column in range(table.shape[1]):
+        table[:, column] = step
+        step = parents[tree, step]
+    hops = table[np.arange(table.shape[1]) < lengths[:, None]]
+    n = index.n
+    injected = np.bincount(sources, minlength=n)
+    received = np.bincount(owners, minlength=n)
+    plan.counts[:, _RELAYED] += np.bincount(hops, minlength=n) - injected - received
+    plan.counts[:, _RECEIVED] += received
+    plan.route_ends = np.append(plan.route_ends, plan.route_hops.size + np.cumsum(lengths))
+    plan.route_hops = np.concatenate((plan.route_hops, hops))
+    plan.route_edges = np.concatenate((plan.route_edges, np.stack((us, ws), axis=1)))
+
+
+def _demand_rows(
+    index: LabelCSR, owner_edges: Mapping[Hashable, Iterable[Edge]]
+) -> np.ndarray:
+    """Sorted ``int64[d, 3]`` rows ``(owner, u, w)`` of ids, ``u < w``, no repeats."""
+    owners: list[Hashable] = []
+    ends: list[Hashable] = []
+    for owner, edges in owner_edges.items():
+        flat = list(chain.from_iterable(edges))
+        owners += [owner] * (len(flat) // 2)
+        ends += flat
+    pairs = index.ids(ends).reshape(-1, 2)
+    rows = np.column_stack((index.ids(owners), pairs.min(axis=1), pairs.max(axis=1)))
+    rows = rows[np.lexsort(rows.T[::-1])]
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[fresh]
 
 
 # ---------------------------------------------------------------------------
@@ -902,7 +810,9 @@ class DistributedListingDriver:
     def _handle_cluster(self, task: ClusterTask) -> set[Clique]:
         if self.p == 3:
             blueprint, predicted = self._triangle.predict_cluster_cost(task)
-            plan = plan_two_hop_protocol(blueprint.working, blueprint.listers, p=3)
+            plan = plan_two_hop_protocol(
+                blueprint.cluster.index, blueprint.listers, p=3
+            )
             add_edge_learning(plan, blueprint.owner_edges)
         else:
             plan, predicted = self._plan_kp_cluster(task)
@@ -973,9 +883,7 @@ class DistributedListingDriver:
         closure = set(listers)
         for vertex in listers:
             closure.update(graph.neighbors(vertex))
-        plan = plan_two_hop_protocol(
-            nx.Graph(graph.subgraph(closure)), listers, p=p
-        )
+        plan = plan_two_hop_protocol(graph.subgraph(closure), listers, p=p)
         predicted = self._new_accountant(graph.number_of_nodes())
         alpha = max((graph.degree(v) for v in listers), default=1)
         charge_exhaustive_pass(graph, listers, max(1, alpha), predicted, phase=phase)
@@ -1020,8 +928,8 @@ class DistributedListingDriver:
             ClusterExecution(
                 level=level,
                 cluster_index=cluster_index,
-                vertices=plan.graph.number_of_nodes(),
-                edges=plan.graph.number_of_edges(),
+                vertices=plan.index.n,
+                edges=plan.index.num_edges,
                 listers=plan.listers,
                 demands=plan.demands,
                 rounds=run.rounds,

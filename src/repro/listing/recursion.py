@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from functools import cached_property
+from typing import Callable
 
 import networkx as nx
 
@@ -35,14 +36,11 @@ from repro.congest.cost import CostAccountant, RoutingOverhead, polylog_overhead
 from repro.congest.metrics import CongestMetrics
 from repro.decomposition.cluster import core_vertices
 from repro.decomposition.expander import decomposition_round_cost, expander_decompose
+from repro.graphs import canonical_edge
 from repro.graphs.cliques import Clique
 from repro.listing.local import two_hop_exhaustive_listing
 
 Edge = tuple[int, int]
-
-
-def _canonical(u: int, v: int) -> Edge:
-    return (u, v) if u <= v else (v, u)
 
 
 @dataclass
@@ -59,8 +57,6 @@ class ClusterTask:
         responsibility: the residual edges between two core vertices — the
             edges this cluster must "finish" (every clique of ``G`` containing
             one of them must be reported).
-        working_edges: the augmented edge set the cluster may use
-            (``E_i`` plus all ``G``-edges incident to a core vertex).
         accountant: a per-cluster cost accountant (clusters run in parallel;
             the driver folds in only the maximum round count of a level).
     """
@@ -71,13 +67,17 @@ class ClusterTask:
     cluster_edges: set[Edge]
     core: set[int]
     responsibility: set[Edge]
-    working_edges: set[Edge]
     accountant: CostAccountant
 
-    def working_graph(self) -> nx.Graph:
-        subgraph = nx.Graph()
-        subgraph.add_edges_from(self.working_edges)
-        return subgraph
+    @cached_property
+    def working_edges(self) -> set[Edge]:
+        """The augmented edge set the cluster may use: ``E_i`` plus all
+        ``G``-edges incident to a core vertex, built on a handler's first ask."""
+        working = set(self.cluster_edges)
+        for vertex in self.core:
+            for neighbor in self.graph.neighbors(vertex):
+                working.add(canonical_edge(vertex, neighbor))
+        return working
 
 
 ClusterHandler = Callable[[ClusterTask], set[Clique]]
@@ -196,13 +196,6 @@ class RecursiveListingDriver:
     def new_accountant(self, n: int, metrics: CongestMetrics | None = None) -> CostAccountant:
         return CostAccountant(n=n, overhead=self.overhead, metrics=metrics)
 
-    def _working_edges(self, graph: nx.Graph, cluster_edges: set[Edge], core: set[int]) -> set[Edge]:
-        working = set(cluster_edges)
-        for vertex in core:
-            for neighbor in graph.neighbors(vertex):
-                working.add(_canonical(vertex, neighbor))
-        return working
-
     # -- the recursion ----------------------------------------------------------
 
     def run(
@@ -214,7 +207,7 @@ class RecursiveListingDriver:
         n = graph.number_of_nodes()
         metrics = CongestMetrics()
         global_accountant = self.new_accountant(n, metrics)
-        all_edges = {_canonical(u, v) for u, v in graph.edges}
+        all_edges = {canonical_edge(u, v) for u, v in graph.edges}
         residual: set[Edge] = set(all_edges)
         cliques: set[Clique] = set()
         reports = 0
@@ -252,7 +245,6 @@ class RecursiveListingDriver:
                     cluster_edges=cluster_edges,
                     core=core,
                     responsibility=responsibility,
-                    working_edges=self._working_edges(graph, cluster_edges, core),
                     accountant=self.new_accountant(n),
                 )
                 found = handler(task)

@@ -12,6 +12,9 @@ the per-cluster work of Lemma 34:
   leaf part assigned to it, the edges running between the part's ancestor
   parts and reports the triangles it sees.  Theorem 13 guarantees that every
   triangle with all three vertices in ``V_C^-`` is caught by some leaf part.
+
+A cluster's working edges are indexed once (``cluster.index``); degrees,
+partition-tree layers and ancestor-part edges are all read from it.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import networkx as nx
+import numpy as np
 
 from repro.congest.cost import CostAccountant, RoutingOverhead, polylog_overhead
 from repro.congest.metrics import CongestMetrics
@@ -47,26 +51,25 @@ class TriangleClusterBlueprint:
 
     Attributes:
         cluster: the K3-compatible communication cluster over the
-            augmented (working) edge set.
-        working: the working graph the cluster listing operates on.
+            augmented (working) edge set; its index is the working graph.
         low_degree: vertices below ``δ = K^{1/3}`` — handled by the
             exhaustive 2-hop pass of Lemma 35.
         alpha: degree bound used for the exhaustive pass round cost.
         tiny_core: ``V_C^-`` members when there are fewer than three of
             them (exhausted directly instead of building a tree).
         owner_edges: for every ``V_C^*`` leaf-part owner, the ancestor-part
-            edges it must learn (step 2 of Lemma 34).
+            edges it must learn (step 2 of Lemma 34), each once, smaller
+            label first.
         received_load: per-owner number of learned edge words (before
             per-owner deduplication), as the cost model charges it.
         load_per_degree: the ``L`` parameter of the Theorem 6 routing.
     """
 
     cluster: K3CompatibleCluster
-    working: nx.Graph
     low_degree: list[int] = field(default_factory=list)
     alpha: int = 1
     tiny_core: list[int] = field(default_factory=list)
-    owner_edges: dict[int, set[Edge]] = field(default_factory=dict)
+    owner_edges: dict[int, list[Edge]] = field(default_factory=dict)
     received_load: dict[int, int] = field(default_factory=dict)
     load_per_degree: float = 0.0
 
@@ -117,18 +120,17 @@ class TriangleListing:
         (:meth:`_handle_cluster`) or executed as per-vertex messages
         (:mod:`repro.listing.distributed`).
         """
-        working = task.working_graph()
         cluster = K3CompatibleCluster.from_edges(task.graph, task.working_edges)
+        index = cluster.index
         delta = cluster.delta
         blueprint = TriangleClusterBlueprint(
             cluster=cluster,
-            working=working,
-            low_degree=[v for v in working.nodes if working.degree(v) < delta],
+            low_degree=index.label_array[index.degrees < delta].tolist(),
             alpha=max(1, math.ceil(delta)),
         )
         members = cluster.ordered_members()
         if len(members) >= 3:
-            self._plan_high_degree(task, cluster, working, blueprint, accountant)
+            self._plan_high_degree(task, cluster, blueprint, accountant)
         elif members:
             blueprint.tiny_core = members
         return blueprint
@@ -146,13 +148,14 @@ class TriangleListing:
         prefix = f"level{task.level}-c{task.cluster_index}"
         if blueprint.low_degree:
             charge_exhaustive_pass(
-                blueprint.working, blueprint.low_degree, blueprint.alpha,
+                blueprint.cluster.cluster_graph, blueprint.low_degree, blueprint.alpha,
                 accountant, phase=f"{prefix}:low-degree",
             )
         if blueprint.tiny_core:
-            tiny_alpha = max(blueprint.working.degree(v) for v in blueprint.tiny_core)
+            degree = blueprint.cluster.communication_degree
+            tiny_alpha = max(map(degree, blueprint.tiny_core))
             charge_exhaustive_pass(
-                blueprint.working, blueprint.tiny_core, tiny_alpha,
+                blueprint.cluster.cluster_graph, blueprint.tiny_core, tiny_alpha,
                 accountant, phase=f"{prefix}:tiny-core",
             )
         # Step 1/2 of Lemma 34: interval announcements plus edge deliveries.
@@ -210,7 +213,7 @@ class TriangleListing:
         for listers in (blueprint.low_degree, blueprint.tiny_core):
             if listers:
                 found |= two_hop_exhaustive_listing(
-                    blueprint.working, listers, p=3
+                    blueprint.cluster.cluster_graph, listers, p=3
                 ).cliques
         for owner in sorted(blueprint.owner_edges):
             found |= cliques_in_edge_set(blueprint.owner_edges[owner], 3)
@@ -220,13 +223,15 @@ class TriangleListing:
         self,
         task: ClusterTask,
         cluster: K3CompatibleCluster,
-        working: nx.Graph,
         blueprint: TriangleClusterBlueprint,
         accountant: CostAccountant,
     ) -> None:
-        """Theorem 16 + step 2 of Lemma 34: who must learn which edges."""
-        members = cluster.ordered_members()
-        core_graph = working.subgraph(members)
+        """Theorem 16 + step 2 of Lemma 34: who must learn which edges.
+
+        Parts are id ranges of the core index, so the edges between two of
+        a leaf part's ancestor parts are range queries over its rows.
+        """
+        core = cluster.core
         router = ClusterRouter(
             cluster=cluster, accountant=accountant,
             phase_prefix=f"level{task.level}-c{task.cluster_index}",
@@ -242,24 +247,22 @@ class TriangleListing:
             )
 
         tree = result.tree
-        assignment = result.assignment
-        owner_edges: dict[int, set[Edge]] = {}
+        learned: dict[int, list[np.ndarray]] = {}
         received_load: dict[int, int] = {}
-        x = max(1.0, len(members) ** (1.0 / 3.0))
+        x = max(1.0, core.n ** (1.0 / 3.0))
 
-        adjacency = {v: set(core_graph.neighbors(v)) for v in members}
-        for (path, part_index), owner in assignment.owner.items():
-            node = tree.node_at(path)
-            ancestors = tree.ancestor_parts(node, part_index)
-            ancestor_sets = [set(part.vertices()) for part in ancestors]
-            learned: set[Edge] = set()
-            for first, second in itertools.combinations(range(len(ancestor_sets)), 2):
-                left, right = ancestor_sets[first], ancestor_sets[second]
-                for u in left:
-                    for w in adjacency.get(u, ()) & right:
-                        learned.add((u, w) if u <= w else (w, u))
-            received_load[owner] = received_load.get(owner, 0) + len(learned)
-            owner_edges.setdefault(owner, set()).update(learned)
+        for (path, part_index), owner in result.assignment.owner.items():
+            parts = tree.ancestor_parts(tree.node_at(path), part_index)
+            edges = np.unique(np.concatenate([
+                core.edges_between((left.lo, left.hi), (right.lo, right.hi))
+                for left, right in itertools.combinations(parts, 2)
+            ]))
+            received_load[owner] = received_load.get(owner, 0) + edges.size
+            learned.setdefault(owner, []).append(edges)
+        owner_edges = {
+            owner: core.label_pairs(np.unique(np.concatenate(parts)))
+            for owner, parts in learned.items()
+        }
 
         load_per_degree = x  # the send side: every edge travels O(x) times
         for owner, received in received_load.items():

@@ -7,18 +7,21 @@ layer) simulated with Theorem 11; the root and middle layers are then made
 known to every ``V_C^-`` vertex (Lemma 19) and the leaf layer is spread over
 the ``V_C^*`` vertices proportionally to their communication degree
 (Lemma 20).
+
+Every layer reads the core index ``cluster.core``: a part is an interval of
+the sorted core, so a degree into a part is a range query over a sorted row.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import networkx as nx
-
 from repro.decomposition.cluster import CommunicationCluster
 from repro.decomposition.routing import ClusterRouter
+from repro.graphs.index import LabelCSR
 from repro.partition_trees.load_balance import (
     amplifier_broadcast,
     balance_by_communication_degree,
@@ -130,22 +133,18 @@ class K3TreeResult:
 
 
 def _vertex_tokens(
-    subgraph: nx.Graph,
-    members: Sequence[int],
-    ancestors: Sequence[VertexInterval],
+    core: LabelCSR, ancestors: Sequence[VertexInterval]
 ) -> list[MainToken]:
-    """One main token per vertex: its degree into V' and into each ancestor part."""
-    ancestor_sets = [set(part.vertices()) for part in ancestors]
-    member_set = set(members)
-    tokens = []
-    for index, vertex in enumerate(members):
-        neighbors = set(subgraph.neighbors(vertex)) if vertex in subgraph else set()
-        degree = len(neighbors & member_set)
-        ancestor_degrees = tuple(len(neighbors & anc) for anc in ancestor_sets)
-        tokens.append(
-            MainToken(index=index, owner=vertex, summary=(vertex, degree, ancestor_degrees))
+    """One main token per core vertex: its degree into V' and into each
+    ancestor part (an id range of ``core``)."""
+    columns = [core.degrees_into(part.lo, part.hi).tolist() for part in ancestors]
+    ancestor_degrees = zip(*columns) if columns else itertools.repeat(())
+    return [
+        MainToken(index, vertex, (vertex, degree, counts))
+        for index, (vertex, degree, counts) in enumerate(
+            zip(core.labels, core.degrees.tolist(), ancestor_degrees)
         )
-    return tokens
+    ]
 
 
 #: Tighter constants the greedy *aims* for while building.  Any partition
@@ -181,15 +180,15 @@ def construct_k3_partition_tree(
     """
     constraints = constraints or HTreeConstraints(p=3)
     build_constraints = build_constraints or DEFAULT_BUILD_CONSTRAINTS
-    members = cluster.ordered_members()
-    subgraph = cluster.cluster_graph.subgraph(members).copy()
+    core = cluster.core
+    members = list(core.labels)
     k = len(members)
     rounds_before = router.accountant.metrics.rounds if router is not None else 0
     if k == 0:
         empty_tree = PartitionTree.with_root([], 3, Partition.whole([]))
         return K3TreeResult(tree=empty_tree, assignment=LeafAssignment(), rounds=0)
 
-    m = subgraph.number_of_edges()
+    m = core.num_edges
     plan = SimulationPlan(cluster=cluster, t_max=1)
 
     def build_layer(ancestor_lists: list[list[VertexInterval]]) -> list[Partition]:
@@ -202,7 +201,7 @@ def construct_k3_partition_tree(
                 constraints=build_constraints,
             )
             builders.append(builder)
-            tokens = _vertex_tokens(subgraph, members, ancestors)
+            tokens = _vertex_tokens(core, ancestors)
             instances.append(AlgorithmInstance(algorithm=builder, tokens=tokens))
         if router is not None:
             result = simulate_in_cluster(instances, plan, router=router)
@@ -259,7 +258,7 @@ def construct_k3_partition_tree(
 
     violations: list[str] = []
     if check_constraints:
-        violations = constraints.check_tree(tree, subgraph)
+        violations = constraints.check_tree(tree, cluster.cluster_graph.subgraph(members))
 
     rounds_after = router.accountant.metrics.rounds if router is not None else 0
     return K3TreeResult(

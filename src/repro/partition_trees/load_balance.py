@@ -170,11 +170,6 @@ class DegreeBalancedAssignment:
         lo, hi = interval
         return [m for m in range(lo, min(hi, num_messages) + 1)]
 
-    def max_messages_per_vertex(self, num_messages: int) -> int:
-        return max(
-            (len(self.messages_of(v, num_messages)) for v in self.ranges), default=0
-        )
-
 
 def balance_by_communication_degree(
     cluster: CommunicationCluster,

@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-import networkx as nx
-
 from repro.decomposition.cluster import KpCompatibleCluster
+from repro.graphs import canonical_edge
 from repro.decomposition.routing import ClusterRouter
 from repro.partition_trees.load_balance import balance_by_communication_degree
 from repro.partition_trees.parts import Partition, VertexInterval
@@ -30,10 +29,6 @@ from repro.streaming.stream import MainToken, Stream
 
 Edge = tuple[int, int]
 DirectedEdge = tuple[int, int]
-
-
-def _canonical(u: int, v: int) -> Edge:
-    return (u, v) if u <= v else (v, u)
 
 
 # ---------------------------------------------------------------------------
@@ -81,12 +76,12 @@ class SplitGraph:
         v1 = frozenset(cluster.v_minus)
         v2 = frozenset(set(cluster.graph.nodes) - set(v1))
         e1 = frozenset(
-            _canonical(u, v) for u, v in cluster.graph.edges
+            canonical_edge(u, v) for u, v in cluster.graph.edges
             if u in v1 and v in v1
         )
-        e12 = frozenset(_canonical(u, v) for u, v in cluster.e_bar)
+        e12 = frozenset(canonical_edge(u, v) for u, v in cluster.e_bar)
         e2 = frozenset(
-            _canonical(u, v) for u, v in cluster.e_prime
+            canonical_edge(u, v) for u, v in cluster.e_prime
             if u in v2 and v in v2
         )
         return cls(v1=v1, v2=v2, e1=e1, e2=e2, e12=e12)
@@ -127,15 +122,6 @@ class SplitGraph:
             return len(self.adj2.get(vertex, ()))
         return len(self.adj12.get(vertex, ()))
 
-    def deg_into_part(self, vertex: int, part: VertexInterval) -> int:
-        """Degree of ``vertex`` into the vertex set of ``part`` (any edge type)."""
-        members = set(part.vertices())
-        neighbors: set[int] = set()
-        neighbors |= self.adj1.get(vertex, set())
-        neighbors |= self.adj2.get(vertex, set())
-        neighbors |= self.adj12.get(vertex, set())
-        return len(neighbors & members)
-
     def edges_between(self, left: Iterable[int], right: Iterable[int]) -> set[Edge]:
         """All split-graph edges with one endpoint in each of the two sets."""
         left_set, right_set = set(left), set(right)
@@ -144,7 +130,7 @@ class SplitGraph:
             for adjacency in (self.adj1, self.adj2, self.adj12):
                 for neighbor in adjacency.get(vertex, ()):
                     if neighbor in right_set:
-                        found.add(_canonical(vertex, neighbor))
+                        found.add(canonical_edge(vertex, neighbor))
         return found
 
 

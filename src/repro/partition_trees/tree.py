@@ -16,8 +16,6 @@ Congested-Clique version tolerates; :class:`HTreeConstraints` checks them.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -85,12 +83,9 @@ class PartitionTree:
             yield node
             stack.extend(node.children.values())
 
-    def nodes_at_depth(self, depth: int) -> list[PartitionTreeNode]:
-        return [node for node in self.nodes() if node.depth == depth]
-
     def leaf_nodes(self) -> list[PartitionTreeNode]:
         """Nodes of the last layer (depth ``num_layers - 1``)."""
-        return self.nodes_at_depth(self.num_layers - 1)
+        return [node for node in self.nodes() if node.depth == self.num_layers - 1]
 
     def leaf_parts(self) -> list[tuple[PartitionTreeNode, int]]:
         """All (leaf node, part index) pairs of the leaf layer."""
@@ -122,9 +117,6 @@ class PartitionTree:
                 raise KeyError(f"broken path {node.path}")
         parts.append(node.partition[part_index])
         return parts
-
-    def max_parts_per_node(self) -> int:
-        return max((len(node.partition) for node in self.nodes()), default=0)
 
     def validate_structure(self, x: int | None = None) -> None:
         """Check Definition 12: layers, child counts, partitions cover the universe."""
@@ -271,9 +263,6 @@ class LeafAssignment:
 
     def assign(self, path: Path, part_index: int, vertex: int) -> None:
         self.owner[(path, part_index)] = vertex
-
-    def parts_of(self, vertex: int) -> list[tuple[Path, int]]:
-        return [key for key, holder in self.owner.items() if holder == vertex]
 
     def load_per_vertex(self) -> dict[int, int]:
         loads: dict[int, int] = {}

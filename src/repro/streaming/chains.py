@@ -14,6 +14,7 @@ compute the assignment locally), which is what :func:`build_vertex_chain` and
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -50,14 +51,16 @@ class VertexChain:
         start = (position - 1) * self.beta
         return self.universe[start : start + self.beta]
 
+    def covers(self, vertex: int) -> bool:
+        """Whether ``vertex`` is in the (sorted) universe."""
+        index = bisect.bisect_left(self.universe, vertex)
+        return self.universe[index : index + 1] == (vertex,)
+
     def responsible_for(self, vertex: int) -> int:
         """``f_V(u)``: the chain member responsible for universe vertex ``u``."""
-        try:
-            index = self.universe.index(vertex)
-        except ValueError as exc:
-            raise KeyError(f"vertex {vertex} is not in the chain universe") from exc
-        position = index // self.beta + 1
-        return self.members[position - 1]
+        if not self.covers(vertex):
+            raise KeyError(f"vertex {vertex} is not in the chain universe")
+        return self.members[bisect.bisect_left(self.universe, vertex) // self.beta]
 
     def assignment(self) -> dict[int, int]:
         """The full map ``u -> f_V(u)`` over the universe."""

@@ -29,7 +29,7 @@ approaches sketched in Section 1.2:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.congest.cost import CostAccountant
@@ -37,7 +37,7 @@ from repro.decomposition.cluster import CommunicationCluster
 from repro.decomposition.routing import ClusterRouter
 from repro.streaming.algorithm import PartialPassAlgorithm
 from repro.streaming.chains import VertexChain, disjoint_chains
-from repro.streaming.stream import MainToken, Stream
+from repro.streaming.stream import MainToken
 
 
 @dataclass
@@ -136,24 +136,12 @@ class SimulationResult:
         cluster = self.plan.cluster
         delta = max(1.0, cluster.delta)
         k = max(1, cluster.k)
-        params = [0.0]
-        b_aux = 0
-        for _ in range(self.zeta):
-            pass
-        # B_aux of the batch is the max declared by the algorithms; recompute
-        # from excursions if unavailable.
+        # B_aux of the batch, as the mean excursions per algorithm.
         b_aux = self.aux_excursions / max(1, self.zeta)
         t_max = self.plan.t_max
         lam = self.lam
         zeta = self.zeta
         return (t_max / delta) * (zeta + k / lam) + (b_aux + 1) * (lam + zeta / delta)
-
-
-def _owner_blocks(tokens: Sequence[MainToken]) -> dict[int, list[MainToken]]:
-    blocks: dict[int, list[MainToken]] = {}
-    for token in tokens:
-        blocks.setdefault(token.owner, []).append(token)
-    return blocks
 
 
 def simulate_in_cluster(
@@ -207,7 +195,7 @@ def simulate_in_cluster(
     for instance, chain in zip(instances, chains):
         homes: dict[int, int] = {}
         for token in instance.tokens:
-            target = chain.responsible_for(token.owner) if token.owner in chain.universe \
+            target = chain.responsible_for(token.owner) if chain.covers(token.owner) \
                 else chain.members[min(len(chain.members) - 1, token.index // max(1, beta * plan.t_max))]
             homes[token.index] = target
             per_vertex_sent[token.owner] = per_vertex_sent.get(token.owner, 0) + 1

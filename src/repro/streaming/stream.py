@@ -53,6 +53,7 @@ class StreamAccessLog:
     writes_between_reads: list[int] = field(default_factory=list)
     write_contexts: list[tuple[int, bool]] = field(default_factory=list)
     _writes_since_last_main_read: int = 0
+    _max_writes_between_reads: int = 0
 
     def note_main_read(self) -> None:
         self.main_reads += 1
@@ -62,10 +63,13 @@ class StreamAccessLog:
     def note_write(self) -> None:
         self.writes += 1
         self._writes_since_last_main_read += 1
+        self._max_writes_between_reads = max(
+            self._max_writes_between_reads, self._writes_since_last_main_read
+        )
 
     def max_writes_between_reads(self) -> int:
-        pending = [self._writes_since_last_main_read]
-        return max(self.writes_between_reads + pending, default=0)
+        """Most writes between two main-token reads so far, the open stretch included."""
+        return self._max_writes_between_reads
 
 
 class Stream:

@@ -11,6 +11,7 @@ import itertools
 import re
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -165,18 +166,20 @@ def test_each_vertex_outputs_exactly_its_own_cliques(backend, p):
     run = Session().execute(plan.graph, plan.factory(), backend=backend)
     assert run.halted
     truth = enumerate_cliques(plan.graph, p)
-    idle = sorted(v for v, vertex_plan in plan.plans.items() if vertex_plan.idle())
-    assert idle == [7, 8, 9]
-    for vertex, vertex_plan in plan.plans.items():
+    labels = plan.index.labels
+    assert [labels[i] for i in np.flatnonzero(plan.idle())] == [7, 8, 9]
+    for vertex_id, vertex in enumerate(labels):
         expected = set()
-        if vertex_plan.is_lister:
+        if plan.lister[vertex_id]:
             expected |= {clique for clique in truth if vertex in clique}
         if vertex in owner_edges:
             learned = enumerate_cliques(nx.Graph(list(owner_edges[vertex])), p)
             assert learned and all(vertex not in clique for clique in learned)
             expected |= learned
         assert run.outputs[vertex] == expected, vertex
-    assert plan.plans[6].expected_edges == 6 and plan.demands == 6
+    # Owner 6 receives the K4's six routed edges; it preloads (6, 7).
+    assert plan.counts[labels.index(6), distributed._RECEIVED] == 6
+    assert plan.demands == 6 and plan.preloaded.tolist() == [[6, 6, 7]]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

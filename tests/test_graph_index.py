@@ -1,0 +1,99 @@
+"""``LabelCSR``: one label-sorted CSR per graph, checked against networkx.
+
+Every query the planner reads off the index (degrees into an id range, the
+edges between ranges, BFS trees) is compared with a set-based or networkx
+computation of the same thing, over int and string labels, isolated
+vertices and a disconnected graph.
+"""
+
+import networkx as nx
+import numpy as np
+import pytest
+
+from repro.graphs import LabelCSR, canonical_edge, power_law
+
+
+def _graphs():
+    disconnected = nx.disjoint_union(nx.cycle_graph(5), nx.complete_graph(4))
+    disconnected.add_nodes_from([20, 21])
+    named = nx.relabel_nodes(power_law(60, avg_degree=6, seed=3), "v%02d".__mod__)
+    return [
+        pytest.param(power_law(120, avg_degree=8, seed=2), id="power-law"),
+        pytest.param(disconnected, id="disconnected-isolated"),
+        pytest.param(named, id="string-labels"),
+    ]
+
+
+def test_canonical_edge_puts_the_smaller_label_first():
+    assert canonical_edge(5, 2) == canonical_edge(2, 5) == (2, 5)
+    assert canonical_edge("b", "a") == ("a", "b")
+
+
+@pytest.mark.parametrize("graph", _graphs())
+def test_index_and_its_graph_are_in_label_order(graph):
+    index = LabelCSR.from_graph(graph)
+    assert list(index.labels) == sorted(graph.nodes)
+    for vertex_id, vertex in enumerate(index.labels):
+        row = index.indices[index.indptr[vertex_id] : index.indptr[vertex_id + 1]]
+        assert [index.labels[i] for i in row.tolist()] == sorted(graph[vertex])
+    built = index.graph
+    assert list(built.nodes) == sorted(graph.nodes)
+    assert all(list(built.adj[v]) == sorted(graph.adj[v]) for v in built)
+    assert {canonical_edge(*e) for e in built.edges} == {
+        canonical_edge(*e) for e in graph.edges
+    }
+    assert index.num_edges == graph.number_of_edges()
+
+
+def test_from_edges_takes_either_orientation_and_repeats():
+    index = LabelCSR.from_edges([(3, 1), (1, 3), (2, 3), (3, 2)], vertices=[7])
+    assert index.labels == (1, 2, 3, 7)
+    assert index.degrees.tolist() == [1, 1, 2, 0]
+    assert index.ids([7, 1]).tolist() == [3, 0]
+
+
+@pytest.mark.parametrize("graph", _graphs())
+def test_range_queries_match_set_counts(graph):
+    index = LabelCSR.from_graph(graph)
+    members = [v for v in index.labels if graph.degree(v) >= 2]
+    core = index.induced(index.ids(members))
+    assert list(core.labels) == members
+    induced = graph.subgraph(members)
+    k = len(members)
+    for lo, hi in [(0, k - 1), (0, k // 3), (k // 3, 2 * k // 3), (k - 1, k - 1), (5, 4)]:
+        part = set(members[lo : hi + 1])
+        expected = [len(set(induced[v]) & part) for v in members]
+        assert core.degrees_into(lo, hi).tolist() == expected
+        right = set(members[k // 2 :])
+        between = {
+            canonical_edge(u, w)
+            for u in part for w in induced[u] if w in right
+        }
+        keys = core.edges_between((lo, hi), (k // 2, k - 1))
+        assert set(core.label_pairs(keys)) == between
+
+
+@pytest.mark.parametrize("graph", _graphs())
+def test_bfs_trees_match_a_sorted_fifo_bfs(graph):
+    index = LabelCSR.from_graph(graph)
+    roots = np.arange(0, index.n, 7)
+    parents, depths = index.bfs_trees(roots)
+    for row, root in enumerate(roots.tolist()):
+        label = index.labels[root]
+        expected_parent = {label: label}
+        for parent, child in nx.bfs_edges(graph, label, sort_neighbors=sorted):
+            expected_parent[child] = parent
+        distance = nx.single_source_shortest_path_length(graph, label)
+        for vertex_id, vertex in enumerate(index.labels):
+            if vertex in expected_parent:
+                assert index.labels[parents[row, vertex_id]] == expected_parent[vertex]
+                assert depths[row, vertex_id] == distance[vertex]
+            else:
+                assert parents[row, vertex_id] == depths[row, vertex_id] == -1
+
+
+def test_empty_index():
+    index = LabelCSR.from_edges([])
+    assert index.n == 0 and index.num_edges == 0
+    assert index.graph.number_of_nodes() == 0
+    assert index.induced(np.zeros(0, dtype=np.int64)).labels == ()

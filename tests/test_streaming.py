@@ -141,6 +141,25 @@ class TestStream:
         assert log.get_aux_calls == 1
         assert log.writes == 1
 
+    @pytest.mark.parametrize("pending", [0, 1, 4])
+    def test_max_writes_between_reads_follows_the_history(self, pending):
+        """The running maximum equals the recorded history's, the writes
+        after the last read included, for uneven writes."""
+        stream = Stream(_tokens([1, 2, 3, 4, 5]))
+        stream.write("before")
+        for writes in (3, 0, 2, 1):
+            stream.read()
+            for _ in range(writes):
+                stream.write("x")
+        stream.read()
+        for _ in range(pending):
+            stream.write("y")
+        log = stream.log
+        assert log.writes_between_reads == [1, 3, 0, 2, 1]
+        assert log.max_writes_between_reads() == max(
+            log.writes_between_reads + [pending]
+        )
+
 
 class TestStreamingParameters:
     def test_validate_log_flags_violations(self):
