@@ -44,7 +44,7 @@ class CS20TriangleListing:
         return driver.run(graph, self._handle_cluster)
 
     def _handle_cluster(self, task: ClusterTask) -> set[Clique]:
-        cluster = K3CompatibleCluster.from_edges(task.graph, task.working_edges)
+        cluster = K3CompatibleCluster.from_index(task.graph, task.working)
         working = cluster.cluster_graph
         router = ClusterRouter(
             cluster=cluster, accountant=task.accountant,

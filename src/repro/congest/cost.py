@@ -2,7 +2,7 @@
 
 The recursive listing algorithms of the paper move far too much data for a
 per-message Python simulation beyond toy sizes.  This module provides the
-*cost model* execution mode described in ``DESIGN.md``: the high-level
+*cost model* execution mode of :mod:`repro.listing`: the high-level
 algorithms perform their computations centrally (on real graph data) but every
 communication primitive charges the number of CONGEST rounds it would take
 given the actual data volumes moved, the available bandwidth, and the

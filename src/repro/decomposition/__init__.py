@@ -26,8 +26,6 @@ from repro.decomposition.cluster import (
     KpCompatibleCluster,
     build_communication_cluster,
     core_vertices,
-    core_edge_set,
-    augmented_edge_set,
 )
 from repro.decomposition.routing import ClusterRouter
 
@@ -41,7 +39,5 @@ __all__ = [
     "KpCompatibleCluster",
     "build_communication_cluster",
     "core_vertices",
-    "core_edge_set",
-    "augmented_edge_set",
     "ClusterRouter",
 ]

@@ -9,12 +9,9 @@ additionally carries the imported edge sets ``E_bar`` (edges from outside
 into ``V_C^-``) and ``E'`` (edges entirely outside the cluster) together with
 the ``deg*`` bookkeeping (Definition 24).
 
-The helper functions :func:`core_vertices`, :func:`core_edge_set` and
-:func:`augmented_edge_set` implement the ``V_C^\\circ``, ``E_i^-`` and
-``E_i^+`` constructions of Section 2 / Lemma 33 (the sets of vertices that
-have the majority of their edges inside their cluster, the edges between two
-such vertices, and the cluster edges augmented with all edges among core
-vertices).
+:func:`core_vertices` implements the ``V_C^\\circ`` construction of Section
+2 / Lemma 33: the vertices that have the majority of their edges inside
+their cluster.
 """
 
 from __future__ import annotations
@@ -26,54 +23,22 @@ from typing import Iterable
 import networkx as nx
 import numpy as np
 
-from repro.graphs.index import LabelCSR, canonical_edge
+from repro.graphs.index import LabelCSR
 
 Edge = tuple[int, int]
 DirectedEdge = tuple[int, int]
 
 
 # ---------------------------------------------------------------------------
-# Section 2 constructions: V°, E^- and E^+
+# Section 2 construction: V°
 # ---------------------------------------------------------------------------
 
 
-def core_vertices(graph: nx.Graph, cluster_edges: Iterable[Edge]) -> set[int]:
-    """``V_C^\\circ``: vertices with at least half their edges inside the cluster.
-
-    Formally (Section 2): vertices ``v`` of the cluster with
-    ``deg_{E_i}(v) >= deg_{E \\ E_i}(v)``.
-    """
-    cluster_edges = {canonical_edge(*e) for e in cluster_edges}
-    degree_inside: dict[int, int] = {}
-    for u, v in cluster_edges:
-        degree_inside[u] = degree_inside.get(u, 0) + 1
-        degree_inside[v] = degree_inside.get(v, 0) + 1
-    core: set[int] = set()
-    for vertex, inside in degree_inside.items():
-        total = graph.degree(vertex)
-        if inside >= total - inside:
-            core.add(vertex)
-    return core
-
-
-def core_edge_set(graph: nx.Graph, cluster_edges: Iterable[Edge]) -> set[Edge]:
-    """``E_i^-``: cluster edges whose both endpoints are core vertices."""
-    cluster_edges = {canonical_edge(*e) for e in cluster_edges}
-    core = core_vertices(graph, cluster_edges)
-    return {e for e in cluster_edges if e[0] in core and e[1] in core}
-
-
-def augmented_edge_set(graph: nx.Graph, cluster_edges: Iterable[Edge]) -> set[Edge]:
-    """``E_i^+ = E_i ∪ E(V_i^\\circ, V_i^\\circ)``: cluster edges plus all
-    graph edges between core vertices (Section 6.1)."""
-    cluster_edges = {canonical_edge(*e) for e in cluster_edges}
-    core = core_vertices(graph, cluster_edges)
-    augmented = set(cluster_edges)
-    for u in core:
-        for w in graph.neighbors(u):
-            if w in core:
-                augmented.add(canonical_edge(u, w))
-    return augmented
+def core_vertices(inside: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """``V_C^\\circ`` as a mask over a cluster's vertices, given their degrees
+    ``inside`` the cluster and in the ``total`` graph it was cut from: the
+    vertices with ``deg_{E_i}(v) >= deg_{E \\ E_i}(v)`` (Section 2)."""
+    return 2 * inside >= total
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +160,12 @@ class K3CompatibleCluster(CommunicationCluster):
     def from_edges(
         cls, graph: nx.Graph, cluster_edges: Iterable[Edge], phi: float = 0.0
     ) -> "K3CompatibleCluster":
-        index = LabelCSR.from_edges(cluster_edges)
+        return cls.from_index(graph, LabelCSR.from_edges(cluster_edges), phi)
+
+    @classmethod
+    def from_index(
+        cls, graph: nx.Graph, index: LabelCSR, phi: float = 0.0
+    ) -> "K3CompatibleCluster":
         delta = index.n ** (1.0 / 3.0) if index.n else 0.0
         return cls(graph=graph, index=index, delta=delta, phi=phi)
 
@@ -236,15 +206,19 @@ class KpCompatibleCluster(CommunicationCluster):
         phi: float = 0.0,
         delta: float | None = None,
     ) -> "KpCompatibleCluster":
+        return cls.from_index(graph, LabelCSR.from_edges(cluster_edges), p, phi, delta)
+
+    @classmethod
+    def from_index(
+        cls, graph: nx.Graph, index: LabelCSR, p: int, phi: float = 0.0,
+        delta: float | None = None,
+    ) -> "KpCompatibleCluster":
         if p <= 3:
             raise ValueError("KpCompatibleCluster requires p > 3; use K3CompatibleCluster")
         n = graph.number_of_nodes()
         if delta is None:
             delta = n ** (1.0 - 2.0 / p) if n else 0.0
-        return cls(
-            graph=graph, index=LabelCSR.from_edges(cluster_edges), delta=delta,
-            phi=phi, p=p,
-        )
+        return cls(graph=graph, index=index, delta=delta, phi=phi, p=p)
 
     # -- imported-edge bookkeeping -------------------------------------------
 

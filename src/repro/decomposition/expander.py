@@ -23,57 +23,71 @@ cut shows each edge is charged ``O(log m)`` times with ``φ`` volume fraction
 per level, so ``|E_r| <= ε |E|`` — the same accounting CS20 and its
 predecessors use.  Because the cut search is spectral and ties are broken by
 vertex identifier, the whole procedure is deterministic.
+
+All of it runs on one label-sorted CSR of the input (``index``): components
+from ``scipy.sparse.csgraph``, pieces as induced sub-indices, sweep cuts as
+prefix sums over the Fiedler order.  Clusters are numbered by the first vertex
+of their component in the input's node order (for an edge collection, first
+appearance), a cut side before the rest, a cut side's components by label.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from functools import cached_property
+from itertools import chain
+from typing import Collection, Iterator
 
 import networkx as nx
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.sparse.csgraph import connected_components
 
 from repro.congest.cost import CostAccountant
-from repro.graphs import canonical_edge
+from repro.graphs.index import LabelCSR
 
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpanderCluster:
     """One φ-cluster of a decomposition.
 
     Attributes:
         index: position of this cluster in the decomposition.
-        vertices: vertex set ``V_i`` of the cluster.
-        edges: edge set ``E_i`` (edges of the input graph with both endpoints
-            in ``vertices`` that were assigned to this cluster).
+        piece: the cluster ``G[E_i]`` as a label-sorted CSR, induced on ``V_i``
+            in the decomposed graph; ``vertices`` and ``edges`` come from it.
+        members: ``V_i`` as increasing ids of the decomposition's index.
         conductance_lower_bound: the certified conductance lower bound
             (no sweep cut below this value exists in the cluster).
     """
 
     index: int
-    vertices: frozenset[int]
-    edges: frozenset[Edge]
+    piece: LabelCSR
+    members: np.ndarray
     conductance_lower_bound: float
 
+    @cached_property
+    def vertices(self) -> frozenset:
+        return frozenset(self.piece.labels)
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(self.piece.edges())
+
     def subgraph(self) -> nx.Graph:
-        """The cluster as a standalone graph ``G[E_i]``."""
-        graph = nx.Graph()
-        graph.add_nodes_from(sorted(self.vertices))
-        graph.add_edges_from(sorted(self.edges))
-        return graph
+        """The cluster as a standalone graph ``G[E_i]``, in label order."""
+        return self.piece.graph
 
     @property
     def num_vertices(self) -> int:
-        return len(self.vertices)
+        return self.piece.n
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return self.piece.num_edges
 
 
 @dataclass
@@ -85,7 +99,7 @@ class ExpanderDecomposition:
     module; :meth:`remainder_fraction` reports the achieved value).
     """
 
-    graph: nx.Graph
+    index: LabelCSR
     epsilon: float
     phi: float
     clusters: list[ExpanderCluster]
@@ -97,7 +111,7 @@ class ExpanderDecomposition:
 
     def remainder_fraction(self) -> float:
         """``|E_r| / |E|`` actually achieved."""
-        m = self.graph.number_of_edges()
+        m = self.index.num_edges
         if m == 0:
             return 0.0
         return len(self.remainder_edges) / m
@@ -124,7 +138,7 @@ class ExpanderDecomposition:
             assert not overlap, f"clusters share vertices: {sorted(overlap)[:5]}"
             seen_vertices.update(cluster.vertices)
         covered = self.covered_edges()
-        all_edges = {canonical_edge(*e) for e in self.graph.edges}
+        all_edges = set(self.index.edges())
         assert covered | self.remainder_edges == all_edges, "edges lost by decomposition"
         assert not (covered & self.remainder_edges), "edge both covered and in remainder"
 
@@ -134,17 +148,29 @@ class ExpanderDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def _fiedler_order(graph: nx.Graph) -> list[int]:
-    """Vertices ordered by the Fiedler vector of the normalised Laplacian.
+def normalized_laplacian(index: LabelCSR) -> scipy.sparse.csr_array:
+    """``D^{-1/2} (D - A) D^{-1/2}`` over the index's ids, built in the steps
+    ``nx.normalized_laplacian_matrix`` takes, so the two agree entry for
+    entry (isolated ids get zero rows)."""
+    n, degrees = index.n, index.degrees
+    laplacian = scipy.sparse.dia_array((degrees, 0), shape=(n, n)).tocsr() - index.matrix
+    with np.errstate(divide="ignore"):
+        scale = 1.0 / np.sqrt(degrees)
+    scale[np.isinf(scale)] = 0
+    half = scipy.sparse.dia_array((scale, 0), shape=(n, n)).tocsr()
+    return half @ (laplacian @ half)
+
+
+def _fiedler_order(index: LabelCSR) -> np.ndarray:
+    """Ids ordered by the Fiedler vector of the normalised Laplacian.
 
     Deterministic: eigensolver inputs are deterministic and ties between
-    equal vector entries are broken by vertex identifier.
+    equal vector entries are broken by id, which is label order.
     """
-    nodes = sorted(graph.nodes)
-    n = len(nodes)
+    n = index.n
     if n <= 2:
-        return nodes
-    laplacian = nx.normalized_laplacian_matrix(graph, nodelist=nodes).astype(float)
+        return np.arange(n)
+    laplacian = normalized_laplacian(index)
     if n <= 400:
         eigenvalues, eigenvectors = np.linalg.eigh(laplacian.toarray())
         fiedler = eigenvectors[:, np.argsort(eigenvalues)[1]]
@@ -159,53 +185,35 @@ def _fiedler_order(graph: nx.Graph) -> list[int]:
         except Exception:  # pragma: no cover - solver convergence fallback
             eigenvalues, eigenvectors = np.linalg.eigh(laplacian.toarray())
             fiedler = eigenvectors[:, np.argsort(eigenvalues)[1]]
-    order = sorted(range(n), key=lambda i: (fiedler[i], nodes[i]))
-    return [nodes[i] for i in order]
+    return np.argsort(fiedler, kind="stable")
 
 
-def sparsest_sweep_cut(graph: nx.Graph) -> tuple[set[int], float]:
-    """Best sweep cut of the Fiedler ordering: (cut vertex set, conductance).
+def sparsest_sweep_cut(index: LabelCSR) -> tuple[np.ndarray, float]:
+    """Best sweep cut of the Fiedler ordering: (cut side, conductance).
 
-    Returns the side with the smaller volume.  For graphs with fewer than two
-    vertices returns an empty cut with infinite conductance.
+    The side is a bool mask over ids: of the Fiedler-order prefixes, the first
+    of least conductance, or its complement when that has smaller volume.
+    Without edges the side is empty and the conductance infinite.
     """
-    n = graph.number_of_nodes()
-    if n < 2 or graph.number_of_edges() == 0:
-        return set(), math.inf
-    ordering = _fiedler_order(graph)
-    degrees = dict(graph.degree())
-    total_volume = sum(degrees.values())
-    adjacency = {v: set(graph.neighbors(v)) for v in graph.nodes}
-
-    best_cut: set[int] = set()
-    best_value = math.inf
-    prefix: set[int] = set()
-    prefix_volume = 0
-    boundary = 0
-    for vertex in ordering[:-1]:
-        prefix.add(vertex)
-        prefix_volume += degrees[vertex]
-        inside = len(adjacency[vertex] & prefix)
-        outside = degrees[vertex] - inside
-        boundary += outside - inside
-        denominator = min(prefix_volume, total_volume - prefix_volume)
-        if denominator <= 0:
-            continue
-        value = boundary / denominator
-        if value < best_value:
-            best_value = value
-            best_cut = set(prefix)
-    if not best_cut:
-        return set(), math.inf
-    # Return the smaller-volume side for the charging argument.
-    complement = set(graph.nodes) - best_cut
-    if volume_of(graph, complement) < volume_of(graph, best_cut):
-        best_cut = complement
-    return best_cut, best_value
-
-
-def volume_of(graph: nx.Graph, vertices: set[int]) -> int:
-    return sum(graph.degree(v) for v in vertices)
+    n = index.n
+    if not index.num_edges:
+        return np.zeros(n, dtype=bool), math.inf
+    order = _fiedler_order(index)
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    upper = index.rows < index.indices
+    ends = position[index.rows[upper]], position[index.indices[upper]]
+    # Prefix k cuts the edges with one end at or before k and the other after.
+    enters, leaves = (np.bincount(end(*ends), minlength=n) for end in (np.minimum, np.maximum))
+    boundary = np.cumsum(enters - leaves)[:-1]
+    volume = np.cumsum(index.degrees[order])[:-1]
+    rest = index.indices.size - volume
+    denominator = np.minimum(volume, rest)
+    values = np.full(n - 1, math.inf)
+    np.divide(boundary, denominator, out=values, where=denominator > 0)
+    best = int(np.argmin(values))
+    side = position <= best
+    return (~side if rest[best] < volume[best] else side), float(values[best])
 
 
 # ---------------------------------------------------------------------------
@@ -214,78 +222,73 @@ def volume_of(graph: nx.Graph, vertices: set[int]) -> int:
 
 
 def expander_decompose(
-    graph: nx.Graph,
+    graph: nx.Graph | Collection[Edge],
     epsilon: float = 0.15,
-    phi: float | None = None,
-    min_cluster_size: int = 1,
     accountant: CostAccountant | None = None,
 ) -> ExpanderDecomposition:
     """Compute a deterministic (ε, φ)-expander decomposition.
 
     Args:
-        graph: input graph (vertices must be hashable; integers expected).
-        epsilon: target bound on the remainder fraction ``|E_r| / |E|``.
-        phi: conductance threshold.  Defaults to
-            ``epsilon / (2 ceil(log2 m) + 2)``, the value for which the
+        graph: input graph, or the collection of its edges (iterated twice;
+            its iteration order fixes the cluster numbering, see the module
+            docstring).  Vertices must be mutually comparable.
+        epsilon: target bound on the remainder fraction ``|E_r| / |E|``; the
+            threshold ``φ = ε / (2 ⌈log2 m⌉ + 2)`` is the value for which the
             recursive charging argument bounds the remainder by ``ε|E|``.
-        min_cluster_size: pieces with at most this many vertices are accepted
-            as clusters without further cutting (their conductance is
-            computed exactly for the certificate).
         accountant: optional cost accountant; if given, the CS20 round cost
             of the decomposition is charged to phase ``"expander-decomposition"``.
 
     Returns:
         An :class:`ExpanderDecomposition` whose clusters are vertex-disjoint
         and certified to contain no sweep cut of conductance below ``phi``.
+
+    Raises:
+        ValueError: for ``epsilon`` outside ``(0, 1)``, or a self-loop.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    m = graph.number_of_edges()
-    if phi is None:
-        phi = epsilon / (2 * math.ceil(math.log2(max(2, m))) + 2) if m else epsilon
+    if isinstance(graph, nx.Graph):
+        index, nodes = LabelCSR.from_graph(graph), graph.nodes
+    else:
+        index, nodes = LabelCSR.from_edges(graph), dict.fromkeys(chain.from_iterable(graph))
+    m = index.num_edges
+    phi = epsilon / (2 * math.ceil(math.log2(max(2, m))) + 2) if m else epsilon
 
     clusters: list[ExpanderCluster] = []
     remainder: set[Edge] = set()
 
-    def certify(piece: nx.Graph) -> float:
-        """Lower bound on the conductance of an accepted piece."""
-        if piece.number_of_nodes() <= 2 or piece.number_of_edges() == 0:
-            return 1.0
-        _, value = sparsest_sweep_cut(piece)
-        return min(1.0, value)
+    def recurse(piece: LabelCSR, members: np.ndarray, first: np.ndarray | None = None) -> None:
+        """Decompose ``piece``; its components go in the order their first ids
+        take in ``first`` (by default, id order)."""
+        if not piece.num_edges:
+            return
+        if piece.n <= 2:  # one edge
+            clusters.append(ExpanderCluster(len(clusters), piece, members, 1.0))
+            return
+        count, component = connected_components(piece.matrix, directed=False)
+        if count > 1:
+            ranked = component if first is None else component[first]
+            _, at = np.unique(ranked, return_index=True)
+            sizes = np.bincount(component, minlength=count)
+            grouped = np.split(np.argsort(component, kind="stable"), np.cumsum(sizes)[:-1])
+            parts = [grouped[label] for label in ranked[np.sort(at)]]
+        else:
+            side, value = sparsest_sweep_cut(piece)
+            if value >= phi:
+                bound = max(phi, min(1.0, value))
+                clusters.append(ExpanderCluster(len(clusters), piece, members, bound))
+                return
+            rows, indices = piece.rows, piece.indices
+            crossing = (side[rows] != side[indices]) & (rows < indices)
+            remainder.update(piece.label_pairs(rows[crossing] * piece.n + indices[crossing]))
+            parts = [np.flatnonzero(side), np.flatnonzero(~side)]
+        for ids in parts:
+            recurse(piece.induced(ids), members[ids])
 
-    def recurse(piece: nx.Graph) -> None:
-        if piece.number_of_edges() == 0:
-            return
-        if not nx.is_connected(piece):
-            for component in nx.connected_components(piece):
-                recurse(piece.subgraph(component).copy())
-            return
-        if piece.number_of_nodes() <= max(2, min_cluster_size):
-            clusters.append(_make_cluster(piece, certify(piece)))
-            return
-        cut, value = sparsest_sweep_cut(piece)
-        if value >= phi or not cut:
-            clusters.append(_make_cluster(piece, max(phi, min(1.0, value))))
-            return
-        other = set(piece.nodes) - cut
-        for u, v in nx.edge_boundary(piece, cut, other):
-            remainder.add(canonical_edge(u, v))
-        recurse(piece.subgraph(cut).copy())
-        recurse(piece.subgraph(other).copy())
-
-    def _make_cluster(piece: nx.Graph, bound: float) -> ExpanderCluster:
-        return ExpanderCluster(
-            index=len(clusters),
-            vertices=frozenset(piece.nodes),
-            edges=frozenset(canonical_edge(u, v) for u, v in piece.edges),
-            conductance_lower_bound=bound,
-        )
-
-    recurse(graph)  # recurse never mutates a piece
+    recurse(index, np.arange(index.n), first=index.ids(nodes))
 
     decomposition = ExpanderDecomposition(
-        graph=graph,
+        index=index,
         epsilon=epsilon,
         phi=phi,
         clusters=clusters,
@@ -293,7 +296,7 @@ def expander_decompose(
     )
     if accountant is not None:
         accountant.local_rounds(
-            decomposition_round_cost(graph.number_of_nodes(), epsilon),
+            decomposition_round_cost(index.n, epsilon),
             phase="expander-decomposition",
         )
     return decomposition

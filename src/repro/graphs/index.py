@@ -18,6 +18,7 @@ from typing import Hashable, Iterable
 import networkx as nx
 import numpy as np
 import scipy.sparse
+from scipy.sparse.csgraph import breadth_first_order
 
 Edge = tuple[int, int]
 
@@ -47,13 +48,20 @@ class LabelCSR:
         cls, edges: Iterable[tuple], vertices: Iterable[Hashable] = ()
     ) -> "LabelCSR":
         """The graph of ``edges`` (either orientation, repeats allowed) on
-        their endpoints plus ``vertices``."""
+        their endpoints plus ``vertices``; a self-loop raises ``ValueError``."""
         flat = list(chain.from_iterable(edges))
         labels = tuple(sorted(set(flat).union(vertices)))
-        n = len(labels)
-        id_of = dict(zip(labels, range(n)))
+        id_of = dict(zip(labels, range(len(labels))))
         ends = np.fromiter(map(id_of.__getitem__, flat), dtype=np.int64, count=len(flat))
-        us, ws = ends[0::2], ends[1::2]
+        return cls._from_ids(labels, ends[0::2], ends[1::2])
+
+    @classmethod
+    def _from_ids(cls, labels: tuple, us: np.ndarray, ws: np.ndarray) -> "LabelCSR":
+        """The graph of the id pairs ``(us[i], ws[i])`` on ``labels``."""
+        if (loops := np.flatnonzero(us == ws)).size:
+            vertex = labels[us[loops[0]]]
+            raise ValueError(f"self-loop at vertex {vertex!r}: the graph must be simple")
+        n = len(labels)
         rows, indices = np.divmod(
             np.unique(np.concatenate((us * n + ws, ws * n + us))), max(n, 1)
         )
@@ -115,23 +123,33 @@ class LabelCSR:
         return graph
 
     @cached_property
-    def matrix(self) -> scipy.sparse.csr_matrix:
-        """The 0/1 adjacency matrix over the index's own arrays."""
+    def matrix(self) -> scipy.sparse.csr_array:
+        """The 0/1 ``int64`` adjacency matrix over the index's own arrays."""
         ones = np.ones(self.indices.size, dtype=np.int64)
-        return scipy.sparse.csr_matrix(
+        return scipy.sparse.csr_array(
             (ones, self.indices, self.indptr), shape=(self.n, self.n)
         )
 
     def induced(self, ids: np.ndarray) -> "LabelCSR":
-        """The subgraph induced on the increasing ``ids``, renumbered ``0..k-1``."""
-        position = np.full(self.n, -1, dtype=np.int64)
-        position[ids] = np.arange(len(ids))
-        rows, cols = position[self.rows], position[self.indices]
-        keep = (rows >= 0) & (cols >= 0)
-        indptr = np.zeros(len(ids) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows[keep], minlength=len(ids)), out=indptr[1:])
+        """The subgraph induced on the increasing ``ids``, renumbered ``0..k-1``;
+        it reads only their rows, so its cost follows their degrees, not ``n``."""
+        k, counts = len(ids), self.degrees[ids]
+        # The slots of the rows of ``ids``, laid end to end.
+        starts = np.repeat(self.indptr[ids] - np.cumsum(counts) + counts, counts)
+        neighbours = self.indices[starts + np.arange(starts.size)]
+        cols = np.searchsorted(ids, neighbours)
+        keep = ids[np.minimum(cols, k - 1)] == neighbours
+        indptr = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(np.bincount(np.repeat(np.arange(k), counts)[keep], minlength=k), out=indptr[1:])
         labels = tuple(self.label_array[ids].tolist())
         return LabelCSR(labels=labels, indptr=indptr, indices=cols[keep])
+
+    def edge_subgraph(self, us: np.ndarray, ws: np.ndarray) -> "LabelCSR":
+        """The graph of the edges ``(us[i], ws[i])`` (ids, either orientation,
+        repeats allowed) on their endpoints, renumbered ``0..k-1``."""
+        kept, ends = np.unique(np.concatenate((us, ws)), return_inverse=True)
+        labels = tuple(self.label_array[kept].tolist())
+        return LabelCSR._from_ids(labels, ends[: len(us)], ends[len(us):])
 
     def degrees_into(self, lo: int, hi: int) -> np.ndarray:
         """Per row, the number of neighbours with id in ``[lo, hi]``."""
@@ -156,9 +174,6 @@ class LabelCSR:
         neighbours in label order, as ``int64[len(roots), n]`` arrays:
         ``parents[r, root] = root``, and ``-1`` in both where a vertex is
         unreachable from root ``r``."""
-        # csgraph costs ~70 ms to import, and only edge learning traverses.
-        from scipy.sparse.csgraph import breadth_first_order
-
         parents = np.empty((len(roots), self.n), dtype=np.int64)
         for row, root in enumerate(np.asarray(roots).tolist()):
             parents[row] = breadth_first_order(

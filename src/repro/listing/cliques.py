@@ -71,15 +71,16 @@ class CliqueListing:
     def _handle_cluster(self, task: ClusterTask) -> set[Clique]:
         n = task.graph.number_of_nodes()
         delta = self.beta * (n ** (1.0 - 2.0 / self.p))
-        cluster = KpCompatibleCluster.from_edges(
-            task.graph, task.working_edges, p=self.p, delta=delta
+        cluster = KpCompatibleCluster.from_index(
+            task.graph, task.working, p=self.p, delta=delta
         )
         found: set[Clique] = set()
 
         # Lemma 41: core vertices below the degree threshold are exhausted in
         # O(n^{1-2/p}) rounds; their cliques are listed from the full graph so
         # instances leaving the cluster are caught too.
-        low_core = [v for v in task.core if cluster.communication_degree(v) < delta]
+        core = task.index.label_array[task.core].tolist()
+        low_core = [v for v in core if cluster.communication_degree(v) < delta]
         if low_core:
             outcome = two_hop_exhaustive_listing(
                 task.graph, low_core, p=self.p,

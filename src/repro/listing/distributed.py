@@ -835,7 +835,7 @@ class DistributedListingDriver:
         view.
         """
         return self._plan_exhaustive_pass(
-            task.graph, sorted(task.core), self.p,
+            task.graph, task.index, task.core, self.p,
             phase=f"level{task.level}-c{task.cluster_index}:core-exhaustive",
         )
 
@@ -844,6 +844,7 @@ class DistributedListingDriver:
     def _fallback(
         self,
         graph: nx.Graph,
+        index: LabelCSR,
         residual: set[Edge],
         p: int,
         accountant: CostAccountant,
@@ -854,9 +855,9 @@ class DistributedListingDriver:
         the residual endpoints learn their induced 2-hop neighbourhood in
         ``G`` and list every clique through themselves.
         """
-        endpoints = sorted({u for e in residual for u in e})
+        endpoints = np.unique(index.ids(chain.from_iterable(residual)))
         plan, predicted = self._plan_exhaustive_pass(
-            graph, endpoints, p, phase="fallback-exhaustive"
+            graph, index, endpoints, p, phase="fallback-exhaustive"
         )
         return self._execute(
             plan,
@@ -870,23 +871,22 @@ class DistributedListingDriver:
     # -- shared execution path ---------------------------------------------------
 
     def _plan_exhaustive_pass(
-        self, graph: nx.Graph, listers: list[Hashable], p: int, phase: str
+        self, graph: nx.Graph, index: LabelCSR, listers: np.ndarray, p: int, phase: str
     ) -> tuple[ClusterProtocolPlan, CostAccountant]:
-        """Plan and cost one exhaustive pass in which ``listers`` list every
-        ``K_p`` through themselves from their 2-hop view of ``graph``.
+        """Plan and cost one exhaustive pass in which ``listers`` (ids of
+        ``index``) list every ``K_p`` through themselves from their 2-hop view.
 
-        The communication graph is the subgraph induced on the listers'
-        closed neighbourhood, which contains that view; the prediction is
+        The communication graph is ``index`` induced on the listers' closed
+        neighbourhood, which contains that view; the prediction is
         :func:`charge_exhaustive_pass` with alpha the largest lister degree,
         charged to ``phase`` of a fresh accountant.
         """
-        closure = set(listers)
-        for vertex in listers:
-            closure.update(graph.neighbors(vertex))
-        plan = plan_two_hop_protocol(graph.subgraph(closure), listers, p=p)
+        closure = np.union1d(listers, index.matrix[listers].indices)
+        labels = index.label_array[listers].tolist()
+        plan = plan_two_hop_protocol(index.induced(closure), labels, p=p)
         predicted = self._new_accountant(graph.number_of_nodes())
-        alpha = max((graph.degree(v) for v in listers), default=1)
-        charge_exhaustive_pass(graph, listers, max(1, alpha), predicted, phase=phase)
+        alpha = int(index.degrees[listers].max(initial=1))
+        charge_exhaustive_pass(graph, labels, alpha, predicted, phase=phase)
         return plan, predicted
 
     def _new_accountant(self, n: int) -> CostAccountant:

@@ -13,7 +13,7 @@ clusters, not the sum) and the final safety net that exhaustively covers any
 edges left when the recursion bottoms out.  The per-cluster work is supplied
 as a callback, which is where triangles and larger cliques differ.
 
-Reproduction note (recorded in DESIGN.md): the paper inherits from [CS20] an
+Reproduction note: the paper inherits from [CS20] an
 augmented cluster edge set ``E_i^+`` whose exact construction is internal to
 that work.  We use the slightly larger, self-contained choice
 ``E_i ∪ {edges of G incident to V_{C_i}^\\circ}``: every clique of the original
@@ -31,12 +31,13 @@ from functools import cached_property
 from typing import Callable
 
 import networkx as nx
+import numpy as np
 
 from repro.congest.cost import CostAccountant, RoutingOverhead, polylog_overhead
 from repro.congest.metrics import CongestMetrics
 from repro.decomposition.cluster import core_vertices
 from repro.decomposition.expander import decomposition_round_cost, expander_decompose
-from repro.graphs import canonical_edge
+from repro.graphs import LabelCSR, canonical_edge
 from repro.graphs.cliques import Clique
 from repro.listing.local import two_hop_exhaustive_listing
 
@@ -49,11 +50,12 @@ class ClusterTask:
 
     Attributes:
         graph: the original input graph ``G`` (cliques are cliques of ``G``).
+        index: the edges of ``G`` as a label-sorted CSR, built once per run.
         level: recursion level (0-based).
         cluster_index: index of the cluster within its level.
-        cluster_edges: the decomposition edge set ``E_i`` (edges of the
-            current residual graph).
-        core: the core vertices ``V_{C_i}^\\circ`` of the cluster.
+        cluster: the cluster ``G[E_i]`` (residual edges) as its own index.
+        members: the cluster's vertices as increasing ids of ``index``.
+        core: the core vertices ``V_{C_i}^\\circ`` as increasing ids of ``index``.
         responsibility: the residual edges between two core vertices — the
             edges this cluster must "finish" (every clique of ``G`` containing
             one of them must be reported).
@@ -62,36 +64,39 @@ class ClusterTask:
     """
 
     graph: nx.Graph
+    index: LabelCSR
     level: int
     cluster_index: int
-    cluster_edges: set[Edge]
-    core: set[int]
+    cluster: LabelCSR
+    members: np.ndarray
+    core: np.ndarray
     responsibility: set[Edge]
     accountant: CostAccountant
 
     @cached_property
-    def working_edges(self) -> set[Edge]:
-        """The augmented edge set the cluster may use: ``E_i`` plus all
-        ``G``-edges incident to a core vertex, built on a handler's first ask."""
-        working = set(self.cluster_edges)
-        for vertex in self.core:
-            for neighbor in self.graph.neighbors(vertex):
-                working.add(canonical_edge(vertex, neighbor))
-        return working
+    def working(self) -> LabelCSR:
+        """The augmented graph the cluster may use: ``E_i`` plus all ``G``-edges
+        incident to a core vertex, cut from ``index`` on a handler's first ask."""
+        incident = self.index.matrix[self.core].tocoo()
+        return self.index.edge_subgraph(
+            np.concatenate((self.core[incident.row], self.members[self.cluster.rows])),
+            np.concatenate((incident.col, self.members[self.cluster.indices])),
+        )
 
 
 ClusterHandler = Callable[[ClusterTask], set[Clique]]
 
 # Covers the residual edges left when the recursion bottoms out: called as
-# ``fallback(graph, residual_edges, p, accountant)`` and returns the cliques
-# found.  The default (:func:`exhaustive_fallback`) runs the centralized
-# Lemma 35 pass under the cost model; the distributed driver substitutes an
-# engine-executed pass with identical output.
-FallbackHandler = Callable[[nx.Graph, set[Edge], int, CostAccountant], set[Clique]]
+# ``fallback(graph, index, residual_edges, p, accountant)`` with ``index`` the
+# run's index of ``G``'s edges, and returns the cliques found.  The default
+# (:func:`exhaustive_fallback`) runs the centralized Lemma 35 pass under the
+# cost model; the distributed driver substitutes an engine-executed pass
+# with the same output.
+FallbackHandler = Callable[[nx.Graph, LabelCSR, set[Edge], int, CostAccountant], set[Clique]]
 
 
 def exhaustive_fallback(
-    graph: nx.Graph, residual: set[Edge], p: int, accountant: CostAccountant
+    graph: nx.Graph, index: LabelCSR, residual: set[Edge], p: int, accountant: CostAccountant
 ) -> set[Clique]:
     """Default safety net: exhaustively cover the residual edges (cost model)."""
     endpoints = {u for e in residual for u in e}
@@ -204,11 +209,13 @@ class RecursiveListingDriver:
         handler: ClusterHandler,
         fallback: FallbackHandler | None = None,
     ) -> ListingResult:
+        """List the cliques of ``graph`` (a self-loop raises ``ValueError``)."""
         n = graph.number_of_nodes()
         metrics = CongestMetrics()
         global_accountant = self.new_accountant(n, metrics)
         all_edges = {canonical_edge(u, v) for u, v in graph.edges}
-        residual: set[Edge] = set(all_edges)
+        residual: set[Edge] = set(all_edges)  # its iteration order numbers the clusters
+        index: LabelCSR | None = None  # G's edges, indexed by level 0 (all of them)
         cliques: set[Clique] = set()
         reports = 0
         level_reports: list[LevelReport] = []
@@ -218,34 +225,33 @@ class RecursiveListingDriver:
 
         level = 0
         while residual and level < max_levels:
-            residual_graph = nx.Graph()
-            residual_graph.add_edges_from(residual)
-            decomposition = expander_decompose(residual_graph, epsilon=self.epsilon)
+            decomposition = expander_decompose(residual, epsilon=self.epsilon)
+            index = index or decomposition.index
             decomposition_rounds = global_accountant.local_rounds(
                 decomposition_round_cost(n, self.epsilon), phase=f"level{level}:decomposition"
             )
+            level_degrees = decomposition.index.degrees
+            to_graph = index.ids(decomposition.index.labels)
 
             handled: set[Edge] = set()
             max_cluster_rounds = 0
             cluster_count = 0
             for cluster in decomposition.clusters:
-                cluster_edges = set(cluster.edges)
-                core = core_vertices(residual_graph, cluster_edges)
-                responsibility = {
-                    e for e in residual
-                    if e[0] in core and e[1] in core
-                }
-                if not responsibility:
+                piece = cluster.piece
+                inner = core_vertices(piece.degrees, level_degrees[cluster.members])
+                finish = inner[piece.rows] & inner[piece.indices] & (piece.rows < piece.indices)
+                if not finish.any():
                     continue
                 cluster_count += 1
+                # A cluster is the residual graph induced on its vertices, so
+                # the residual edges between core vertices are cluster edges.
+                keys = piece.rows[finish] * piece.n + piece.indices[finish]
+                responsibility = set(piece.label_pairs(keys))
+                members = to_graph[cluster.members]
                 task = ClusterTask(
-                    graph=graph,
-                    level=level,
-                    cluster_index=cluster.index,
-                    cluster_edges=cluster_edges,
-                    core=core,
-                    responsibility=responsibility,
-                    accountant=self.new_accountant(n),
+                    graph=graph, index=index, level=level, cluster_index=cluster.index,
+                    cluster=piece, members=members, core=members[inner],
+                    responsibility=responsibility, accountant=self.new_accountant(n),
                 )
                 found = handler(task)
                 reports += len(found)
@@ -284,7 +290,8 @@ class RecursiveListingDriver:
         fallback_edges = len(residual)
         if residual:
             cover = fallback if fallback is not None else exhaustive_fallback
-            found = cover(graph, residual, self.p, global_accountant)
+            index = index or LabelCSR.from_edges(residual)
+            found = cover(graph, index, residual, self.p, global_accountant)
             reports += len(found)
             cliques |= found
 

@@ -13,8 +13,8 @@ the per-cluster work of Lemma 34:
   parts and reports the triangles it sees.  Theorem 13 guarantees that every
   triangle with all three vertices in ``V_C^-`` is caught by some leaf part.
 
-A cluster's working edges are indexed once (``cluster.index``); degrees,
-partition-tree layers and ancestor-part edges are all read from it.
+A cluster's working graph is cut from the index of ``G`` (``cluster.index``);
+degrees, partition-tree layers and ancestor-part edges are all read from it.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class TriangleListing:
         (:meth:`_handle_cluster`) or executed as per-vertex messages
         (:mod:`repro.listing.distributed`).
         """
-        cluster = K3CompatibleCluster.from_edges(task.graph, task.working_edges)
+        cluster = K3CompatibleCluster.from_index(task.graph, task.working)
         index = cluster.index
         delta = cluster.delta
         blueprint = TriangleClusterBlueprint(

@@ -8,13 +8,11 @@ from repro.decomposition.cluster import (
     CommunicationCluster,
     K3CompatibleCluster,
     KpCompatibleCluster,
-    augmented_edge_set,
     build_communication_cluster,
-    core_edge_set,
     core_vertices,
 )
 from repro.decomposition.routing import ClusterRouter
-from repro.graphs import clustered_communities, erdos_renyi
+from repro.graphs import LabelCSR, clustered_communities, erdos_renyi
 
 
 def _whole_graph_cluster(graph, delta):
@@ -27,20 +25,12 @@ class TestCoreConstructions:
         graph = nx.Graph()
         graph.add_edges_from([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)])
         cluster_edges = [(0, 1), (0, 2), (0, 3), (1, 2)]
-        core = core_vertices(graph, cluster_edges)
+        index, cluster = LabelCSR.from_graph(graph), LabelCSR.from_edges(cluster_edges)
+        total = index.degrees[index.ids(cluster.labels)]
+        core = set(cluster.label_array[core_vertices(cluster.degrees, total)].tolist())
         assert 0 in core
         assert 1 in core and 2 in core
         assert 4 not in core
-
-    def test_core_edges_subset_of_cluster_edges(self, community_graph):
-        some_edges = list(community_graph.edges)[: community_graph.number_of_edges() // 2]
-        core_edges = core_edge_set(community_graph, some_edges)
-        assert core_edges <= {tuple(sorted(e)) for e in some_edges}
-
-    def test_augmented_edges_superset(self, community_graph):
-        some_edges = list(community_graph.edges)[: community_graph.number_of_edges() // 2]
-        augmented = augmented_edge_set(community_graph, some_edges)
-        assert {tuple(sorted(e)) for e in some_edges} <= augmented
 
 
 class TestCommunicationCluster:

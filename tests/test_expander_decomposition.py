@@ -1,34 +1,97 @@
 """Tests of the deterministic expander decomposition (Theorem 5 substitute)."""
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.congest.cost import CostAccountant, unit_overhead
 from repro.decomposition.expander import (
     decomposition_round_cost,
     expander_decompose,
+    normalized_laplacian,
     recursive_decomposition_schedule,
     sparsest_sweep_cut,
 )
-from repro.graphs import clustered_communities, erdos_renyi, ring_of_cliques
-from repro.graphs.properties import graph_conductance_estimate
+from repro.graphs import (
+    LabelCSR,
+    clustered_communities,
+    erdos_renyi,
+    planted_cliques,
+    ring_of_cliques,
+)
+from repro.graphs.properties import conductance_of_cut, graph_conductance_estimate, volume
 
 
 class TestSweepCut:
     def test_trivial_graphs(self):
-        empty_cut, value = sparsest_sweep_cut(nx.empty_graph(3))
-        assert empty_cut == set()
+        empty_cut, value = sparsest_sweep_cut(LabelCSR.from_graph(nx.empty_graph(3)))
+        assert not empty_cut.any()
         assert value == float("inf")
 
     def test_barbell_cut_separates_the_bells(self):
         graph = nx.barbell_graph(8, 0)
-        cut, value = sparsest_sweep_cut(graph)
+        cut, value = sparsest_sweep_cut(LabelCSR.from_graph(graph))
         assert value < 0.05
-        assert len(cut) == 8
+        assert cut.sum() == 8
 
     def test_clique_has_no_sparse_cut(self):
-        _, value = sparsest_sweep_cut(nx.complete_graph(12))
+        _, value = sparsest_sweep_cut(LabelCSR.from_graph(nx.complete_graph(12)))
         assert value > 0.4
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        pytest.param(ring_of_cliques(4, 30), id="120-vertices"),
+        pytest.param(
+            planted_cliques(600, 5, 20, background_avg_degree=6.0, seed=3),
+            id="600-vertices",
+        ),
+    ],
+)
+def test_index_laplacian_equals_networkx(graph):
+    """Below and above the 400-vertex ``eigsh`` threshold, the Laplacian built
+    from the index is networkx's, array for array."""
+    built = normalized_laplacian(LabelCSR.from_graph(graph))
+    expected = nx.normalized_laplacian_matrix(graph, nodelist=sorted(graph.nodes))
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(built, field), getattr(expected, field)), field
+
+
+@st.composite
+def connected_graphs(draw, max_vertices=12):
+    n = draw(st.integers(min_value=3, max_value=max_vertices))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    # A random spanning tree keeps the graph connected.
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    graph = nx.Graph(tree)
+    graph.add_edges_from(pair for pair, kept in zip(pairs, keep) if kept)
+    return graph
+
+
+@given(connected_graphs())
+@settings(max_examples=60, deadline=None)
+def test_sweep_cut_is_the_first_best_fiedler_prefix(graph):
+    """The cut is the first Fiedler-order prefix of least conductance, or its
+    complement when that has the smaller volume; the order is computed here as
+    the decomposition does for at most 400 vertices."""
+    nodes = sorted(graph.nodes)
+    laplacian = nx.normalized_laplacian_matrix(graph, nodelist=nodes).toarray()
+    eigenvalues, eigenvectors = np.linalg.eigh(laplacian)
+    fiedler = eigenvectors[:, np.argsort(eigenvalues)[1]]
+    order = [nodes[i] for i in sorted(range(len(nodes)), key=lambda i: (fiedler[i], nodes[i]))]
+    values = [conductance_of_cut(graph, order[: k + 1]) for k in range(len(order) - 1)]
+    best = values.index(min(values))
+    prefix = set(order[: best + 1])
+    rest = set(nodes) - prefix
+    expected = rest if volume(graph, rest) < volume(graph, prefix) else prefix
+
+    index = LabelCSR.from_graph(graph)
+    cut, value = sparsest_sweep_cut(index)
+    assert value == values[best]
+    assert set(index.label_array[cut].tolist()) == expected
 
 
 class TestExpanderDecomposition:

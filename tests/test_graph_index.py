@@ -52,6 +52,23 @@ def test_from_edges_takes_either_orientation_and_repeats():
     assert index.ids([7, 1]).tolist() == [3, 0]
 
 
+def test_from_edges_names_the_vertex_of_a_self_loop():
+    with pytest.raises(ValueError, match="self-loop at vertex 'b'"):
+        LabelCSR.from_edges([("a", "b"), ("b", "b")])
+
+
+@pytest.mark.parametrize("graph", _graphs())
+def test_edge_subgraph_is_the_graph_of_its_edges(graph):
+    index = LabelCSR.from_graph(graph)
+    edges = list(graph.edges)[::3]
+    ends = index.ids(v for edge in edges for v in edge).reshape(-1, 2)
+    cut = index.edge_subgraph(ends[:, 1], ends[:, 0])
+    expected = LabelCSR.from_edges(edges)
+    assert cut.labels == expected.labels
+    assert np.array_equal(cut.indptr, expected.indptr)
+    assert np.array_equal(cut.indices, expected.indices)
+
+
 @pytest.mark.parametrize("graph", _graphs())
 def test_range_queries_match_set_counts(graph):
     index = LabelCSR.from_graph(graph)

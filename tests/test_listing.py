@@ -6,6 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro import CliqueListing, TriangleListing, list_cliques, list_triangles, validate_listing
 from repro.congest.cost import subpolynomial_overhead, unit_overhead
+from repro.decomposition import expander
+from repro.decomposition.expander import expander_decompose
+from repro.experiments import Session
 from repro.graphs import (
     clustered_communities,
     enumerate_cliques,
@@ -16,6 +19,7 @@ from repro.graphs import (
     ring_of_cliques,
 )
 from repro.graphs.cliques import cliques_in_edge_set
+from repro.listing import list_cliques_distributed
 from repro.listing.local import (
     cliques_through_vertex,
     exhaustive_rounds_bound,
@@ -222,3 +226,29 @@ class TestValidationReport:
         assert not report.complete
         assert not report.sound
         assert "FAILED" in report.summary()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(list_triangles, id="list_triangles"),
+        pytest.param(lambda graph: CliqueListing(p=4).run(graph), id="CliqueListing-p4"),
+        pytest.param(lambda graph: list_cliques_distributed(graph, 3), id="distributed-p3"),
+        pytest.param(lambda graph: list_cliques_distributed(graph, 4), id="distributed-p4"),
+        pytest.param(expander_decompose, id="expander_decompose"),
+    ],
+)
+def test_a_self_loop_is_refused_where_the_edges_are_indexed(entry, monkeypatch):
+    """``K_5`` plus ``(0, 0)`` used to list ``(0, 0, x)`` as triangles, and to
+    spin the distributed ``p = 4`` protocol to its round cap.  Now indexing
+    the edges refuses it, before any component search or engine round."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran past the index of a graph with a self-loop")
+
+    monkeypatch.setattr(expander, "connected_components", never)
+    monkeypatch.setattr(Session, "execute", never)
+    graph = nx.complete_graph(5)
+    graph.add_edge(0, 0)
+    with pytest.raises(ValueError, match="self-loop at vertex 0"):
+        entry(graph)

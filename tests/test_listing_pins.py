@@ -1,9 +1,13 @@
 """Pinned costs and routes of the engine-executed listing pipeline.
 
 The planner's output is held fixed: the same input must give the same
-executions, level reports, cliques and routes.  Each case runs
-:func:`list_cliques_distributed` on ``vectorized`` and pins
+decompositions, executions, level reports, cliques and routes.  Each case
+runs :func:`list_cliques_distributed` on ``vectorized`` and pins
 
+* every level's expander decomposition, captured by wrapping
+  ``expander_decompose`` where the recursion looks it up: per cluster its
+  index, a sha256 of its sorted vertices and of its sorted edges, and its
+  certified conductance bound, then a sha256 of the sorted remainder,
 * every :class:`~repro.listing.distributed.ClusterExecution` field,
 * every :class:`~repro.listing.recursion.LevelReport`,
 * a sha256 of the sorted clique list (the output digest),
@@ -14,6 +18,10 @@ executions, level reports, cliques and routes.  Each case runs
 The two power-law cases exercise the partition-tree path (15,346 routed
 demands), the planted-cliques case mixes listers with routed demands, and
 the community case is the ``p = 4`` exhaustive pass, which routes nothing.
+Each of those is one cluster at one level.  The last three cases pin the
+cluster order: sweep cuts split both rings into one cluster per clique, and
+the recursion lists the ring edges at level 1 (``p = 3`` and ``p = 4``);
+the sparse planted graph decomposes into two components.
 """
 
 from __future__ import annotations
@@ -25,8 +33,8 @@ import json
 import pytest
 
 from repro.engine import LinkDropScenario
-from repro.graphs import clustered_communities, planted_cliques, power_law
-from repro.listing import distributed
+from repro.graphs import clustered_communities, planted_cliques, power_law, ring_of_cliques
+from repro.listing import distributed, recursion
 from repro.listing.distributed import list_cliques_distributed
 
 
@@ -47,8 +55,41 @@ CASES = {
     "communities-k4": (
         lambda: clustered_communities(4, 16, 0.5, 0.02, seed=1), 4, lambda: None
     ),
+    "ring-4x30-k3": (lambda: ring_of_cliques(4, 30), 3, lambda: None),
+    "ring-6x25-k4": (lambda: ring_of_cliques(6, 25), 4, lambda: None),
+    "planted-2000-k3": (
+        lambda: planted_cliques(
+            2000, clique_size=5, num_cliques=80, background_avg_degree=4.0, seed=23
+        ),
+        3,
+        lambda: None,
+    ),
 }
 
+
+def _sha256(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+_NO_REMAINDER = _sha256([])
+
+
+def _per_cluster(level: int, clusters: int, **fields) -> list[dict]:
+    """One execution record per cluster of a level whose clusters all cost
+    the same."""
+    return [dict(level=level, cluster_index=i, **fields) for i in range(clusters)]
+
+
+_SKEWED_DECOMPOSITIONS = [
+    (
+        [
+            (0, "3d98dedf8b48f83b878f5d5ce75506a641c009bfaba414a496f6a3c289612fb7",
+             "d23783b16ef081b680c4355b05141bec6c239a7fb32241c9577466b5081bcc53",
+             0.3543859649122807),
+        ],
+        _NO_REMAINDER,
+    ),
+]
 _SKEWED_EXECUTION = dict(
     level=0, cluster_index=0, vertices=150, edges=864, listers=0, demands=15346,
     messages=24643, words=98572, predicted_rounds=1138, halted=True,
@@ -62,18 +103,30 @@ _SKEWED_CLIQUES = (
 
 PINS = {
     "skewed-k3": {
+        "decompositions": _SKEWED_DECOMPOSITIONS,
         "executions": [dict(_SKEWED_EXECUTION, rounds=1189)],
         "levels": [(0, 864, 1, 864, 0.0, 1189, 420)],
         "cliques": _SKEWED_CLIQUES,
         "routes": _SKEWED_ROUTES,
     },
     "skewed-k3-link-drop": {
+        "decompositions": _SKEWED_DECOMPOSITIONS,
         "executions": [dict(_SKEWED_EXECUTION, rounds=1331)],
         "levels": [(0, 864, 1, 864, 0.0, 1331, 420)],
         "cliques": _SKEWED_CLIQUES,
         "routes": _SKEWED_ROUTES,
     },
     "planted-k3": {
+        "decompositions": [
+            (
+                [
+                    (0, "cfcbca88a019d2ee235e4b11ace5a889cfd9f227fbfe9ff1204cda6d4e3481c3",
+                     "3a8637bc8a5b419ff7211c4573c488056d92afcf0bfdbc33595cd4bf3458d064",
+                     0.17543859649122806),
+                ],
+                _NO_REMAINDER,
+            ),
+        ],
         "executions": [
             dict(
                 level=0, cluster_index=0, vertices=295, edges=687, listers=237,
@@ -90,6 +143,16 @@ PINS = {
         ],
     },
     "communities-k4": {
+        "decompositions": [
+            (
+                [
+                    (0, "ccf91e2b960f51464b77d855d580f583fe4e1cf0472832315bad6d855cf732f6",
+                     "71bda52aaea2df32b018cb0474b68e82c44a0848996f11891113cc48ac2f69d7",
+                     0.06569343065693431),
+                ],
+                _NO_REMAINDER,
+            ),
+        ],
         "executions": [
             dict(
                 level=0, cluster_index=0, vertices=64, edges=253, listers=64,
@@ -103,11 +166,165 @@ PINS = {
         ),
         "routes": [],
     },
+    "ring-4x30-k3": {
+        "decompositions": [
+            (
+                [
+                    (0, "3dd79e88e67b852307131b86eb7c449b5fed9e9476df51f3df7c145ccf216761",
+                     "3ec9191fe2d248bd60cc2c6677c38c50978cd8de19f0b2c6db9e047c275a364d",
+                     0.5172413793103449),
+                    (1, "09e925136cd0e6fb70811a1a2f60dba101eccba7b38d61a42b078b9c64393d68",
+                     "226086f9270e039d8c24ce28361293256536545d1bbd4484ae98cc55103a18f2",
+                     0.5172413793103449),
+                    (2, "3adfd43b13410a9f680981b815abf4611f2c49650964f5c5f71a6d79e6033057",
+                     "103ee3be7492b54ad8fbc5f63dfd747d81dfaddb27cf6ddaea56a1388d255ff9",
+                     0.5172413793103449),
+                    (3, "ffc042def4e2e565347e28abdc0daf025e6dd1a88f0661b248854c73af0f49cf",
+                     "fc6c65da23eccf5f3236a65771326f3c54944f6e56a5dab2c9c27e119741e507",
+                     0.5172413793103449),
+                ],
+                "337c2baff1f4ef50f316acfd92dbcdff9cf26496a238459f072f2958829d4d78",
+            ),
+            (
+                [
+                    (0, "59787cac21162a3c1a4bfffe56fbe5393e1eea44aa2f5526827e449ed71131ad",
+                     "3ce569f5b83cfee105d8673718dbb3c073d3ecbd7411b010964acd946eb7b7ff",
+                     1.0),
+                    (1, "107c8841da272e0c40164b908824c78a25c448a2d4010b877d891914c89bece2",
+                     "36ffd54a3f1e98f6fbf1d950ec03d8ec0ac5012eaf5bd184c7f4c75f868349b5",
+                     1.0),
+                    (2, "737663554ed1b779795966312b2da6bd46071d7a39818197d0e4d8ccf5e15639",
+                     "56fe07290c589cd2203fb1ab5fa7e1d3561ea68d939108c513eb0baa5b199d74",
+                     1.0),
+                    (3, "2dd0602cf29bbb1c72267fdd3d1e2aedfaf93cc3ed63b32a36d6658820b5e581",
+                     "f20656178dab2dc9f471d8cff7dc24aa50806ba4d062fe276086468ef9820e80",
+                     1.0),
+                ],
+                _NO_REMAINDER,
+            ),
+        ],
+        "executions": _per_cluster(
+            0, 4, vertices=32, edges=437, listers=2, demands=3494, rounds=113,
+            messages=3498, words=13982, predicted_rounds=673, halted=True,
+        ) + _per_cluster(
+            1, 4, vertices=60, edges=59, listers=60, demands=0, rounds=33,
+            messages=236, words=2094, predicted_rounds=68, halted=True,
+        ),
+        "levels": [
+            (0, 1744, 4, 1740, 0.0022935779816513763, 113, 377),
+            (1, 4, 4, 4, 0.0, 33, 377),
+        ],
+        "cliques": (
+            16240, "5264d65636d738e85bc2d896b34613ab81ad2552cfc81ee88e1287b4bd5d3d51"
+        ),
+        "routes": [
+            (3494, "823ad1d44caa6dd0ff4cbeb6ac63959f9c2940d90db57f9c7daed0fa85ad3580"),
+            (3494, "18b76ebc0324caaad3500c6fe8e3d8420dfed72917b8a9724a2484fda8cf248d"),
+            (3494, "ae34dbc436ea85d50ab8ceee3640ebc95c342a51787d1b023ba35d3b4c19280f"),
+            (3494, "9711cabcb8456b01019933ae6a0176fd20de70110865f6fab5efd6bf9a1db1dc"),
+        ] + [(0, _sha256([]))] * 4,
+    },
+    "ring-6x25-k4": {
+        "decompositions": [
+            (
+                [
+                    (0, "883157c77eeabb4d13ea8d2a33cd190a0f0ac2e32399990c3349fc8fac9f61a5",
+                     "67e9948c3a71733325acc91081beae5f2be31c50693f03348b9101226e4a7215",
+                     0.5416666666666666),
+                    (1, "b85898d774211f81e892ec737b47feb2b807152990b541ef062ff04aade5c682",
+                     "7580b1297ac7cf746e00f0edd38d3341ae45971f58daf30f6cc33227efee1db7",
+                     0.5416666666666666),
+                    (2, "b950826c8cf4da6283cc86dbd75e87b7ef530f124022fd89dede80c3e59fecdd",
+                     "b0f0007e943031684a25c1640000316da74d317538529b48a3e7f35d65ccf794",
+                     0.5416666666666666),
+                    (3, "340050ac9bdffefdedb23c9de9f3556386fffdb8557204236dd28eae6c11a4a1",
+                     "ff00903da4de96be1d0f79d5d53d2f87e38a3475503f7138a09e03d8843b8d95",
+                     0.5416666666666666),
+                    (4, "b4e9475246e5753b230555e7d7be66280cf81cda3816e63685d1b806b47571e0",
+                     "790e05c975410a7caf585eb6ddb56703c4d64673948ce6602fdaffc12223a6e4",
+                     0.5416666666666666),
+                    (5, "6133c3201a04b8ddac4eb116cae3fc6d82c2181c4a1332b9ba1a02896bd86d83",
+                     "72678f83adc38176cd4a30aa97ad80dde1b46d14f2f016c1d896f22d4aca0f09",
+                     0.5416666666666666),
+                ],
+                "e30d40245d69d8e328e42dfea58a544ecd4061929c3a1bb4a112fcfee7f36344",
+            ),
+            (
+                [
+                    (0, "c891e4f37cc6cf37e17f2ef69e3fe6f01a02bc7c87aa5c66c5ee198ba2b2eb34",
+                     "c1169d637fac4d471cc6db104d7c900812e6ab69fa314cb4cc28c4d14086dec8",
+                     1.0),
+                    (1, "499eda730068106e239212ff2ad0bd18382d3f6087595b859a578f916990bcad",
+                     "2a8a71346313252a75e004af17c690fa66895b1dde279b6403963f56056ee8fe",
+                     1.0),
+                    (2, "fa1f59d88ad20292e5cc29e39e928824e05165bdf5652d07785ae92a77dff623",
+                     "4d07767a1dca06a7c61e26bcabd26de3302f6823c4ac79dc442cef3eae010592",
+                     1.0),
+                    (3, "9706d48197ae4fedd4852dc768307b3b071af1b156044d6c9b98f531dbeb9a34",
+                     "621994f59a97f372af295799c754591d65311a3d6db2d2f60b611151865b74fa",
+                     1.0),
+                    (4, "a10d918f0b1b1e8d7b98c4a54f38bcdc3cfff975fb0ed366bce69f1757515cf8",
+                     "185897a8868c5b831e21b0a74e7a231742c4edb3fe34c929c081167b95ce33f1",
+                     1.0),
+                    (5, "7166a9c80d7b4d0e66af1ac0b3743b1558d2085832d5cec0d4a58996ee3a170f",
+                     "e8491f7b74533b0400086054d9300d72f58e3cce05829e42f8ccea298dbe9488",
+                     1.0),
+                ],
+                _NO_REMAINDER,
+            ),
+        ],
+        "executions": _per_cluster(
+            0, 6, vertices=27, edges=302, listers=25, demands=0, rounds=51,
+            messages=1204, words=29502, predicted_rounds=50, halted=True,
+        ) + _per_cluster(
+            1, 6, vertices=50, edges=601, listers=2, demands=0, rounds=51,
+            messages=100, words=2454, predicted_rounds=50, halted=True,
+        ),
+        "levels": [
+            (0, 1806, 6, 1800, 0.0033222591362126247, 51, 420),
+            (1, 6, 6, 6, 0.0, 51, 420),
+        ],
+        "cliques": (
+            75900, "7b9ddd1124c957522137784d948c854df7ea047c762346556b9cee362ae2aafb"
+        ),
+        "routes": [],
+    },
+    "planted-2000-k3": {
+        "decompositions": [
+            (
+                [
+                    (0, "01af602154fe64602a6ad4f7ec6f1928538e93619ccae282fbcd6f4c9ae886ce",
+                     "65fa9b29243fd49e189e96ee4ba6f5442cfa68d3aa4cc374b775281d14c9b9d0",
+                     0.22104404567699837),
+                    (1, "d1817fb2f0aada017fc96088040c2cceda17419d9f6f30e19df659bf819f8025",
+                     "1c3fc0c99b989ef998fbdadd16ff10ff5ce1f6f5b8387f4d915ae60f3bb93c01",
+                     1.0),
+                ],
+                _NO_REMAINDER,
+            ),
+        ],
+        "executions": [
+            dict(
+                level=0, cluster_index=0, vertices=1974, edges=4908, listers=1947,
+                demands=136, rounds=61, messages=19317, words=82159,
+                predicted_rounds=327, halted=True,
+            ),
+            dict(
+                level=0, cluster_index=1, vertices=2, edges=1, listers=2,
+                demands=0, rounds=4, messages=4, words=6,
+                predicted_rounds=4, halted=True,
+            ),
+        ],
+        "levels": [(0, 4909, 2, 4909, 0.0, 61, 1283)],
+        "cliques": (
+            819, "63b26264ddab8d35bc84cc202cf9026f704f5741f2bd7dea57edfc3275eb8772"
+        ),
+        "routes": [
+            (136, "62ce106f4a469ac3f75c1ebc83d71d83b0b4bf7712fe1f25d9321b8e317f5a0d"),
+            (0, _sha256([])),
+        ],
+    },
 }
-
-
-def _sha256(value) -> str:
-    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
 
 
 def route_digest(plan) -> str:
@@ -122,21 +339,45 @@ def route_digest(plan) -> str:
     return _sha256(routes)
 
 
+def decomposition_digest(decomposition) -> tuple[list[tuple], str]:
+    """Per cluster ``(index, vertices sha256, edges sha256, bound)``, then the
+    remainder's sha256; vertices and edges sorted, edges smaller end first."""
+    clusters = [
+        (
+            cluster.index,
+            _sha256(sorted(cluster.vertices)),
+            _sha256(sorted(cluster.edges)),
+            cluster.conductance_lower_bound,
+        )
+        for cluster in decomposition.clusters
+    ]
+    return clusters, _sha256(sorted(decomposition.remainder_edges))
+
+
 @pytest.mark.parametrize("case", list(CASES))
 def test_listing_costs_and_routes_are_pinned(case, monkeypatch):
     build, p, scenario = CASES[case]
     plans = []
+    decompositions = []
     learn = distributed.add_edge_learning
+    decompose = recursion.expander_decompose
 
     def capture(plan, owner_edges):
         learn(plan, owner_edges)
         plans.append(plan)
 
+    def capture_decomposition(*args, **kwargs):
+        decomposition = decompose(*args, **kwargs)
+        decompositions.append(decomposition_digest(decomposition))
+        return decomposition
+
     monkeypatch.setattr(distributed, "add_edge_learning", capture)
+    monkeypatch.setattr(recursion, "expander_decompose", capture_decomposition)
     result = list_cliques_distributed(
         build(), p, backend="vectorized", scenario=scenario()
     )
     pin = PINS[case]
+    assert decompositions == pin["decompositions"]
     assert [dataclasses.asdict(e) for e in result.executions] == pin["executions"]
     assert [dataclasses.astuple(r) for r in result.level_reports] == pin["levels"]
     assert (len(result.cliques), _sha256(sorted(result.cliques))) == pin["cliques"]
