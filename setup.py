@@ -10,7 +10,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro-congest-clique-listing",
-    version="1.5.0",
+    version="1.8.0",
     description=(
         "Reproduction of 'Deterministic Near-Optimal Distributed Listing of "
         "Cliques' (Censor-Hillel, Leitersdorf, Vulakh; PODC 2022) with a "

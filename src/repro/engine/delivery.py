@@ -41,9 +41,11 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 Edge = tuple[Hashable, Hashable]
 
 # No edge group scans more than _WINDOW_CAP rounds of the transmit mask at
-# once; windows of up to _SHARED_WINDOW rounds share one mask query.
+# once; windows of up to _SHARED_WINDOW rounds share one mask query, and no
+# query spans more than _WINDOW_CELLS (edge, round) cells.
 _WINDOW_CAP = 1 << 15
 _SHARED_WINDOW = 64
+_WINDOW_CELLS = 1 << 16
 
 
 class GraphIndex:
@@ -165,11 +167,13 @@ class WordScheduler:
         doubles after a window without a transmit.  Groups whose window
         lengths agree within a factor of two share one rectangular mask
         query, and all windows of up to ``_SHARED_WINDOW`` rounds share
-        one.  Within a query the per-row prefix sums answer every transfer
-        whose word falls inside it via one batched ``searchsorted``, and
-        the per-round histogram of the crossings the batch consumes
-        (capped at each group's demand) feeds the word-level difference
-        array without ever extracting individual crossings.
+        one; a query spans at most ``_WINDOW_CELLS`` cells, so a long
+        block of rows is queried in row chunks.  Within a query the per-row
+        prefix sums answer every transfer whose word falls inside it via
+        one batched ``searchsorted``, and the per-round histogram of the
+        crossings the batch consumes (capped at each group's demand) feeds
+        the word-level difference array without ever extracting individual
+        crossings.
 
         Returns the completion rounds, the number of mask queries and the
         number of mask cells they evaluated.
@@ -192,10 +196,16 @@ class WordScheduler:
             # then one block per doubling of the length.
             block = np.frexp((length - 1) // _SHARED_WINDOW)[1]
             unfinished, next_length = [], []
+            queries = []
             for key in np.unique(block).tolist():
                 in_block = block == key
-                rows = pending[in_block]
                 width = int(length[in_block].max())
+                # Row chunks of at most _WINDOW_CELLS cells bound the
+                # mask and every per-cell temporary derived from it.
+                step = max(1, _WINDOW_CELLS // width)
+                rows = pending[in_block]
+                queries += [(rows[i : i + step], width) for i in range(0, rows.size, step)]
+            for rows, width in queries:
                 first = cursor[rows]
                 mask = self.scenario.transmit_mask(edge_rows[rows], first, width)
                 windows += 1
@@ -203,7 +213,7 @@ class WordScheduler:
                 limit = horizon - first
                 if int(limit.min()) < width:
                     mask &= np.arange(width) < limit[:, None]
-                prefix = np.cumsum(mask, axis=1)
+                prefix = np.cumsum(mask, axis=1, dtype=np.int32)  # <= _WINDOW_CAP
                 before = counts[rows]
                 found = prefix[:, -1]
                 demand = needed[rows]

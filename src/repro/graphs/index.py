@@ -18,7 +18,6 @@ from typing import Hashable, Iterable
 import networkx as nx
 import numpy as np
 import scipy.sparse
-from scipy.sparse.csgraph import breadth_first_order
 
 Edge = tuple[int, int]
 
@@ -151,11 +150,25 @@ class LabelCSR:
         labels = tuple(self.label_array[kept].tolist())
         return LabelCSR._from_ids(labels, ends[: len(us)], ends[len(us):])
 
+    @cached_property
+    def slot_keys(self) -> np.ndarray:
+        """``row * n + neighbour`` of every slot of ``indices``, increasing."""
+        return self.rows * self.n + self.indices
+
+    def slots(self, us: np.ndarray, ws: np.ndarray) -> np.ndarray:
+        """The slots of the directed edges ``us[i] -> ws[i]``, which must exist."""
+        return np.searchsorted(self.slot_keys, us * self.n + ws)
+
+    @cached_property
+    def reverse(self) -> np.ndarray:
+        """Per slot ``u -> w``, the slot of ``w -> u``."""
+        return self.slots(self.indices, self.rows)
+
     def degrees_into(self, lo: int, hi: int) -> np.ndarray:
         """Per row, the number of neighbours with id in ``[lo, hi]``."""
         if hi < lo:
             return np.zeros(self.n, dtype=np.int64)
-        keys = self.rows * self.n + self.indices  # increasing
+        keys = self.slot_keys
         base = np.arange(self.n, dtype=np.int64) * self.n
         return np.searchsorted(keys, base + hi, "right") - np.searchsorted(keys, base + lo)
 
@@ -169,26 +182,19 @@ class LabelCSR:
         us, ws = us[hit], ws[hit]
         return np.minimum(us, ws) * self.n + np.maximum(us, ws)
 
-    def bfs_trees(self, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Parents and depths of the FIFO BFS tree from each root that scans
-        neighbours in label order, as ``int64[len(roots), n]`` arrays:
-        ``parents[r, root] = root``, and ``-1`` in both where a vertex is
-        unreachable from root ``r``."""
-        parents = np.empty((len(roots), self.n), dtype=np.int64)
-        for row, root in enumerate(np.asarray(roots).tolist()):
-            parents[row] = breadth_first_order(
-                self.matrix, root, directed=True, return_predecessors=True
-            )[1]
-            parents[row, root] = root
-        reached = parents >= 0
-        # Pointer doubling: ``depths`` counts hops up to ``jump``, which climbs
-        # twice as far per pass until it rests on the root (unreached: itself).
-        itself = np.broadcast_to(np.arange(self.n), parents.shape)
-        jump = np.where(reached, parents, itself)
-        depths = (jump != itself).astype(np.int64)
-        tree = np.arange(len(roots))[:, None]
-        while not np.array_equal(further := jump[tree, jump], jump):
-            depths += depths[tree, jump]
-            jump = further
-        parents[~reached] = depths[~reached] = -1
-        return parents, depths
+    def distances(self, roots: np.ndarray) -> np.ndarray:
+        """Hop distances from each root, ``int32[len(roots), n]``, ``-1`` where
+        a vertex is unreachable from the root.  All roots advance together, one
+        BFS level per sparse product with the adjacency matrix."""
+        count = len(roots)
+        columns = np.arange(count)
+        distances = np.full((self.n, count), -1, dtype=np.int32)
+        distances[roots, columns] = 0
+        frontier = np.zeros((self.n, count), dtype=np.float32)
+        frontier[roots, columns] = 1
+        level = 0
+        while (fresh := (self.matrix @ frontier > 0) & (distances < 0)).any():
+            level += 1
+            distances[fresh] = level
+            frontier = fresh.astype(np.float32)
+        return np.ascontiguousarray(distances.T)

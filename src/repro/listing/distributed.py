@@ -35,7 +35,10 @@ Two message protocols implement the per-cluster work of Lemma 34:
   leaf-part owner must learn the edges running between its part's ancestor
   parts.  Edge endpoints inject one packet per demanded edge; packets are
   forwarded hop-by-hop along precomputed shortest paths inside the working
-  graph, under the model's one-word-per-edge bandwidth constraint.
+  graph, under the model's one-word-per-edge bandwidth constraint.  The
+  paths are chosen by load (:mod:`repro.listing.routing`), the stand-in for
+  the paper's Theorem 6 routing: a run takes about as many rounds as the
+  words on its busiest directed edge.
 
 Both protocols are compiled into one :class:`ClusterProtocolPlan` per
 execution.  A plan is arrays over one numbering: the communication graph's
@@ -45,8 +48,9 @@ same order, so the index's ids are the engine's dense ids.  Per vertex the
 plan keeps a lister flag and the four counts it waits for (announcements,
 replies, relays, received packets); per demand a flat route of dense ids.
 :func:`plan_two_hop_protocol` derives the counts with one sparse product,
-and :func:`add_edge_learning` routes along BFS trees computed on the index
-(``scipy.sparse.csgraph``).  The plan's
+and :func:`add_edge_learning` routes each packet along a shortest path
+picked by the words already on every directed edge
+(:meth:`ClusterProtocolPlan.edge_words`).  The plan's
 :meth:`~ClusterProtocolPlan.factory` is a plan-bound
 :class:`ListingVector`.  The vectorized backend steps each cluster as that
 one :class:`~repro.engine.vector.VectorAlgorithm`: every vertex once per
@@ -112,6 +116,7 @@ from repro.listing.recursion import (
     ListingResult,
     RecursiveListingDriver,
 )
+from repro.listing.routing import route_by_load
 from repro.listing.triangles import TriangleListing
 
 Edge = tuple[int, int]
@@ -202,6 +207,63 @@ class ClusterProtocolPlan:
             (ListingVector,),
             {"plan": self, "per_vertex": staticmethod(partial(ListingVertex, plan=self))},
         )
+
+    @cached_property
+    def label_words(self) -> np.ndarray:
+        """``int64[n]``: the words each vertex label costs in a payload."""
+        index = self.index
+        if all(type(v) is int for v in index.labels):
+            return np.ones(index.n, dtype=np.int64)
+        return np.fromiter(
+            (words_for_payload(v, index.n) for v in index.labels),
+            dtype=np.int64,
+            count=index.n,
+        )
+
+    @cached_property
+    def exchange_words(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(announce, reply)``, ``int64[2m]`` by CSR slot ``a -> b``: the
+        words of lister ``a``'s announcement to ``b`` and of ``b``'s reply,
+        which travels back on the reverse slot; zero where ``a`` does not
+        list.  An announcement is one word plus ``a``'s neighbours' labels,
+        a reply one word plus the labels the pair has in common: an entry of
+        ``A[listers] · diag(label_words) · A``."""
+        index = self.index
+        announce = np.zeros(index.indices.size, dtype=np.int64)
+        reply = np.zeros(index.indices.size, dtype=np.int64)
+        slots = np.flatnonzero(self.lister[index.rows])
+        if slots.size:
+            announcers, answerers = index.rows[slots], index.indices[slots]
+            adjacency = index.matrix
+            announce[slots] = 1 + (adjacency @ self.label_words)[announcers]
+            listers = np.flatnonzero(self.lister)
+            common = adjacency[listers].multiply(self.label_words).tocsr() @ adjacency
+            at = np.searchsorted(listers, announcers)
+            reply[slots] = 1 + np.asarray(common[at, answerers]).ravel()
+        return announce, reply
+
+    def packet_words(self, edges: np.ndarray) -> np.ndarray:
+        """Words of the packets that carry ``edges`` (``int64[k, 2]`` ids):
+        the twin's ``(demand, u, w)`` payload."""
+        return 2 + self.label_words[edges].sum(axis=1)
+
+    def edge_words(self) -> np.ndarray:
+        """``int64[2m]``: the words each directed edge carries, by CSR slot.
+
+        Announcements, replies and routed packets, on the edge they cross;
+        the sum is the run's measured words, and the busiest edge is a lower
+        bound on its rounds (one word per edge per round).
+        """
+        index = self.index
+        announce, reply = self.exchange_words
+        hops, starts = self.route_hops, self.route_starts
+        inner = np.ones(hops.size, dtype=bool)
+        inner[starts] = False
+        inner = np.flatnonzero(inner)
+        hop_words = np.repeat(self.packet_words(self.route_edges), self.route_ends - starts)
+        crossed = index.slots(hops[inner - 1], hops[inner])
+        routed = np.bincount(crossed, weights=hop_words[inner], minlength=announce.size)
+        return announce + reply[index.reverse] + routed.astype(np.int64)
 
     @cached_property
     def packet_tables(self) -> tuple[dict, dict, dict]:
@@ -391,34 +453,18 @@ class ListingVector(VectorAlgorithm):
         n = topology.n
         self._got = np.zeros((n, 4), dtype=np.int64)
         self._outputs: dict[int, set[Clique]] = {}
-        if topology.node_values is not None:
-            cost = np.ones(n, dtype=np.int64)
-        else:
-            cost = np.fromiter(
-                (words_for_payload(v, n) for v in topology.nodes),
-                dtype=np.int64,
-                count=n,
-            )
 
-        # Announcements: one per CSR slot of a lister.  A reply's labels are
-        # the common neighbours of its pair: an entry of A[listers]·diag(cost)·A.
-        adjacency = plan.index.matrix
+        # Announcements: one per CSR slot of a lister, answered on its reverse.
         slots = np.flatnonzero(plan.lister[topology.csr_senders])
         announcers, answerers = topology.csr_senders[slots], topology.targets[slots]
-        label_words = adjacency @ cost
-        self._hits_words = np.ones(slots.size, dtype=np.int64)
-        if slots.size:
-            listers = np.flatnonzero(plan.lister)
-            common = adjacency[listers].multiply(cost).tocsr() @ adjacency
-            at = np.searchsorted(listers, announcers)
-            self._hits_words += np.asarray(common[at, answerers]).ravel()
+        announce_words, reply_words = plan.exchange_words
+        self._hits_words = reply_words[slots]
         self._hits_edges = _edge_ids(topology, answerers, announcers)
 
         # Edge packets: one flat route per demand.
         hops, ends, starts = plan.route_hops, plan.route_ends, plan.route_starts
         self._hops = hops
-        packet_words = 2 + cost[plan.route_edges].sum(axis=1)
-        self._hop_words = np.repeat(packet_words, ends - starts)
+        self._hop_words = np.repeat(plan.packet_words(plan.route_edges), ends - starts)
         self._hop_is_end = np.zeros(hops.size, dtype=bool)
         self._hop_is_end[ends - 1] = True
         self._hop_edges = np.zeros(hops.size, dtype=np.int64)
@@ -444,7 +490,7 @@ class ListingVector(VectorAlgorithm):
             np.concatenate(
                 ((np.arange(slots.size) << 2) | _ADJ, (first << 2) | _EDGE)
             ),
-            np.concatenate((1 + label_words[announcers], self._hop_words[first])),
+            np.concatenate((announce_words[slots], self._hop_words[first])),
             np.concatenate((topology.csr_edge_ids[slots], self._hop_edges[first])),
         )
         self._initial: tuple[np.ndarray, ...] | None = initial
@@ -562,12 +608,13 @@ def add_edge_learning(
     """Compile per-owner edge demands into routed packets.
 
     Demands are taken in (owner, edge) label order.  An edge incident to its
-    owner is preloaded.  Any other is injected by the endpoint closer to the
-    owner (the smaller label on a tie) and forwarded hop by hop along the
-    owner's BFS tree in the plan's communication graph, which scans
-    neighbours in label order.  The route is appended to the plan's flat
-    routes, and every vertex on it gets its relay or receive count, so all
-    vertices can halt locally.
+    owner is preloaded.  Any other is injected by an endpoint of minimum
+    distance to the owner and forwarded along a shortest path in the plan's
+    communication graph; :func:`~repro.listing.routing.route_by_load` picks
+    the endpoint on a tie and each next hop by the words already on every
+    directed edge (:meth:`ClusterProtocolPlan.edge_words`).  The route is
+    appended to the plan's flat routes, and every vertex on it gets its
+    relay or receive count, so all vertices can halt locally.
     """
     index = plan.index
     demands = _demand_rows(index, owner_edges)
@@ -576,25 +623,10 @@ def add_edge_learning(
     owners, us, ws = demands[~own].T
     if not owners.size:
         return
-    roots, tree = np.unique(owners, return_inverse=True)
-    parents, depths = index.bfs_trees(roots)
-    depth_u, depth_w = depths[tree, us], depths[tree, ws]
-    lost = np.flatnonzero((depth_u < 0) & (depth_w < 0))
-    if lost.size:
-        u, w, owner = (index.labels[ids[lost[0]]] for ids in (us, ws, owners))
-        raise ValueError(
-            f"edge ({u}, {w}) unreachable from owner {owner} in the "
-            "cluster working graph"
-        )
-    # The endpoint closer to the owner injects (shorter route).
-    sources = np.where((depth_u >= 0) & ((depth_w < 0) | (depth_u <= depth_w)), us, ws)
-    lengths = depths[tree, sources] + 1
-    table = np.empty((sources.size, int(lengths.max())), dtype=np.int64)
-    step = sources
-    for column in range(table.shape[1]):
-        table[:, column] = step
-        step = parents[tree, step]
-    hops = table[np.arange(table.shape[1]) < lengths[:, None]]
+    edges = demands[~own, 1:]
+    words = plan.packet_words(edges)
+    hops, lengths = route_by_load(index, owners, us, ws, words, plan.edge_words())
+    sources = hops[np.cumsum(lengths) - lengths]
     n = index.n
     injected = np.bincount(sources, minlength=n)
     received = np.bincount(owners, minlength=n)
@@ -602,7 +634,7 @@ def add_edge_learning(
     plan.counts[:, _RECEIVED] += received
     plan.route_ends = np.append(plan.route_ends, plan.route_hops.size + np.cumsum(lengths))
     plan.route_hops = np.concatenate((plan.route_hops, hops))
-    plan.route_edges = np.concatenate((plan.route_edges, np.stack((us, ws), axis=1)))
+    plan.route_edges = np.concatenate((plan.route_edges, edges))
 
 
 def _demand_rows(

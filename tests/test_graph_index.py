@@ -1,9 +1,9 @@
 """``LabelCSR``: one label-sorted CSR per graph, checked against networkx.
 
 Every query the planner reads off the index (degrees into an id range, the
-edges between ranges, BFS trees) is compared with a set-based or networkx
-computation of the same thing, over int and string labels, isolated
-vertices and a disconnected graph.
+edges between ranges, distances from roots, slots of directed edges) is
+compared with a set-based or networkx computation of the same thing, over
+int and string labels, isolated vertices and a disconnected graph.
 """
 
 import networkx as nx
@@ -91,22 +91,26 @@ def test_range_queries_match_set_counts(graph):
 
 
 @pytest.mark.parametrize("graph", _graphs())
-def test_bfs_trees_match_a_sorted_fifo_bfs(graph):
+def test_distances_match_networkx(graph):
     index = LabelCSR.from_graph(graph)
     roots = np.arange(0, index.n, 7)
-    parents, depths = index.bfs_trees(roots)
+    distances = index.distances(roots)
+    assert distances.shape == (roots.size, index.n)
     for row, root in enumerate(roots.tolist()):
-        label = index.labels[root]
-        expected_parent = {label: label}
-        for parent, child in nx.bfs_edges(graph, label, sort_neighbors=sorted):
-            expected_parent[child] = parent
-        distance = nx.single_source_shortest_path_length(graph, label)
-        for vertex_id, vertex in enumerate(index.labels):
-            if vertex in expected_parent:
-                assert index.labels[parents[row, vertex_id]] == expected_parent[vertex]
-                assert depths[row, vertex_id] == distance[vertex]
-            else:
-                assert parents[row, vertex_id] == depths[row, vertex_id] == -1
+        distance = nx.single_source_shortest_path_length(graph, index.labels[root])
+        expected = [distance.get(vertex, -1) for vertex in index.labels]
+        assert distances[row].tolist() == expected
+
+
+@pytest.mark.parametrize("graph", _graphs())
+def test_slots_address_directed_edges(graph):
+    index = LabelCSR.from_graph(graph)
+    slots = index.slots(index.rows, index.indices)
+    assert slots.tolist() == list(range(index.indices.size))
+    reverse = index.reverse
+    assert (index.rows[reverse] == index.indices).all()
+    assert (index.indices[reverse] == index.rows).all()
+    assert (reverse[reverse] == np.arange(index.indices.size)).all()
 
 
 def test_empty_index():

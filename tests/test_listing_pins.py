@@ -95,7 +95,7 @@ _SKEWED_EXECUTION = dict(
     messages=24643, words=98572, predicted_rounds=1138, halted=True,
 )
 _SKEWED_ROUTES = [
-    (15346, "e4fe2655b6c389427d8b6d5268c2a888f8d8480c335c927bbcf887679d8f19c7")
+    (15346, "cb2c9004b96e30c9afad8a8e5017800d5fd45ee6cd29aa976799bd9d77250536")
 ]
 _SKEWED_CLIQUES = (
     643, "00dfc16a20499f70b2a48c420239fddbe08a2c646c340ac89a81f49ccb28968a"
@@ -104,15 +104,15 @@ _SKEWED_CLIQUES = (
 PINS = {
     "skewed-k3": {
         "decompositions": _SKEWED_DECOMPOSITIONS,
-        "executions": [dict(_SKEWED_EXECUTION, rounds=1189)],
-        "levels": [(0, 864, 1, 864, 0.0, 1189, 420)],
+        "executions": [dict(_SKEWED_EXECUTION, rounds=281)],
+        "levels": [(0, 864, 1, 864, 0.0, 281, 420)],
         "cliques": _SKEWED_CLIQUES,
         "routes": _SKEWED_ROUTES,
     },
     "skewed-k3-link-drop": {
         "decompositions": _SKEWED_DECOMPOSITIONS,
-        "executions": [dict(_SKEWED_EXECUTION, rounds=1331)],
-        "levels": [(0, 864, 1, 864, 0.0, 1331, 420)],
+        "executions": [dict(_SKEWED_EXECUTION, rounds=325)],
+        "levels": [(0, 864, 1, 864, 0.0, 325, 420)],
         "cliques": _SKEWED_CLIQUES,
         "routes": _SKEWED_ROUTES,
     },
@@ -130,16 +130,16 @@ PINS = {
         "executions": [
             dict(
                 level=0, cluster_index=0, vertices=295, edges=687, listers=237,
-                demands=1206, rounds=124, messages=5095, words=19138,
+                demands=1206, rounds=93, messages=5095, words=19138,
                 predicted_rounds=596, halted=True,
             )
         ],
-        "levels": [(0, 687, 1, 687, 0.0, 124, 577)],
+        "levels": [(0, 687, 1, 687, 0.0, 93, 577)],
         "cliques": (
             136, "18b9847d4abc371b0596fb065dc86418870b3352d26865c66a4f3dbc5529e595"
         ),
         "routes": [
-            (1206, "e5a53a932d9e492b0bef2014e002f8d896815fad73fa53d9fa92999b15b57c54")
+            (1206, "56172285d378bee78ab81fbfe40f59bf579c0c8f0cf8ac232496feb0f178e020")
         ],
     },
     "communities-k4": {
@@ -204,24 +204,24 @@ PINS = {
             ),
         ],
         "executions": _per_cluster(
-            0, 4, vertices=32, edges=437, listers=2, demands=3494, rounds=113,
+            0, 4, vertices=32, edges=437, listers=2, demands=3494, rounds=69,
             messages=3498, words=13982, predicted_rounds=673, halted=True,
         ) + _per_cluster(
             1, 4, vertices=60, edges=59, listers=60, demands=0, rounds=33,
             messages=236, words=2094, predicted_rounds=68, halted=True,
         ),
         "levels": [
-            (0, 1744, 4, 1740, 0.0022935779816513763, 113, 377),
+            (0, 1744, 4, 1740, 0.0022935779816513763, 69, 377),
             (1, 4, 4, 4, 0.0, 33, 377),
         ],
         "cliques": (
             16240, "5264d65636d738e85bc2d896b34613ab81ad2552cfc81ee88e1287b4bd5d3d51"
         ),
         "routes": [
-            (3494, "823ad1d44caa6dd0ff4cbeb6ac63959f9c2940d90db57f9c7daed0fa85ad3580"),
-            (3494, "18b76ebc0324caaad3500c6fe8e3d8420dfed72917b8a9724a2484fda8cf248d"),
-            (3494, "ae34dbc436ea85d50ab8ceee3640ebc95c342a51787d1b023ba35d3b4c19280f"),
-            (3494, "9711cabcb8456b01019933ae6a0176fd20de70110865f6fab5efd6bf9a1db1dc"),
+            (3494, "84e40e9caaa48feda165adefd116d48730965387f9a2035e6ae226f9504f4941"),
+            (3494, "149c7ba57200da616e7dab8737e3ecb4184afeceb07fe0e7e0664c837c776b65"),
+            (3494, "9885ea696f6d780a6514604a5c1a046dd3109f346d8bda0f1ee29e34284ba28d"),
+            (3494, "349168f50d80c0cb17f0f3644a3ee751ac38ca2ae990de46e46a45a85c949c60"),
         ] + [(0, _sha256([]))] * 4,
     },
     "ring-6x25-k4": {
@@ -306,7 +306,7 @@ PINS = {
         "executions": [
             dict(
                 level=0, cluster_index=0, vertices=1974, edges=4908, listers=1947,
-                demands=136, rounds=61, messages=19317, words=82159,
+                demands=136, rounds=42, messages=19317, words=82159,
                 predicted_rounds=327, halted=True,
             ),
             dict(
@@ -315,12 +315,12 @@ PINS = {
                 predicted_rounds=4, halted=True,
             ),
         ],
-        "levels": [(0, 4909, 2, 4909, 0.0, 61, 1283)],
+        "levels": [(0, 4909, 2, 4909, 0.0, 42, 1283)],
         "cliques": (
             819, "63b26264ddab8d35bc84cc202cf9026f704f5741f2bd7dea57edfc3275eb8772"
         ),
         "routes": [
-            (136, "62ce106f4a469ac3f75c1ebc83d71d83b0b4bf7712fe1f25d9321b8e317f5a0d"),
+            (136, "535504705c9a7a722175871eeb04dae4e7cbc02798fbdd7acf76ed08c2a870d9"),
             (0, _sha256([])),
         ],
     },

@@ -155,4 +155,4 @@ def test_string_labels_cost_their_words_in_a_full_listing():
         result = list_cliques_distributed(named, 3, backend=backend)
         assert len(result.cliques) == len(list_cliques_distributed(graph, 3).cliques)
         signatures[backend] = (result.measured_rounds, result.measured_words)
-    assert signatures["vectorized"] == signatures["reference"] == (341, 8644)
+    assert signatures["vectorized"] == signatures["reference"] == (231, 8644)
