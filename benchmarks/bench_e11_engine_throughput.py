@@ -1,4 +1,4 @@
-"""E11 — Execution-engine throughput: reference vs vectorized vs sharded.
+"""E11 — Execution-engine throughput: reference vs vectorized.
 
 The workload is the delivery-bound regime the engine was built for: every
 vertex of a random graph broadcasts a multi-word blob to all neighbours in
@@ -83,7 +83,7 @@ def run_experiment(
     payload_words: int = 256,
     backends: list[str] | None = None,
 ) -> dict:
-    backends = backends or ["reference", "vectorized", "sharded"]
+    backends = backends or ["reference", "vectorized"]
     rows = [run_config(n, avg_degree, payload_words, backends) for n in sizes]
     return {
         "experiment": "E11 engine throughput (broadcast workload)",
@@ -122,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--backends",
         nargs="+",
-        default=["reference", "vectorized", "sharded"],
+        default=["reference", "vectorized"],
     )
     parser.add_argument(
         "--json",

@@ -6,7 +6,7 @@ link drops, *correlated bursty* outages, and *heterogeneous per-edge
 bandwidth*.  This experiment runs the engine-executed Theorem 32 triangle
 listing (the ``distributed-listing`` driver workload) over the full
 
-    {reference, vectorized, sharded} x
+    {reference, vectorized} x
     {clean, link-drop, bursty, heterogeneous-bandwidth}
 
 grid **through the declarative experiment API alone** — one
@@ -37,7 +37,7 @@ from pathlib import Path
 import common  # noqa: F401  (registers the 'listing-workload' graph source)
 from repro.experiments import ExperimentSpec, Session
 
-ALL_BACKENDS = ["reference", "vectorized", "sharded"]
+ALL_BACKENDS = ["reference", "vectorized"]
 
 # The robust-scenario axis: registry names with per-scenario parameters.
 # The spec's sweep seed is injected into each scenario that accepts one.

@@ -1,4 +1,4 @@
-"""E15 — Faulty-scenario throughput: vectorized kernels + sharded worker counts.
+"""E15 — Faulty-scenario throughput: vectorized transmit-mask kernels.
 
 Before this experiment's PR, the engine's speed story collapsed the moment a
 delivery scenario was not clean: the
@@ -25,13 +25,8 @@ sums.  This experiment pins the result:
   agreement for this workload is verified at 500 vertices (the reference
   simulator needs minutes for the 1k faulty grid; semantics at 1k are
   already pinned by the listing section and the equivalence suites).
-* **Sharded scaling section.**  Per-worker-count timings of the sharded
-  backend on the 1,000-vertex broadcast, together with the host's usable
-  core count.  One worker runs its shard in-process; two or more fork one
-  worker process per shard, which exchanges one pickled columnar batch
-  each way per round with the parent.  Every worker count must give the
-  same signature.  The JSON records ``host_cores`` so multi-core readings
-  are interpretable.
+
+The JSON records the host's usable core count (``host_cores``).
 
 Run standalone (writes BENCH_e15.json at the repo root by default)::
 
@@ -39,8 +34,8 @@ Run standalone (writes BENCH_e15.json at the repo root by default)::
     PYTHONPATH=src python benchmarks/bench_e15_faulty_throughput.py --smoke
 
 ``--smoke`` runs the 200-vertex listing grid plus a 200-vertex broadcast
-and sharded pass (the CI tier-2 job): agreement is asserted, wall-clock
-ratios are reported but not asserted (CI timing is noisy).
+pass (the CI tier-2 job): agreement is asserted, wall-clock ratios are
+reported but not asserted (CI timing is noisy).
 """
 
 from __future__ import annotations
@@ -163,87 +158,33 @@ def run_broadcast_section(
     }
 
 
-def run_sharded_section(
-    n: int, seed: int, worker_counts: list[int]
-) -> dict:
-    """Per-worker-count sharded timings (1 worker runs in-process)."""
-    session = Session(name="e15-sharded")
-    spec = ExperimentSpec(
-        name="e15-sharded",
-        graph="erdos-renyi",
-        graph_params={"n": n, "avg_degree": 20.0, "seed": seed},
-        workload="broadcast",
-        workload_params={"payload_words": 256},
-        seeds=(seed,),
-        max_rounds=100_000,
-    )
-    scenarios = [SCENARIO_GRID[0], SCENARIO_GRID[1]]  # clean + link-drop
-    rows = []
-    table: dict[str, dict[str, float]] = {}
-    signatures: dict[str, tuple] = {}
-    for workers in worker_counts:
-        results = session.grid(
-            spec,
-            backends=[("sharded", {"num_workers": workers})],
-            scenarios=scenarios,
-        )
-        for result in results:
-            row = result.to_row()
-            row["num_workers"] = workers
-            rows.append(row)
-            table.setdefault(f"workers={workers}", {})[result.scenario_name] = (
-                round(min(result.seconds), 3)
-            )
-            # Worker count must never change semantics — per scenario, every
-            # worker count must carry the identical signature.
-            current = result.signature()
-            expected = signatures.setdefault(result.scenario_name, current)
-            assert current == expected, (
-                f"sharded cell diverged: workers={workers} x {result.scenario_name}"
-            )
-    return {
-        "n": n,
-        "worker_counts": worker_counts,
-        "host_cores": _host_cores(),
-        "rows": rows,
-        "seconds": table,
-    }
-
-
 def run_experiment(
     listing_n: int = 1000,
     broadcast_sizes: list[int] | None = None,
     broadcast_agreement_n: int = 500,
-    sharded_n: int = 1000,
     seed: int = 7,
     assert_ratio: bool = True,
 ) -> dict:
     broadcast_sizes = broadcast_sizes or [1000, 2500, 5000]
-    cores = _host_cores()
-    worker_counts = sorted({1, 2, min(4, max(2, cores)), cores})
     listing = run_listing_section(listing_n, seed, assert_ratio)
     broadcast = run_broadcast_section(broadcast_sizes, broadcast_agreement_n, seed)
-    sharded = run_sharded_section(sharded_n, seed, worker_counts)
     return {
         "experiment": (
-            "E15 faulty-scenario throughput "
-            "(vectorized transmit-mask kernels + sharded worker counts)"
+            "E15 faulty-scenario throughput (vectorized transmit-mask kernels)"
         ),
         "workload": (
             "Theorem 32 listing grid (acceptance: faulty vectorized wall clock "
             "within 2x of clean, backends agree per cell) + 256-word broadcast "
-            "stress (words/second per scenario) + sharded per-worker-count "
-            "timings (1 worker in-process, 2+ forked)"
+            "stress (words/second per scenario)"
         ),
         "seed": seed,
-        "host_cores": cores,
+        "host_cores": _host_cores(),
         "acceptance_ratio": ACCEPTANCE_RATIO,
         "listing": listing,
         "broadcast": broadcast,
-        "sharded": sharded,
         # The flat row union keeps the committed file greppable in the
         # BENCH_*.json style alongside the structured sections.
-        "rows": listing["rows"] + broadcast["rows"] + sharded["rows"],
+        "rows": listing["rows"] + broadcast["rows"],
     }
 
 
@@ -261,13 +202,6 @@ def render(report: dict) -> str:
     for n, per_scenario in report["broadcast"]["words_per_second"].items():
         for name, wps in per_scenario.items():
             lines.append(f"  n={n:<6} {name:<26s} {wps:>12,.0f} words/s")
-    lines.append("")
-    lines.append("sharded seconds (workers x scenario):")
-    for workers, per_scenario in report["sharded"]["seconds"].items():
-        cells = "  ".join(
-            f"{name}={secs:.3f}s" for name, secs in per_scenario.items()
-        )
-        lines.append(f"  {workers:<12s} {cells}")
     return "\n".join(lines)
 
 
@@ -298,7 +232,6 @@ def main(argv: list[str] | None = None) -> int:
             listing_n=200,
             broadcast_sizes=[200],
             broadcast_agreement_n=200,
-            sharded_n=200,
             seed=args.seed,
             assert_ratio=False,
         )
@@ -324,7 +257,6 @@ def test_e15_faulty_throughput(benchmark, print_section):
             listing_n=120,
             broadcast_sizes=[120],
             broadcast_agreement_n=120,
-            sharded_n=120,
             assert_ratio=False,
         ),
     )

@@ -13,8 +13,8 @@ and BFS from :mod:`repro.baselines.naive`) and a whole-network
 :class:`~repro.engine.vector.VectorAlgorithm` twin that steps every vertex
 in one numpy call.  The vector class carries its scalar twin in
 ``per_vertex``, so the *same* class runs on every backend — the vectorized
-backend takes the array fast path, the reference and sharded backends run
-the twin per vertex — and the equivalence suite proves both paths agree on
+backend takes the array fast path, the reference backend runs the twin per
+vertex — and the equivalence suite proves both paths agree on
 outputs, rounds, and word totals under every delivery scenario.
 """
 

@@ -1,4 +1,4 @@
-"""Engine showdown: one algorithm, three backends, three network conditions.
+"""Engine showdown: one algorithm, both backends, three network conditions.
 
 Runs the faithful neighbourhood-exchange triangle baseline on every
 execution backend and under every delivery scenario, and prints the round /

@@ -72,7 +72,7 @@ def main() -> None:
     session = Session(name="experiment-grid-example")
     results = session.grid(
         spec,
-        backends=["reference", "vectorized", "sharded"],
+        backends=["reference", "vectorized"],
         scenarios=[
             "clean",
             "weekend-outage",                      # the custom scenario

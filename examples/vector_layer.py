@@ -6,8 +6,8 @@ engine calling ``on_round`` once per vertex per round, the vector class is
 constructed once and steps *every* vertex with a few array operations.  The
 class carries its per-vertex twin in ``per_vertex``, so the same class runs
 on every backend — the vectorized backend takes the array fast path, the
-reference and sharded backends transparently run the twin per vertex — and
-the engine guarantees both paths agree exactly.
+reference backend transparently runs the twin per vertex — and the engine
+guarantees both paths agree exactly.
 
 This example writes the pair for a small primitive (every vertex learns the
 sum of its neighbours' degrees), proves all backends and a faulty scenario
@@ -94,7 +94,6 @@ def main() -> None:
     timings = {}
     for label, factory, backend in [
         ("per-vertex twin on reference", VectorNeighborDegreeSum, "reference"),
-        ("per-vertex twin on sharded", VectorNeighborDegreeSum, "sharded"),
         ("per-vertex dispatch on vectorized",
          VectorNeighborDegreeSum.per_vertex, "vectorized"),
         ("VectorAlgorithm fast path on vectorized",

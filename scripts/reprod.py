@@ -136,6 +136,14 @@ def parse_axis_entry(text: str):
 def cmd_serve(args: argparse.Namespace) -> int:
     for module in args.imports:
         importlib.import_module(module)
+    try:
+        pool = WorkerPool(
+            num_workers=args.workers,
+            max_attempts=args.max_attempts,
+            default_timeout=args.timeout,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"reprod: {exc}")
     log_file = None
     tracer = None
     if args.log:
@@ -143,11 +151,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # is killed (CI uploads it as an artifact after SIGTERM).
         log_file = open(args.log, "w", buffering=1, encoding="utf-8")
         tracer = JsonlTracer(log_file)
-    pool = WorkerPool(
-        num_workers=args.workers,
-        max_attempts=args.max_attempts,
-        default_timeout=args.timeout,
-    ).start()
+    pool.start()
     service = ExperimentService(
         pool,
         CellCache(

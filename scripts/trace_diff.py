@@ -11,7 +11,7 @@ Examples::
 
     PYTHONPATH=src python scripts/trace_diff.py
     PYTHONPATH=src python scripts/trace_diff.py \
-        --backend-a reference --backend-b sharded --scenario link-drop
+        --backend-a reference --backend-b vectorized --scenario link-drop
     PYTHONPATH=src python scripts/trace_diff.py --n 48 --doctor 3
 """
 

@@ -14,8 +14,8 @@ The public API re-exports the main entry points:
   -- coverage checks against ground truth (plus the measured-vs-predicted
   round cross-check for distributed runs).
 * :func:`repro.run_algorithm` -- run any per-vertex CONGEST algorithm on
-  the pluggable execution engine (:mod:`repro.engine`): reference,
-  vectorized, or sharded backend, under pluggable delivery scenarios.  It
+  the pluggable execution engine (:mod:`repro.engine`): reference or
+  vectorized backend, under pluggable delivery scenarios.  It
   is :func:`repro.engine.run_algorithm`, the engine's one entry point.
 * :class:`repro.ExperimentSpec` / :class:`repro.Session` -- the declarative
   experiment layer (:mod:`repro.experiments`): JSON-round-tripping

@@ -14,8 +14,8 @@ Two listing flavours are provided:
 
 :func:`neighborhood_exchange_listing` drives the faithful algorithm through
 the pluggable execution engine (:mod:`repro.engine`), so the same baseline
-can be run on the reference, vectorized, or sharded backend and under any
-delivery scenario.
+can be run on the reference or vectorized backend and under any delivery
+scenario.
 
 The module also hosts the textbook *per-vertex primitives* the engine's
 workload suites are built from — :class:`FloodMinimum` (leader election by

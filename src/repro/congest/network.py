@@ -7,10 +7,10 @@ are queued on the edge, exactly the way a real CONGEST algorithm would have
 to stretch a large transfer over multiple rounds.
 
 This executor is the *reference semantics* of the execution engine
-(:mod:`repro.engine`): the vectorized and sharded backends are validated
-against it.  Algorithms run through :func:`repro.engine.run_algorithm`,
-whose ``backend`` argument selects this network (``"reference"``, the
-default) or a faster backend; the asymptotic scaling experiments use
+(:mod:`repro.engine`): the vectorized backend is validated against it.
+Algorithms run through :func:`repro.engine.run_algorithm`, whose
+``backend`` argument selects this network (``"reference"``, the default)
+or a faster backend; the asymptotic scaling experiments use
 :mod:`repro.congest.cost`.
 """
 
@@ -114,8 +114,8 @@ class CongestNetwork:
         """Instantiate ``factory`` on every vertex and run to termination.
 
         The round itself is :func:`repro.engine.rounds.run_rounds`; this
-        network is its transport (the per-edge word queues below) and one
-        in-process :class:`~repro.engine.rounds.ShardState` its compute step.
+        network is its transport (the per-edge word queues below) and
+        :class:`~repro.engine.rounds.VertexStep` its compute step.
 
         Args:
             factory: called as ``factory(vertex, neighbors, n)`` for every
@@ -126,14 +126,14 @@ class CongestNetwork:
         Returns:
             A :class:`SynchronousRun` with metrics and per-vertex outputs.
         """
-        from repro.engine.rounds import ShardState, ShardStep, run_rounds
+        from repro.engine.rounds import VertexStep, run_rounds
 
         nodes = list(self.graph.nodes)
-        shard = ShardState(nodes, factory, self.graph)
+        step = VertexStep(nodes, factory, self.graph)
         self._edge_queues.clear()
         self.pending_messages = 0
         return run_rounds(
-            ShardStep([shard]),
+            step,
             self,
             self.scenario,
             nodes,

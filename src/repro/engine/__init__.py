@@ -4,8 +4,8 @@ The engine separates *what a distributed algorithm does* (the per-vertex
 :class:`~repro.congest.vertex.VertexAlgorithm` code) from *how the rounds
 are executed*.  The round itself is written once, in
 :mod:`repro.engine.rounds`: one driver with two pluggable parts, a compute
-step (per-vertex shards, in-process or forked, or one vector algorithm) and
-a transport (the reference per-edge queues or the batch
+step (per-vertex algorithms or one vector algorithm) and a transport (the
+reference per-edge queues or the batch
 :class:`~repro.engine.delivery.WordScheduler`).  Each backend is a short
 set-up that picks the two parts:
 
@@ -13,25 +13,22 @@ set-up that picks the two parts:
 * :mod:`repro.engine.registry` -- open backend / scenario registries:
   ``@register_backend`` and ``@register_scenario`` make new implementations
   selectable by name everywhere without editing library internals.
-* :mod:`repro.engine.reference` -- one in-process shard on
+* :mod:`repro.engine.reference` -- per-vertex algorithms on
   :class:`~repro.congest.network.CongestNetwork`'s edge-by-edge queues; the
   semantic ground truth.
-* :mod:`repro.engine.vectorized` -- one in-process shard on the batch
-  scheduler; ~10-100x faster on fragmentation-heavy workloads.
+* :mod:`repro.engine.vectorized` -- per-vertex algorithms, or one vector
+  algorithm, on the batch scheduler; ~10-100x faster on
+  fragmentation-heavy workloads.
 * :mod:`repro.engine.vector` -- the vectorized per-vertex layer: a
   :class:`VectorAlgorithm` steps *all* vertices in one numpy ``on_round``
   call, eliminating the Python per-vertex loop entirely on the vectorized
   backend while still running per-vertex (via its ``per_vertex`` twin) on
-  the reference and sharded backends.
-* :mod:`repro.engine.sharded` -- per-vertex shards on the batch scheduler:
-  one in-process shard by default, or ``num_workers=k`` shards in forked
-  worker processes with per-round barriers, each round crossing every
-  worker's pipe as one pickled columnar batch each way.
+  the reference backend.
 * :mod:`repro.engine.scenarios` -- pluggable, composable delivery models:
   clean synchronous, per-round link drops, adversarial bounded delay,
   correlated bursty outages, per-edge heterogeneous bandwidth, and the
   :class:`ComposedScenario` overlay/sequential combinator (JSON-serialisable
-  via :func:`build_composed`).  The fast backends schedule every faulty
+  via :func:`build_composed`).  The vectorized backend schedules every faulty
   scenario with per-edge prefix sums over its batch ``transmit_mask``, each
   row read from where that edge's traffic starts; every built-in ships a
   numpy kernel for it, and a ``transmits``-only scenario gets the base
@@ -67,7 +64,6 @@ from repro.engine.scenarios import (
     build_composed,
     resolve_scenario,
 )
-from repro.engine.sharded import ShardedBackend
 from repro.engine.vector import (
     VectorAlgorithm,
     VectorInbox,
@@ -90,7 +86,6 @@ __all__ = [
     "Backend",
     "ReferenceBackend",
     "VectorizedBackend",
-    "ShardedBackend",
     "available_backends",
     "available_scenarios",
     "backend_registry",

@@ -32,8 +32,8 @@ class Backend(ABC):
     """A pluggable round-execution engine for CONGEST simulations.
 
     Attributes:
-        name: registry key of the backend (``reference``, ``vectorized``,
-            ``sharded``); :func:`repro.engine.run_algorithm` and
+        name: registry key of the backend (``reference``, ``vectorized``);
+            :func:`repro.engine.run_algorithm` and
             :class:`~repro.experiments.ExperimentSpec` select backends by it.
     """
 
@@ -73,10 +73,9 @@ class Backend(ABC):
         """Adapt a :class:`~repro.engine.vector.VectorAlgorithm` for this backend.
 
         A vector algorithm class declares a ``per_vertex`` twin; backends
-        that execute per-vertex code (reference, sharded, and the vectorized
-        backend's non-vector path) call this at the top of :meth:`run` so the
-        same class is accepted everywhere.  Ordinary per-vertex factories
-        pass through untouched.
+        that execute only per-vertex code (the reference backend) call this
+        at the top of :meth:`run` so the same class is accepted everywhere.
+        Ordinary per-vertex factories pass through untouched.
         """
         from repro.engine.vector import as_vertex_factory, is_vector_algorithm
 

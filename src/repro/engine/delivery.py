@@ -1,4 +1,4 @@
-"""Batch bandwidth-constrained delivery shared by the fast backends.
+"""Batch bandwidth-constrained delivery of the vectorized backend.
 
 The reference simulator materialises every word fragment in a per-edge deque
 and pops one per edge per round — faithful, but ``O(directed edges)`` of

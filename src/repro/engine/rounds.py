@@ -21,10 +21,8 @@ through it.  It owns the round semantics, in this order:
    ``compute``/``schedule``/``deliver`` spans and ``round_end``.
 
 Two parts plug in.  A *compute step* runs the vertices' code:
-:class:`ShardStep` over per-vertex :class:`ShardState` shards (one
-in-process shard on the reference and vectorized backends, one per worker
-on the sharded backend, in-process or forked) exchanges lists of
-:class:`~repro.congest.message.Message`;
+:class:`VertexStep` steps one per-vertex algorithm per vertex and exchanges
+lists of :class:`~repro.congest.message.Message`;
 :class:`~repro.engine.vector.VectorStep` steps a whole-network
 :class:`~repro.engine.vector.VectorAlgorithm` and exchanges dense arrays
 (``arrays = True``).  A *transport* moves the words:
@@ -209,147 +207,75 @@ def run_rounds(
     )
 
 
-class ShardState:
-    """Per-vertex compute state of one shard: algorithms, inboxes, active set.
+class VertexStep:
+    """The round driver's compute step for per-vertex code.
 
-    The one per-vertex compute step: the reference and vectorized backends
-    run a single in-process shard over every vertex, the sharded backend one
-    per worker, in-process or inside a forked worker process.  In-process
-    shards exchange the parent's very ``Message`` objects — nothing is
-    packed or pickled.
+    One :class:`~repro.congest.vertex.VertexAlgorithm` per vertex, built by
+    ``factory`` in ``nodes`` order and stepped in that order, so the
+    outgoing messages of a round come out in global vertex order on every
+    transport.  The reference and vectorized backends both run it; it
+    exchanges the transport's very ``Message`` objects, so nothing is
+    packed or copied.
     """
 
-    def __init__(self, vertices: list[Hashable], factory: VertexFactory, graph: Any):
-        self.vertices = vertices
-        n = graph.number_of_nodes()
+    arrays = False
+
+    def __init__(
+        self, nodes: Sequence[Hashable], factory: VertexFactory, graph: Any
+    ):
+        n = len(nodes)
         # Materialised neighbour tuples: a factory must be able to iterate
         # its neighbours more than once (a lazy generator would silently
         # read empty on the second pass).
         self.algorithms: dict[Hashable, VertexAlgorithm] = {
-            v: factory(v, tuple(graph.neighbors(v)), n) for v in vertices
+            v: factory(v, tuple(graph.neighbors(v)), n) for v in nodes
         }
-        self.inboxes: dict[Hashable, list[Message]] = {v: [] for v in vertices}
+        self.inboxes: dict[Hashable, list[Message]] = {v: [] for v in nodes}
         # A factory may construct vertices already halted; they must not
         # count toward the live total or a spurious round runs.
-        self.active = [v for v in vertices if not self.algorithms[v].halted]
-        self.initial_active = len(self.active)
-        self.initial_halted = [v for v in vertices if self.algorithms[v].halted]
-        self._round: tuple = ()
+        self.active = [v for v in nodes if not self.algorithms[v].halted]
+        # The drop rule's view: every vertex that halted so far.
+        self.halted = {v for v in nodes if self.algorithms[v].halted}
 
-    def begin_round(
-        self, round_index: int, deliveries: list[Message], crashes: tuple
-    ) -> None:
-        """Hand over the round; the shard steps in :meth:`collect_round`.
+    @property
+    def live(self) -> int:
+        return len(self.active)
 
-        ``crashes`` are the vertices the driver crashed at the start of this
-        round: the shard never consults the scenario itself.
-        """
-        self._round = (round_index, deliveries, crashes)
+    def crash(self, vertices: list[Hashable]) -> None:
+        # Crash-stop: the vertices leave the active set silently and for
+        # good, not as halted (the driver tracks crashes itself).
+        crashed = set(vertices)
+        self.active = [v for v in self.active if v not in crashed]
 
-    def collect_round(self) -> tuple[list[Message], int, list[Hashable]]:
-        """Run the round; returns (outgoing, active_count, newly_halted).
-
-        ``newly_halted`` lets the driver keep a global halted set for the
-        drop rule.
-        """
-        round_index, deliveries, crashes = self._round
-        crashed = set(crashes)
-        for message in deliveries:
-            self.inboxes[message.receiver].append(message)
+    def compute(self, round_index: int) -> list[Message]:
         outgoing: list[Message] = []
         still_active: list[Hashable] = []
-        newly_halted: list[Hashable] = []
         for vertex in self.active:
             algorithm = self.algorithms[vertex]
-            if vertex in crashed:
-                # Crash-stop: the vertex leaves the active set silently and
-                # for good — not reported as halted (the driver tracks
-                # crashes itself).
-                continue
             if algorithm.halted:
-                newly_halted.append(vertex)
+                self.halted.add(vertex)
                 continue
             sent = algorithm.on_round(round_index, self.inboxes[vertex])
             self.inboxes[vertex] = []
             for message in sent:
-                # The sender check must happen shard-side: only the shard
-                # knows which vertex produced the message.
+                # Only the step knows which vertex produced the message.
                 if message.sender != vertex:
                     raise ValueError(
                         f"vertex {vertex!r} attempted to forge sender "
                         f"{message.sender!r}"
                     )
             outgoing.extend(sent)
-            if not algorithm.halted:
-                still_active.append(vertex)
+            if algorithm.halted:
+                self.halted.add(vertex)
             else:
-                newly_halted.append(vertex)
+                still_active.append(vertex)
         self.active = still_active
-        return outgoing, len(still_active), newly_halted
-
-    def finish(self) -> dict[Hashable, object]:
-        return {v: alg.output for v, alg in self.algorithms.items()}
-
-    def close(self) -> None:
-        pass
-
-
-class ShardStep:
-    """The compute step over per-vertex shards.
-
-    A shard is a :class:`ShardState` or anything speaking its round
-    protocol (``begin_round`` / ``collect_round`` / ``finish`` / ``close``
-    plus ``vertices``, ``initial_active`` and ``initial_halted``), such as
-    the sharded backend's forked workers.  Every shard is begun before any
-    is collected, so forked workers step concurrently; concatenating their
-    traffic in shard order reproduces the global vertex order.
-    """
-
-    arrays = False
-
-    def __init__(self, shards: list):
-        self.shards = shards
-        self.owner = {
-            v: shard_id for shard_id, shard in enumerate(shards) for v in shard.vertices
-        }
-        # Global halted set, fed by per-shard reports: the drop rule's view.
-        self.halted = {v for shard in shards for v in shard.initial_halted}
-        self.live = sum(shard.initial_active for shard in shards)
-        self._deliveries: list[list[Message]] = [[] for _ in shards]
-        self._crashes: tuple = ()
-
-    def crash(self, vertices: list[Hashable]) -> None:
-        self._crashes = tuple(vertices)
-        self.live -= sum(
-            1 for v in vertices if v in self.owner and v not in self.halted
-        )
-
-    def compute(self, round_index: int) -> list[Message]:
-        crashes, self._crashes = self._crashes, ()
-        for shard, deliveries in zip(self.shards, self._deliveries):
-            shard.begin_round(round_index, deliveries, crashes)
-        outgoing: list[Message] = []
-        live = 0
-        for shard in self.shards:
-            sent, active, newly_halted = shard.collect_round()
-            outgoing.extend(sent)
-            live += active
-            self.halted.update(newly_halted)
-        self.live = live
         return outgoing
 
     def accept(self, messages: list[Message]) -> None:
-        if len(self.shards) == 1:
-            self._deliveries = [messages]
-            return
-        deliveries: list[list[Message]] = [[] for _ in self.shards]
-        owner = self.owner
+        inboxes = self.inboxes
         for message in messages:
-            deliveries[owner[message.receiver]].append(message)
-        self._deliveries = deliveries
+            inboxes[message.receiver].append(message)
 
     def finish(self) -> dict[Hashable, object]:
-        outputs: dict[Hashable, object] = {}
-        for shard in self.shards:
-            outputs.update(shard.finish())
-        return {v: outputs[v] for v in self.owner}
+        return {v: alg.output for v, alg in self.algorithms.items()}

@@ -5,12 +5,11 @@ Usage::
     from repro.engine import run_algorithm
 
     run = run_algorithm(graph, MyAlgorithm)                       # reference
-    run = run_algorithm(graph, MyAlgorithm, backend="vectorized")
-    run = run_algorithm(graph, MyAlgorithm, backend="sharded",
+    run = run_algorithm(graph, MyAlgorithm, backend="vectorized",
                         scenario=LinkDropScenario(0.05))
 
 ``backend`` accepts a registry name, a :class:`~repro.engine.backend.Backend`
-instance (to configure e.g. worker counts), or a backend class.  Backends
+instance (a configured user backend), or a backend class.  Backends
 and scenarios live in the open registries of :mod:`repro.engine.registry`:
 ``@register_backend`` / ``@register_scenario`` make new implementations
 selectable by name here without touching this module.
@@ -35,7 +34,6 @@ from repro.engine.backend import Backend, VertexFactory
 from repro.engine.registry import backend_registry
 from repro.engine.reference import ReferenceBackend
 from repro.engine.scenarios import DeliveryScenario
-from repro.engine.sharded import ShardedBackend  # noqa: F401  (registers itself)
 from repro.engine.vectorized import VectorizedBackend  # noqa: F401  (registers itself)
 from repro.obs.tracer import Tracer
 

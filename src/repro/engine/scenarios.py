@@ -75,8 +75,9 @@ def _stable_hash(*parts: object) -> int:
     """A 64-bit hash of ``parts`` that is stable across processes and runs.
 
     ``hash()`` is randomized per-process for strings, which would make a
-    scenario disagree with itself between the parent and the sharded
-    workers; blake2b of the ``repr`` is deterministic everywhere.
+    scenario disagree with itself between the experiment service's forked
+    workers, and between a run and its replay in a later process; blake2b
+    of the ``repr`` is deterministic everywhere.
     """
     digest = hashlib.blake2b(repr(parts).encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")

@@ -2,7 +2,7 @@
 
 PR 1/2 made delivery fast (the numpy :class:`~repro.engine.delivery.WordScheduler`),
 which leaves the Python per-vertex ``on_round`` loop as the dominant cost of
-the fast backends.  For array-friendly primitives — broadcast, BFS trees,
+the vectorized backend.  For array-friendly primitives — broadcast, BFS trees,
 flooding — the per-vertex code is the same few arithmetic operations at every
 vertex, so it can run once over numpy arrays instead of ``n`` times over
 Python objects.
@@ -33,8 +33,8 @@ full size, exactly what the twin's payload costs, while its single
 Every :class:`VectorAlgorithm` subclass declares a ``per_vertex`` twin — the
 equivalent :class:`~repro.congest.vertex.VertexAlgorithm` factory — so the
 same class can be handed to *any* backend: the vectorized backend takes the
-array fast path, while the reference and sharded backends transparently run
-the twin per vertex (see :meth:`repro.engine.backend.Backend.resolve_factory`).
+array fast path, while the reference backend transparently runs the twin
+per vertex (see :meth:`repro.engine.backend.Backend.resolve_factory`).
 The equivalence suite (``tests/test_vector_layer.py``) proves both paths
 agree on outputs, rounds, and word totals under every delivery scenario.
 """
@@ -270,7 +270,7 @@ class VectorAlgorithm(ABC):
             the algorithm.
         per_vertex: class attribute naming the equivalent per-vertex
             :class:`~repro.congest.vertex.VertexAlgorithm` factory; lets the
-            reference and sharded backends run the same class unvectorized.
+            reference backend run the same class unvectorized.
     """
 
     per_vertex: VertexFactory | None = None

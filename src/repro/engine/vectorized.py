@@ -24,11 +24,12 @@ import networkx as nx
 from repro.congest.metrics import CongestMetrics
 from repro.congest.network import SynchronousRun
 from repro.engine.backend import Backend, VertexFactory
+from repro.engine.delivery import GraphIndex, WordScheduler
 from repro.engine.registry import register_backend
-from repro.engine.scenarios import DeliveryScenario
-from repro.engine.sharded import ShardedBackend
+from repro.engine.rounds import VertexStep, run_rounds
+from repro.engine.scenarios import DeliveryScenario, link_projection, resolve_scenario
 from repro.engine.vector import is_vector_algorithm, run_vector_algorithm
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, resolve_tracer
 
 
 @register_backend("vectorized")
@@ -40,8 +41,8 @@ class VectorizedBackend(Backend):
     vertices on numpy arrays and the outgoing sender/receiver/word arrays go
     straight into the :class:`~repro.engine.delivery.WordScheduler` (see
     :func:`repro.engine.vector.run_vector_algorithm`).  Ordinary per-vertex
-    factories run in one in-process :class:`~repro.engine.rounds.ShardState`
-    on the same scheduler: exactly ``ShardedBackend()``.
+    factories run as a :class:`~repro.engine.rounds.VertexStep` on the same
+    scheduler.
     """
 
     name = "vectorized"
@@ -57,19 +58,28 @@ class VectorizedBackend(Backend):
         scenario: DeliveryScenario | None = None,
         tracer: Tracer | None = None,
     ) -> SynchronousRun:
-        # Per-vertex factories run on one in-process shard: the same compute
-        # code on the same transport as an inline sharded run.
-        run = (
-            run_vector_algorithm
-            if is_vector_algorithm(factory)
-            else ShardedBackend().run
-        )
-        return run(
-            graph,
-            factory,
+        if is_vector_algorithm(factory):
+            return run_vector_algorithm(
+                graph,
+                factory,
+                max_rounds=max_rounds,
+                phase=phase,
+                metrics=metrics,
+                scenario=scenario,
+                tracer=tracer,
+            )
+        index = GraphIndex(graph)
+        tracer = resolve_tracer(tracer)
+        scenario = resolve_scenario(scenario)
+        return run_rounds(
+            VertexStep(index.nodes, factory, graph),
+            WordScheduler(
+                index, link_projection(scenario), horizon=max_rounds, tracer=tracer
+            ),
+            scenario,
+            index.nodes,
             max_rounds=max_rounds,
             phase=phase,
             metrics=metrics,
-            scenario=scenario,
             tracer=tracer,
         )

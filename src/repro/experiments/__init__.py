@@ -33,7 +33,7 @@ Quickstart::
     )
     results = Session().grid(
         spec,
-        backends=["reference", "vectorized", "sharded"],
+        backends=["reference", "vectorized"],
         scenarios=["clean", "link-drop", "bursty"],
     )
     results.check_backend_agreement()

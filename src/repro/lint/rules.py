@@ -12,9 +12,10 @@ nearly broken) in this repo's history:
   class of bug.
 * REP003 — an unseeded RNG anywhere in a scenario or workload destroys
   replayability of every cell that touches it.
-* REP004 — ``engine/sharded.py:209`` shipped a worker loop whose broad
-  ``except Exception`` could swallow pool control exceptions; fork
-  worker targets must also not capture fork-unsafe module state.
+* REP004 — a forked engine worker loop once shipped a broad
+  ``except Exception`` that could swallow pool control exceptions; the
+  service's ``WorkerPool`` still forks, so fork worker targets must also
+  not capture fork-unsafe module state.
 * REP005 — a ``@register_scenario`` class without ``spec_params()``
   cannot round-trip through ``ExperimentSpec`` JSON.
 * REP006 — E16 pins null-tracer overhead at <= 3%; an unguarded tracer
@@ -657,7 +658,6 @@ _TRACER_EVENT_METHODS = frozenset(
         "messages_delivered",
         "arrays_delivered",
         "scheduler_batch",
-        "barrier_wait",
         "event",
         "cell_begin",
         "cell_end",

@@ -5,7 +5,7 @@ pluggable execution engine (:mod:`repro.engine`): instead of *charging* a
 cost model for the communication each cluster performs, it *executes* the
 per-cluster work as an actual CONGEST algorithm through
 :meth:`repro.experiments.Session.execute`, on any backend (reference /
-vectorized / sharded) and under any delivery scenario (clean / link-drop /
+vectorized) and under any delivery scenario (clean / link-drop /
 bursty / heterogeneous-bandwidth / adversarial-delay and their
 compositions).
 
@@ -54,8 +54,8 @@ picked by the words already on every directed edge
 :meth:`~ClusterProtocolPlan.factory` is a plan-bound
 :class:`ListingVector`.  The vectorized backend steps each cluster as that
 one :class:`~repro.engine.vector.VectorAlgorithm`: every vertex once per
-round, on arrays, with no per-message Python work.  The reference and
-sharded backends run its ``per_vertex`` twin, :class:`ListingVertex`, which
+round, on arrays, with no per-message Python work.  The reference backend
+runs its ``per_vertex`` twin, :class:`ListingVertex`, which
 exchanges real :class:`~repro.congest.message.Message` objects.  The two
 agree on rounds, messages, words and every vertex's output under every
 delivery scenario (``tests/test_listing_vector.py``).  Vertex-fault

@@ -6,7 +6,7 @@
   :class:`JsonlTracer` (streaming JSONL export), plus span-style per-layer
   wall-time accounting.
 * :mod:`repro.obs.chrome` — export a trace as a ``chrome://tracing`` /
-  Perfetto timeline (rounds, spans, per-worker barrier waits).
+  Perfetto timeline (rounds, spans, scheduler batches).
 * :mod:`repro.obs.diff` — the trace-diff divergence debugger: the first
   round where two executions' delivered-message multisets differ.
 

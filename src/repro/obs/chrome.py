@@ -5,15 +5,12 @@ Converts the structured events of a :class:`~repro.obs.tracer.RecordingTracer`
 into the Trace Event Format consumed by ``chrome://tracing`` and
 https://ui.perfetto.dev: rounds render as slices on an ``engine`` track,
 named spans (``compute`` / ``schedule`` / ``deliver`` …) on one track per
-span name, per-worker barrier waits on one track per sharded worker — which
-is what makes a sharded run's worker timelines visually inspectable — and
-scheduler batches as instant markers.
+span name, and scheduler batches as instant markers.
 
 Usage::
 
     tracer = RecordingTracer()
-    run_algorithm(graph, Algo, backend=ShardedBackend(num_workers=2),
-                  tracer=tracer)
+    run_algorithm(graph, Algo, backend="vectorized", tracer=tracer)
     write_chrome_trace(tracer, "trace.json")   # open in Perfetto
 
 Timestamps in the event stream are seconds relative to the tracer's
@@ -26,7 +23,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Iterable
 
 from repro.obs.tracer import RecordingTracer
 
@@ -56,7 +53,7 @@ class _Tracks:
                     "args": {"name": name},
                 }
             )
-            # sort_index keeps the engine track on top and workers in order.
+            # sort_index keeps the engine track on top, the rest in order.
             self.metadata.append(
                 {
                     "ph": "M",
@@ -137,17 +134,6 @@ def chrome_trace_events(events: Iterable[dict]) -> list[dict]:
                     float(event["dur"]),
                     tracks.tid(f"span:{event['name']}"),
                     {"round": event.get("round")},
-                )
-            )
-        elif kind == "barrier":
-            seconds = float(event["seconds"])
-            out.append(
-                _slice(
-                    f"barrier r{event['round']}",
-                    float(event["ts"]) - seconds,
-                    seconds,
-                    tracks.tid(f"worker {event['worker']}"),
-                    {"round": event["round"]},
                 )
             )
         elif kind == "scheduler":

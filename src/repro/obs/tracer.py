@@ -7,9 +7,8 @@ totals, identical on every backend apart from the wall-clock fields), the
 :class:`~repro.engine.delivery.WordScheduler` emits per-batch scheduling
 events (which path ran — clean arithmetic or the transmit-mask kernel —
 plus the mask queries and cells of the kernel search),
-the sharded backend emits per-worker barrier waits of its forked shards,
 and every layer contributes *spans* — named wall-time buckets
-(``compute``, ``schedule``, ``deliver``, ``barrier`` …) that roll up into
+(``compute``, ``schedule``, ``deliver`` …) that roll up into
 the per-layer time budget :meth:`Tracer.span_totals` and onto
 :class:`~repro.experiments.session.RunResult.timings`.
 
@@ -300,23 +299,6 @@ class Tracer:
             }
         )
 
-    # -- sharded events -------------------------------------------------------
-
-    def barrier_wait(self, round_index: int, worker: int, seconds: float) -> None:
-        """Parent-side wall time blocked on worker ``worker``'s round reply."""
-        self._span_totals["barrier"] = (
-            self._span_totals.get("barrier", 0.0) + seconds
-        )
-        self._emit(
-            {
-                "kind": "barrier",
-                "round": round_index,
-                "worker": worker,
-                "seconds": seconds,
-                "ts": self._now(),
-            }
-        )
-
     # -- experiment-cell / service events --------------------------------------
 
     def event(self, kind: str, **fields: Any) -> None:
@@ -470,9 +452,6 @@ class NullTracer(Tracer):
         pass
 
     def scheduler_batch(self, *args, **kwargs) -> None:
-        pass
-
-    def barrier_wait(self, *args, **kwargs) -> None:
         pass
 
     def event(self, *args, **kwargs) -> None:

@@ -443,7 +443,7 @@ class AdaptiveCrashScenario(_AdaptiveVertexFaultBase):
     observations through round ``r - 1`` — the engine queries
     :meth:`faulty_vertices` at round start and feeds
     :meth:`observe_round` at round end — so placement is a deterministic
-    function of ``(seed, history)`` and all three backends agree.
+    function of ``(seed, history)`` and both backends agree.
 
     Crashed vertices keep *receiving* traffic in the adversary's counters
     (the feedback is pre-drop, and survivors keep sending to them), which

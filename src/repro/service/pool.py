@@ -23,10 +23,10 @@ JSON.  A dispatcher thread owns all scheduling state:
   is reported failed (:class:`CellTimeout`) — without stalling any other
   client's queue.
 
-Workers are forked (the same choice as the sharded backend) so registry
-entries defined in the submitting process — test workloads, notebook
-scenarios — exist in the workers without pickling; hosts without ``fork``
-fall back to ``spawn``, where only importable registrations resolve.
+Workers are forked so registry entries defined in the submitting process
+— test workloads, notebook scenarios — exist in the workers without
+pickling; hosts without ``fork`` fall back to ``spawn``, where only
+importable registrations resolve.
 """
 
 from __future__ import annotations
@@ -214,8 +214,8 @@ class WorkerPool:
     """Fair-share multiprocessing pool executing experiment cells.
 
     Args:
-        num_workers: pool size (default: the scheduler affinity mask, the
-            same rule as the sharded backend).
+        num_workers: pool size, an ``int`` >= 1 (default: the size of the
+            scheduler affinity mask).
         max_attempts: total execution attempts per cell across worker
             crashes (>= 1); exhausted cells fail with :class:`CellCrashed`.
         default_timeout: per-cell wall-clock budget in seconds applied
@@ -243,7 +243,15 @@ class WorkerPool:
                 num_workers = len(os.sched_getaffinity(0))
             except (AttributeError, OSError):  # pragma: no cover - non-Linux
                 num_workers = os.cpu_count() or 1
-        self.num_workers = max(1, num_workers)
+        elif (
+            not isinstance(num_workers, int)
+            or isinstance(num_workers, bool)
+            or num_workers < 1
+        ):
+            # Checked before any process starts: 0, -2 and True would
+            # otherwise serve silently with one worker, 2.5 fail in start().
+            raise ValueError(f"num_workers must be an int >= 1; got {num_workers!r}")
+        self.num_workers = num_workers
         self.max_attempts = max_attempts
         self.default_timeout = default_timeout
         self.on_event = on_event

@@ -166,11 +166,28 @@ class SubmitRequest:
         return payload
 
     def build_spec(self) -> ExperimentSpec:
-        """Reconstruct (and eagerly validate) the spec, as a protocol error."""
+        """Reconstruct the spec and check every grid-axis entry against it.
+
+        Everything is validated eagerly, so a bad spec or a bad axis entry
+        (unknown name, bad params) is a protocol error before any cell runs.
+        """
         try:
-            return ExperimentSpec.from_json(self.spec)
+            spec = ExperimentSpec.from_json(self.spec)
         except (ValueError, TypeError, KeyError) as exc:
             raise ProtocolError(f"invalid experiment spec: {exc}") from None
+        axes = (
+            ("backends", self.backends, spec._build_backend),
+            ("scenarios", self.scenarios, lambda s: spec._build_scenario(None, s)),
+        )
+        for key, entries, build in axes:
+            for entry in entries or ():
+                try:
+                    build(entry)
+                except (ValueError, TypeError) as exc:
+                    raise ProtocolError(
+                        f"invalid {key} entry {axis_entry_to_json(entry)!r}: {exc}"
+                    ) from None
+        return spec
 
     def enumerate_cells(self, spec: ExperimentSpec) -> list[CellCoord]:
         """Every cell of the request in :meth:`Session.grid` order.

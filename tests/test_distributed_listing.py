@@ -15,12 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import (
-    AdversarialDelayScenario,
-    ComposedScenario,
-    LinkDropScenario,
-    ShardedBackend,
-)
+from repro.engine import AdversarialDelayScenario, ComposedScenario, LinkDropScenario
 from repro.engine.scenarios import resolve_scenario
 from repro.experiments import Session
 from repro.graphs import enumerate_cliques, erdos_renyi, planted_cliques
@@ -32,7 +27,7 @@ from repro.listing import (
 from repro.listing import distributed
 from repro.listing.distributed import add_edge_learning, plan_two_hop_protocol
 
-BACKENDS = ["reference", "vectorized", "sharded"]
+BACKENDS = ["reference", "vectorized"]
 
 SCENARIOS = [
     pytest.param(None, id="clean"),
@@ -126,7 +121,6 @@ def test_backends_agree_on_distributed_execution_signature():
         ]
         assert result.cliques == nx_triangle_truth(graph)
     assert signatures["vectorized"] == signatures["reference"]
-    assert signatures["sharded"] == signatures["reference"]
 
 
 def test_distributed_listing_survives_faults_with_bounded_stretch():
@@ -216,11 +210,7 @@ def test_distributed_kp_on_fixed_graph_across_backends():
         assert result.cliques == truth, backend
 
 
-@pytest.mark.parametrize(
-    "backend",
-    ["reference", "vectorized", "sharded", ShardedBackend(num_workers=2)],
-    ids=["reference", "vectorized", "sharded", "sharded-forked"],
-)
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("p", [3, 4])
 def test_fallback_pass_alone_lists_every_clique(backend, p):
     """With the recursion capped at zero levels, the engine-executed

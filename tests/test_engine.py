@@ -13,7 +13,6 @@ from repro.engine import (
     DeliveryScenario,
     LinkDropScenario,
     ReferenceBackend,
-    ShardedBackend,
     VectorizedBackend,
     available_backends,
     resolve_backend,
@@ -21,7 +20,7 @@ from repro.engine import (
     run_algorithm,
 )
 
-ALL_BACKENDS = ["reference", "vectorized", "sharded"]
+ALL_BACKENDS = ["reference", "vectorized"]
 
 
 class SendOnce(VertexAlgorithm):
@@ -60,8 +59,8 @@ class TestBackendResolution:
     def test_resolve_by_name_instance_class_and_none(self):
         assert isinstance(resolve_backend("vectorized"), VectorizedBackend)
         assert isinstance(resolve_backend(None), ReferenceBackend)
-        assert isinstance(resolve_backend(ShardedBackend), ShardedBackend)
-        configured = ShardedBackend(num_workers=2)
+        assert isinstance(resolve_backend(VectorizedBackend), VectorizedBackend)
+        configured = VectorizedBackend()
         assert resolve_backend(configured) is configured
 
     def test_unknown_name_rejected(self):
@@ -239,25 +238,3 @@ class TestReferenceNetworkInternals:
         run = network.run(Chatter, max_rounds=50)
         assert run.halted
         assert network._edge_queues == {}
-
-
-class TestShardedConfigurations:
-    def test_inline_single_worker_matches_reference(self):
-        graph = nx.cycle_graph(9)
-        reference = run_algorithm(graph, Chatter, backend="reference")
-        inline = ShardedBackend(num_workers=1).run(graph, Chatter)
-        assert inline.rounds == reference.rounds
-        assert inline.outputs == reference.outputs
-        assert inline.metrics.words == reference.metrics.words
-
-    def test_unavailable_start_method_falls_back_inline(self):
-        graph = nx.cycle_graph(9)
-        backend = ShardedBackend(num_workers=3, start_method="no-such-method")
-        run = backend.run(graph, Chatter)
-        assert run.halted
-
-    def test_worker_count_capped_by_vertices(self):
-        graph = nx.path_graph(2)
-        run = ShardedBackend(num_workers=8).run(graph, SendOnce, max_rounds=100)
-        assert run.halted
-        assert run.outputs[1] == SendOnce.payload

@@ -1,11 +1,10 @@
 """Equivalence suite: every backend must agree with the reference simulator.
 
 For a matrix of per-vertex algorithms x seeded workload graphs x delivery
-scenarios, the vectorized backend and the sharded backend with two forked
-workers must reproduce the reference backend's per-vertex outputs, combined
-output, round count, and message/word totals exactly.  This is the
-contract that lets large experiments run on the fast backends without
-re-validating semantics.
+scenarios, the vectorized backend must reproduce the reference backend's
+per-vertex outputs, combined output, round count, and message/word totals
+exactly.  This is the contract that lets large experiments run on the
+vectorized backend without re-validating semantics.
 """
 
 import networkx as nx
@@ -14,18 +13,13 @@ import pytest
 from common import engine_workload_graphs
 from repro.baselines.naive import FloodMinimum, NeighborhoodExchangeTriangles
 from repro.congest.vertex import VertexAlgorithm
-from repro.engine import (
-    AdversarialDelayScenario,
-    LinkDropScenario,
-    ShardedBackend,
-    run_algorithm,
-)
+from repro.engine import AdversarialDelayScenario, LinkDropScenario, run_algorithm
 from repro.graphs import erdos_renyi
 from repro.graphs.cliques import enumerate_cliques
 from repro.listing.validation import validate_on_engine
 
-# Two forked workers, so every case also crosses the sharded pipe.
-FAST_BACKENDS = ["vectorized", ShardedBackend(num_workers=2)]
+# Every backend checked against the reference simulator.
+FAST_BACKENDS = ["vectorized"]
 
 # Flooding moved into the library proper (it now has a vector twin); the
 # equivalence matrix keeps exercising the same semantics via the import.
@@ -133,26 +127,13 @@ def test_fast_backends_match_reference_under_faults(scenario):
             assert candidate == reference, f"{backend} diverged under {scenario.describe()}"
 
 
-@pytest.mark.parametrize("backend", ["reference", "vectorized", "sharded"])
+@pytest.mark.parametrize("backend", ["reference", "vectorized"])
 def test_triangle_listing_is_correct_on_every_backend(backend, tiny_triangle_graph):
     report = validate_on_engine(
         tiny_triangle_graph, NeighborhoodExchangeTriangles, p=3, backend=backend
     )
     assert report.correct
     assert report.listed == len(enumerate_cliques(tiny_triangle_graph, 3))
-
-
-def test_sharded_worker_counts_are_equivalent():
-    graph = erdos_renyi(24, 6.0, seed=4)
-    reference = run_signature(
-        run_algorithm(graph, BlobGossip, backend="reference", max_rounds=2000)
-    )
-    for workers in [1, 2, 3, 5]:
-        backend = ShardedBackend(num_workers=workers)
-        candidate = run_signature(
-            run_algorithm(graph, BlobGossip, backend=backend, max_rounds=2000)
-        )
-        assert candidate == reference, f"num_workers={workers} diverged"
 
 
 def test_self_loops_agree_with_reference():

@@ -11,7 +11,10 @@ from repro.engine import (
     ComposedScenario,
     HeterogeneousBandwidthScenario,
     LinkDropScenario,
+    VectorizedBackend,
     available_scenarios,
+    backend_registry,
+    register_backend,
     register_scenario,
     scenario_registry,
 )
@@ -25,7 +28,7 @@ from repro.experiments import (
     workload_registry,
 )
 
-ALL_BACKENDS = ["reference", "vectorized", "sharded"]
+ALL_BACKENDS = ["reference", "vectorized"]
 
 SPEC_KWARGS = dict(
     name="unit",
@@ -36,12 +39,25 @@ SPEC_KWARGS = dict(
 )
 
 
+@pytest.fixture
+def scaled_backend():
+    """A backend registered for one test, with one constructor parameter."""
+
+    @register_backend("unit-scaled")
+    class ScaledBackend(VectorizedBackend):
+        def __init__(self, scale: int = 1):
+            self.scale = scale
+
+    yield ScaledBackend
+    backend_registry.entries.pop("unit-scaled")
+
+
 class TestExperimentSpec:
-    def test_json_round_trip_identity(self):
+    def test_json_round_trip_identity(self, scaled_backend):
         spec = ExperimentSpec(
             **SPEC_KWARGS,
-            backend="sharded",
-            backend_params={"num_workers": 2},
+            backend="unit-scaled",
+            backend_params={"scale": 2},
             scenario="link-drop",
             scenario_params={"drop_probability": 0.2},
             repeats=2,
@@ -104,41 +120,46 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="graph"):
             spec.to_json()
 
-    def test_backend_params_are_actually_applied(self):
-        from repro.engine import ShardedBackend
-
+    def test_backend_params_are_actually_applied(self, scaled_backend):
         spec = ExperimentSpec(
-            **SPEC_KWARGS, backend="sharded", backend_params={"num_workers": 2}
+            **SPEC_KWARGS, backend="unit-scaled", backend_params={"scale": 2}
         )
         engine = spec._build_backend()
-        assert isinstance(engine, ShardedBackend) and engine.num_workers == 2
+        assert isinstance(engine, scaled_backend) and engine.scale == 2
         # A grid cell naming a different backend must not inherit the
-        # spec's params (ReferenceBackend has no num_workers).
+        # spec's params (ReferenceBackend has no scale).
         assert spec._build_backend("reference").name == "reference"
         # (name, params) pairs configure individual grid cells.
-        cell = spec._build_backend(("sharded", {"num_workers": 3}))
-        assert cell.num_workers == 3
+        cell = spec._build_backend(("unit-scaled", {"scale": 3}))
+        assert cell.scale == 3
+        # Params a backend does not take fail eagerly, not mid-sweep.
+        with pytest.raises(TypeError):
+            ExperimentSpec(
+                **SPEC_KWARGS, backend="vectorized", backend_params={"scale": 2}
+            )
 
-    @pytest.mark.parametrize("bad", [0, -2, True, 2.5, "2", None])
-    def test_sharded_num_workers_validated_at_spec_construction(self, bad):
-        """Spec params arrive as JSON; a bad worker count fails eagerly
-        instead of running one shard silently or failing mid-run."""
+    def test_sharded_backend_is_refused_everywhere(self):
+        """The forked-worker backend is gone; its name is an unknown backend
+        at every entry point, and each error lists the known backends."""
+        from repro.baselines.naive import FloodMinimum
+        from repro.engine import available_backends, run_algorithm
         from repro.service import SubmitRequest
         from repro.service.protocol import ProtocolError
 
-        with pytest.raises(ValueError, match="num_workers"):
-            ExperimentSpec(
-                **SPEC_KWARGS, backend="sharded",
-                backend_params={"num_workers": bad},
-            )
-        payload = ExperimentSpec(**SPEC_KWARGS, backend="sharded").to_json()
-        payload["backend"]["params"] = {"num_workers": bad}
-        with pytest.raises(ProtocolError, match="num_workers"):
+        assert available_backends() == ["reference", "vectorized"]
+        unknown = r"unknown backend 'sharded'; known: \['reference', 'vectorized'\]"
+        with pytest.raises(ValueError, match=unknown):
+            run_algorithm(nx.path_graph(3), FloodMinimum, backend="sharded")
+        with pytest.raises(ValueError, match=unknown):
+            ExperimentSpec(**SPEC_KWARGS, backend="sharded")
+        payload = ExperimentSpec(**SPEC_KWARGS).to_json()
+        payload["backend"]["name"] = "sharded"
+        with pytest.raises(ProtocolError, match=unknown):
             SubmitRequest(spec=payload).build_spec()
-        spec = ExperimentSpec(
-            **SPEC_KWARGS, backend="sharded", backend_params={"num_workers": 2}
-        )
-        assert spec._build_backend().num_workers == 2
+        with pytest.raises(ProtocolError, match=unknown):
+            SubmitRequest(
+                spec=ExperimentSpec(**SPEC_KWARGS).to_json(), backends=["sharded"]
+            ).build_spec()
 
     def test_workload_params_rejected_for_live_objects(self):
         from repro.baselines.naive import FloodMinimum
@@ -215,7 +236,7 @@ class TestSession:
             backends=ALL_BACKENDS,
             scenarios=["clean", "link-drop", "bursty", "heterogeneous-bandwidth"],
         )
-        assert len(results) == 3 * 4
+        assert len(results) == len(ALL_BACKENDS) * 4
         results.check_backend_agreement()
         # Per-cell grouping: every cell holds one result per backend.
         for cell in results.by_cell().values():
@@ -488,7 +509,7 @@ class TestComposableScenarios:
         )
         results = Session().grid(spec, backends=ALL_BACKENDS)
         results.check_backend_agreement()
-        assert len(results) == 3
+        assert len(results) == len(ALL_BACKENDS)
 
 
 class TestComposedScenarioSpecs:
@@ -529,7 +550,7 @@ class TestComposedScenarioSpecs:
     def test_composed_cells_agree_across_backends(self):
         results = Session().grid(self._spec(), backends=ALL_BACKENDS)
         results.check_backend_agreement()
-        assert len(results) == 3
+        assert len(results) == len(ALL_BACKENDS)
 
     def test_sweep_seed_reaches_composed_children(self):
         spec = self._spec(seeds=(0, 1))

@@ -1,10 +1,10 @@
 """Tests of the ``repro.lint`` static analyzer.
 
 Every bad fixture is modeled on a real historical bug (or the class of
-bug a rule exists to prevent): the PR 7 ``_canonical_repr`` collision
-and PR 5 window-cursor bug for REP002, the ``engine/sharded.py``
-worker-loop ``except Exception`` for REP004, the E16 tracer-overhead
-budget for REP006.
+bug a rule exists to prevent): the ``_canonical_repr`` collision and
+the window-cursor bug for REP002, the forked engine worker loop's
+``except Exception`` for REP004, the E16 tracer-overhead budget for
+REP006.
 """
 
 import json
@@ -198,7 +198,7 @@ class TestRep003SeededRandomness:
 
 class TestRep004ForkWorkerSafety:
     def test_bad_broad_except_swallows_control_flow(self):
-        # Modeled on the shipped engine/sharded.py:209 worker loop.
+        # Modeled on a forked engine worker loop that once shipped.
         bad = """
         def _shard_worker(conn):
             try:

@@ -2,8 +2,9 @@
 
 :meth:`~repro.listing.distributed.ClusterProtocolPlan.factory` returns one
 plan-bound class: the vectorized backend steps it on arrays, the reference
-and sharded backends run its ``per_vertex`` twin.  For every plan and
-delivery scenario below, the three runs must agree on everything
+backend runs its ``per_vertex`` twin, and the twin also runs on the
+vectorized backend's batch scheduler.  For every plan and delivery scenario
+below, the three runs must agree on everything
 :func:`test_vector_layer.run_signature` checks: rounds, messages, words,
 drops, halting, per-phase rounds and each vertex's output.
 
@@ -31,9 +32,8 @@ from repro.engine import (
     ComposedScenario,
     HeterogeneousBandwidthScenario,
     LinkDropScenario,
-    ShardedBackend,
 )
-from repro.engine.vector import is_vector_algorithm
+from repro.engine.vector import as_vertex_factory, is_vector_algorithm
 from repro.experiments import Session
 from repro.graphs import planted_cliques, power_law
 from repro.listing import list_cliques_distributed
@@ -120,17 +120,18 @@ def test_listing_vector_matches_its_twin_on_every_backend(build, max_rounds, sce
     runs = {
         name: run_signature(
             session.execute(
-                plan.graph, factory, backend=backend, scenario=scenario, max_rounds=cap
+                plan.graph, algorithm, backend=backend, scenario=scenario,
+                max_rounds=cap,
             )
         )
-        for name, backend in [
-            ("vectorized", "vectorized"),
-            ("reference", "reference"),
-            ("sharded", ShardedBackend(num_workers=2)),
+        for name, algorithm, backend in [
+            ("vectorized", factory, "vectorized"),
+            ("reference", factory, "reference"),
+            ("twin-vectorized", as_vertex_factory(factory), "vectorized"),
         ]
     }
     assert runs["vectorized"] == runs["reference"]
-    assert runs["sharded"] == runs["reference"]
+    assert runs["twin-vectorized"] == runs["reference"]
     if max_rounds is None:
         assert runs["vectorized"]["halted"]
     else:

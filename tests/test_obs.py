@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from common import VectorFloodMinimum
 from repro.baselines.naive import FloodMinimum
 from repro.congest.message import Message
-from repro.engine import ShardedBackend, run_algorithm
+from repro.engine import run_algorithm
 from repro.engine.delivery import GraphIndex, WordScheduler
 from repro.engine.scenarios import LinkDropScenario
 from repro.experiments import ExperimentSpec, Session
@@ -35,7 +35,7 @@ from repro.obs import (
     write_chrome_trace,
 )
 
-BACKENDS = ["reference", "vectorized", "sharded"]
+BACKENDS = ["reference", "vectorized"]
 
 
 def unit_spec(**overrides):
@@ -67,7 +67,6 @@ class TestTracers:
         tracer.round_begin(0, active=1, pending=0)
         tracer.round_end(0, delivered=1, words=1, dropped=0, seconds=0.1)
         tracer.messages_delivered(0, [Message(0, 1, "t", None)])
-        tracer.barrier_wait(0, 0, 0.5)
         with tracer.span("compute"):
             pass
         tracer.span_add("compute", 1.0)
@@ -112,12 +111,6 @@ class TestTracers:
         assert totals["run_cell"] >= 0.0
         spans = tracer.events_of("span")
         assert any(e.get("round") == 7 for e in spans)
-
-    def test_barrier_wait_feeds_span_totals(self):
-        tracer = RecordingTracer()
-        tracer.barrier_wait(0, 0, 0.25)
-        tracer.barrier_wait(0, 1, 0.5)
-        assert tracer.span_totals()["barrier"] == pytest.approx(0.75)
 
     def test_jsonl_tracer_round_trip(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -166,21 +159,6 @@ class TestTracingInvariance:
         plain = run_algorithm(graph, FloodMinimum, backend)
         traced = run_algorithm(
             graph, FloodMinimum, backend, tracer=RecordingTracer()
-        )
-        assert traced.rounds == plain.rounds
-        assert traced.outputs == plain.outputs
-        assert traced.metrics.snapshot() == plain.metrics.snapshot()
-
-    def test_traced_process_shards_match_untraced(self):
-        graph = workload_graph()
-        plain = run_algorithm(
-            graph, FloodMinimum, ShardedBackend(num_workers=2)
-        )
-        traced = run_algorithm(
-            graph,
-            FloodMinimum,
-            ShardedBackend(num_workers=2),
-            tracer=RecordingTracer(),
         )
         assert traced.rounds == plain.rounds
         assert traced.outputs == plain.outputs
@@ -277,18 +255,6 @@ class TestEngineEvents:
         assert total == run.metrics.messages
         sample = next(iter(delivered.values()))[0]
         assert sample[2] == "word"
-
-    def test_sharded_workers_emit_barrier_events(self):
-        tracer = RecordingTracer()
-        run_algorithm(
-            workload_graph(),
-            FloodMinimum,
-            ShardedBackend(num_workers=2),
-            tracer=tracer,
-        )
-        barriers = tracer.events_of("barrier")
-        assert {e["worker"] for e in barriers} == {0, 1}
-        assert tracer.span_totals()["barrier"] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +356,7 @@ class TestTraceDiff:
 class TestChromeExport:
     def _traced_run(self):
         tracer = RecordingTracer()
-        run_algorithm(
-            workload_graph(),
-            FloodMinimum,
-            ShardedBackend(num_workers=2),
-            tracer=tracer,
-        )
+        run_algorithm(workload_graph(), FloodMinimum, "vectorized", tracer=tracer)
         return tracer
 
     def test_chrome_events_structure(self):
@@ -405,12 +366,14 @@ class TestChromeExport:
         track_names = {
             e["args"]["name"] for e in metadata if e["name"] == "thread_name"
         }
-        assert "engine" in track_names
-        assert "worker 0" in track_names and "worker 1" in track_names
+        assert {
+            "engine", "span:compute", "span:schedule", "span:deliver", "scheduler"
+        } <= track_names
         slices = [e for e in events if e["ph"] == "X"]
         assert any(e["name"] == "round 0" for e in slices)
         assert all(e["dur"] >= 1.0 for e in slices)
-        assert any(e["name"].startswith("barrier") for e in slices)
+        assert any(e["name"] == "compute" for e in slices)
+        assert any(e["ph"] == "i" for e in events)
 
     def test_write_chrome_trace_file(self, tmp_path):
         tracer = self._traced_run()

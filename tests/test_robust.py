@@ -44,7 +44,7 @@ from repro.robust.coding import (
 )
 from repro.robust.strategies import majority_vote
 
-BACKENDS = ["reference", "vectorized", "sharded"]
+BACKENDS = ["reference", "vectorized"]
 
 # -- codec -------------------------------------------------------------------
 

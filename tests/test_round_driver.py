@@ -8,8 +8,8 @@ Two contracts pin that:
 1. **One round stream.**  The per-round ``round_begin`` / ``round_end``
    events — with ``active`` = vertices neither halted nor crashed once the
    round's crashes apply, and ``pending`` = messages in flight — are
-   identical on every backend, in-process and forked, under every fault
-   model, and for a vector algorithm against its per-vertex twin.
+   identical on every backend under every fault model, and for a vector
+   algorithm against its per-vertex twin on both transports.
 2. **No copies.**  The round-semantics hooks are called from
    ``engine/rounds.py`` only, so a backend cannot grow its own round loop
    back.
@@ -26,18 +26,11 @@ import pytest
 import repro
 from common import VectorFloodMinimum
 from repro.congest.vertex import VertexAlgorithm
-from repro.engine import ShardedBackend
+from repro.engine import as_vertex_factory, is_vector_algorithm
 from repro.engine.runner import run_algorithm
 from repro.engine.scenarios import LinkDropScenario
 from repro.obs import RecordingTracer
 from repro.robust.scenarios import AdaptiveCrashScenario, CrashStopVertexScenario
-
-BACKENDS = {
-    "reference": "reference",
-    "vectorized": "vectorized",
-    "sharded-inline": ShardedBackend(num_workers=1),
-    "sharded-forked": ShardedBackend(num_workers=2, start_method="fork"),
-}
 
 SCENARIOS = {
     "clean": lambda: None,
@@ -109,9 +102,13 @@ def traced_run(algorithm, backend, scenario_name):
     ids=["padded-flood", "vector-flood"],
 )
 def test_round_streams_agree_across_backends(algorithm, scenario_name):
+    runs = {"reference": (algorithm, "reference"), "vectorized": (algorithm, "vectorized")}
+    if is_vector_algorithm(algorithm):
+        # The twin on the batch scheduler.
+        runs["twin-vectorized"] = (as_vertex_factory(algorithm), "vectorized")
     tracers = {
-        name: traced_run(algorithm, backend, scenario_name)
-        for name, backend in BACKENDS.items()
+        name: traced_run(factory, backend, scenario_name)
+        for name, (factory, backend) in runs.items()
     }
     expected = round_stream(tracers["reference"])
     assert expected

@@ -3,6 +3,7 @@
 import asyncio
 import json
 import multiprocessing
+import os
 
 import pytest
 
@@ -498,6 +499,17 @@ class TestProtocol:
         assert len(set(digests)) == len(digests)
 
 
+class TestWorkerPoolSize:
+    @pytest.mark.parametrize("bad", [0, -2, True, 2.5, "2"])
+    def test_bad_worker_count_is_rejected_at_construction(self, bad):
+        # Constructed only: a rejected pool must never get as far as start().
+        with pytest.raises(ValueError, match="num_workers must be an int >= 1"):
+            WorkerPool(num_workers=bad)
+
+    def test_default_worker_count_is_the_affinity_mask(self):
+        assert WorkerPool().num_workers == len(os.sched_getaffinity(0))
+
+
 @pytest.fixture(scope="module")
 def service_stack():
     if not _FORK:  # pragma: no cover - non-fork platforms
@@ -528,6 +540,30 @@ class TestServer:
         _, _, client = service_stack
         with pytest.raises(ServiceError, match="invalid experiment spec"):
             client.submit(SubmitRequest(spec={"name": "x", "bogus": 1}))
+
+    @pytest.mark.parametrize(
+        "axes, entry",
+        [
+            ({"backends": ["sharded"]}, "'sharded'"),
+            (
+                {"backends": [("vectorized", {"num_workers": 2})]},
+                r"\['vectorized', \{'num_workers': 2\}\]",
+            ),
+            ({"scenarios": ["solar-flare"]}, "'solar-flare'"),
+        ],
+        ids=["unknown-backend", "bad-backend-params", "unknown-scenario"],
+    )
+    def test_bad_grid_axis_entry_is_400(self, service_stack, axes, entry):
+        """Every axis entry is checked before the 200 header is written."""
+        service, _, client = service_stack
+        requests = service.requests
+        request = SubmitRequest(
+            spec=make_spec(name="svc-bad-axis").to_json(), client="pytest", **axes
+        )
+        with pytest.raises(ServiceError, match=f"invalid \\w+ entry {entry}") as excinfo:
+            client.submit(request)
+        assert excinfo.value.status == 400
+        assert service.requests == requests  # no cell was ever queued
 
     def test_submit_digest_matches_direct_grid_and_warm_is_cached(
         self, service_stack

@@ -8,7 +8,8 @@ running the scalar twin directly on the reference backend:
 
 * vectorized backend → the array fast path (no per-vertex dispatch at all),
 * reference backend  → the adapter shim (twin substituted transparently),
-* sharded backend    → the adapter shim across worker shards.
+* ``as_vertex_factory`` on the vectorized backend → the twin on the batch
+  scheduler.
 
 Plus the vector-specific contracts: bulk validation (non-neighbour sends,
 halted senders, malformed batches), the per-vertex twin requirement, and
@@ -32,11 +33,19 @@ from repro.engine import (
     LinkDropScenario,
     VectorAlgorithm,
     VectorSends,
+    as_vertex_factory,
     run_algorithm,
 )
 from repro.graphs import erdos_renyi
 
-ALL_BACKENDS = ["reference", "vectorized", "sharded"]
+
+def executions(algorithm):
+    """``(backend, factory)`` for the three runs of one vector class."""
+    return [
+        ("reference", algorithm),
+        ("vectorized", algorithm),
+        ("vectorized", as_vertex_factory(algorithm)),
+    ]
 
 
 def vector_workloads():
@@ -75,12 +84,12 @@ def test_vector_classes_match_scalar_reference(algorithm, graph_name, graph):
             graph, algorithm.per_vertex, backend="reference", max_rounds=5000
         )
     )
-    for backend in ALL_BACKENDS:
+    for backend, factory in executions(algorithm):
         candidate = run_signature(
-            run_algorithm(graph, algorithm, backend=backend, max_rounds=5000)
+            run_algorithm(graph, factory, backend=backend, max_rounds=5000)
         )
         assert candidate == truth, (
-            f"vector class diverged from scalar twin on {graph_name} "
+            f"{factory.__name__} diverged from scalar twin on {graph_name} "
             f"via backend {backend}"
         )
 
@@ -105,15 +114,15 @@ def test_vector_classes_match_scalar_reference_under_faults(algorithm, scenario)
             max_rounds=5000,
         )
     )
-    for backend in ALL_BACKENDS:
+    for backend, factory in executions(algorithm):
         candidate = run_signature(
             run_algorithm(
-                graph, algorithm, backend=backend, scenario=scenario,
+                graph, factory, backend=backend, scenario=scenario,
                 max_rounds=5000,
             )
         )
         assert candidate == truth, (
-            f"vector class diverged under {scenario.describe()} on {backend}"
+            f"{factory.__name__} diverged under {scenario.describe()} on {backend}"
         )
 
 
@@ -126,9 +135,9 @@ def test_vector_path_agrees_on_self_loops():
         run_algorithm(graph, algorithm.per_vertex, backend="reference",
                       max_rounds=2000)
     )
-    for backend in ALL_BACKENDS:
+    for backend, factory in executions(algorithm):
         assert run_signature(
-            run_algorithm(graph, algorithm, backend=backend, max_rounds=2000)
+            run_algorithm(graph, factory, backend=backend, max_rounds=2000)
         ) == truth
 
 
@@ -293,9 +302,10 @@ def test_vector_class_without_twin_only_runs_vectorized():
     graph = nx.path_graph(3)
     run = run_algorithm(graph, NoTwin, backend="vectorized", max_rounds=10)
     assert run.halted
-    for backend in ["reference", "sharded"]:
-        with pytest.raises(TypeError, match="per_vertex twin"):
-            run_algorithm(graph, NoTwin, backend=backend, max_rounds=10)
+    with pytest.raises(TypeError, match="per_vertex twin"):
+        run_algorithm(graph, NoTwin, backend="reference", max_rounds=10)
+    with pytest.raises(TypeError, match="per_vertex twin"):
+        as_vertex_factory(NoTwin)
 
 
 def test_non_integer_vertex_ids_rejected_for_identifier_algorithms():

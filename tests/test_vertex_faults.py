@@ -2,17 +2,16 @@
 
 The crash-stop / Byzantine scenarios (``repro.robust.scenarios``) extend the
 delivery-scenario contract with a *vertex*-fault axis, which the round
-driver (``repro.engine.rounds``) applies for every backend; forked shard
-workers get each round's crashes from the parent.  Three contracts pin the
-layer:
+driver (``repro.engine.rounds``) applies for every backend.  Three
+contracts pin the layer:
 
 1. **Seed determinism** — every fault decision is a pure function of
    ``(seed, vertex, round)``: rebinding a freshly constructed scenario must
    reproduce the identical crash schedule / corruption masks.
 2. **Backend equivalence** — the same workload under the same vertex-fault
    scenario must produce identical rounds / outputs / word totals / drop
-   counts on reference, vectorized, and sharded backends, in-process and
-   forked (and on the vector fast path via the scalar twin).
+   counts on the reference and vectorized backends (and on the vector fast
+   path against its scalar twin on both).
 3. **Drop accounting** — words a crashed vertex queued before dying still
    cross (bandwidth was spent) but the message is discarded on arrival and
    counted in ``CongestMetrics.dropped``, mirroring the halted-receiver rule.
@@ -27,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from common import vector_broadcast_workload
 from repro.congest.vertex import VertexAlgorithm
-from repro.engine import ShardedBackend
+from repro.engine import as_vertex_factory
 from repro.engine.registry import scenario_registry
 from repro.engine.runner import run_algorithm
 from repro.engine.scenarios import ComposedScenario, resolve_scenario
@@ -36,14 +35,7 @@ from repro.graphs import erdos_renyi
 from repro.obs import RecordingTracer
 from repro.robust.scenarios import ByzantineVertexScenario, CrashStopVertexScenario
 
-# "sharded" is one in-process shard; the explicit 2-worker fork backend
-# always crosses processes.
-FORKED = ShardedBackend(num_workers=2, start_method="fork")
-BACKENDS = ["reference", "vectorized", "sharded", FORKED]
-
-
-def backend_id(backend) -> str:
-    return backend if isinstance(backend, str) else "sharded-forked"
+BACKENDS = ["reference", "vectorized"]
 
 seeds = st.integers(min_value=0, max_value=2**31)
 
@@ -190,13 +182,12 @@ def run_matrix(factory, graph, scenario_builder):
     }
     base = runs["reference"]
     for backend, run in runs.items():
-        label = backend_id(backend)
-        assert run.rounds == base.rounds, label
-        assert run.outputs == base.outputs, label
-        assert run.metrics.words == base.metrics.words, label
-        assert run.metrics.messages == base.metrics.messages, label
-        assert run.metrics.dropped == base.metrics.dropped, label
-        assert run.halted == base.halted, label
+        assert run.rounds == base.rounds, backend
+        assert run.outputs == base.outputs, backend
+        assert run.metrics.words == base.metrics.words, backend
+        assert run.metrics.messages == base.metrics.messages, backend
+        assert run.metrics.dropped == base.metrics.dropped, backend
+        assert run.halted == base.halted, backend
     return base
 
 
@@ -213,13 +204,16 @@ def test_vector_fast_path_agrees_with_scalar_twin(builder):
     vector = run_algorithm(
         graph, workload, backend="vectorized", scenario=builder()
     )
-    scalar = run_algorithm(
-        graph, workload.per_vertex, backend="reference", scenario=builder()
-    )
-    assert vector.rounds == scalar.rounds
-    assert vector.outputs == scalar.outputs
-    assert vector.metrics.words == scalar.metrics.words
-    assert vector.metrics.dropped == scalar.metrics.dropped
+    # The twin on both transports: the edge queues and the batch scheduler.
+    for backend in BACKENDS:
+        scalar = run_algorithm(
+            graph, as_vertex_factory(workload), backend=backend,
+            scenario=builder(),
+        )
+        assert vector.rounds == scalar.rounds, backend
+        assert vector.outputs == scalar.outputs, backend
+        assert vector.metrics.words == scalar.metrics.words, backend
+        assert vector.metrics.dropped == scalar.metrics.dropped, backend
 
 
 def test_crash_breaks_flood_but_byzantine_only_lies():
@@ -265,7 +259,7 @@ class BlobThenListen(VertexAlgorithm):
         return []
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=backend_id)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_crashed_vertex_in_flight_words_are_dropped_and_counted(backend):
     graph = nx.complete_graph(6)
     scenario = CrashStopVertexScenario(
@@ -292,7 +286,7 @@ def test_crashed_vertex_in_flight_words_are_dropped_and_counted(backend):
         assert run.outputs[v] == len(survivors) - 1
 
 
-def test_reference_and_sharded_agree_on_drop_counts_under_crashes():
+def test_backends_agree_on_drop_counts_under_crashes():
     graph = erdos_renyi(24, 5.0, seed=9)
     runs = {
         backend: run_algorithm(
@@ -308,14 +302,14 @@ def test_reference_and_sharded_agree_on_drop_counts_under_crashes():
     base = runs["reference"]
     assert base.metrics.dropped > 0
     for backend, run in runs.items():
-        assert run.metrics.dropped == base.metrics.dropped, backend_id(backend)
-        assert run.outputs == base.outputs, backend_id(backend)
+        assert run.metrics.dropped == base.metrics.dropped, backend
+        assert run.outputs == base.outputs, backend
 
 
 # -- tracer events, registry, composition ------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=backend_id)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_tracer_sees_crashes_and_corruptions(backend):
     graph = erdos_renyi(20, 4.0, seed=1)
     scenario = ComposedScenario.overlay(
