@@ -1,20 +1,25 @@
 #!/usr/bin/env python3
-"""Check the committed distributed-listing results against a fresh rerun.
+"""Check committed benchmark reports against a fresh rerun.
 
-Reruns E12 (``benchmarks/bench_e12_distributed_listing.py``) and E14
-(``benchmarks/bench_e14_scenario_grid.py``) at the sizes their committed
-``BENCH_e12.json`` / ``BENCH_e14.json`` record, writing the reruns into a
-temporary directory, and compares every field the committed reports record
+Reruns, at the sizes their committed reports record, E11
+(``benchmarks/bench_e11_engine_throughput.py``: per-vertex broadcasts on the
+message scheduler), E12 (``benchmarks/bench_e12_distributed_listing.py``),
+E13 (``benchmarks/bench_e13_vector_layer.py``: vector algorithms under
+link-drop and adversarial-delay) and E14
+(``benchmarks/bench_e14_scenario_grid.py``), writing the reruns into a
+temporary directory.  It compares every field the committed reports record
 except the wall-clock ones (``seconds``, ``words_per_second``,
-``rounds_per_second``, ``timings``).  Rounds, words, messages, drops and
-output digests must match exactly.  A field only the rerun has (one added to
-the row format after the report was committed) is not compared.
+``rounds_per_second``, ``timings``, and E11's and E13's
+``vectorized_speedup``, ``per_vertex_seconds``, ``vector_seconds`` and
+``speedup``).  Rounds, words, messages, drops and output digests must match
+exactly.  A field only the rerun has (one added to the row format after the
+report was committed) is not compared.
 
 Run from anywhere in a checkout::
 
     python scripts/check_bench_digests.py
 
-Exits 0 when both reports match and 1 naming the row and field of every
+Exits 0 when every report matches and 1 naming the row and field of every
 difference.  Works without PYTHONPATH set up: resolves ``src/`` relative to
 the checkout this script lives in.
 """
@@ -29,10 +34,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WALL_CLOCK = frozenset({"seconds", "words_per_second", "rounds_per_second", "timings"})
+WALL_CLOCK = frozenset({
+    "seconds", "words_per_second", "rounds_per_second", "timings",
+    "vectorized_speedup", "per_vertex_seconds", "vector_seconds", "speedup",
+})
 
 
-def _e12_args(committed: dict) -> list[str]:
+def _sizes_args(committed: dict) -> list[str]:
     sizes = sorted({row["n"] for row in committed["rows"]})
     return ["--sizes", *map(str, sizes)]
 
@@ -47,7 +55,9 @@ def _e14_args(committed: dict) -> list[str]:
 
 # name -> (committed report, benchmark script, its arguments from the report)
 BENCHES = {
-    "E12": ("BENCH_e12.json", "bench_e12_distributed_listing.py", _e12_args),
+    "E11": ("BENCH_e11.json", "bench_e11_engine_throughput.py", _sizes_args),
+    "E12": ("BENCH_e12.json", "bench_e12_distributed_listing.py", _sizes_args),
+    "E13": ("BENCH_e13.json", "bench_e13_vector_layer.py", _sizes_args),
     "E14": ("BENCH_e14.json", "bench_e14_scenario_grid.py", _e14_args),
 }
 

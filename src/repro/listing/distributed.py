@@ -44,9 +44,10 @@ Both protocols are compiled into one :class:`ClusterProtocolPlan` per
 execution.  A plan is arrays over one numbering: the communication graph's
 :class:`~repro.graphs.index.LabelCSR` numbers its vertices in label order,
 the ``networkx`` graph the engine runs on is built from that index in the
-same order, so the index's ids are the engine's dense ids.  Per vertex the
-plan keeps a lister flag and the four counts it waits for (announcements,
-replies, relays, received packets); per demand a flat route of dense ids.
+same order, so the index's ids are the engine's dense ids and its CSR slots
+the engine's directed-edge ids.  Per vertex the plan keeps a lister flag
+and the four counts it waits for (announcements, replies, relays, received
+packets); per demand a flat route of dense ids.
 :func:`plan_two_hop_protocol` derives the counts with one sparse product,
 and :func:`add_edge_learning` routes each packet along a shortest path
 picked by the words already on every directed edge
@@ -89,7 +90,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable
 
 import networkx as nx
 import numpy as np
@@ -109,7 +110,7 @@ from repro.engine.vector import (
 )
 from repro.experiments.session import Session
 from repro.graphs.cliques import Clique, cliques_in_edge_set
-from repro.graphs.index import LabelCSR, canonical_edge
+from repro.graphs.index import LabelCSR, canonical_edge, unique_triples
 from repro.listing.local import charge_exhaustive_pass, cliques_through_vertex
 from repro.listing.recursion import (
     ClusterTask,
@@ -247,6 +248,20 @@ class ClusterProtocolPlan:
         the twin's ``(demand, u, w)`` payload."""
         return 2 + self.label_words[edges].sum(axis=1)
 
+    def hop_words(self) -> np.ndarray:
+        """Per position of ``route_hops``, the words of its route's packet."""
+        return np.repeat(
+            self.packet_words(self.route_edges), np.diff(self.route_ends, prepend=0)
+        )
+
+    def hop_slots(self) -> np.ndarray:
+        """Per position of ``route_hops``, the CSR slot of :attr:`index` the
+        packet crosses to reach it; ``-1`` where a route starts."""
+        hops = self.route_hops
+        slots = self.index.slots(np.roll(hops, 1), hops)
+        slots[self.route_starts] = -1
+        return slots
+
     def edge_words(self) -> np.ndarray:
         """``int64[2m]``: the words each directed edge carries, by CSR slot.
 
@@ -254,16 +269,13 @@ class ClusterProtocolPlan:
         the sum is the run's measured words, and the busiest edge is a lower
         bound on its rounds (one word per edge per round).
         """
-        index = self.index
         announce, reply = self.exchange_words
-        hops, starts = self.route_hops, self.route_starts
-        inner = np.ones(hops.size, dtype=bool)
-        inner[starts] = False
-        inner = np.flatnonzero(inner)
-        hop_words = np.repeat(self.packet_words(self.route_edges), self.route_ends - starts)
-        crossed = index.slots(hops[inner - 1], hops[inner])
-        routed = np.bincount(crossed, weights=hop_words[inner], minlength=announce.size)
-        return announce + reply[index.reverse] + routed.astype(np.int64)
+        slots = self.hop_slots()
+        crossed = slots >= 0
+        routed = np.bincount(
+            slots[crossed], weights=self.hop_words()[crossed], minlength=announce.size
+        )
+        return announce + reply[self.index.reverse] + routed.astype(np.int64)
 
     @cached_property
     def packet_tables(self) -> tuple[dict, dict, dict]:
@@ -403,15 +415,6 @@ class ListingVertex(VertexAlgorithm):
         return adjacency
 
 
-def _edge_ids(
-    topology: VectorTopology, senders: np.ndarray, receivers: np.ndarray
-) -> np.ndarray:
-    """Directed-edge ids of ``(sender, receiver)`` pairs, none for none."""
-    if not senders.size:
-        return senders
-    return topology.edge_id_lookup(senders, receivers)
-
-
 # Message kinds of the array path: a delivered value is ``ident << 2 | kind``.
 _ADJ, _HITS, _EDGE = 0, 1, 2
 
@@ -443,6 +446,10 @@ class ListingVector(VectorAlgorithm):
     lists with :func:`cliques_through_vertex` (listers, over the
     plan graph: a halted lister has heard every reply) and
     :func:`cliques_in_edge_set` (owners, over their routed edges).
+
+    Every send is booked on its CSR slot of the plan's index, which is the
+    engine's edge id only on the plan's own graph: on any other graph the
+    class raises ``ValueError``.
     """
 
     plan: ClusterProtocolPlan
@@ -450,28 +457,31 @@ class ListingVector(VectorAlgorithm):
     def __init__(self, topology: VectorTopology):
         super().__init__(topology)
         plan = self.plan
-        n = topology.n
+        index = plan.index
+        if topology.nodes != list(index.labels) or not np.array_equal(
+            topology.slot_keys, index.slot_keys
+        ):
+            raise ValueError(
+                "this ListingVector is bound to a plan over another graph; "
+                "run it on its plan's graph (plan.graph)"
+            )
+        n = index.n
         self._got = np.zeros((n, 4), dtype=np.int64)
         self._outputs: dict[int, set[Clique]] = {}
 
         # Announcements: one per CSR slot of a lister, answered on its reverse.
-        slots = np.flatnonzero(plan.lister[topology.csr_senders])
-        announcers, answerers = topology.csr_senders[slots], topology.targets[slots]
+        slots = np.flatnonzero(plan.lister[index.rows])
+        announcers, answerers = index.rows[slots], index.indices[slots]
         announce_words, reply_words = plan.exchange_words
         self._hits_words = reply_words[slots]
-        self._hits_edges = _edge_ids(topology, answerers, announcers)
+        self._hits_edges = index.reverse[slots]
 
         # Edge packets: one flat route per demand.
         hops, ends, starts = plan.route_hops, plan.route_ends, plan.route_starts
-        self._hops = hops
-        self._hop_words = np.repeat(plan.packet_words(plan.route_edges), ends - starts)
+        self._hop_words = plan.hop_words()
         self._hop_is_end = np.zeros(hops.size, dtype=bool)
         self._hop_is_end[ends - 1] = True
-        self._hop_edges = np.zeros(hops.size, dtype=np.int64)
-        inner = np.ones(hops.size, dtype=bool)
-        inner[starts] = False
-        inner = np.flatnonzero(inner)
-        self._hop_edges[inner] = _edge_ids(topology, hops[inner - 1], hops[inner])
+        self._hop_edges = plan.hop_slots()
         # Each owner's edges as label pairs: preloaded, then routed in
         # demand order.
         known = np.concatenate(
@@ -491,7 +501,7 @@ class ListingVector(VectorAlgorithm):
                 ((np.arange(slots.size) << 2) | _ADJ, (first << 2) | _EDGE)
             ),
             np.concatenate((announce_words[slots], self._hop_words[first])),
-            np.concatenate((topology.csr_edge_ids[slots], self._hop_edges[first])),
+            np.concatenate((slots, self._hop_edges[first])),
         )
         self._initial: tuple[np.ndarray, ...] | None = initial
 
@@ -549,7 +559,7 @@ class ListingVector(VectorAlgorithm):
         out_values[answer] = _HITS
         out_words[answer] = self._hits_words[ident[answer]]
         out_edges[answer] = self._hits_edges[ident[answer]]
-        out_receivers[relay] = self._hops[hop]
+        out_receivers[relay] = self.plan.route_hops[hop]
         out_values[relay] = (hop << 2) | _EDGE
         out_words[relay] = self._hop_words[hop]
         out_edges[relay] = self._hop_edges[hop]
@@ -602,22 +612,26 @@ def plan_two_hop_protocol(
     return ClusterProtocolPlan(index=index, p=p, lister=lister, counts=counts)
 
 
-def add_edge_learning(
-    plan: ClusterProtocolPlan, owner_edges: Mapping[Hashable, Iterable[Edge]]
-) -> None:
-    """Compile per-owner edge demands into routed packets.
+def add_edge_learning(plan: ClusterProtocolPlan, rows: np.ndarray) -> None:
+    """Compile edge demands into routed packets.
 
-    Demands are taken in (owner, edge) label order.  An edge incident to its
-    owner is preloaded.  Any other is injected by an endpoint of minimum
-    distance to the owner and forwarded along a shortest path in the plan's
-    communication graph; :func:`~repro.listing.routing.route_by_load` picks
-    the endpoint on a tie and each next hop by the words already on every
-    directed edge (:meth:`ClusterProtocolPlan.edge_words`).  The route is
-    appended to the plan's flat routes, and every vertex on it gets its
-    relay or receive count, so all vertices can halt locally.
+    ``rows`` are ``(owner, u, w)`` ids of the plan's index: ``owner`` must
+    learn the edge ``u``-``w`` (either orientation; repeats are dropped).
+    Demands are taken in (owner, edge) id order, which is label order.  An
+    edge incident to its owner is preloaded.  Any other is injected by an
+    endpoint of minimum distance to the owner and forwarded along a shortest
+    path in the plan's communication graph;
+    :func:`~repro.listing.routing.route_by_load` picks the endpoint on a tie
+    and each next hop by the words already on every directed edge
+    (:meth:`ClusterProtocolPlan.edge_words`).  The route is appended to the
+    plan's flat routes, and every vertex on it gets its relay or receive
+    count, so all vertices can halt locally.
     """
     index = plan.index
-    demands = _demand_rows(index, owner_edges)
+    n = index.n
+    owners, us, ws = np.asarray(rows, dtype=np.int64).reshape(-1, 3).T
+    # One key per demand, with u < w: its distinct rows, in (owner, u, w) order.
+    demands = unique_triples((owners * n + np.minimum(us, ws)) * n + np.maximum(us, ws), n)
     own = (demands[:, 0] == demands[:, 1]) | (demands[:, 0] == demands[:, 2])
     plan.preloaded = np.concatenate((plan.preloaded, demands[own]))
     owners, us, ws = demands[~own].T
@@ -626,33 +640,13 @@ def add_edge_learning(
     edges = demands[~own, 1:]
     words = plan.packet_words(edges)
     hops, lengths = route_by_load(index, owners, us, ws, words, plan.edge_words())
-    sources = hops[np.cumsum(lengths) - lengths]
-    n = index.n
-    injected = np.bincount(sources, minlength=n)
+    injected = np.bincount(hops[np.cumsum(lengths) - lengths], minlength=n)
     received = np.bincount(owners, minlength=n)
     plan.counts[:, _RELAYED] += np.bincount(hops, minlength=n) - injected - received
     plan.counts[:, _RECEIVED] += received
     plan.route_ends = np.append(plan.route_ends, plan.route_hops.size + np.cumsum(lengths))
     plan.route_hops = np.concatenate((plan.route_hops, hops))
     plan.route_edges = np.concatenate((plan.route_edges, edges))
-
-
-def _demand_rows(
-    index: LabelCSR, owner_edges: Mapping[Hashable, Iterable[Edge]]
-) -> np.ndarray:
-    """Sorted ``int64[d, 3]`` rows ``(owner, u, w)`` of ids, ``u < w``, no repeats."""
-    owners: list[Hashable] = []
-    ends: list[Hashable] = []
-    for owner, edges in owner_edges.items():
-        flat = list(chain.from_iterable(edges))
-        owners += [owner] * (len(flat) // 2)
-        ends += flat
-    pairs = index.ids(ends).reshape(-1, 2)
-    rows = np.column_stack((index.ids(owners), pairs.min(axis=1), pairs.max(axis=1)))
-    rows = rows[np.lexsort(rows.T[::-1])]
-    fresh = np.ones(len(rows), dtype=bool)
-    fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[fresh]
 
 
 # ---------------------------------------------------------------------------

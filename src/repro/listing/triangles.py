@@ -31,12 +31,12 @@ from repro.congest.metrics import CongestMetrics
 from repro.decomposition.cluster import K3CompatibleCluster
 from repro.decomposition.routing import ClusterRouter
 from repro.graphs.cliques import Clique, cliques_in_edge_set
+from repro.graphs.index import unique_triples
 from repro.listing.local import charge_exhaustive_pass, two_hop_exhaustive_listing
 from repro.listing.recursion import ClusterTask, ListingResult, RecursiveListingDriver
 from repro.partition_trees.construction import construct_k3_partition_tree
 from repro.partition_trees.tree import HTreeConstraints
 
-Edge = tuple[int, int]
 
 
 @dataclass
@@ -57,9 +57,10 @@ class TriangleClusterBlueprint:
         alpha: degree bound used for the exhaustive pass round cost.
         tiny_core: ``V_C^-`` members when there are fewer than three of
             them (exhausted directly instead of building a tree).
-        owner_edges: for every ``V_C^*`` leaf-part owner, the ancestor-part
-            edges it must learn (step 2 of Lemma 34), each once, smaller
-            label first.
+        owner_edges: ``int64[d, 3]`` rows ``(owner, u, w)`` of ids of
+            ``cluster.index``, sorted and unique, ``u < w``: each ``V_C^*``
+            leaf-part owner and the ancestor-part edges it must learn (step
+            2 of Lemma 34).
         received_load: per-owner number of learned edge words (before
             per-owner deduplication), as the cost model charges it.
         load_per_degree: the ``L`` parameter of the Theorem 6 routing.
@@ -69,7 +70,7 @@ class TriangleClusterBlueprint:
     low_degree: list[int] = field(default_factory=list)
     alpha: int = 1
     tiny_core: list[int] = field(default_factory=list)
-    owner_edges: dict[int, list[Edge]] = field(default_factory=dict)
+    owner_edges: np.ndarray = field(default_factory=lambda: np.zeros((0, 3), np.int64))
     received_load: dict[int, int] = field(default_factory=dict)
     load_per_degree: float = 0.0
 
@@ -215,8 +216,10 @@ class TriangleListing:
                 found |= two_hop_exhaustive_listing(
                     blueprint.cluster.cluster_graph, listers, p=3
                 ).cliques
-        for owner in sorted(blueprint.owner_edges):
-            found |= cliques_in_edge_set(blueprint.owner_edges[owner], 3)
+        rows = blueprint.owner_edges
+        labels = blueprint.cluster.index.label_array[rows[:, 1:]]
+        for edges in np.split(labels, np.flatnonzero(np.diff(rows[:, 0])) + 1):
+            found |= cliques_in_edge_set(edges.tolist(), 3)
         return found
 
     def _plan_high_degree(
@@ -229,7 +232,8 @@ class TriangleListing:
         """Theorem 16 + step 2 of Lemma 34: who must learn which edges.
 
         Parts are id ranges of the core index, so the edges between two of
-        a leaf part's ancestor parts are range queries over its rows.
+        a leaf part's ancestor parts are range queries over its rows.  Core
+        id ``i`` is id ``cluster.core_ids[i]`` of the cluster's index.
         """
         core = cluster.core
         router = ClusterRouter(
@@ -247,7 +251,8 @@ class TriangleListing:
             )
 
         tree = result.tree
-        learned: dict[int, list[np.ndarray]] = {}
+        n = cluster.index.n
+        learned = [np.empty(0, dtype=np.int64)]
         received_load: dict[int, int] = {}
         x = max(1.0, core.n ** (1.0 / 3.0))
 
@@ -258,11 +263,11 @@ class TriangleListing:
                 for left, right in itertools.combinations(parts, 2)
             ]))
             received_load[owner] = received_load.get(owner, 0) + edges.size
-            learned.setdefault(owner, []).append(edges)
-        owner_edges = {
-            owner: core.label_pairs(np.unique(np.concatenate(parts)))
-            for owner, parts in learned.items()
-        }
+            # Core keys u * core.n + w to keys (owner * n + u) * n + w of ids.
+            us, ws = np.divmod(edges, core.n)
+            owner_id = cluster.index.id_of[owner]
+            learned.append((owner_id * n + cluster.core_ids[us]) * n + cluster.core_ids[ws])
+        owner_edges = unique_triples(np.concatenate(learned), n)
 
         load_per_degree = x  # the send side: every edge travels O(x) times
         for owner, received in received_load.items():

@@ -140,6 +140,18 @@ def test_distributed_listing_survives_faults_with_bounded_stretch():
     assert delayed.measured_rounds <= 4 * clean.measured_rounds + 16
 
 
+def learn_label_edges(plan, owner_edges) -> None:
+    """``add_edge_learning`` from label pairs: each owner's edges become
+    ``(owner, u, w)`` id rows of the plan's index."""
+    id_of = plan.index.id_of
+    rows = [
+        (id_of[owner], id_of[u], id_of[w])
+        for owner, edges in owner_edges.items()
+        for u, w in edges
+    ]
+    add_edge_learning(plan, np.array(rows, dtype=np.int64).reshape(-1, 3))
+
+
 def _per_vertex_plan(p: int):
     """Listers 0 and 4 on two K4s sharing a triangle; owner 6 learns the K4
     {1, 2, 3, 4} it is not part of (relayed through 4 and 5) plus one edge of
@@ -149,7 +161,7 @@ def _per_vertex_plan(p: int):
     graph.add_edges_from([(4, 1), (4, 2), (4, 3), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9)])
     owner_edges = {6: set(itertools.combinations([1, 2, 3, 4], 2)) | {(6, 7)}}
     plan = plan_two_hop_protocol(graph, [0, 4], p)
-    add_edge_learning(plan, owner_edges)
+    learn_label_edges(plan, owner_edges)
     return plan, owner_edges
 
 

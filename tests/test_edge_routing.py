@@ -29,6 +29,7 @@ from repro.listing.distributed import (
     list_cliques_distributed,
     plan_two_hop_protocol,
 )
+from test_distributed_listing import learn_label_edges
 from test_listing_pins import CASES
 
 
@@ -50,7 +51,7 @@ def small_plans(draw, max_vertices=12):
         if edges:
             owner_edges[owner] = draw(st.sets(st.sampled_from(edges)))
     plan = plan_two_hop_protocol(graph, sorted(listers), 3)
-    add_edge_learning(plan, owner_edges)
+    learn_label_edges(plan, owner_edges)
     return plan
 
 
@@ -80,6 +81,18 @@ def test_routes_are_shortest_paths_from_a_nearest_endpoint(plan):
     words = plan.edge_words()
     assert int(words.sum()) == run.metrics.words
     assert run.rounds >= int(words.max(initial=0))
+
+
+def test_demand_rows_take_either_orientation_and_repeats():
+    """``(owner, u, w)`` rows are demands on undirected edges: a reversed or
+    repeated row compiles to the same plan as the canonical rows."""
+    canonical, loose = (plan_two_hop_protocol(nx.path_graph(6), [], 3) for _ in range(2))
+    add_edge_learning(canonical, np.array([[0, 4, 5], [5, 0, 1], [5, 1, 2]]))
+    add_edge_learning(loose, np.array([[5, 2, 1], [5, 1, 0], [0, 5, 4], [5, 0, 1], [5, 1, 2]]))
+    for name in ("route_hops", "route_ends", "route_edges", "preloaded", "counts"):
+        assert np.array_equal(getattr(canonical, name), getattr(loose, name)), name
+    assert canonical.route_edges.tolist() == [[4, 5], [0, 1], [1, 2]]
+    assert canonical.route_hops.tolist() == [4, 3, 2, 1, 0, 1, 2, 3, 4, 5, 2, 3, 4, 5]
 
 
 def _named_planted():

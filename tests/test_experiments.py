@@ -132,11 +132,29 @@ class TestExperimentSpec:
         # (name, params) pairs configure individual grid cells.
         cell = spec._build_backend(("unit-scaled", {"scale": 3}))
         assert cell.scale == 3
-        # Params a backend does not take fail eagerly, not mid-sweep.
-        with pytest.raises(TypeError):
+        # Params a backend or scenario does not take fail eagerly, not
+        # mid-sweep, naming the field the way bad workload params do.
+        with pytest.raises(
+            ValueError, match="invalid parameters for backend 'vectorized'"
+        ):
             ExperimentSpec(
                 **SPEC_KWARGS, backend="vectorized", backend_params={"scale": 2}
             )
+        with pytest.raises(
+            ValueError, match="invalid parameters for scenario 'link-drop'"
+        ):
+            ExperimentSpec(
+                **SPEC_KWARGS, scenario="link-drop", scenario_params={"bogus": 1}
+            )
+        # (name, params) grid entries are bound the same way.
+        with pytest.raises(
+            ValueError, match="invalid parameters for backend 'vectorized'"
+        ):
+            spec._build_backend(("vectorized", {"num_workers": 2}))
+        with pytest.raises(
+            ValueError, match="invalid parameters for scenario 'link-drop'"
+        ):
+            spec._build_scenario(None, ("link-drop", {"bogus": 1}))
 
     def test_sharded_backend_is_refused_everywhere(self):
         """The forked-worker backend is gone; its name is an unknown backend

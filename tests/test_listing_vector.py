@@ -37,8 +37,8 @@ from repro.engine.vector import as_vertex_factory, is_vector_algorithm
 from repro.experiments import Session
 from repro.graphs import planted_cliques, power_law
 from repro.listing import list_cliques_distributed
-from repro.listing.distributed import add_edge_learning, plan_two_hop_protocol
-from test_distributed_listing import _per_vertex_plan
+from repro.listing.distributed import plan_two_hop_protocol
+from test_distributed_listing import _per_vertex_plan, learn_label_edges
 from test_vector_layer import run_signature
 
 
@@ -59,7 +59,7 @@ def _hub_plan(relabel: bool = False):
             for hub, far in owner_edges.items()
         }
     plan = plan_two_hop_protocol(graph, listers, 3)
-    add_edge_learning(plan, owner_edges)
+    learn_label_edges(plan, owner_edges)
     return plan
 
 
@@ -70,7 +70,7 @@ def _isolated_plan():
     graph.add_edges_from([(3, 4), (4, 5)])
     graph.add_nodes_from([6, 7])
     plan = plan_two_hop_protocol(graph, [0, 6], 3)
-    add_edge_learning(plan, {5: {(0, 1), (0, 2), (1, 2), (4, 5)}})
+    learn_label_edges(plan, {5: {(0, 1), (0, 2), (1, 2), (4, 5)}})
     return plan
 
 
@@ -157,3 +157,28 @@ def test_string_labels_cost_their_words_in_a_full_listing():
         assert len(result.cliques) == len(list_cliques_distributed(graph, 3).cliques)
         signatures[backend] = (result.measured_rounds, result.measured_words)
     assert signatures["vectorized"] == signatures["reference"] == (231, 8644)
+
+
+def _reversed_vertex_order(graph):
+    reordered = nx.Graph()
+    reordered.add_nodes_from(reversed(list(graph)))
+    reordered.add_edges_from(graph.edges)
+    return reordered
+
+
+@pytest.mark.parametrize(
+    "foreign",
+    [
+        lambda graph: nx.path_graph(graph.number_of_nodes()),
+        lambda graph: nx.relabel_nodes(graph, {v: v + 100 for v in graph}),
+        _reversed_vertex_order,
+    ],
+    ids=["other-edges", "other-labels", "other-vertex-order"],
+)
+def test_plan_bound_listing_vector_refuses_a_foreign_graph(foreign):
+    """The plan's vertex and edge ids are its own index's ids and slots, so
+    its array path runs on the plan's graph only."""
+    plan, _ = _per_vertex_plan(3)
+    graph = foreign(plan.graph)
+    with pytest.raises(ValueError, match="bound to a plan over another graph"):
+        Session().execute(graph, plan.factory(), backend="vectorized")

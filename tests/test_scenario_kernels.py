@@ -18,6 +18,7 @@ Two contracts pin the vectorized scenario layer:
    path through the base ``transmit_mask`` and meets the same oracle.
 """
 
+import random
 from collections import defaultdict, deque
 
 import networkx as nx
@@ -337,7 +338,7 @@ def _run_scheduler(plan, scenario, index, horizon):
 def test_scheduler_matches_reference_word_queues(scenario, data):
     graph = nx.erdos_renyi_graph(8, 0.5, seed=3)
     index = GraphIndex(graph)
-    edges = list(index.edge_ids)
+    edges = index.edges
     plan = []
     for round_index in range(data.draw(st.integers(min_value=1, max_value=6))):
         for _ in range(data.draw(st.integers(min_value=0, max_value=5))):
@@ -352,6 +353,99 @@ def test_scheduler_matches_reference_word_queues(scenario, data):
     assert got == want
     for round_index in want_levels:
         assert got_levels.get(round_index, 0) == want_levels[round_index]
+
+
+def _shuffled_string_graph() -> nx.Graph:
+    """``erdos_renyi_graph(8, 0.5, seed=3)`` on string labels inserted in
+    shuffled order, its edges inserted in shuffled order, plus a self-loop:
+    the adjacency rows are not in id order."""
+    rng = random.Random(4)
+    base = nx.erdos_renyi_graph(8, 0.5, seed=3)
+    names = [f"v{i}" for i in base]
+    rng.shuffle(names)
+    edges = [(names[u], names[w]) for u, w in base.edges]
+    rng.shuffle(edges)
+    graph = nx.Graph()
+    graph.add_nodes_from(names)
+    graph.add_edges_from(edges)
+    graph.add_edge(names[0], names[0])
+    return graph
+
+
+def _run_batch_scheduler(plan, scenario, index, horizon):
+    """:func:`_run_scheduler` on the array API: each message is one row,
+    booked on its slot, whose value is its position in ``plan``."""
+    scheduler = WordScheduler(index, scenario, horizon=horizon)
+    ids = index.index
+    by_round = defaultdict(list)
+    for position, (message, words, enqueue_round) in enumerate(plan):
+        by_round[enqueue_round].append(
+            (ids[message.sender], ids[message.receiver], words, position)
+        )
+    delivered = {}
+    levels = {}
+    last = max(by_round, default=0)
+    for round_index in range(horizon):
+        if round_index in by_round:
+            senders, receivers, words, values = np.array(by_round[round_index]).T
+            scheduler.schedule_batch(
+                senders, receivers, index.slots(senders, receivers), words, values,
+                round_index,
+            )
+        _, _, values, level = scheduler.deliver_batch(round_index)
+        levels[round_index] = level
+        for position in values.tolist():
+            delivered[id(plan[position][0])] = round_index
+        if round_index > last and not scheduler.has_pending:
+            break
+    return delivered, levels
+
+
+def test_slots_number_the_directed_edges_of_rows_out_of_id_order():
+    graph = _shuffled_string_graph()
+    index = GraphIndex(graph)
+    nodes, ids = index.nodes, index.index
+    rows = [[ids[w] for w in graph.adj[v]] for v in nodes]
+    assert any(row != sorted(row) for row in rows)
+    for slot, edge in enumerate(index.edges):
+        assert edge == (nodes[index.senders[slot]], nodes[index.targets[slot]])
+    # Every directed edge has one slot, the self-loop included, and the
+    # lookup finds it from its ends.
+    directed = [(u, w) for u in nodes for w in graph.adj[u]]
+    assert len(index.edges) == len(directed) and (nodes[0], nodes[0]) in directed
+    slots = index.slots(
+        np.array([ids[u] for u, _ in directed]), np.array([ids[w] for _, w in directed])
+    )
+    assert sorted(slots.tolist()) == list(range(len(directed)))
+    assert [index.edges[slot] for slot in slots.tolist()] == directed
+    u, w = next(
+        (u, w) for u in nodes for w in nodes if u != w and not graph.has_edge(u, w)
+    )
+    with pytest.raises(ValueError, match=f"{u!r} attempted to send to non-neighbour {w!r}"):
+        index.slots(np.array([ids[u]]), np.array([ids[w]]))
+
+
+@given(seed=seeds, data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_schedulers_match_reference_on_rows_out_of_id_order(seed, data):
+    """Both scheduler APIs on slot ids, over rows out of id order, meet the
+    reference edge queues under link drops."""
+    index = GraphIndex(_shuffled_string_graph())
+    edges = index.edges
+    plan = []
+    for round_index in range(data.draw(st.integers(min_value=1, max_value=6))):
+        for _ in range(data.draw(st.integers(min_value=0, max_value=5))):
+            u, v = edges[data.draw(st.integers(min_value=0, max_value=len(edges) - 1))]
+            words = data.draw(st.integers(min_value=1, max_value=9))
+            plan.append((Message(u, v, "t", 0), words, round_index))
+    horizon = 600
+    scenario = LinkDropScenario(0.3, seed=seed)
+    want, want_levels = _reference_delivery(plan, scenario, horizon)
+    for run in (_run_scheduler, _run_batch_scheduler):
+        got, got_levels = run(plan, scenario, index, horizon)
+        assert got == want
+        for round_index in want_levels:
+            assert got_levels.get(round_index, 0) == want_levels[round_index]
 
 
 def test_scheduler_window_cursor_keeps_far_starts_culled():

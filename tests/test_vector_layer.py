@@ -36,6 +36,7 @@ from repro.engine import (
     as_vertex_factory,
     run_algorithm,
 )
+from repro.engine.delivery import GraphIndex
 from repro.graphs import erdos_renyi
 
 
@@ -262,6 +263,31 @@ def test_vector_send_with_short_edge_ids_is_rejected():
 
     with pytest.raises(ValueError, match="one entry per send"):
         _run_misbehaving(build)
+
+
+def test_vector_send_with_wrong_edge_ids_is_rejected():
+    """A caller-supplied edge id must be the slot of its own send's edge: a
+    send 0 -> 1 booked on the edge 3 -> 4 would queue on the wrong edge."""
+    graph = nx.path_graph(5)
+    assert GraphIndex(graph).edges[6] == (3, 4)
+
+    def build(self):
+        sends = _sends([0], [1])
+        sends.edge_ids = np.asarray([6], dtype=np.int64)
+        return sends
+
+    with pytest.raises(ValueError, match="books the send 0 -> 1 on another edge"):
+        _run_misbehaving(build)
+    # Out-of-range slots are refused too, negative ones included.
+    for slot in (-1, 2 * graph.number_of_edges()):
+
+        def out_of_range(self, slot=slot):
+            sends = _sends([0], [1])
+            sends.edge_ids = np.array([slot], dtype=np.int64)
+            return sends
+
+        with pytest.raises(ValueError, match="edge_ids out of range"):
+            _run_misbehaving(out_of_range)
 
 
 def test_vector_send_from_halted_vertex_is_rejected():
