@@ -84,7 +84,8 @@ class CS20TriangleListing:
             total_words=cluster.core.num_edges,
             phase="cs20-edge-learning",
         )
-        return found | cliques_in_edge_set(cluster.core.edges(), 3)
+        core = cluster.core
+        return found | set(core.label_rows(cliques_in_edge_set(core.rows, core.indices, 3)))
 
 
 def cs20_triangle_listing(graph: nx.Graph, **kwargs) -> ListingResult:

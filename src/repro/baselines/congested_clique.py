@@ -22,13 +22,12 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping
 
 import networkx as nx
+import numpy as np
 
 from repro.congest.metrics import CongestMetrics
-from repro.graphs import canonical_edge
+from repro.graphs import LabelCSR
 from repro.graphs.cliques import Clique, cliques_in_edge_set
 from repro.listing.recursion import ListingResult
-
-Edge = tuple[int, int]
 
 
 @dataclass
@@ -44,28 +43,30 @@ class CongestedCliqueReport:
 
 def list_by_part_tuples(
     graph: nx.Graph, part_of: Mapping[Hashable, int], parts: int, p: int
-) -> tuple[dict[tuple[int, int], set[Edge]], set[Clique], int, int]:
+) -> tuple[np.ndarray, set[Clique], int, int]:
     """Partition listing: each ``p``-tuple of parts (with repetition) learns
-    the edges between its parts and lists the cliques among them.
+    the edges between its parts and lists the cliques among them.  All
+    tuples list in one kernel pass over the ids of ``graph``'s index, tuple
+    ``t``'s vertex ``v`` encoded ``t * n + v``.
 
-    Returns the edges of each part pair, the cliques, the number of reports
-    before deduplication and the most edges one tuple learns.
+    Returns the number of edges of each part pair ``i <= j`` at ``i * parts
+    + j``, the cliques, the number of reports before deduplication and the
+    most edges one tuple learns.
     """
-    pair_edges: dict[tuple[int, int], set[Edge]] = {}
-    for u, v in graph.edges:
-        i, j = sorted((part_of[u], part_of[v]))
-        pair_edges.setdefault((i, j), set()).add(canonical_edge(u, v))
-    cliques: set[Clique] = set()
-    reports = max_load = 0
-    for part_tuple in itertools.combinations_with_replacement(range(parts), p):
-        learned: set[Edge] = set()
-        for i, j in itertools.combinations_with_replacement(sorted(set(part_tuple)), 2):
-            learned |= pair_edges.get((i, j), set())
-        max_load = max(max_load, len(learned))
-        found = cliques_in_edge_set(learned, p)
-        reports += len(found)
-        cliques |= found
-    return pair_edges, cliques, reports, max_load
+    index = LabelCSR.from_graph(graph)
+    n, upper = index.n, index.rows < index.indices
+    part = np.fromiter(map(part_of.__getitem__, index.labels), dtype=np.int64, count=n)
+    us, ws = index.rows[upper], index.indices[upper]
+    tuples = np.array(list(itertools.combinations_with_replacement(range(parts), p)))
+    inside = np.zeros((len(tuples), parts), dtype=bool)
+    inside[np.arange(len(tuples))[:, None], tuples] = True
+    learned = inside[:, part[us]] & inside[:, part[ws]]
+    t, edges = np.nonzero(learned)
+    rows = cliques_in_edge_set(t * n + us[edges], t * n + ws[edges], p)
+    low, high = np.minimum(part[us], part[ws]), np.maximum(part[us], part[ws])
+    pair_sizes = np.bincount(low * parts + high, minlength=parts * parts)
+    max_load = int(learned.sum(axis=1).max())
+    return pair_sizes, set(index.label_rows(rows % n)), len(rows), max_load
 
 
 def congested_clique_listing(graph: nx.Graph, p: int = 3) -> tuple[ListingResult, CongestedCliqueReport]:
@@ -87,14 +88,12 @@ def congested_clique_listing(graph: nx.Graph, p: int = 3) -> tuple[ListingResult
         for vertex in group:
             group_of[vertex] = index
 
-    pair_edges, cliques, reports, max_load = list_by_part_tuples(
+    pair_sizes, cliques, reports, max_load = list_by_part_tuples(
         graph, group_of, len(groups), p
     )
     rounds = math.ceil(max_load / max(1, n - 1))
     metrics.add_rounds(rounds, phase="congested-clique")
-    metrics.add_messages(
-        sum(len(edges) for edges in pair_edges.values()), phase="congested-clique"
-    )
+    metrics.add_messages(int(pair_sizes.sum()), phase="congested-clique")
     theoretical = (n ** (1.0 - 2.0 / p)) / max(1.0, math.log2(max(2, n)))
     report = CongestedCliqueReport(
         x=x,

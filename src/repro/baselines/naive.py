@@ -37,6 +37,7 @@ from repro.congest.message import Message
 from repro.congest.metrics import CongestMetrics
 from repro.congest.vertex import VertexAlgorithm
 from repro.graphs.cliques import Clique, canonical_clique
+from repro.graphs.index import self_loop
 from repro.listing.local import two_hop_exhaustive_listing
 from repro.listing.recursion import ListingResult
 
@@ -82,9 +83,13 @@ def neighborhood_exchange_listing(
     Unlike :func:`naive_listing` (which charges a cost model), this actually
     executes the per-vertex algorithm round by round, so its round count
     reflects real fragmentation of the adjacency-list payloads — and it can
-    be pointed at any engine backend or delivery scenario.
+    be pointed at any engine backend or delivery scenario.  A self-loop
+    raises ``ValueError`` before any round.
     """
     from repro.engine.runner import run_algorithm
+
+    if (loop := next(nx.selfloop_edges(graph), None)) is not None:
+        raise self_loop(loop[0])
 
     run = run_algorithm(
         graph,

@@ -67,7 +67,7 @@ def randomized_partition_listing(
     # Each p-tuple of parts (with repetition) is assigned to a vertex, which
     # learns all edges between parts of its tuple.  The per-vertex load is the
     # quantity the round cost is driven by.
-    pair_edges, cliques, reports, max_load = list_by_part_tuples(graph, part_of, x, p)
+    pair_sizes, cliques, reports, max_load = list_by_part_tuples(graph, part_of, x, p)
 
     # Cost: every vertex sends each of its edges O(x^{p-2} / n^{(p-2)/p}) = O(1)
     # times per tuple dimension; the binding term is the per-vertex receive
@@ -77,10 +77,10 @@ def randomized_partition_listing(
         max_words_per_vertex=max_load,
         min_degree=delta,
         phase="randomized-edge-learning",
-        total_words=sum(len(edges) for edges in pair_edges.values()),
+        total_words=int(pair_sizes.sum()),
     )
 
-    max_pair = max((len(edges) for edges in pair_edges.values()), default=0)
+    max_pair = int(pair_sizes.max())
     expected = 2.0 * m / (x * x)
     report = RandomizedListingReport(
         x=x,

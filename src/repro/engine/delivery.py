@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.congest.message import Message, words_for_payload
 from repro.engine.scenarios import CleanSynchronous, DeliveryScenario
+from repro.graphs.index import sorted_distinct
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 Edge = tuple[Hashable, Hashable]
@@ -231,7 +232,7 @@ class WordScheduler:
             block = np.frexp((length - 1) // _SHARED_WINDOW)[1]
             unfinished, next_length = [], []
             queries = []
-            for key in np.unique(block).tolist():
+            for key in sorted_distinct(block).tolist():
                 in_block = block == key
                 width = int(length[in_block].max())
                 # Row chunks of at most _WINDOW_CELLS cells bound the
@@ -344,10 +345,11 @@ class WordScheduler:
             group_last[-1] = True
             group_last[:-1] = group_first[1:]
             self.edge_free_at[e[group_last]] = done_sorted[group_last]
-            for r, c in zip(*np.unique(start, return_counts=True)):
-                self._level_diff[int(r)] += int(c)
-            for r, c in zip(*np.unique(done_sorted + 1, return_counts=True)):
-                self._level_diff[int(r)] -= int(c)
+            for rounds, step in ((np.sort(start), 1), (np.sort(done_sorted) + 1, -1)):
+                distinct = sorted_distinct(rounds)
+                counts = np.diff(np.searchsorted(rounds, distinct), append=rounds.size)
+                for r, c in zip(distinct.tolist(), counts.tolist()):
+                    self._level_diff[r] += step * c
         else:
             # Answer "in which round does this edge's k-th word cross?"
             # with one prefix-sum search over the transmit mask per batch.
@@ -373,7 +375,7 @@ class WordScheduler:
                 round_index,
                 path=path,
                 transfers=count,
-                edges=int(np.unique(edge_ids).size),
+                edges=int(sorted_distinct(edge_ids).size),
                 deferred=int((done > round_index).sum()),
                 windows=windows,
                 window_cells=window_cells,

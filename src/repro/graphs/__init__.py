@@ -22,7 +22,6 @@ from repro.graphs.cliques import (
     enumerate_cliques,
     count_cliques,
     canonical_clique,
-    cliques_containing_edge,
 )
 from repro.graphs.index import LabelCSR, canonical_edge
 
@@ -43,7 +42,6 @@ __all__ = [
     "enumerate_cliques",
     "count_cliques",
     "canonical_clique",
-    "cliques_containing_edge",
     "LabelCSR",
     "canonical_edge",
 ]

@@ -1,22 +1,24 @@
 """Ground-truth clique enumeration, and the clique kernel of local listing.
 
 The listing algorithms are validated against an independent, centralized
-enumeration of all ``K_p`` instances.  For triangles we use a sorted
-neighbourhood-intersection enumeration; for larger ``p`` we extend partial
-cliques vertex by vertex over higher-numbered neighbours, which enumerates
-each instance exactly once.
+enumeration of all ``K_p`` instances, :func:`enumerate_cliques`: it extends
+partial cliques vertex by vertex over sets of higher-numbered neighbours,
+which enumerates each instance exactly once.
 
-The local step of every listing algorithm (a vertex listing the cliques in
-what it learned) runs :func:`extend_cliques` instead, which shares no code
-with the ground truth :func:`enumerate_cliques` it is checked against.
+Every local step of every listing algorithm (a lister over its 2-hop view,
+an edge owner over the edges it learned) runs :func:`cliques_in_edge_set`
+instead: one array pass over integer ids, which shares no code with the
+ground truth it is checked against.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import networkx as nx
+import numpy as np
+
+from repro.graphs.index import self_loop, sorted_distinct
 
 Clique = tuple[int, ...]
 
@@ -71,84 +73,64 @@ def count_cliques(graph: nx.Graph, p: int) -> int:
     return len(enumerate_cliques(graph, p))
 
 
-def extend_cliques(
-    higher: Mapping[Hashable, set],
-    candidates: set,
-    size: int,
-    prefix: Clique,
-    found: set[Clique],
-) -> None:
-    """Add ``prefix + rest`` to ``found`` for every ``size``-clique ``rest`` of ``candidates``.
-
-    The clique kernel of every local listing step.  ``higher`` is an
-    adjacency mapping that keeps only higher-id neighbours (``higher[u]``
-    holds the neighbours of ``u`` larger than ``u``), so a clique is reached
-    once, along its sorted order, and comes out canonical when ``prefix`` is
-    sorted and below every candidate.  Candidates narrow by set
-    intersection, and the last level is emitted in one flat loop instead of
-    one call per clique.
-    """
-    if size <= 1:
-        if size == 0:
-            found.add(prefix)
-        else:
-            found.update([prefix + (c,) for c in candidates])
-        return
-    if size == 2:
-        for c in candidates:
-            pair = prefix + (c,)
-            found.update([pair + (w,) for w in candidates & higher[c]])
-        return
-    for c in candidates:
-        narrowed = candidates & higher[c]
-        if len(narrowed) >= size - 1:
-            extend_cliques(higher, narrowed, size - 1, prefix + (c,), found)
+# Partial cliques grow in blocks of at most this many candidate vertices
+# beyond those of the block's first partial clique, so the kernel's
+# temporaries stay a few arrays of about this length whatever the number of
+# cliques.
+_BLOCK_CANDIDATES = 1 << 16
 
 
-def cliques_in_edge_set(edges: Iterable[tuple[int, int]], p: int) -> set[Clique]:
-    """All ``K_p`` formed by an explicit edge set.
+def cliques_in_edge_set(us: np.ndarray, ws: np.ndarray, p: int) -> np.ndarray:
+    """Every ``K_p`` of the graph of the edges ``(us[i], ws[i])``.
 
-    This is the local computation a vertex performs after *learning* a set of
-    edges (the final step of Lemmas 34 and 37, and of the distributed
-    edge-learning protocol): every ``p``-subset of endpoints whose
-    ``p(p-1)/2`` edges are all present in the set is a clique instance.  The
-    edges become a higher-id adjacency mapping (a dict of sets; no graph
-    object) that :func:`extend_cliques` lists from.
+    The clique kernel of every local listing step.  Ids are any
+    non-negative integers, not necessarily contiguous; an edge may come in
+    either orientation and more than once.  Each edge is oriented from its
+    smaller id, and a partial clique grows by each higher neighbour of its
+    last vertex that is adjacent to all its other vertices, tested by
+    ``searchsorted`` on the sorted edge keys, so every clique is reached
+    once, in increasing order.
+
+    Returns:
+        ``int64[k, p]``: the cliques as increasing rows in lexicographic
+        order (``p = 1``: the endpoints; ``p = 2``: the edges).
+
+    Raises:
+        ValueError: when ``p < 1``, or when an edge is a self-loop.
     """
     if p < 1:
         raise ValueError("clique size must be positive")
-    higher: dict[Hashable, set] = {}
-    for u, w in edges:
-        if w < u:
-            u, w = w, u
-        higher.setdefault(u, set()).add(w)
-        higher.setdefault(w, set())
-    found: set[Clique] = set()
-    for u, above in higher.items():
-        extend_cliques(higher, above, p - 1, (u,), found)
-    return found
-
-
-def cliques_containing_edge(graph: nx.Graph, edge: tuple[int, int], p: int) -> set[Clique]:
-    """All ``K_p`` instances that contain the given edge."""
-    u, v = edge
-    if not graph.has_edge(u, v):
-        return set()
-    if p == 2:
-        return {canonical_clique((u, v))}
-    common = set(graph.neighbors(u)) & set(graph.neighbors(v))
-    result: set[Clique] = set()
-    for extension in itertools.combinations(sorted(common), p - 2):
-        if all(graph.has_edge(a, b) for a, b in itertools.combinations(extension, 2)):
-            result.add(canonical_clique((u, v) + extension))
-    return result
-
-
-def triangles_of_vertex(graph: nx.Graph, vertex: int) -> set[Clique]:
-    """All triangles containing ``vertex`` (used by the local-search baseline)."""
-    neighbors = sorted(graph.neighbors(vertex))
-    result: set[Clique] = set()
-    for a, b in itertools.combinations(neighbors, 2):
-        if graph.has_edge(a, b):
-            result.add(canonical_clique((vertex, a, b)))
-    return result
+    us = np.asarray(us, dtype=np.int64)
+    ws = np.asarray(ws, dtype=np.int64)
+    if (loops := np.flatnonzero(us == ws)).size:
+        raise self_loop(int(us[loops[0]]))
+    ids = sorted_distinct(np.concatenate((us, ws)))
+    if p == 1:
+        return ids[:, None]
+    # Dense ids 0..k-1; edge keys low * k + high, sorted, so the higher
+    # neighbours of ``v`` are ``heads[starts[v]:starts[v + 1]]``, increasing.
+    k = ids.size
+    keys = sorted_distinct(
+        np.searchsorted(ids, np.minimum(us, ws)) * k + np.searchsorted(ids, np.maximum(us, ws))
+    )
+    tails, heads = np.divmod(keys, k)
+    starts = np.searchsorted(tails, np.arange(k + 1))
+    cliques = np.column_stack((tails, heads))
+    for _ in range(p - 2):
+        # A block's rows share the multiple of _BLOCK_CANDIDATES that their
+        # running candidate counts have passed.
+        counts = starts[cliques[:, -1] + 1] - starts[cliques[:, -1]]
+        cuts = np.flatnonzero(np.diff(np.cumsum(counts) // _BLOCK_CANDIDATES)) + 1
+        grown = [np.empty((0, cliques.shape[1] + 1), dtype=np.int64)]
+        for block, sizes in zip(np.split(cliques, cuts), np.split(counts, cuts)):
+            # Each row's candidates: the higher neighbours of its last vertex.
+            row = np.repeat(np.arange(len(block)), sizes)
+            shift = starts[block[:, -1]] - np.cumsum(sizes) + sizes
+            new = heads[np.arange(row.size) + np.repeat(shift, sizes)]
+            for column in block.T[:-1]:
+                probe = column[row] * k + new
+                hit = keys[np.minimum(np.searchsorted(keys, probe), keys.size - 1)] == probe
+                row, new = row[hit], new[hit]
+            grown.append(np.column_stack((block[row], new)))
+        cliques = np.concatenate(grown)
+    return ids[cliques]

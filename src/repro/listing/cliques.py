@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import networkx as nx
+import numpy as np
 
 from repro.congest.cost import RoutingOverhead
 from repro.decomposition.cluster import KpCompatibleCluster
@@ -183,7 +184,7 @@ class CliqueListing:
             )
         tree = result.tree
         split = result.split
-        found: set[Clique] = set()
+        leaves: list[set[Edge]] = []
         received_load: dict[int, int] = {}
         for (path, part_index), owner in result.assignment.owner.items():
             node = tree.node_at(path)
@@ -194,7 +195,14 @@ class CliqueListing:
                     ancestors[first].vertices(), ancestors[second].vertices()
                 )
             received_load[owner] = received_load.get(owner, 0) + len(learned)
-            found |= cliques_in_edge_set(learned, self.p)
+            leaves.append(learned)
+        # One kernel pass over every leaf's edges, as ids of G's index: leaf
+        # ``t``'s vertex ``v`` is ``t * n + v``, so no clique spans two leaves.
+        index, n = task.index, task.index.n
+        ends = index.ids(itertools.chain.from_iterable(itertools.chain(*leaves)))
+        base = np.repeat(np.arange(len(leaves)) * n, [len(learned) for learned in leaves])
+        rows = cliques_in_edge_set(base + ends[0::2], base + ends[1::2], self.p)
+        found = set(index.label_rows(rows % n))
 
         # Final edge-delivery step of Lemma 37: every V^- vertex pushes its
         # edges to the leaf owners that need them.  Loads are

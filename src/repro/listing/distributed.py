@@ -110,7 +110,7 @@ from repro.engine.vector import (
 )
 from repro.experiments.session import Session
 from repro.graphs.cliques import Clique, cliques_in_edge_set
-from repro.graphs.index import LabelCSR, canonical_edge, unique_triples
+from repro.graphs.index import LabelCSR, sorted_distinct, unique_triples
 from repro.listing.local import charge_exhaustive_pass, cliques_through_vertex
 from repro.listing.recursion import (
     ClusterTask,
@@ -319,7 +319,8 @@ class ListingVertex(VertexAlgorithm):
     * edge learning — round 0: demand sources inject ``edge`` packets
       (``inject``); relays forward them along their tables (``forward``);
       owners collect them and finally list the cliques among the learned
-      edges with :func:`~repro.graphs.cliques.cliques_in_edge_set`.
+      edges, as ids of the plan's index, with the kernel
+      :func:`~repro.graphs.cliques.cliques_in_edge_set`.
 
     Expected message counts are part of the plan, so every vertex can halt
     locally the moment its counters are met — there is no global
@@ -333,6 +334,7 @@ class ListingVertex(VertexAlgorithm):
         vertex_id = plan.index.id_of[vertex]
         inject, forward, preloaded = plan.packet_tables
         self._p = plan.p
+        self._index = plan.index
         self._is_lister = bool(plan.lister[vertex_id])
         self._need = plan.counts[vertex_id].tolist()
         self._got = [0] * len(self._need)
@@ -363,7 +365,7 @@ class ListingVertex(VertexAlgorithm):
                 next_hop = self._forward.get(demand_id)
                 if next_hop is None:
                     self._got[_RECEIVED] += 1
-                    self._edges.add(canonical_edge(u, w))
+                    self._edges.add((u, w))
                 else:
                     self._got[_RELAYED] += 1
                     outgoing.append(self.send(next_hop, "edge", (demand_id, u, w)))
@@ -392,27 +394,18 @@ class ListingVertex(VertexAlgorithm):
             return
         found: set[Clique] = set()
         if self._is_lister:
-            found |= cliques_through_vertex(
-                self._induced_neighborhood(), self.vertex, self._p
-            )
+            # The induced neighbourhood: each neighbour reported the lister's
+            # neighbours it is adjacent to, so ``w`` is in ``u``'s reply
+            # exactly when ``u`` is in ``w``'s.
+            view = {u: {self.vertex, *hits} for u, hits in self._replies.items()}
+            view[self.vertex] = set(self.neighbors)
+            found = cliques_through_vertex(view, self.vertex, self._p)
         if self._edges:
-            found |= cliques_in_edge_set(self._edges, self._p)
+            ends = self._index.ids(chain.from_iterable(self._edges))
+            rows = cliques_in_edge_set(ends[0::2], ends[1::2], self._p)
+            found |= set(self._index.label_rows(rows))
         self.output = found
         self.halt()
-
-    def _induced_neighborhood(self) -> dict[Hashable, set]:
-        """The lister's induced neighbourhood as a dict of sets.
-
-        ``u``–``w`` is an edge when ``u`` reported ``w`` or ``w`` reported
-        ``u``, and the lister is adjacent to each of its neighbours.
-        """
-        adjacency: dict[Hashable, set] = {u: {self.vertex} for u in self.neighbors}
-        adjacency[self.vertex] = set(self.neighbors)
-        for neighbor, hits in self._replies.items():
-            adjacency[neighbor].update(hits)
-            for w in hits:
-                adjacency.setdefault(w, set()).add(neighbor)
-        return adjacency
 
 
 # Message kinds of the array path: a delivered value is ``ident << 2 | kind``.
@@ -442,10 +435,13 @@ class ListingVector(VectorAlgorithm):
     dense-id order, and within a sender replies in inbox order, then
     announcements (neighbours in label order, which is CSR order), then
     injects — so every per-edge FIFO, and with it every completion round,
-    matches.  A vertex halts once its counters meet the plan's counts, then
-    lists with :func:`cliques_through_vertex` (listers, over the
-    plan graph: a halted lister has heard every reply) and
-    :func:`cliques_in_edge_set` (owners, over their routed edges).
+    matches.  A vertex halts once its counters meet the plan's counts.
+
+    Outputs are listed once, when the engine asks for them, in at most two
+    passes of the kernel :func:`cliques_in_edge_set`: one over the plan's
+    index, whose every ``K_p`` goes to each halted lister in it (a halted
+    lister has heard every reply, so it knows all of them), and one over
+    every halted owner's edges at once.
 
     Every send is booked on its CSR slot of the plan's index, which is the
     engine's edge id only on the plan's own graph: on any other graph the
@@ -467,7 +463,6 @@ class ListingVector(VectorAlgorithm):
             )
         n = index.n
         self._got = np.zeros((n, 4), dtype=np.int64)
-        self._outputs: dict[int, set[Clique]] = {}
 
         # Announcements: one per CSR slot of a lister, answered on its reverse.
         slots = np.flatnonzero(plan.lister[index.rows])
@@ -482,15 +477,10 @@ class ListingVector(VectorAlgorithm):
         self._hop_is_end = np.zeros(hops.size, dtype=bool)
         self._hop_is_end[ends - 1] = True
         self._hop_edges = plan.hop_slots()
-        # Each owner's edges as label pairs: preloaded, then routed in
-        # demand order.
-        known = np.concatenate(
+        # Every owner's edges, ``(owner, u, w)``: preloaded, then routed.
+        self._known = np.concatenate(
             (plan.preloaded, np.column_stack((hops[ends - 1], plan.route_edges)))
         )
-        order = np.argsort(known[:, 0], kind="stable")
-        self._known = plan.index.label_array[known[order, 1:]]
-        self._known_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(known[:, 0], minlength=n), out=self._known_ptr[1:])
 
         # Round 0: announcements, then injects (on_round groups by sender).
         first = starts + 1
@@ -505,10 +495,7 @@ class ListingVector(VectorAlgorithm):
         )
         self._initial: tuple[np.ndarray, ...] | None = initial
 
-        idle = plan.idle()
-        self.halted |= idle
-        for vertex_id in np.flatnonzero(idle & (np.diff(self._known_ptr) > 0)).tolist():
-            self._finish(vertex_id)
+        self.halted |= plan.idle()
 
     def on_round(self, round_index: int, inbox: VectorInbox) -> VectorSends | None:
         # Only round 0 and an inbox can move a counter.
@@ -522,11 +509,7 @@ class ListingVector(VectorAlgorithm):
         else:
             return None
         complete = (self._got[candidates] >= self.plan.counts[candidates]).all(axis=1)
-        if complete.any():
-            newly = np.unique(candidates[complete])
-            self.halted[newly] = True
-            for vertex_id in newly.tolist():
-                self._finish(vertex_id)
+        self.halted[candidates[complete]] = True
         if not senders.size:
             return None
         order = np.argsort(senders, kind="stable")
@@ -565,22 +548,29 @@ class ListingVector(VectorAlgorithm):
         out_edges[relay] = self._hop_edges[hop]
         return (receivers[rows], *out)
 
-    def _finish(self, vertex_id: int) -> None:
-        plan = self.plan
-        found: set[Clique] = set()
-        if plan.lister[vertex_id]:
-            found |= cliques_through_vertex(
-                plan.graph.adj, self.topology.nodes[vertex_id], plan.p
-            )
-        first, last = self._known_ptr[vertex_id : vertex_id + 2]
-        if last > first:
-            us, ws = self._known[first:last].T.tolist()
-            found |= cliques_in_edge_set(zip(us, ws), plan.p)
-        self._outputs[vertex_id] = found
-
     def outputs(self) -> dict[Hashable, set[Clique]]:
-        outputs = self._outputs
-        return {v: outputs.get(i, set()) for i, v in enumerate(self.topology.nodes)}
+        plan, index, halted = self.plan, self.plan.index, self.halted
+        n = index.n
+        found: list[set[Clique]] = [set() for _ in range(n)]
+        listers = plan.lister & halted
+        if listers.any():
+            rows = cliques_in_edge_set(index.rows, index.indices, plan.p)
+            if plan.p == 1:  # a lister is its own K_1, isolated or not
+                rows = np.flatnonzero(listers)[:, None]
+            cliques = index.label_rows(rows)
+            at, column = np.nonzero(listers[rows])
+            for vertex, row in zip(rows[at, column].tolist(), at.tolist()):
+                found[vertex].add(cliques[row])
+        # Owner ``o``'s vertex ``v`` is ``o * n + v``: no clique spans two
+        # owners, and each row's first entry names its owner.
+        known = self._known[halted[self._known[:, 0]]]
+        if known.size:
+            base = known[:, 0] * n
+            rows = cliques_in_edge_set(base + known[:, 1], base + known[:, 2], plan.p)
+            cliques = index.label_rows(rows % n)
+            for owner, clique in zip((rows[:, 0] // n).tolist(), cliques):
+                found[owner].add(clique)
+        return dict(zip(self.topology.nodes, found))
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +871,7 @@ class DistributedListingDriver:
         the residual endpoints learn their induced 2-hop neighbourhood in
         ``G`` and list every clique through themselves.
         """
-        endpoints = np.unique(index.ids(chain.from_iterable(residual)))
+        endpoints = sorted_distinct(index.ids(chain.from_iterable(residual)))
         plan, predicted = self._plan_exhaustive_pass(
             graph, index, endpoints, p, phase="fallback-exhaustive"
         )

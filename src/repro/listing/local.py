@@ -10,19 +10,21 @@ is adjacent to (another ``α`` rounds).  Knowing the induced neighbourhood,
 The module provides both the centralized computation (which cliques each
 low-degree vertex reports) and the round cost, and is used (a) inside the
 listing algorithms for the low-degree vertices of each cluster and (b) as the
-standalone exhaustive-search baseline of experiment E8.
+standalone exhaustive-search baseline of experiment E8.  It lists with one
+pass of the kernel :func:`~repro.graphs.cliques.cliques_in_edge_set`.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping
 
 import networkx as nx
+import numpy as np
 
 from repro.congest.cost import CostAccountant
-from repro.graphs.cliques import Clique, extend_cliques
+from repro.graphs.cliques import Clique, cliques_in_edge_set
+from repro.graphs.index import LabelCSR
 
 
 def exhaustive_rounds_bound(alpha: int) -> int:
@@ -42,32 +44,28 @@ def cliques_through_vertex(
     yields the neighbours of ``v``, so an ``nx.Graph`` and a dict of sets
     both qualify, and only ``vertex`` and its neighbours are looked up.
     This is exactly what the vertex can compute after learning its induced
-    neighbourhood: every clique through ``v`` consists of ``v`` plus a
-    ``(p-1)``-clique among its neighbours, listed by
-    :func:`~repro.graphs.cliques.extend_cliques`.
+    neighbourhood: every clique through ``v`` lies in ``v``'s closed
+    neighbourhood, whose ``K_p`` the kernel
+    :func:`~repro.graphs.cliques.cliques_in_edge_set` lists.
     """
-    if p < 1:
-        return set()
-    order = sorted(graph[vertex])
-    higher = {u: set(order[i + 1 :]).intersection(graph[u]) for i, u in enumerate(order)}
-    split = bisect.bisect(order, vertex)
-    below, above = set(order[:split]), set(order[split:])
-    found: set[Clique] = set()
+    return _cliques_through(graph, [vertex], p)
 
-    def through(prefix: Clique, candidates: set, size: int) -> None:
-        # ``prefix`` holds the clique's members below ``vertex`` chosen so
-        # far; ``vertex`` goes next, or another member below it does.
-        extend_cliques(higher, candidates & above, size, prefix + (vertex,), found)
-        if size == 1:
-            found.update([prefix + (c, vertex) for c in candidates & below])
-        elif size:
-            for c in candidates & below:
-                narrowed = candidates & higher[c]
-                if len(narrowed) >= size - 1:
-                    through(prefix + (c,), narrowed, size - 1)
 
-    through((), below | above, p - 1)
-    return found
+def _cliques_through(
+    graph: Mapping[Hashable, Iterable[Hashable]], vertices: list, p: int
+) -> set[Clique]:
+    """Every ``K_p`` of ``graph`` through one of ``vertices``: one kernel pass
+    over their closed neighbourhood, keeping the rows that contain one."""
+    if p == 1:
+        return {(v,) for v in vertices}
+    closure = set(vertices).union(*(graph[v] for v in vertices))
+    index = LabelCSR.from_edges(
+        ((u, w) for u in closure for w in graph[u] if w in closure), closure
+    )
+    rows = cliques_in_edge_set(index.rows, index.indices, p)
+    mine = np.zeros(index.n, dtype=bool)
+    mine[index.ids(vertices)] = True
+    return set(index.label_rows(rows[mine[rows].any(axis=1)]))
 
 
 def charge_exhaustive_pass(
@@ -138,9 +136,6 @@ def two_hop_exhaustive_listing(
     rounds = exhaustive_rounds_bound(alpha)
     if accountant is not None:
         charge_exhaustive_pass(graph, vertex_list, alpha, accountant, phase=phase)
-    cliques: set[Clique] = set()
-    for vertex in vertex_list:
-        cliques |= cliques_through_vertex(graph, vertex, p)
     return ExhaustiveListingOutcome(
-        cliques=cliques, rounds=rounds, vertices_processed=len(vertex_list)
+        _cliques_through(graph, vertex_list, p), rounds, len(vertex_list)
     )

@@ -31,8 +31,8 @@ from repro.congest.metrics import CongestMetrics
 from repro.decomposition.cluster import K3CompatibleCluster
 from repro.decomposition.routing import ClusterRouter
 from repro.graphs.cliques import Clique, cliques_in_edge_set
-from repro.graphs.index import unique_triples
-from repro.listing.local import charge_exhaustive_pass, two_hop_exhaustive_listing
+from repro.graphs.index import sorted_distinct, unique_triples
+from repro.listing.local import charge_exhaustive_pass
 from repro.listing.recursion import ClusterTask, ListingResult, RecursiveListingDriver
 from repro.partition_trees.construction import construct_k3_partition_tree
 from repro.partition_trees.tree import HTreeConstraints
@@ -206,21 +206,22 @@ class TriangleListing:
 
         Listers report every triangle through themselves in their 2-hop
         working-graph view (Lemma 35); each ``V_C^*`` owner reports the
-        triangles among the ancestor-part edges it learned.  This is
-        exactly what the per-vertex outputs of the distributed protocol
-        union to, which is what makes the two modes output-equivalent.
+        triangles among the ancestor-part edges it learned.  One kernel
+        pass over the working graph serves the listers, one over every
+        owner's edges (owner ``o``'s vertex ``v`` encoded ``o * n + v``) the
+        owners.  This is exactly what the per-vertex outputs of the
+        distributed protocol union to, which is what makes the two modes
+        output-equivalent.
         """
-        found: set[Clique] = set()
-        for listers in (blueprint.low_degree, blueprint.tiny_core):
-            if listers:
-                found |= two_hop_exhaustive_listing(
-                    blueprint.cluster.cluster_graph, listers, p=3
-                ).cliques
-        rows = blueprint.owner_edges
-        labels = blueprint.cluster.index.label_array[rows[:, 1:]]
-        for edges in np.split(labels, np.flatnonzero(np.diff(rows[:, 0])) + 1):
-            found |= cliques_in_edge_set(edges.tolist(), 3)
-        return found
+        index = blueprint.cluster.index
+        n = index.n
+        lister = np.zeros(n, dtype=bool)
+        lister[index.ids(blueprint.listers)] = True
+        rows = cliques_in_edge_set(index.rows, index.indices, 3)
+        owners, us, ws = blueprint.owner_edges.T
+        learned = cliques_in_edge_set(owners * n + us, owners * n + ws, 3)
+        found = np.concatenate((rows[lister[rows].any(axis=1)], learned % n))
+        return set(index.label_rows(found))
 
     def _plan_high_degree(
         self,
@@ -258,7 +259,7 @@ class TriangleListing:
 
         for (path, part_index), owner in result.assignment.owner.items():
             parts = tree.ancestor_parts(tree.node_at(path), part_index)
-            edges = np.unique(np.concatenate([
+            edges = sorted_distinct(np.concatenate([
                 core.edges_between((left.lo, left.hi), (right.lo, right.hi))
                 for left, right in itertools.combinations(parts, 2)
             ]))

@@ -188,6 +188,21 @@ def test_each_vertex_outputs_exactly_its_own_cliques(backend, p):
     assert plan.demands == 6 and plan.preloaded.tolist() == [[6, 6, 7]]
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_an_isolated_lister_lists_the_same_on_both_paths(p):
+    """The vector path lists from the plan's edges, yet an isolated lister
+    is still its own ``K_1``, as its per-vertex twin reports."""
+    graph = nx.complete_graph(3)
+    graph.add_node(3)
+    plan = plan_two_hop_protocol(graph, [0, 3], p)
+    reference, vectorized = (
+        Session().execute(plan.graph, plan.factory(), backend=backend).outputs
+        for backend in ("reference", "vectorized")
+    )
+    assert vectorized == reference
+    assert vectorized[3] == ({(3,)} if p == 1 else set())
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
     "scenario",

@@ -8,7 +8,6 @@ import pytest
 from repro.graphs import (
     canonical_clique,
     clustered_communities,
-    cliques_containing_edge,
     conductance_of_cut,
     count_cliques,
     degree_statistics,
@@ -24,7 +23,6 @@ from repro.graphs import (
     spectral_gap,
     volume,
 )
-from repro.graphs.cliques import triangles_of_vertex
 
 
 class TestGenerators:
@@ -139,16 +137,3 @@ class TestCliqueEnumeration:
                     if u != v:
                         assert planted_graph.has_edge(u, v)
 
-    def test_cliques_containing_edge(self):
-        graph = nx.complete_graph(5)
-        found = cliques_containing_edge(graph, (0, 1), 3)
-        assert found == {(0, 1, 2), (0, 1, 3), (0, 1, 4)}
-        assert cliques_containing_edge(graph, (0, 1), 5) == {(0, 1, 2, 3, 4)}
-
-    def test_cliques_containing_missing_edge_is_empty(self):
-        graph = nx.path_graph(4)
-        assert cliques_containing_edge(graph, (0, 3), 3) == set()
-
-    def test_triangles_of_vertex(self, tiny_triangle_graph):
-        assert triangles_of_vertex(tiny_triangle_graph, 2) == {(0, 1, 2), (1, 2, 3)}
-        assert triangles_of_vertex(tiny_triangle_graph, 4) == set()

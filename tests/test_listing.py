@@ -1,10 +1,19 @@
 """End-to-end tests of the deterministic listing algorithms (Theorems 32, 36)."""
 
+from unittest import mock
+
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro import CliqueListing, TriangleListing, list_cliques, list_triangles, validate_listing
+from repro.baselines import (
+    congested_clique_listing,
+    naive_listing,
+    neighborhood_exchange_listing,
+    randomized_partition_listing,
+)
 from repro.congest.cost import subpolynomial_overhead, unit_overhead
 from repro.decomposition import expander
 from repro.decomposition.expander import expander_decompose
@@ -18,6 +27,7 @@ from repro.graphs import (
     power_law,
     ring_of_cliques,
 )
+from repro.graphs import cliques
 from repro.graphs.cliques import cliques_in_edge_set
 from repro.listing import list_cliques_distributed
 from repro.listing.local import (
@@ -38,9 +48,11 @@ def nx_cliques(graph: nx.Graph, p: int, vertex=None) -> set:
 
 @st.composite
 def kernel_cases(draw, max_vertices=12):
-    """A graph on arbitrary integer ids, one of its vertices, and an edge subset."""
+    """A graph on ids up to ``2**40``, one of its vertices, an edge subset,
+    and that subset listed in random orientation with repeats, each listed
+    edge tagged with one of three edge sets."""
     n = draw(st.integers(min_value=1, max_value=max_vertices))
-    ids = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True))
+    ids = draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n, unique=True))
     pairs = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     graph = nx.Graph()
@@ -49,7 +61,11 @@ def kernel_cases(draw, max_vertices=12):
     edges = list(graph.edges)
     in_subset = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
     subset = [edge for edge, kept in zip(edges, in_subset) if kept]
-    return graph, draw(st.sampled_from(ids)), subset
+    listed = subset + (draw(st.lists(st.sampled_from(subset), max_size=4)) if subset else [])
+    flips = draw(st.lists(st.booleans(), min_size=len(listed), max_size=len(listed)))
+    listed = [(w, u) if flip else (u, w) for (u, w), flip in zip(listed, flips)]
+    tags = draw(st.lists(st.integers(0, 2), min_size=len(listed), max_size=len(listed)))
+    return graph, draw(st.sampled_from(ids)), subset, listed, tags
 
 
 class TestExhaustiveLocalListing:
@@ -62,16 +78,36 @@ class TestExhaustiveLocalListing:
         assert len(cliques_through_vertex(graph, 0, 3)) == 10  # C(5,2)
         assert len(cliques_through_vertex(graph, 0, 4)) == 10  # C(5,3)
 
-    @given(case=kernel_cases(), p=st.integers(min_value=2, max_value=5))
-    @example(case=(nx.empty_graph(3), 1, []), p=2)  # isolated vertex, empty S
-    @example(case=(nx.complete_graph(4), 2, list(nx.complete_graph(4).edges)), p=5)
+    @given(case=kernel_cases(), p=st.integers(min_value=1, max_value=5))
+    @example(case=(nx.empty_graph(3), 1, [], [], []), p=2)  # isolated vertex, empty S
+    @example(case=(nx.empty_graph(3), 1, [], [], []), p=1)
+    @example(
+        case=(nx.complete_graph(4), 2, list(nx.complete_graph(4).edges), [(0, 1)], [0]), p=5
+    )
     @settings(max_examples=150, deadline=None)
     def test_clique_kernel_matches_networkx(self, case, p):
-        graph, vertex, subset = case
+        graph, vertex, subset, listed, tags = case
         assert cliques_through_vertex(graph, vertex, p) == nx_cliques(graph, p, vertex)
         adjacency = {u: set(graph[u]) for u in graph}
         assert cliques_through_vertex(adjacency, vertex, p) == nx_cliques(graph, p, vertex)
-        assert cliques_in_edge_set(subset, p) == nx_cliques(nx.Graph(subset), p)
+        # The kernel on id arrays: every K_p once, as increasing rows in
+        # lexicographic order.
+        us, ws = np.array(listed, dtype=np.int64).reshape(-1, 2).T
+        rows = cliques_in_edge_set(us, ws, p)
+        assert rows.dtype == np.int64 and rows.shape == (len(rows), p)
+        assert (np.diff(rows, axis=1) > 0).all()
+        assert rows.tolist() == sorted(map(list, nx_cliques(nx.Graph(subset), p)))
+        # Edge sets batched in one call, set ``s``'s vertex ``v`` encoded
+        # ``s * N + v``, list the union of the per-set calls, in order.
+        width, tags = 2**40 + 1, np.array(tags, dtype=np.int64)
+        batched = cliques_in_edge_set(tags * width + us, tags * width + ws, p)
+        per_set = [
+            s * width + cliques_in_edge_set(us[tags == s], ws[tags == s], p) for s in range(3)
+        ]
+        assert batched.tolist() == np.concatenate(per_set).tolist()
+        # Growing cliques in blocks of any size lists the same rows.
+        with mock.patch.object(cliques, "_BLOCK_CANDIDATES", 1):
+            assert cliques_in_edge_set(us, ws, p).tolist() == rows.tolist()
 
     def test_two_hop_covers_all_cliques_through_selected_vertices(self, planted_graph):
         vertices = list(planted_graph.nodes)[:20]
@@ -236,12 +272,17 @@ class TestValidationReport:
         pytest.param(lambda graph: list_cliques_distributed(graph, 3), id="distributed-p3"),
         pytest.param(lambda graph: list_cliques_distributed(graph, 4), id="distributed-p4"),
         pytest.param(expander_decompose, id="expander_decompose"),
+        pytest.param(congested_clique_listing, id="congested_clique_listing"),
+        pytest.param(randomized_partition_listing, id="randomized_partition_listing"),
+        pytest.param(naive_listing, id="naive_listing"),
+        pytest.param(neighborhood_exchange_listing, id="neighborhood_exchange_listing"),
     ],
 )
 def test_a_self_loop_is_refused_where_the_edges_are_indexed(entry, monkeypatch):
-    """``K_5`` plus ``(0, 0)`` used to list ``(0, 0, x)`` as triangles, and to
-    spin the distributed ``p = 4`` protocol to its round cap.  Now indexing
-    the edges refuses it, before any component search or engine round."""
+    """``K_5`` plus ``(0, 0)`` used to list ``(0, 0, x)`` as triangles (the
+    baselines listed 14 or 15 of its 10), and to spin the distributed
+    ``p = 4`` protocol to its round cap.  Now indexing the edges refuses it,
+    before any component search or engine round."""
 
     def never(*args, **kwargs):
         raise AssertionError("ran past the index of a graph with a self-loop")
