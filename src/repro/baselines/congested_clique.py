@@ -26,7 +26,8 @@ import numpy as np
 
 from repro.congest.metrics import CongestMetrics
 from repro.graphs import LabelCSR
-from repro.graphs.cliques import Clique, cliques_in_edge_set
+from repro.graphs.cliques import Clique, cliques_by_group
+from repro.graphs.index import sorted_distinct
 from repro.listing.recursion import ListingResult
 
 
@@ -46,8 +47,8 @@ def list_by_part_tuples(
 ) -> tuple[np.ndarray, set[Clique], int, int]:
     """Partition listing: each ``p``-tuple of parts (with repetition) learns
     the edges between its parts and lists the cliques among them.  All
-    tuples list in one kernel pass over the ids of ``graph``'s index, tuple
-    ``t``'s vertex ``v`` encoded ``t * n + v``.
+    tuples list in one kernel pass over the ids of ``graph``'s index, one
+    group per tuple.
 
     Returns the number of edges of each part pair ``i <= j`` at ``i * parts
     + j``, the cliques, the number of reports before deduplication and the
@@ -57,16 +58,23 @@ def list_by_part_tuples(
     n, upper = index.n, index.rows < index.indices
     part = np.fromiter(map(part_of.__getitem__, index.labels), dtype=np.int64, count=n)
     us, ws = index.rows[upper], index.indices[upper]
+    pair = np.minimum(part[us], part[ws]) * parts + np.maximum(part[us], part[ws])
     tuples = np.array(list(itertools.combinations_with_replacement(range(parts), p)))
-    inside = np.zeros((len(tuples), parts), dtype=bool)
-    inside[np.arange(len(tuples))[:, None], tuples] = True
-    learned = inside[:, part[us]] & inside[:, part[ws]]
-    t, edges = np.nonzero(learned)
-    rows = cliques_in_edge_set(t * n + us[edges], t * n + ws[edges], p)
-    low, high = np.minimum(part[us], part[ws]), np.maximum(part[us], part[ws])
-    pair_sizes = np.bincount(low * parts + high, minlength=parts * parts)
-    max_load = int(learned.sum(axis=1).max())
-    return pair_sizes, set(index.label_rows(rows % n)), len(rows), max_load
+    k = len(tuples)
+    # Every (part pair, tuple) with both parts in the tuple, ordered by pair.
+    first, second = np.triu_indices(p)
+    holds = sorted_distinct(
+        ((tuples[:, first] * parts + tuples[:, second]) * k + np.arange(k)[:, None]).ravel()
+    )
+    # Each edge goes to the run of tuples holding its pair.
+    start = np.searchsorted(holds, pair * k)
+    count = np.searchsorted(holds, pair * k + k) - start
+    edge = np.repeat(np.arange(pair.size), count)
+    t = holds[np.repeat(start - np.cumsum(count) + count, count) + np.arange(edge.size)] % k
+    _, rows = cliques_by_group(t, us[edge], ws[edge], n, p)
+    pair_sizes = np.bincount(pair, minlength=parts * parts)
+    max_load = int(np.bincount(t, minlength=k).max())
+    return pair_sizes, set(index.label_rows(rows)), len(rows), max_load
 
 
 def congested_clique_listing(graph: nx.Graph, p: int = 3) -> tuple[ListingResult, CongestedCliqueReport]:

@@ -17,10 +17,14 @@ or a faster backend; the asymptotic scaling experiments use
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from typing import TYPE_CHECKING, Hashable
 
 import networkx as nx
+import numpy as np
 
 from repro.congest.message import Message, words_for_payload
 from repro.congest.metrics import CongestMetrics
@@ -38,7 +42,8 @@ class SynchronousRun:
     Attributes:
         rounds: number of synchronous rounds executed.
         metrics: full round/message accounting.
-        outputs: per-vertex ``output`` attribute after termination.
+        outputs: per-vertex ``output`` attribute after termination (a
+            dict, or a :class:`TableOutputs`).
         halted: whether every vertex halted (as opposed to hitting the
             round limit).  Crashed vertices (vertex-fault scenarios) are
             excluded: a run is ``halted`` when every *surviving* vertex
@@ -53,18 +58,51 @@ class SynchronousRun:
 
     rounds: int
     metrics: CongestMetrics
-    outputs: dict[Hashable, object]
+    outputs: Mapping[Hashable, object]
     halted: bool
     round_stretch: float | None = None
     reseats: int | None = None
 
     def combined_output(self) -> set:
         """Union of all per-vertex outputs that are sets (listing results)."""
+        if isinstance(self.outputs, TableOutputs):
+            return set(self.outputs.union)
         combined: set = set()
         for value in self.outputs.values():
             if isinstance(value, (set, frozenset, list, tuple)):
                 combined.update(value)
         return combined
+
+
+class TableOutputs(Mapping):
+    """Per-vertex set outputs over one table: ``nodes[vertex[j]]`` reports
+    ``table[entry[j]]``.  Their :attr:`union` (what
+    :meth:`SynchronousRun.combined_output` returns) is built with them, a
+    vertex's own set only when it is read."""
+
+    def __init__(self, nodes: list, table: list, vertex: np.ndarray, entry: np.ndarray):
+        self._nodes, self._table, self._vertex, self._entry = nodes, table, vertex, entry
+        used = np.zeros(len(table), dtype=bool)
+        used[entry] = True
+        self.union = frozenset(compress(table, used.tolist()))
+
+    @cached_property
+    def _by_node(self) -> tuple[dict, np.ndarray, np.ndarray]:
+        """Node ids, and the entries by node: node ``i``'s run from ``starts[i]``."""
+        order = np.argsort(self._vertex, kind="stable")
+        starts = np.searchsorted(self._vertex[order], np.arange(len(self._nodes) + 1))
+        return dict(zip(self._nodes, range(len(self._nodes)))), self._entry[order], starts
+
+    def __getitem__(self, node: Hashable) -> set:
+        id_of, entries, starts = self._by_node
+        at = id_of[node]
+        return set(map(self._table.__getitem__, entries[starts[at] : starts[at + 1]].tolist()))
+
+    def __iter__(self):
+        return iter(self._nodes)
+
+    def __len__(self) -> int:
+        return len(self._nodes)
 
 
 class CongestNetwork:

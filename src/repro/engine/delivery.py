@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.congest.message import Message, words_for_payload
 from repro.engine.scenarios import CleanSynchronous, DeliveryScenario
-from repro.graphs.index import sorted_distinct
+from repro.graphs.index import distinct_counts, sorted_distinct
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 Edge = tuple[Hashable, Hashable]
@@ -345,10 +345,9 @@ class WordScheduler:
             group_last[-1] = True
             group_last[:-1] = group_first[1:]
             self.edge_free_at[e[group_last]] = done_sorted[group_last]
-            for rounds, step in ((np.sort(start), 1), (np.sort(done_sorted) + 1, -1)):
-                distinct = sorted_distinct(rounds)
-                counts = np.diff(np.searchsorted(rounds, distinct), append=rounds.size)
-                for r, c in zip(distinct.tolist(), counts.tolist()):
+            for rounds, step in ((start, 1), (done_sorted + 1, -1)):
+                values, counts = distinct_counts(rounds)
+                for r, c in zip(values.tolist(), counts.tolist()):
                     self._level_diff[r] += step * c
         else:
             # Answer "in which round does this edge's k-th word cross?"
@@ -375,7 +374,7 @@ class WordScheduler:
                 round_index,
                 path=path,
                 transfers=count,
-                edges=int(sorted_distinct(edge_ids).size),
+                edges=int(group_first.sum()),
                 deferred=int((done > round_index).sum()),
                 windows=windows,
                 window_cells=window_cells,

@@ -47,7 +47,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable
+from typing import Hashable, Mapping
 
 import networkx as nx
 import numpy as np
@@ -217,8 +217,9 @@ class VectorAlgorithm(ABC):
     def on_round(self, round_index: int, inbox: VectorInbox) -> VectorSends | None:
         """Step every vertex once; return this round's outgoing traffic."""
 
-    def outputs(self) -> dict[Hashable, object]:
-        """Per-vertex outputs keyed by vertex identifier (default: ``None``)."""
+    def outputs(self) -> Mapping[Hashable, object]:
+        """Per-vertex outputs keyed by vertex identifier (default: ``None``):
+        a dict, or a :class:`~repro.congest.network.TableOutputs`."""
         return {v: None for v in self.topology.nodes}
 
 
@@ -351,9 +352,10 @@ class VectorStep:
     def accept(self, delivered: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
         self.inbox = VectorInbox(*delivered)
 
-    def finish(self) -> dict[Hashable, object]:
+    def finish(self) -> Mapping[Hashable, object]:
         outputs = self.algorithm.outputs()
-        outputs.update(self.frozen_outputs)
+        if self.frozen_outputs:
+            outputs = {**outputs, **self.frozen_outputs}
         return outputs
 
 

@@ -8,7 +8,8 @@ which enumerates each instance exactly once.
 Every local step of every listing algorithm (a lister over its 2-hop view,
 an edge owner over the edges it learned) runs :func:`cliques_in_edge_set`
 instead: one array pass over integer ids, which shares no code with the
-ground truth it is checked against.
+ground truth it is checked against; :func:`cliques_by_group` and
+:func:`cliques_through` are its two common uses.
 """
 
 from __future__ import annotations
@@ -134,3 +135,25 @@ def cliques_in_edge_set(us: np.ndarray, ws: np.ndarray, p: int) -> np.ndarray:
             grown.append(np.column_stack((block[row], new)))
         cliques = np.concatenate(grown)
     return ids[cliques]
+
+
+def cliques_by_group(
+    groups: np.ndarray, us: np.ndarray, ws: np.ndarray, n: int, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``K_p`` of each group's edges in one kernel pass: edge ``(us[i],
+    ws[i])`` (ids below ``n``) of group ``groups[i]`` goes in as ``(g * n +
+    us[i], g * n + ws[i])``, so no clique spans two groups.  Returns each
+    clique's group and its increasing id row, ordered by group, then row."""
+    base = np.asarray(groups, dtype=np.int64) * n
+    group, rows = np.divmod(cliques_in_edge_set(base + us, base + ws, p), max(n, 1))
+    return group[:, 0], rows
+
+
+def cliques_through(us: np.ndarray, ws: np.ndarray, mask: np.ndarray, p: int) -> np.ndarray:
+    """Every ``K_p`` of the edges ``(us[i], ws[i])`` (ids below ``len(mask)``)
+    through a vertex ``v`` with ``mask[v]``, as the kernel's rows; at
+    ``p = 1``, the marked vertices, isolated or not."""
+    if p == 1:
+        return np.flatnonzero(mask)[:, None]
+    rows = cliques_in_edge_set(us, ws, p)
+    return rows[mask[rows].any(axis=1)]

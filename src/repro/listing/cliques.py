@@ -26,7 +26,7 @@ import numpy as np
 from repro.congest.cost import RoutingOverhead
 from repro.decomposition.cluster import KpCompatibleCluster
 from repro.decomposition.routing import ClusterRouter
-from repro.graphs.cliques import Clique, cliques_in_edge_set
+from repro.graphs.cliques import Clique, cliques_by_group
 from repro.listing.local import two_hop_exhaustive_listing
 from repro.listing.recursion import ClusterTask, ListingResult, RecursiveListingDriver
 from repro.partition_trees.split_tree import construct_split_kp_tree
@@ -196,13 +196,13 @@ class CliqueListing:
                 )
             received_load[owner] = received_load.get(owner, 0) + len(learned)
             leaves.append(learned)
-        # One kernel pass over every leaf's edges, as ids of G's index: leaf
-        # ``t``'s vertex ``v`` is ``t * n + v``, so no clique spans two leaves.
-        index, n = task.index, task.index.n
+        # One kernel pass over every leaf's edges, as ids of G's index, one
+        # group per leaf.
+        index = task.index
         ends = index.ids(itertools.chain.from_iterable(itertools.chain(*leaves)))
-        base = np.repeat(np.arange(len(leaves)) * n, [len(learned) for learned in leaves])
-        rows = cliques_in_edge_set(base + ends[0::2], base + ends[1::2], self.p)
-        found = set(index.label_rows(rows % n))
+        leaf = np.repeat(np.arange(len(leaves)), [len(learned) for learned in leaves])
+        _, rows = cliques_by_group(leaf, ends[0::2], ends[1::2], index.n, self.p)
+        found = set(index.label_rows(rows))
 
         # Final edge-delivery step of Lemma 37: every V^- vertex pushes its
         # edges to the leaf owners that need them.  Loads are

@@ -98,6 +98,7 @@ import numpy as np
 from repro.congest.cost import CostAccountant, RoutingOverhead, polylog_overhead
 from repro.congest.message import Message, words_for_payload
 from repro.congest.metrics import CongestMetrics
+from repro.congest.network import TableOutputs
 from repro.congest.vertex import VertexAlgorithm
 from repro.engine.backend import Backend
 from repro.engine.runner import resolve_backend
@@ -437,11 +438,12 @@ class ListingVector(VectorAlgorithm):
     injects — so every per-edge FIFO, and with it every completion round,
     matches.  A vertex halts once its counters meet the plan's counts.
 
-    Outputs are listed once, when the engine asks for them, in at most two
-    passes of the kernel :func:`cliques_in_edge_set`: one over the plan's
-    index, whose every ``K_p`` goes to each halted lister in it (a halted
-    lister has heard every reply, so it knows all of them), and one over
-    every halted owner's edges at once.
+    Outputs are listed once per execution, when the engine first asks for
+    them, in at most two passes of the kernel :func:`cliques_in_edge_set`:
+    one over the plan's index, whose every ``K_p`` goes to each lister in it
+    (a halted lister has heard every reply, so it knows them all), and one
+    over every owner's edges at once.  :meth:`outputs` keeps each clique
+    once, in a :class:`~repro.congest.network.TableOutputs`.
 
     Every send is booked on its CSR slot of the plan's index, which is the
     engine's edge id only on the plan's own graph: on any other graph the
@@ -548,29 +550,37 @@ class ListingVector(VectorAlgorithm):
         out_edges[relay] = self._hop_edges[hop]
         return (receivers[rows], *out)
 
-    def outputs(self) -> dict[Hashable, set[Clique]]:
-        plan, index, halted = self.plan, self.plan.index, self.halted
-        n = index.n
-        found: list[set[Clique]] = [set() for _ in range(n)]
-        listers = plan.lister & halted
-        if listers.any():
+    @cached_property
+    def _listed(self) -> tuple[list[Clique], np.ndarray, np.ndarray]:
+        """``(cliques, vertex, entry)``: once halted, vertex ``vertex[j]``
+        lists ``cliques[entry[j]]``.  The kernel is called here as this
+        module's ``cliques_in_edge_set``, the name perfbench's probe times."""
+        plan, index, known = self.plan, self.plan.index, self._known
+        n, lister = index.n, plan.lister
+        rows = owned = np.empty((0, plan.p), dtype=np.int64)
+        owners = np.empty(0, dtype=np.int64)
+        if plan.p == 1:  # a lister is its own K_1, isolated or not
+            rows = np.flatnonzero(lister)[:, None]
+        elif lister.any():
             rows = cliques_in_edge_set(index.rows, index.indices, plan.p)
-            if plan.p == 1:  # a lister is its own K_1, isolated or not
-                rows = np.flatnonzero(listers)[:, None]
-            cliques = index.label_rows(rows)
-            at, column = np.nonzero(listers[rows])
-            for vertex, row in zip(rows[at, column].tolist(), at.tolist()):
-                found[vertex].add(cliques[row])
-        # Owner ``o``'s vertex ``v`` is ``o * n + v``: no clique spans two
-        # owners, and each row's first entry names its owner.
-        known = self._known[halted[self._known[:, 0]]]
-        if known.size:
+            rows = rows[lister[rows].any(axis=1)]
+        if known.size:  # owner ``o``'s vertex ``v`` is ``o * n + v``
             base = known[:, 0] * n
-            rows = cliques_in_edge_set(base + known[:, 1], base + known[:, 2], plan.p)
-            cliques = index.label_rows(rows % n)
-            for owner, clique in zip((rows[:, 0] // n).tolist(), cliques):
-                found[owner].add(clique)
-        return dict(zip(self.topology.nodes, found))
+            owners, owned = np.divmod(
+                cliques_in_edge_set(base + known[:, 1], base + known[:, 2], plan.p), n
+            )
+            owners = owners[:, 0]
+        at, column = np.nonzero(lister[rows])
+        return (
+            index.label_rows(np.concatenate((rows, owned))),
+            np.concatenate((rows[at, column], owners)),
+            np.concatenate((at, len(rows) + np.arange(len(owned)))),
+        )
+
+    def outputs(self) -> TableOutputs:
+        cliques, vertex, entry = self._listed
+        halted = self.halted[vertex]
+        return TableOutputs(self.topology.nodes, cliques, vertex[halted], entry[halted])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ The module provides both the centralized computation (which cliques each
 low-degree vertex reports) and the round cost, and is used (a) inside the
 listing algorithms for the low-degree vertices of each cluster and (b) as the
 standalone exhaustive-search baseline of experiment E8.  It lists with one
-pass of the kernel :func:`~repro.graphs.cliques.cliques_in_edge_set`.
+pass of the clique kernel over the edges of the vertices' 2-hop views
+(:func:`~repro.graphs.cliques.cliques_through`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import networkx as nx
 import numpy as np
 
 from repro.congest.cost import CostAccountant
-from repro.graphs.cliques import Clique, cliques_in_edge_set
+from repro.graphs.cliques import Clique, cliques_through
 from repro.graphs.index import LabelCSR
 
 
@@ -45,8 +46,7 @@ def cliques_through_vertex(
     both qualify, and only ``vertex`` and its neighbours are looked up.
     This is exactly what the vertex can compute after learning its induced
     neighbourhood: every clique through ``v`` lies in ``v``'s closed
-    neighbourhood, whose ``K_p`` the kernel
-    :func:`~repro.graphs.cliques.cliques_in_edge_set` lists.
+    neighbourhood, whose ``K_p`` the clique kernel lists.
     """
     return _cliques_through(graph, [vertex], p)
 
@@ -54,18 +54,21 @@ def cliques_through_vertex(
 def _cliques_through(
     graph: Mapping[Hashable, Iterable[Hashable]], vertices: list, p: int
 ) -> set[Clique]:
-    """Every ``K_p`` of ``graph`` through one of ``vertices``: one kernel pass
-    over their closed neighbourhood, keeping the rows that contain one."""
-    if p == 1:
-        return {(v,) for v in vertices}
+    """Every ``K_p`` of ``graph`` through one of ``vertices``, in one kernel
+    pass over the edges of their 2-hop views: an edge of the subgraph they
+    span goes in when one of them is an end of it or a neighbour of both."""
     closure = set(vertices).union(*(graph[v] for v in vertices))
     index = LabelCSR.from_edges(
         ((u, w) for u in closure for w in graph[u] if w in closure), closure
     )
-    rows = cliques_in_edge_set(index.rows, index.indices, p)
     mine = np.zeros(index.n, dtype=bool)
     mine[index.ids(vertices)] = True
-    return set(index.label_rows(rows[mine[rows].any(axis=1)]))
+    us, ws = index.rows, index.indices
+    seen = mine[us] | mine[ws]
+    if not seen.all():
+        near, rest = index.matrix[:, mine], np.flatnonzero(~seen)
+        seen[rest] = near[us[rest]].multiply(near[ws[rest]]).sum(axis=1) > 0
+    return set(index.label_rows(cliques_through(us[seen], ws[seen], mine, p)))
 
 
 def charge_exhaustive_pass(

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Callable
 
 import networkx as nx
@@ -55,10 +56,9 @@ class ClusterTask:
         cluster_index: index of the cluster within its level.
         cluster: the cluster ``G[E_i]`` (residual edges) as its own index.
         members: the cluster's vertices as increasing ids of ``index``.
-        core: the core vertices ``V_{C_i}^\\circ`` as increasing ids of ``index``.
-        responsibility: the residual edges between two core vertices — the
-            edges this cluster must "finish" (every clique of ``G`` containing
-            one of them must be reported).
+        core: the core vertices ``V_{C_i}^\\circ`` as increasing ids of ``index``;
+            the cluster must "finish" the residual edges between two of them
+            (report every clique of ``G`` containing one).
         accountant: a per-cluster cost accountant (clusters run in parallel;
             the driver folds in only the maximum round count of a level).
     """
@@ -70,7 +70,6 @@ class ClusterTask:
     cluster: LabelCSR
     members: np.ndarray
     core: np.ndarray
-    responsibility: set[Edge]
     accountant: CostAccountant
 
     @cached_property
@@ -233,7 +232,7 @@ class RecursiveListingDriver:
             level_degrees = decomposition.index.degrees
             to_graph = index.ids(decomposition.index.labels)
 
-            handled: set[Edge] = set()
+            handled = []  # (piece, keys) of the edges each cluster finished
             max_cluster_rounds = 0
             cluster_count = 0
             for cluster in decomposition.clusters:
@@ -246,17 +245,19 @@ class RecursiveListingDriver:
                 # A cluster is the residual graph induced on its vertices, so
                 # the residual edges between core vertices are cluster edges.
                 keys = piece.rows[finish] * piece.n + piece.indices[finish]
-                responsibility = set(piece.label_pairs(keys))
                 members = to_graph[cluster.members]
                 task = ClusterTask(
                     graph=graph, index=index, level=level, cluster_index=cluster.index,
                     cluster=piece, members=members, core=members[inner],
-                    responsibility=responsibility, accountant=self.new_accountant(n),
+                    accountant=self.new_accountant(n),
                 )
                 found = handler(task)
                 reports += len(found)
-                cliques |= found
-                handled |= responsibility
+                if cliques:
+                    cliques |= found
+                else:  # a handler's set is its own: keep the first one
+                    cliques = found
+                handled.append((piece, keys))
                 max_cluster_rounds = max(max_cluster_rounds, task.accountant.metrics.rounds)
                 # Rounds are parallel across clusters (max), messages add up.
                 metrics.add_messages(
@@ -269,21 +270,29 @@ class RecursiveListingDriver:
             # most expensive cluster (the factor-2 edge reuse of the paper is
             # absorbed in the routing overhead).
             global_accountant.local_rounds(max_cluster_rounds, phase=f"level{level}:clusters")
+            handled_edges = sum(keys.size for _, keys in handled)
             level_reports.append(
                 LevelReport(
                     level=level,
                     residual_edges=len(residual),
                     clusters=cluster_count,
-                    handled_edges=len(handled),
+                    handled_edges=handled_edges,
                     remainder_fraction=decomposition.remainder_fraction(),
                     max_cluster_rounds=max_cluster_rounds,
                     decomposition_rounds=decomposition_rounds,
                 )
             )
 
-            if not handled:
+            if not handled_edges:
                 break
-            residual -= handled
+            # Clusters are vertex-disjoint: no edge is handled twice.  One
+            # bulk removal keeps the set's table, so the clusters' order.
+            if handled_edges == len(residual):
+                residual.clear()
+            else:
+                residual.difference_update(
+                    chain.from_iterable(piece.label_pairs(keys) for piece, keys in handled)
+                )
             level += 1
 
         # Safety net: exhaustively cover whatever the recursion left behind.

@@ -30,7 +30,7 @@ from repro.congest.cost import CostAccountant, RoutingOverhead, polylog_overhead
 from repro.congest.metrics import CongestMetrics
 from repro.decomposition.cluster import K3CompatibleCluster
 from repro.decomposition.routing import ClusterRouter
-from repro.graphs.cliques import Clique, cliques_in_edge_set
+from repro.graphs.cliques import Clique, cliques_by_group, cliques_through
 from repro.graphs.index import sorted_distinct, unique_triples
 from repro.listing.local import charge_exhaustive_pass
 from repro.listing.recursion import ClusterTask, ListingResult, RecursiveListingDriver
@@ -208,20 +208,17 @@ class TriangleListing:
         working-graph view (Lemma 35); each ``V_C^*`` owner reports the
         triangles among the ancestor-part edges it learned.  One kernel
         pass over the working graph serves the listers, one over every
-        owner's edges (owner ``o``'s vertex ``v`` encoded ``o * n + v``) the
-        owners.  This is exactly what the per-vertex outputs of the
-        distributed protocol union to, which is what makes the two modes
-        output-equivalent.
+        owner's edges, one group per owner, the owners.  This is exactly
+        what the per-vertex outputs of the distributed protocol union to,
+        which is what makes the two modes output-equivalent.
         """
         index = blueprint.cluster.index
-        n = index.n
-        lister = np.zeros(n, dtype=bool)
+        lister = np.zeros(index.n, dtype=bool)
         lister[index.ids(blueprint.listers)] = True
-        rows = cliques_in_edge_set(index.rows, index.indices, 3)
         owners, us, ws = blueprint.owner_edges.T
-        learned = cliques_in_edge_set(owners * n + us, owners * n + ws, 3)
-        found = np.concatenate((rows[lister[rows].any(axis=1)], learned % n))
-        return set(index.label_rows(found))
+        _, learned = cliques_by_group(owners, us, ws, index.n, 3)
+        listed = cliques_through(index.rows, index.indices, lister, 3)
+        return set(index.label_rows(np.concatenate((listed, learned))))
 
     def _plan_high_degree(
         self,

@@ -26,6 +26,7 @@ from repro.listing import (
 )
 from repro.listing import distributed
 from repro.listing.distributed import add_edge_learning, plan_two_hop_protocol
+from repro.robust import CrashStopVertexScenario
 
 BACKENDS = ["reference", "vectorized"]
 
@@ -201,6 +202,34 @@ def test_an_isolated_lister_lists_the_same_on_both_paths(p):
     )
     assert vectorized == reference
     assert vectorized[3] == ({(3,)} if p == 1 else set())
+
+
+def test_crashed_vertices_keep_their_outputs_and_list_no_more(monkeypatch):
+    """Each crash event snapshots every output, yet an execution still makes
+    at most two kernel calls, and every output, frozen at a crash or final,
+    is its per-vertex twin's."""
+    plan, _ = _per_vertex_plan(3)
+    kernel, calls = distributed.cliques_in_edge_set, []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(distributed, "cliques_in_edge_set", counted)
+    outputs, crashes = {}, {}
+    for backend in ("reference", "vectorized"):
+        calls.clear()
+        scenario = CrashStopVertexScenario(max_faulty=3, first_round=2, window=12, seed=37)
+        outputs[backend] = Session().execute(
+            plan.graph, plan.factory(), backend=backend, scenario=scenario
+        ).outputs
+        crashes[backend] = scenario.crash_rounds()
+    assert outputs["vectorized"] == outputs["reference"]
+    # Three crash events; lister 0 crashes after it halted, with its cliques,
+    # and owner 6 finishes.
+    assert crashes["vectorized"] == {0: 8, 7: 5, 9: 13}
+    assert outputs["vectorized"][0] and outputs["vectorized"][6]
+    assert 1 <= len(calls) <= 2
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

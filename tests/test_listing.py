@@ -19,6 +19,7 @@ from repro.decomposition import expander
 from repro.decomposition.expander import expander_decompose
 from repro.experiments import Session
 from repro.graphs import (
+    LabelCSR,
     clustered_communities,
     enumerate_cliques,
     erdos_renyi,
@@ -28,7 +29,7 @@ from repro.graphs import (
     ring_of_cliques,
 )
 from repro.graphs import cliques
-from repro.graphs.cliques import cliques_in_edge_set
+from repro.graphs.cliques import cliques_by_group, cliques_in_edge_set, cliques_through
 from repro.listing import list_cliques_distributed
 from repro.listing.local import (
     cliques_through_vertex,
@@ -99,12 +100,18 @@ class TestExhaustiveLocalListing:
         assert rows.tolist() == sorted(map(list, nx_cliques(nx.Graph(subset), p)))
         # Edge sets batched in one call, set ``s``'s vertex ``v`` encoded
         # ``s * N + v``, list the union of the per-set calls, in order.
-        width, tags = 2**40 + 1, np.array(tags, dtype=np.int64)
-        batched = cliques_in_edge_set(tags * width + us, tags * width + ws, p)
-        per_set = [
-            s * width + cliques_in_edge_set(us[tags == s], ws[tags == s], p) for s in range(3)
-        ]
+        tags = np.array(tags, dtype=np.int64)
+        group, batched = cliques_by_group(tags, us, ws, 2**40 + 1, p)
+        per_set = [cliques_in_edge_set(us[tags == s], ws[tags == s], p) for s in range(3)]
         assert batched.tolist() == np.concatenate(per_set).tolist()
+        assert group.tolist() == [s for s, rows in enumerate(per_set) for _ in rows]
+        # The cliques of an index through a marked vertex, an isolated one
+        # included at p = 1.
+        index = LabelCSR.from_graph(graph)
+        marked = np.zeros(index.n, dtype=bool)
+        marked[index.id_of[vertex]] = True
+        through = set(index.label_rows(cliques_through(index.rows, index.indices, marked, p)))
+        assert through == nx_cliques(graph, p, vertex)
         # Growing cliques in blocks of any size lists the same rows.
         with mock.patch.object(cliques, "_BLOCK_CANDIDATES", 1):
             assert cliques_in_edge_set(us, ws, p).tolist() == rows.tolist()
