@@ -30,6 +30,9 @@ from repro.graphs.cliques import Clique, cliques_by_group
 from repro.graphs.index import sorted_distinct
 from repro.listing.recursion import ListingResult
 
+# Learned edges per kernel pass of ``list_by_part_tuples``.
+_PASS_EDGES = 1 << 16
+
 
 @dataclass
 class CongestedCliqueReport:
@@ -71,10 +74,17 @@ def list_by_part_tuples(
     count = np.searchsorted(holds, pair * k + k) - start
     edge = np.repeat(np.arange(pair.size), count)
     t = holds[np.repeat(start - np.cumsum(count) + count, count) + np.arange(edge.size)] % k
-    _, rows = cliques_by_group(t, us[edge], ws[edge], n, p)
+    # Kernel passes over runs of whole tuples of about _PASS_EDGES learned
+    # edges each keep its arrays small: the loads sum to about m * parts.
+    load = np.bincount(t, minlength=k)
+    cuts = np.flatnonzero(np.diff(np.cumsum(load) // _PASS_EDGES)) + 1
+    rows = []
+    for lo, hi in zip((0, *cuts.tolist()), (*cuts.tolist(), k)):
+        inside = (lo <= t) & (t < hi)
+        rows.append(cliques_by_group(t[inside], us[edge[inside]], ws[edge[inside]], n, p)[1])
+    rows = np.concatenate(rows)
     pair_sizes = np.bincount(pair, minlength=parts * parts)
-    max_load = int(np.bincount(t, minlength=k).max())
-    return pair_sizes, set(index.label_rows(rows)), len(rows), max_load
+    return pair_sizes, set(index.label_rows(rows)), len(rows), int(load.max())
 
 
 def congested_clique_listing(graph: nx.Graph, p: int = 3) -> tuple[ListingResult, CongestedCliqueReport]:

@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 from repro import list_triangles, validate_listing
+from repro.baselines import congested_clique
 from repro.baselines import (
     congested_clique_listing,
     cs20_triangle_listing,
@@ -53,7 +54,9 @@ class TestRandomizedBaseline:
 
 
 class TestCongestedCliqueBaseline:
-    def test_correct_listing(self, planted_graph):
+    @pytest.mark.parametrize("pass_edges", [1 << 16, 1], ids=["one-pass", "a-pass-per-tuple"])
+    def test_correct_listing(self, planted_graph, pass_edges, monkeypatch):
+        monkeypatch.setattr(congested_clique, "_PASS_EDGES", pass_edges)
         for p in (3, 4):
             result, _ = congested_clique_listing(planted_graph, p=p)
             assert result.cliques == enumerate_cliques(planted_graph, p)
