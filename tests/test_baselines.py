@@ -54,12 +54,13 @@ class TestRandomizedBaseline:
 
 
 class TestCongestedCliqueBaseline:
-    @pytest.mark.parametrize("pass_edges", [1 << 16, 1], ids=["one-pass", "a-pass-per-tuple"])
-    def test_correct_listing(self, planted_graph, pass_edges, monkeypatch):
-        monkeypatch.setattr(congested_clique, "_PASS_EDGES", pass_edges)
-        for p in (3, 4):
-            result, _ = congested_clique_listing(planted_graph, p=p)
-            assert result.cliques == enumerate_cliques(planted_graph, p)
+    def test_correct_listing(self, planted_graph, monkeypatch):
+        # In one kernel pass, then in one pass per part tuple.
+        for pass_edges in (congested_clique._PASS_EDGES, 1):
+            monkeypatch.setattr(congested_clique, "_PASS_EDGES", pass_edges)
+            for p in (3, 4):
+                result, _ = congested_clique_listing(planted_graph, p=p)
+                assert result.cliques == enumerate_cliques(planted_graph, p)
 
     def test_round_count_much_smaller_than_congest(self, small_dense_graph):
         """The Congested Clique has n^2 links, so the same listing is far cheaper."""
