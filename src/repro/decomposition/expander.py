@@ -26,9 +26,9 @@ vertex identifier, the whole procedure is deterministic.
 
 All of it runs on one label-sorted CSR of the input (``index``): components
 from ``scipy.sparse.csgraph``, pieces as induced sub-indices, sweep cuts as
-prefix sums over the Fiedler order.  Clusters are numbered by the first vertex
-of their component in the input's node order (for an edge collection, first
-appearance), a cut side before the rest, a cut side's components by label.
+prefix sums over the Fiedler order.  Clusters are numbered ``0..k-1`` in
+increasing order of their smallest vertex label, so the numbering depends on
+the clusters alone, not on the order the cuts found them in.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from typing import Collection, Iterator
+from typing import Iterator
 
 import networkx as nx
 import numpy as np
@@ -222,16 +221,15 @@ def sparsest_sweep_cut(index: LabelCSR) -> tuple[np.ndarray, float]:
 
 
 def expander_decompose(
-    graph: nx.Graph | Collection[Edge],
+    graph: nx.Graph | LabelCSR,
     epsilon: float = 0.15,
     accountant: CostAccountant | None = None,
 ) -> ExpanderDecomposition:
     """Compute a deterministic (ε, φ)-expander decomposition.
 
     Args:
-        graph: input graph, or the collection of its edges (iterated twice;
-            its iteration order fixes the cluster numbering, see the module
-            docstring).  Vertices must be mutually comparable.
+        graph: input graph, or its index.  Vertices must be mutually
+            comparable.
         epsilon: target bound on the remainder fraction ``|E_r| / |E|``; the
             threshold ``φ = ε / (2 ⌈log2 m⌉ + 2)`` is the value for which the
             recursive charging argument bounds the remainder by ``ε|E|``.
@@ -239,44 +237,39 @@ def expander_decompose(
             of the decomposition is charged to phase ``"expander-decomposition"``.
 
     Returns:
-        An :class:`ExpanderDecomposition` whose clusters are vertex-disjoint
-        and certified to contain no sweep cut of conductance below ``phi``.
+        An :class:`ExpanderDecomposition` whose clusters are vertex-disjoint,
+        numbered in increasing order of their smallest vertex label, and
+        certified to contain no sweep cut of conductance below ``phi``.
 
     Raises:
         ValueError: for ``epsilon`` outside ``(0, 1)``, or a self-loop.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    if isinstance(graph, nx.Graph):
-        index, nodes = LabelCSR.from_graph(graph), graph.nodes
-    else:
-        index, nodes = LabelCSR.from_edges(graph), dict.fromkeys(chain.from_iterable(graph))
+    index = graph if isinstance(graph, LabelCSR) else LabelCSR.from_graph(graph)
     m = index.num_edges
     phi = epsilon / (2 * math.ceil(math.log2(max(2, m))) + 2) if m else epsilon
 
-    clusters: list[ExpanderCluster] = []
+    found: list[tuple[LabelCSR, np.ndarray, float]] = []  # (piece, members, bound)
     remainder: set[Edge] = set()
 
-    def recurse(piece: LabelCSR, members: np.ndarray, first: np.ndarray | None = None) -> None:
-        """Decompose ``piece``; its components go in the order their first ids
-        take in ``first`` (by default, id order)."""
+    def recurse(piece: LabelCSR, members: np.ndarray) -> None:
+        """Decompose ``piece``, whose ids are the increasing ``members``."""
         if not piece.num_edges:
             return
         if piece.n <= 2:  # one edge
-            clusters.append(ExpanderCluster(len(clusters), piece, members, 1.0))
+            found.append((piece, members, 1.0))
             return
         count, component = connected_components(piece.matrix, directed=False)
         if count > 1:
-            ranked = component if first is None else component[first]
-            _, at = np.unique(ranked, return_index=True)
             sizes = np.bincount(component, minlength=count)
             grouped = np.split(np.argsort(component, kind="stable"), np.cumsum(sizes)[:-1])
-            parts = [grouped[label] for label in ranked[np.sort(at)]]
+            # A single vertex has no edge: it is in no cluster.
+            parts = [ids for ids in grouped if ids.size > 1]
         else:
             side, value = sparsest_sweep_cut(piece)
             if value >= phi:
-                bound = max(phi, min(1.0, value))
-                clusters.append(ExpanderCluster(len(clusters), piece, members, bound))
+                found.append((piece, members, max(phi, min(1.0, value))))
                 return
             rows, indices = piece.rows, piece.indices
             crossing = (side[rows] != side[indices]) & (rows < indices)
@@ -285,7 +278,9 @@ def expander_decompose(
         for ids in parts:
             recurse(piece.induced(ids), members[ids])
 
-    recurse(index, np.arange(index.n), first=index.ids(nodes))
+    recurse(index, np.arange(index.n))
+    found.sort(key=lambda cluster: cluster[1][0])  # by smallest member id, so label
+    clusters = [ExpanderCluster(i, *cluster) for i, cluster in enumerate(found)]
 
     decomposition = ExpanderDecomposition(
         index=index,

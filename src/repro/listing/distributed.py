@@ -111,7 +111,7 @@ from repro.engine.vector import (
 )
 from repro.experiments.session import Session
 from repro.graphs.cliques import Clique, cliques_in_edge_set
-from repro.graphs.index import LabelCSR, sorted_distinct, unique_triples
+from repro.graphs.index import LabelCSR, unique_triples
 from repro.listing.local import charge_exhaustive_pass, cliques_through_vertex
 from repro.listing.recursion import (
     ClusterTask,
@@ -871,17 +871,17 @@ class DistributedListingDriver:
         self,
         graph: nx.Graph,
         index: LabelCSR,
-        residual: set[Edge],
+        endpoints: np.ndarray,
         p: int,
         accountant: CostAccountant,
     ) -> set[Clique]:
         """Engine-executed safety net over the residual edges.
 
         Output-equivalent to :func:`repro.listing.recursion.exhaustive_fallback`:
-        the residual endpoints learn their induced 2-hop neighbourhood in
-        ``G`` and list every clique through themselves.
+        the residual edges' ``endpoints`` (ids of ``index``) learn their
+        induced 2-hop neighbourhood in ``G`` and list every clique through
+        themselves.
         """
-        endpoints = sorted_distinct(index.ids(chain.from_iterable(residual)))
         plan, predicted = self._plan_exhaustive_pass(
             graph, index, endpoints, p, phase="fallback-exhaustive"
         )

@@ -13,6 +13,11 @@ clusters, not the sum) and the final safety net that exhaustively covers any
 edges left when the recursion bottoms out.  The per-cluster work is supplied
 as a callback, which is where triangles and larger cliques differ.
 
+The recursion runs on one index of ``G``, the one level 0's decomposition
+builds.  The residual edges are a ``bool`` mask over its edges: each later
+level decomposes the edges still set, cut from the index by ids, and one
+``searchsorted`` of their keys clears the edges the clusters finished.
+
 Reproduction note: the paper inherits from [CS20] an
 augmented cluster edge set ``E_i^+`` whose exact construction is internal to
 that work.  We use the slightly larger, self-contained choice
@@ -28,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Callable
 
 import networkx as nx
@@ -38,11 +42,9 @@ from repro.congest.cost import CostAccountant, RoutingOverhead, polylog_overhead
 from repro.congest.metrics import CongestMetrics
 from repro.decomposition.cluster import core_vertices
 from repro.decomposition.expander import decomposition_round_cost, expander_decompose
-from repro.graphs import LabelCSR, canonical_edge
 from repro.graphs.cliques import Clique
+from repro.graphs.index import LabelCSR, sorted_distinct
 from repro.listing.local import two_hop_exhaustive_listing
-
-Edge = tuple[int, int]
 
 
 @dataclass
@@ -51,7 +53,7 @@ class ClusterTask:
 
     Attributes:
         graph: the original input graph ``G`` (cliques are cliques of ``G``).
-        index: the edges of ``G`` as a label-sorted CSR, built once per run.
+        index: ``G`` as a label-sorted CSR, built by level 0's decomposition.
         level: recursion level (0-based).
         cluster_index: index of the cluster within its level.
         cluster: the cluster ``G[E_i]`` (residual edges) as its own index.
@@ -86,21 +88,21 @@ class ClusterTask:
 ClusterHandler = Callable[[ClusterTask], set[Clique]]
 
 # Covers the residual edges left when the recursion bottoms out: called as
-# ``fallback(graph, index, residual_edges, p, accountant)`` with ``index`` the
-# run's index of ``G``'s edges, and returns the cliques found.  The default
-# (:func:`exhaustive_fallback`) runs the centralized Lemma 35 pass under the
-# cost model; the distributed driver substitutes an engine-executed pass
-# with the same output.
-FallbackHandler = Callable[[nx.Graph, LabelCSR, set[Edge], int, CostAccountant], set[Clique]]
+# ``fallback(graph, index, endpoints, p, accountant)`` with ``endpoints`` the
+# residual edges' ends as increasing ids of ``index`` (the run's index of
+# ``G``), and returns the cliques through them.  The default runs the
+# centralized Lemma 35 pass under the cost model; the distributed driver
+# substitutes an engine-executed pass with the same output.
+FallbackHandler = Callable[[nx.Graph, LabelCSR, np.ndarray, int, CostAccountant], set[Clique]]
 
 
 def exhaustive_fallback(
-    graph: nx.Graph, index: LabelCSR, residual: set[Edge], p: int, accountant: CostAccountant
+    graph: nx.Graph, index: LabelCSR, endpoints: np.ndarray, p: int, accountant: CostAccountant
 ) -> set[Clique]:
     """Default safety net: exhaustively cover the residual edges (cost model)."""
-    endpoints = {u for e in residual for u in e}
     outcome = two_hop_exhaustive_listing(
-        graph, endpoints, p, accountant=accountant, phase="fallback-exhaustive"
+        graph, index.label_array[endpoints].tolist(), p, accountant=accountant,
+        phase="fallback-exhaustive",
     )
     return outcome.cliques
 
@@ -206,45 +208,45 @@ class RecursiveListingDriver:
         self,
         graph: nx.Graph,
         handler: ClusterHandler,
-        fallback: FallbackHandler | None = None,
+        fallback: FallbackHandler = exhaustive_fallback,
     ) -> ListingResult:
         """List the cliques of ``graph`` (a self-loop raises ``ValueError``)."""
         n = graph.number_of_nodes()
         metrics = CongestMetrics()
         global_accountant = self.new_accountant(n, metrics)
-        all_edges = {canonical_edge(u, v) for u, v in graph.edges}
-        residual: set[Edge] = set(all_edges)  # its iteration order numbers the clusters
-        index: LabelCSR | None = None  # G's edges, indexed by level 0 (all of them)
+        index: LabelCSR | None = None  # G, indexed by level 0's decomposition
+        residual = np.ones(graph.number_of_edges(), dtype=bool)  # per edge us[i] < ws[i]
         cliques: set[Clique] = set()
         reports = 0
         level_reports: list[LevelReport] = []
         max_levels = self.max_levels
         if max_levels is None:
-            max_levels = 2 * math.ceil(math.log2(max(2, len(all_edges) + 1))) + 4
+            max_levels = 2 * math.ceil(math.log2(max(2, residual.size + 1))) + 4
 
         level = 0
-        while residual and level < max_levels:
-            decomposition = expander_decompose(residual, epsilon=self.epsilon)
-            index = index or decomposition.index
+        while (residual_edges := int(np.count_nonzero(residual))) and level < max_levels:
+            if index is None:
+                decomposition = expander_decompose(graph, epsilon=self.epsilon)
+                index, to_graph = decomposition.index, np.arange(decomposition.index.n)
+                upper = index.rows < index.indices
+                us, ws = index.rows[upper], index.indices[upper]
+            else:
+                ends = us[residual], ws[residual]
+                decomposition = expander_decompose(index.edge_subgraph(*ends), epsilon=self.epsilon)
+                to_graph = sorted_distinct(np.concatenate(ends))  # its ids in index
             decomposition_rounds = global_accountant.local_rounds(
                 decomposition_round_cost(n, self.epsilon), phase=f"level{level}:decomposition"
             )
             level_degrees = decomposition.index.degrees
-            to_graph = index.ids(decomposition.index.labels)
 
-            handled = []  # (piece, keys) of the edges each cluster finished
+            finished = []  # per cluster, keys ``u * n + w`` of the edges it finished
             max_cluster_rounds = 0
-            cluster_count = 0
             for cluster in decomposition.clusters:
                 piece = cluster.piece
                 inner = core_vertices(piece.degrees, level_degrees[cluster.members])
                 finish = inner[piece.rows] & inner[piece.indices] & (piece.rows < piece.indices)
                 if not finish.any():
                     continue
-                cluster_count += 1
-                # A cluster is the residual graph induced on its vertices, so
-                # the residual edges between core vertices are cluster edges.
-                keys = piece.rows[finish] * piece.n + piece.indices[finish]
                 members = to_graph[cluster.members]
                 task = ClusterTask(
                     graph=graph, index=index, level=level, cluster_index=cluster.index,
@@ -257,7 +259,10 @@ class RecursiveListingDriver:
                     cliques |= found
                 else:  # a handler's set is its own: keep the first one
                     cliques = found
-                handled.append((piece, keys))
+                # A cluster is the residual graph induced on its vertices, so
+                # the residual edges between core vertices are cluster edges.
+                u, w = members[piece.rows[finish]], members[piece.indices[finish]]
+                finished.append(u * index.n + w)
                 max_cluster_rounds = max(max_cluster_rounds, task.accountant.metrics.rounds)
                 # Rounds are parallel across clusters (max), messages add up.
                 metrics.add_messages(
@@ -270,12 +275,12 @@ class RecursiveListingDriver:
             # most expensive cluster (the factor-2 edge reuse of the paper is
             # absorbed in the routing overhead).
             global_accountant.local_rounds(max_cluster_rounds, phase=f"level{level}:clusters")
-            handled_edges = sum(keys.size for _, keys in handled)
+            handled_edges = sum(keys.size for keys in finished)
             level_reports.append(
                 LevelReport(
                     level=level,
-                    residual_edges=len(residual),
-                    clusters=cluster_count,
+                    residual_edges=residual_edges,
+                    clusters=len(finished),
                     handled_edges=handled_edges,
                     remainder_fraction=decomposition.remainder_fraction(),
                     max_cluster_rounds=max_cluster_rounds,
@@ -285,22 +290,19 @@ class RecursiveListingDriver:
 
             if not handled_edges:
                 break
-            # Clusters are vertex-disjoint: no edge is handled twice.  One
-            # bulk removal keeps the set's table, so the clusters' order.
-            if handled_edges == len(residual):
-                residual.clear()
-            else:
-                residual.difference_update(
-                    chain.from_iterable(piece.label_pairs(keys) for piece, keys in handled)
-                )
+            # Clusters are vertex-disjoint: no edge is finished twice.
+            residual[np.searchsorted(us * index.n + ws, np.concatenate(finished))] = False
             level += 1
 
         # Safety net: exhaustively cover whatever the recursion left behind.
-        fallback_edges = len(residual)
-        if residual:
-            cover = fallback if fallback is not None else exhaustive_fallback
-            index = index or LabelCSR.from_edges(residual)
-            found = cover(graph, index, residual, self.p, global_accountant)
+        fallback_edges = int(np.count_nonzero(residual))
+        if fallback_edges:
+            if index is None:  # no level ran: every edge is left
+                index = LabelCSR.from_graph(graph)
+                endpoints = np.flatnonzero(index.degrees)
+            else:
+                endpoints = sorted_distinct(np.concatenate((us[residual], ws[residual])))
+            found = fallback(graph, index, endpoints, self.p, global_accountant)
             reports += len(found)
             cliques |= found
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.engine import AdversarialDelayScenario, ComposedScenario, LinkDropScenario
 from repro.engine.scenarios import resolve_scenario
 from repro.experiments import Session
-from repro.graphs import enumerate_cliques, erdos_renyi, planted_cliques
+from repro.graphs import enumerate_cliques, erdos_renyi, planted_cliques, ring_of_cliques
 from repro.listing import (
     list_cliques_distributed,
     list_triangles_distributed,
@@ -266,16 +266,30 @@ def test_distributed_kp_on_fixed_graph_across_backends():
         assert result.cliques == truth, backend
 
 
+def _planted_60():
+    return planted_cliques(60, 4, 3, background_avg_degree=3.0, seed=2)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("p", [3, 4])
-def test_fallback_pass_alone_lists_every_clique(backend, p):
-    """With the recursion capped at zero levels, the engine-executed
-    fallback covers every edge in one exhaustive pass."""
-    graph = planted_cliques(60, 4, 3, background_avg_degree=3.0, seed=2)
-    result = list_cliques_distributed(graph, p, backend=backend, max_levels=0)
+@pytest.mark.parametrize(
+    "build, p, max_levels, fallback_edges",
+    [
+        pytest.param(_planted_60, 3, 0, 108, id="3"),
+        pytest.param(_planted_60, 4, 0, 108, id="4"),
+        # Level 0 finishes 1,740 of the ring's 1,744 edges: the four ring
+        # edges are left to the fallback.
+        pytest.param(lambda: ring_of_cliques(4, 30), 3, 1, 4, id="3-ring-4x30-one-level"),
+    ],
+)
+def test_fallback_pass_alone_lists_every_clique(backend, build, p, max_levels, fallback_edges):
+    """With the recursion capped, the engine-executed fallback covers the
+    edges it left (every edge at zero levels) in one exhaustive pass, the
+    run's last execution."""
+    graph = build()
+    result = list_cliques_distributed(graph, p, backend=backend, max_levels=max_levels)
     assert result.cliques == set(enumerate_cliques(graph, p))
-    assert result.fallback_edges == graph.number_of_edges()
-    (record,) = result.executions
-    assert record.is_fallback
-    assert record.rounds <= record.predicted_rounds
+    assert result.fallback_edges == fallback_edges
+    *clusters, last = result.executions
+    assert last.is_fallback
+    assert all(record.level in range(max_levels) for record in clusters)
     assert result.measured_rounds <= result.predicted_rounds

@@ -99,9 +99,27 @@ class TestExpanderDecomposition:
         with pytest.raises(ValueError):
             expander_decompose(nx.complete_graph(4), epsilon=0.0)
 
-    def test_partition_of_edges_is_exact(self, community_graph):
-        decomposition = expander_decompose(community_graph, epsilon=0.2)
+    @pytest.mark.parametrize("form", ["graph", "index"])
+    def test_partition_of_edges_is_exact(self, community_graph, form):
+        """The graph with isolated vertices added, and its index, decompose
+        like the graph itself; no cluster holds an isolated vertex."""
+        graph = community_graph.copy()
+        isolated = [-1, max(graph) + 1, max(graph) + 2]
+        graph.add_nodes_from(isolated)
+        source = graph if form == "graph" else LabelCSR.from_graph(graph)
+        decomposition = expander_decompose(source, epsilon=0.2)
         decomposition.validate()
+        expected = expander_decompose(community_graph, epsilon=0.2)
+
+        def content(decomposition):
+            clusters = [
+                (cluster.index, cluster.piece.labels, cluster.edges, cluster.conductance_lower_bound)
+                for cluster in decomposition.clusters
+            ]
+            return clusters, decomposition.remainder_edges
+
+        assert content(decomposition) == content(expected)
+        assert not set(isolated) & set(decomposition.cluster_of_vertex())
 
     def test_clusters_are_vertex_disjoint(self, community_graph):
         decomposition = expander_decompose(community_graph, epsilon=0.2)
@@ -126,6 +144,16 @@ class TestExpanderDecomposition:
                 continue
             measured = graph_conductance_estimate(cluster.subgraph())
             assert measured >= decomposition.phi * 0.5
+
+    @pytest.mark.parametrize("label", [int, lambda i: f"v{i:03d}"], ids=["int", "str"])
+    def test_clusters_are_numbered_by_smallest_label(self, label):
+        """Sweep cuts find the ring's cliques in another order; the numbering
+        follows their smallest labels alone."""
+        graph = nx.relabel_nodes(ring_of_cliques(4, 30), label)
+        decomposition = expander_decompose(graph)
+        smallest = [min(cluster.vertices) for cluster in decomposition.clusters]
+        assert [cluster.index for cluster in decomposition.clusters] == [0, 1, 2, 3]
+        assert smallest == [label(i) for i in (0, 30, 60, 90)]
 
     def test_ring_of_cliques_splits_into_clusters(self):
         graph = ring_of_cliques(12, 8)

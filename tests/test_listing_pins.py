@@ -21,7 +21,10 @@ the community case is the ``p = 4`` exhaustive pass, which routes nothing.
 Each of those is one cluster at one level.  The last three cases pin the
 cluster order: sweep cuts split both rings into one cluster per clique, and
 the recursion lists the ring edges at level 1 (``p = 3`` and ``p = 4``);
-the sparse planted graph decomposes into two components.
+the sparse planted graph decomposes into two components.  Clusters are
+numbered by their smallest vertex label, so the pinned order does not
+depend on the order the cuts find them in (which can follow BLAS's thread
+count where the Fiedler vector is not unique, as on the rings).
 """
 
 from __future__ import annotations
@@ -170,14 +173,14 @@ PINS = {
         "decompositions": [
             (
                 [
-                    (0, "3dd79e88e67b852307131b86eb7c449b5fed9e9476df51f3df7c145ccf216761",
-                     "3ec9191fe2d248bd60cc2c6677c38c50978cd8de19f0b2c6db9e047c275a364d",
+                    (0, "3adfd43b13410a9f680981b815abf4611f2c49650964f5c5f71a6d79e6033057",
+                     "103ee3be7492b54ad8fbc5f63dfd747d81dfaddb27cf6ddaea56a1388d255ff9",
                      0.5172413793103449),
                     (1, "09e925136cd0e6fb70811a1a2f60dba101eccba7b38d61a42b078b9c64393d68",
                      "226086f9270e039d8c24ce28361293256536545d1bbd4484ae98cc55103a18f2",
                      0.5172413793103449),
-                    (2, "3adfd43b13410a9f680981b815abf4611f2c49650964f5c5f71a6d79e6033057",
-                     "103ee3be7492b54ad8fbc5f63dfd747d81dfaddb27cf6ddaea56a1388d255ff9",
+                    (2, "3dd79e88e67b852307131b86eb7c449b5fed9e9476df51f3df7c145ccf216761",
+                     "3ec9191fe2d248bd60cc2c6677c38c50978cd8de19f0b2c6db9e047c275a364d",
                      0.5172413793103449),
                     (3, "ffc042def4e2e565347e28abdc0daf025e6dd1a88f0661b248854c73af0f49cf",
                      "fc6c65da23eccf5f3236a65771326f3c54944f6e56a5dab2c9c27e119741e507",
@@ -190,14 +193,14 @@ PINS = {
                     (0, "59787cac21162a3c1a4bfffe56fbe5393e1eea44aa2f5526827e449ed71131ad",
                      "3ce569f5b83cfee105d8673718dbb3c073d3ecbd7411b010964acd946eb7b7ff",
                      1.0),
-                    (1, "107c8841da272e0c40164b908824c78a25c448a2d4010b877d891914c89bece2",
-                     "36ffd54a3f1e98f6fbf1d950ec03d8ec0ac5012eaf5bd184c7f4c75f868349b5",
-                     1.0),
-                    (2, "737663554ed1b779795966312b2da6bd46071d7a39818197d0e4d8ccf5e15639",
+                    (1, "737663554ed1b779795966312b2da6bd46071d7a39818197d0e4d8ccf5e15639",
                      "56fe07290c589cd2203fb1ab5fa7e1d3561ea68d939108c513eb0baa5b199d74",
                      1.0),
-                    (3, "2dd0602cf29bbb1c72267fdd3d1e2aedfaf93cc3ed63b32a36d6658820b5e581",
+                    (2, "2dd0602cf29bbb1c72267fdd3d1e2aedfaf93cc3ed63b32a36d6658820b5e581",
                      "f20656178dab2dc9f471d8cff7dc24aa50806ba4d062fe276086468ef9820e80",
+                     1.0),
+                    (3, "107c8841da272e0c40164b908824c78a25c448a2d4010b877d891914c89bece2",
+                     "36ffd54a3f1e98f6fbf1d950ec03d8ec0ac5012eaf5bd184c7f4c75f868349b5",
                      1.0),
                 ],
                 _NO_REMAINDER,
@@ -218,9 +221,9 @@ PINS = {
             16240, "5264d65636d738e85bc2d896b34613ab81ad2552cfc81ee88e1287b4bd5d3d51"
         ),
         "routes": [
-            (3494, "84e40e9caaa48feda165adefd116d48730965387f9a2035e6ae226f9504f4941"),
-            (3494, "149c7ba57200da616e7dab8737e3ecb4184afeceb07fe0e7e0664c837c776b65"),
             (3494, "9885ea696f6d780a6514604a5c1a046dd3109f346d8bda0f1ee29e34284ba28d"),
+            (3494, "149c7ba57200da616e7dab8737e3ecb4184afeceb07fe0e7e0664c837c776b65"),
+            (3494, "84e40e9caaa48feda165adefd116d48730965387f9a2035e6ae226f9504f4941"),
             (3494, "349168f50d80c0cb17f0f3644a3ee751ac38ca2ae990de46e46a45a85c949c60"),
         ] + [(0, _sha256([]))] * 4,
     },
@@ -228,46 +231,46 @@ PINS = {
         "decompositions": [
             (
                 [
-                    (0, "883157c77eeabb4d13ea8d2a33cd190a0f0ac2e32399990c3349fc8fac9f61a5",
-                     "67e9948c3a71733325acc91081beae5f2be31c50693f03348b9101226e4a7215",
+                    (0, "6133c3201a04b8ddac4eb116cae3fc6d82c2181c4a1332b9ba1a02896bd86d83",
+                     "72678f83adc38176cd4a30aa97ad80dde1b46d14f2f016c1d896f22d4aca0f09",
                      0.5416666666666666),
-                    (1, "b85898d774211f81e892ec737b47feb2b807152990b541ef062ff04aade5c682",
-                     "7580b1297ac7cf746e00f0edd38d3341ae45971f58daf30f6cc33227efee1db7",
-                     0.5416666666666666),
-                    (2, "b950826c8cf4da6283cc86dbd75e87b7ef530f124022fd89dede80c3e59fecdd",
-                     "b0f0007e943031684a25c1640000316da74d317538529b48a3e7f35d65ccf794",
-                     0.5416666666666666),
-                    (3, "340050ac9bdffefdedb23c9de9f3556386fffdb8557204236dd28eae6c11a4a1",
-                     "ff00903da4de96be1d0f79d5d53d2f87e38a3475503f7138a09e03d8843b8d95",
-                     0.5416666666666666),
-                    (4, "b4e9475246e5753b230555e7d7be66280cf81cda3816e63685d1b806b47571e0",
+                    (1, "b4e9475246e5753b230555e7d7be66280cf81cda3816e63685d1b806b47571e0",
                      "790e05c975410a7caf585eb6ddb56703c4d64673948ce6602fdaffc12223a6e4",
                      0.5416666666666666),
-                    (5, "6133c3201a04b8ddac4eb116cae3fc6d82c2181c4a1332b9ba1a02896bd86d83",
-                     "72678f83adc38176cd4a30aa97ad80dde1b46d14f2f016c1d896f22d4aca0f09",
+                    (2, "340050ac9bdffefdedb23c9de9f3556386fffdb8557204236dd28eae6c11a4a1",
+                     "ff00903da4de96be1d0f79d5d53d2f87e38a3475503f7138a09e03d8843b8d95",
+                     0.5416666666666666),
+                    (3, "b950826c8cf4da6283cc86dbd75e87b7ef530f124022fd89dede80c3e59fecdd",
+                     "b0f0007e943031684a25c1640000316da74d317538529b48a3e7f35d65ccf794",
+                     0.5416666666666666),
+                    (4, "b85898d774211f81e892ec737b47feb2b807152990b541ef062ff04aade5c682",
+                     "7580b1297ac7cf746e00f0edd38d3341ae45971f58daf30f6cc33227efee1db7",
+                     0.5416666666666666),
+                    (5, "883157c77eeabb4d13ea8d2a33cd190a0f0ac2e32399990c3349fc8fac9f61a5",
+                     "67e9948c3a71733325acc91081beae5f2be31c50693f03348b9101226e4a7215",
                      0.5416666666666666),
                 ],
                 "e30d40245d69d8e328e42dfea58a544ecd4061929c3a1bb4a112fcfee7f36344",
             ),
             (
                 [
-                    (0, "c891e4f37cc6cf37e17f2ef69e3fe6f01a02bc7c87aa5c66c5ee198ba2b2eb34",
-                     "c1169d637fac4d471cc6db104d7c900812e6ab69fa314cb4cc28c4d14086dec8",
-                     1.0),
-                    (1, "499eda730068106e239212ff2ad0bd18382d3f6087595b859a578f916990bcad",
+                    (0, "499eda730068106e239212ff2ad0bd18382d3f6087595b859a578f916990bcad",
                      "2a8a71346313252a75e004af17c690fa66895b1dde279b6403963f56056ee8fe",
                      1.0),
-                    (2, "fa1f59d88ad20292e5cc29e39e928824e05165bdf5652d07785ae92a77dff623",
-                     "4d07767a1dca06a7c61e26bcabd26de3302f6823c4ac79dc442cef3eae010592",
+                    (1, "7166a9c80d7b4d0e66af1ac0b3743b1558d2085832d5cec0d4a58996ee3a170f",
+                     "e8491f7b74533b0400086054d9300d72f58e3cce05829e42f8ccea298dbe9488",
+                     1.0),
+                    (2, "c891e4f37cc6cf37e17f2ef69e3fe6f01a02bc7c87aa5c66c5ee198ba2b2eb34",
+                     "c1169d637fac4d471cc6db104d7c900812e6ab69fa314cb4cc28c4d14086dec8",
                      1.0),
                     (3, "9706d48197ae4fedd4852dc768307b3b071af1b156044d6c9b98f531dbeb9a34",
                      "621994f59a97f372af295799c754591d65311a3d6db2d2f60b611151865b74fa",
                      1.0),
-                    (4, "a10d918f0b1b1e8d7b98c4a54f38bcdc3cfff975fb0ed366bce69f1757515cf8",
-                     "185897a8868c5b831e21b0a74e7a231742c4edb3fe34c929c081167b95ce33f1",
+                    (4, "fa1f59d88ad20292e5cc29e39e928824e05165bdf5652d07785ae92a77dff623",
+                     "4d07767a1dca06a7c61e26bcabd26de3302f6823c4ac79dc442cef3eae010592",
                      1.0),
-                    (5, "7166a9c80d7b4d0e66af1ac0b3743b1558d2085832d5cec0d4a58996ee3a170f",
-                     "e8491f7b74533b0400086054d9300d72f58e3cce05829e42f8ccea298dbe9488",
+                    (5, "a10d918f0b1b1e8d7b98c4a54f38bcdc3cfff975fb0ed366bce69f1757515cf8",
+                     "185897a8868c5b831e21b0a74e7a231742c4edb3fe34c929c081167b95ce33f1",
                      1.0),
                 ],
                 _NO_REMAINDER,
