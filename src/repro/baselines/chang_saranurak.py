@@ -45,7 +45,7 @@ class CS20TriangleListing:
 
     def _handle_cluster(self, task: ClusterTask) -> set[Clique]:
         cluster = K3CompatibleCluster.from_index(task.graph, task.working)
-        working = cluster.cluster_graph
+        working = cluster.index.graph
         router = ClusterRouter(
             cluster=cluster, accountant=task.accountant,
             phase_prefix=f"cs20-level{task.level}-c{task.cluster_index}",
@@ -81,7 +81,7 @@ class CS20TriangleListing:
         # achieves), which is the source of the n^{2/3} total.
         router.route_proportional(
             load_per_degree=max(1.0, len(members) ** (2.0 / 3.0)),
-            total_words=cluster.core.num_edges,
+            total_words=cluster.core.number_of_edges(),
             phase="cs20-edge-learning",
         )
         core = cluster.core

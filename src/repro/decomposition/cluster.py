@@ -69,11 +69,6 @@ class CommunicationCluster:
     def __post_init__(self) -> None:
         self.v_minus = frozenset(self.core.labels)
 
-    @property
-    def cluster_graph(self) -> nx.Graph:
-        """The cluster as a ``networkx`` graph, built once, in label order."""
-        return self.index.graph
-
     @cached_property
     def core_ids(self) -> np.ndarray:
         """Per id of :attr:`core`, its id in :attr:`index` (increasing)."""

@@ -86,7 +86,7 @@ class ExpanderCluster:
 
     @property
     def num_edges(self) -> int:
-        return self.piece.num_edges
+        return self.piece.number_of_edges()
 
 
 @dataclass
@@ -110,7 +110,7 @@ class ExpanderDecomposition:
 
     def remainder_fraction(self) -> float:
         """``|E_r| / |E|`` actually achieved."""
-        m = self.index.num_edges
+        m = self.index.number_of_edges()
         if m == 0:
             return 0.0
         return len(self.remainder_edges) / m
@@ -195,7 +195,7 @@ def sparsest_sweep_cut(index: LabelCSR) -> tuple[np.ndarray, float]:
     Without edges the side is empty and the conductance infinite.
     """
     n = index.n
-    if not index.num_edges:
+    if not index.number_of_edges():
         return np.zeros(n, dtype=bool), math.inf
     order = _fiedler_order(index)
     position = np.empty(n, dtype=np.int64)
@@ -247,7 +247,7 @@ def expander_decompose(
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")
     index = graph if isinstance(graph, LabelCSR) else LabelCSR.from_graph(graph)
-    m = index.num_edges
+    m = index.number_of_edges()
     phi = epsilon / (2 * math.ceil(math.log2(max(2, m))) + 2) if m else epsilon
 
     found: list[tuple[LabelCSR, np.ndarray, float]] = []  # (piece, members, bound)
@@ -255,7 +255,7 @@ def expander_decompose(
 
     def recurse(piece: LabelCSR, members: np.ndarray) -> None:
         """Decompose ``piece``, whose ids are the increasing ``members``."""
-        if not piece.num_edges:
+        if not piece.number_of_edges():
             return
         if piece.n <= 2:  # one edge
             found.append((piece, members, 1.0))

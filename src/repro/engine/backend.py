@@ -22,6 +22,7 @@ import networkx as nx
 from repro.congest.metrics import CongestMetrics
 from repro.congest.vertex import VertexFactory
 from repro.engine.scenarios import DeliveryScenario
+from repro.graphs.index import LabelCSR
 from repro.obs.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -42,7 +43,7 @@ class Backend(ABC):
     @abstractmethod
     def run(
         self,
-        graph: nx.Graph,
+        graph: nx.Graph | LabelCSR,
         factory: VertexFactory,
         *,
         max_rounds: int = 10_000,
@@ -54,7 +55,8 @@ class Backend(ABC):
         """Drive ``factory`` on every vertex of ``graph`` to termination.
 
         Args:
-            graph: undirected communication topology.
+            graph: undirected communication topology, an ``nx.Graph`` or a
+                ``LabelCSR`` (vector runs read its arrays, others its ``graph``).
             factory: called as ``factory(vertex, neighbors, n)`` per vertex.
             max_rounds: safety cap on synchronous rounds.
             phase: metrics phase rounds and messages are charged to.

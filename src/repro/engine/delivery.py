@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.congest.message import Message, words_for_payload
 from repro.engine.scenarios import CleanSynchronous, DeliveryScenario
-from repro.graphs.index import distinct_counts, sorted_distinct
+from repro.graphs.index import LabelCSR, distinct_counts, sorted_distinct
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 Edge = tuple[Hashable, Hashable]
@@ -60,23 +60,33 @@ class GraphIndex:
     reference simulator instantiates algorithms in), and row ``i`` lists its
     neighbours in increasing id.  A directed edge's id is its slot: slot
     ``s`` is ``senders[s] -> targets[s]``, and :meth:`slots` finds it by its
-    key ``sender * n + receiver`` in the increasing ``slot_keys``.  On a
-    :class:`~repro.graphs.index.LabelCSR`'s ``graph`` these are that index's
-    ids and slots.  A self-loop is one slot, as it is one queue in the
-    reference simulator.
+    key ``sender * n + receiver`` in the increasing ``slot_keys``.  Of a
+    :class:`~repro.graphs.index.LabelCSR` these are the index's own arrays,
+    uncopied.  A self-loop is one slot, as it is one queue in the reference
+    simulator.
 
     Attributes:
         nodes / n / index: the vertices by id, their number, vertex -> id.
         degrees / indptr / targets / senders: the rows (a self-loop counts
             once in ``degrees``, as ``graph.neighbors`` lists it).
-        has_edge: the adjacency test of per-vertex sends.
+        has_edge: the adjacency test of per-vertex sends (``None`` on a
+            ``LabelCSR``, whose index serves vector runs only).
     """
 
-    def __init__(self, graph: nx.Graph):
-        if graph.number_of_nodes() == 0:
-            raise ValueError("cannot build a CONGEST network over an empty graph")
-        self.nodes: list[Hashable] = list(graph.nodes)
+    def __init__(self, graph: nx.Graph | LabelCSR):
+        csr = isinstance(graph, LabelCSR)
+        self.nodes: list[Hashable] = list(graph.labels if csr else graph.nodes)
         n = self.n = len(self.nodes)
+        if not n:
+            raise ValueError("cannot build a CONGEST network over an empty graph")
+        if csr:
+            self.index, self.slot_keys = graph.id_of, graph.slot_keys
+            self.degrees, self.indptr = graph.degrees, graph.indptr
+            self.senders, self.targets = graph.rows, graph.indices
+            # Per-vertex code on a LabelCSR runs on ``LabelCSR.graph``, so
+            # this index serves vector runs only, which never call has_edge.
+            self.has_edge = None
+            return
         index = self.index = {v: i for i, v in enumerate(self.nodes)}
         # fromiter (C-driven loops): every run pays for this set-up.
         adjacency = graph.adj

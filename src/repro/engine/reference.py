@@ -16,6 +16,7 @@ from repro.congest.network import CongestNetwork, SynchronousRun
 from repro.engine.backend import Backend, VertexFactory
 from repro.engine.registry import register_backend
 from repro.engine.scenarios import DeliveryScenario
+from repro.graphs.index import LabelCSR
 from repro.obs.tracer import Tracer
 
 
@@ -27,7 +28,7 @@ class ReferenceBackend(Backend):
 
     def run(
         self,
-        graph: nx.Graph,
+        graph: nx.Graph | LabelCSR,
         factory: VertexFactory,
         *,
         max_rounds: int = 10_000,
@@ -37,6 +38,7 @@ class ReferenceBackend(Backend):
         tracer: Tracer | None = None,
     ) -> SynchronousRun:
         factory = self.resolve_factory(factory)
+        graph = graph.graph if isinstance(graph, LabelCSR) else graph
         network = CongestNetwork(
             graph, metrics=metrics, scenario=scenario, tracer=tracer
         )

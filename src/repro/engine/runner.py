@@ -35,6 +35,7 @@ from repro.engine.registry import backend_registry
 from repro.engine.reference import ReferenceBackend
 from repro.engine.scenarios import DeliveryScenario
 from repro.engine.vectorized import VectorizedBackend  # noqa: F401  (registers itself)
+from repro.graphs.index import LabelCSR
 from repro.obs.tracer import Tracer
 
 
@@ -57,7 +58,7 @@ def resolve_backend(backend: Backend | type[Backend] | str | None) -> Backend:
 
 
 def run_algorithm(
-    graph: nx.Graph,
+    graph: nx.Graph | LabelCSR,
     factory: VertexFactory,
     backend: Backend | type[Backend] | str | None = "reference",
     *,
@@ -72,7 +73,7 @@ def run_algorithm(
     Runs :meth:`repro.experiments.Session.execute` on a fresh session.
 
     Args:
-        graph: undirected communication topology.
+        graph: undirected communication topology (``nx.Graph`` or ``LabelCSR``).
         factory: called as ``factory(vertex, neighbors, n)`` per vertex.
         backend: backend registry name (see
             :func:`~repro.engine.registry.available_backends`), instance,

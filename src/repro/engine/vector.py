@@ -1,17 +1,15 @@
 """Vectorized per-vertex layer: one ``on_round`` call steps *all* vertices.
 
-PR 1/2 made delivery fast (the numpy :class:`~repro.engine.delivery.WordScheduler`),
-which leaves the Python per-vertex ``on_round`` loop as the dominant cost of
-the vectorized backend.  For array-friendly primitives — broadcast, BFS trees,
-flooding — the per-vertex code is the same few arithmetic operations at every
-vertex, so it can run once over numpy arrays instead of ``n`` times over
-Python objects.
+For array-friendly primitives — broadcast, BFS trees, flooding — the
+per-vertex code is the same few arithmetic operations at every vertex, so it
+can run once over numpy arrays instead of ``n`` Python ``on_round`` calls.
 
 A :class:`VectorAlgorithm` is the whole-network counterpart of
 :class:`~repro.congest.vertex.VertexAlgorithm`: the engine constructs **one**
 instance per run (not one per vertex), hands it a :class:`VectorTopology`
 (the run's CSR over dense vertex ids, whose slots are the directed edges'
-ids), and calls ``on_round(round_index, inbox)`` once per round with the
+ids; a :class:`~repro.graphs.index.LabelCSR`'s own arrays when the run gets
+one), and calls ``on_round(round_index, inbox)`` once per round with the
 round's deliveries as dense ``senders`` / ``receivers`` / ``values`` arrays.
 The algorithm returns a :class:`VectorSends` batch (dense sender / receiver /
 payload-word arrays, optionally their edge slots), which the engine
@@ -29,9 +27,9 @@ The first library :class:`VectorAlgorithm` is
 the distributed listing pipeline.  Its messages are multi-word (adjacency
 lists, replies, routed edges): each send's ``words`` charges the payload's
 full size, exactly what the twin's payload costs, while its single
-``values`` word carries a handle into the algorithm's own tables.  Its plan's
-:class:`~repro.graphs.index.LabelCSR` is the topology's CSR, so it books
-every send on a slot of its plan.
+``values`` word carries a handle into the algorithm's own tables.  It runs
+on its plan's :class:`~repro.graphs.index.LabelCSR`, so it books every send
+on a slot of its plan.
 
 Every :class:`VectorAlgorithm` subclass declares a ``per_vertex`` twin — the
 equivalent :class:`~repro.congest.vertex.VertexAlgorithm` factory — so the
@@ -58,6 +56,7 @@ from repro.congest.vertex import VertexFactory
 from repro.engine.delivery import GraphIndex, WordScheduler
 from repro.engine.rounds import run_rounds
 from repro.engine.scenarios import DeliveryScenario, link_projection, resolve_scenario
+from repro.graphs.index import LabelCSR
 from repro.obs.tracer import Tracer, resolve_tracer
 
 
@@ -360,7 +359,7 @@ class VectorStep:
 
 
 def run_vector_algorithm(
-    graph: nx.Graph,
+    graph: nx.Graph | LabelCSR,
     algorithm: type[VectorAlgorithm],
     *,
     max_rounds: int = 10_000,
@@ -376,7 +375,7 @@ def run_vector_algorithm(
     on the round driver, with dense arrays into and out of the
     :class:`~repro.engine.delivery.WordScheduler`, and identical
     round/word/output semantics to running the class's ``per_vertex`` twin
-    on any backend.
+    on any backend.  A ``LabelCSR``'s arrays are the topology, uncopied.
     """
     topology = VectorTopology(graph)
     tracer = resolve_tracer(tracer)

@@ -29,6 +29,7 @@ from repro.engine.registry import register_backend
 from repro.engine.rounds import VertexStep, run_rounds
 from repro.engine.scenarios import DeliveryScenario, link_projection, resolve_scenario
 from repro.engine.vector import is_vector_algorithm, run_vector_algorithm
+from repro.graphs.index import LabelCSR
 from repro.obs.tracer import Tracer, resolve_tracer
 
 
@@ -42,14 +43,14 @@ class VectorizedBackend(Backend):
     straight into the :class:`~repro.engine.delivery.WordScheduler` (see
     :func:`repro.engine.vector.run_vector_algorithm`).  Ordinary per-vertex
     factories run as a :class:`~repro.engine.rounds.VertexStep` on the same
-    scheduler.
+    scheduler, on a ``LabelCSR``'s ``graph``.
     """
 
     name = "vectorized"
 
     def run(
         self,
-        graph: nx.Graph,
+        graph: nx.Graph | LabelCSR,
         factory: VertexFactory,
         *,
         max_rounds: int = 10_000,
@@ -68,6 +69,7 @@ class VectorizedBackend(Backend):
                 scenario=scenario,
                 tracer=tracer,
             )
+        graph = graph.graph if isinstance(graph, LabelCSR) else graph
         index = GraphIndex(graph)
         tracer = resolve_tracer(tracer)
         scenario = resolve_scenario(scenario)

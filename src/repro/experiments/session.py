@@ -35,6 +35,7 @@ from repro.engine.backend import Backend
 from repro.engine.runner import resolve_backend
 from repro.engine.scenarios import DeliveryScenario, resolve_scenario
 from repro.experiments.spec import ExperimentSpec
+from repro.graphs.index import LabelCSR
 from repro.obs.tracer import Tracer, resolve_tracer
 
 
@@ -362,7 +363,7 @@ class Session:
 
     def execute(
         self,
-        graph: nx.Graph,
+        graph: nx.Graph | LabelCSR,
         factory: Any,
         *,
         backend: Backend | type[Backend] | str | None = "reference",
@@ -376,7 +377,8 @@ class Session:
 
         Accepts backend names, instances and classes (what
         :func:`~repro.engine.run_algorithm` accepts) and returns the raw
-        :class:`SynchronousRun` — no result bookkeeping.  ``tracer``
+        :class:`SynchronousRun` — no result bookkeeping.  ``graph`` is an
+        ``nx.Graph`` or a ``LabelCSR`` (see :meth:`Backend.run`).  ``tracer``
         overrides the session's tracer for this execution; the backend
         always receives the resolved tracer (the null tracer when tracing
         is off), so it sees the same call shape traced or untraced.

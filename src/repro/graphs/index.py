@@ -3,9 +3,9 @@
 :class:`LabelCSR` holds a graph once, as compressed sparse rows.  Dense id
 ``i`` is the ``i``-th smallest label, so an interval of a sorted vertex
 universe (a partition-tree part) is an id range, and each row lists its
-neighbours in increasing id, hence label, order.  The ``networkx`` graph the
-engine runs on is built from the index in that order (:attr:`LabelCSR.graph`),
-so the engine's dense ids are the index's ids.
+neighbours in increasing id, hence label, order.  A vector run of the
+engine reads the index's arrays, its ids and slots; per-vertex code runs on
+the ``networkx`` graph built from it in label order (:attr:`LabelCSR.graph`).
 """
 
 from __future__ import annotations
@@ -105,8 +105,7 @@ class LabelCSR:
     def n(self) -> int:
         return len(self.labels)
 
-    @property
-    def num_edges(self) -> int:
+    def number_of_edges(self) -> int:  # named as ``nx.Graph`` names it
         return int(self.indices.size) // 2
 
     @cached_property

@@ -42,12 +42,13 @@ Two message protocols implement the per-cluster work of Lemma 34:
 
 Both protocols are compiled into one :class:`ClusterProtocolPlan` per
 execution.  A plan is arrays over one numbering: the communication graph's
-:class:`~repro.graphs.index.LabelCSR` numbers its vertices in label order,
-the ``networkx`` graph the engine runs on is built from that index in the
-same order, so the index's ids are the engine's dense ids and its CSR slots
-the engine's directed-edge ids.  Per vertex the plan keeps a lister flag
-and the four counts it waits for (announcements, replies, relays, received
-packets); per demand a flat route of dense ids.
+:class:`~repro.graphs.index.LabelCSR` numbers its vertices in label order.
+The engine runs on that index, so its ids are the engine's dense ids and its
+CSR slots the engine's directed-edge ids; per-vertex code runs on the
+index's ``networkx`` graph, built in the same order when such a run starts.
+Per vertex the plan keeps a lister flag and the four counts it waits for
+(announcements, replies, relays, received packets); per demand a flat route
+of dense ids.
 :func:`plan_two_hop_protocol` derives the counts with one sparse product,
 and :func:`add_edge_learning` routes each packet along a shortest path
 picked by the words already on every directed edge
@@ -142,7 +143,7 @@ class ClusterProtocolPlan:
     """A compiled per-cluster protocol: topology, per-vertex counts, routes.
 
     Arrays are indexed by the dense ids of :attr:`index` (label order),
-    which are also the engine's dense ids on :attr:`graph`.
+    which are also the engine's dense ids: the engine runs on the index.
 
     Attributes:
         index: the communication graph (the cluster's working graph, or the
@@ -172,11 +173,6 @@ class ClusterProtocolPlan:
     route_ends: np.ndarray = field(default_factory=_no_routes)
     route_edges: np.ndarray = field(default_factory=lambda: _no_routes(0, 2))
     preloaded: np.ndarray = field(default_factory=lambda: _no_routes(0, 3))
-
-    @property
-    def graph(self) -> nx.Graph:
-        """The communication graph the engine executes on."""
-        return self.index.graph
 
     @property
     def listers(self) -> int:
@@ -445,9 +441,9 @@ class ListingVector(VectorAlgorithm):
     over every owner's edges at once.  :meth:`outputs` keeps each clique
     once, in a :class:`~repro.congest.network.TableOutputs`.
 
-    Every send is booked on its CSR slot of the plan's index, which is the
-    engine's edge id only on the plan's own graph: on any other graph the
-    class raises ``ValueError``.
+    Every send is booked on its CSR slot of the plan's index, so the class
+    runs on that index only: on any other topology, the index's own
+    ``networkx`` graph included, it raises ``ValueError``.
     """
 
     plan: ClusterProtocolPlan
@@ -456,15 +452,12 @@ class ListingVector(VectorAlgorithm):
         super().__init__(topology)
         plan = self.plan
         index = plan.index
-        if topology.nodes != list(index.labels) or not np.array_equal(
-            topology.slot_keys, index.slot_keys
-        ):
+        if topology.slot_keys is not index.slot_keys:
             raise ValueError(
                 "this ListingVector is bound to a plan over another graph; "
-                "run it on its plan's graph (plan.graph)"
+                "run it on its plan's index (plan.index)"
             )
-        n = index.n
-        self._got = np.zeros((n, 4), dtype=np.int64)
+        self._got = np.zeros((index.n, 4), dtype=np.int64)
 
         # Announcements: one per CSR slot of a lister, answered on its reverse.
         slots = np.flatnonzero(plan.lister[index.rows])
@@ -589,23 +582,18 @@ class ListingVector(VectorAlgorithm):
 
 
 def plan_two_hop_protocol(
-    comm_graph: nx.Graph | LabelCSR, listers: Iterable[Hashable], p: int
+    index: LabelCSR, listers: Iterable[Hashable], p: int
 ) -> ClusterProtocolPlan:
-    """Compile the Lemma 35 announce/reply protocol over ``comm_graph``.
+    """Compile the Lemma 35 announce/reply protocol over ``index``.
 
-    ``comm_graph`` must equal the graph the cliques are listed in: for
-    cluster executions it is the working graph, for fallback passes the
-    subgraph of ``G`` induced on the listers' closed neighbourhood (which
-    contains every edge a lister's 2-hop view can mention), as a
-    :class:`~repro.graphs.index.LabelCSR` or a graph to index.  The engine's
-    graph is built here, in the index's order.
+    ``index`` must equal the graph the cliques are listed in: for cluster
+    executions it is the working graph, for fallback passes the subgraph of
+    ``G`` induced on the listers' closed neighbourhood (which contains every
+    edge a lister's 2-hop view can mention).  The engine runs on it.
+    ``listers`` are labels of ``index``; one it lacks raises ``KeyError``.
     """
-    index = comm_graph
-    if not isinstance(index, LabelCSR):
-        index = LabelCSR.from_graph(comm_graph)
-    graph = index.graph
     lister = np.zeros(index.n, dtype=bool)
-    lister[index.ids(v for v in listers if v in graph)] = True
+    lister[index.ids(listers)] = True
     counts = np.zeros((index.n, 4), dtype=np.int64)
     counts[:, _ANSWERED] = index.matrix @ lister.astype(np.int64)
     counts[lister, _REPLIES] = index.degrees[lister]
@@ -861,7 +849,7 @@ class DistributedListingDriver:
         view.
         """
         return self._plan_exhaustive_pass(
-            task.graph, task.index, task.core, self.p,
+            task.index, task.core, self.p,
             phase=f"level{task.level}-c{task.cluster_index}:core-exhaustive",
         )
 
@@ -883,7 +871,7 @@ class DistributedListingDriver:
         themselves.
         """
         plan, predicted = self._plan_exhaustive_pass(
-            graph, index, endpoints, p, phase="fallback-exhaustive"
+            index, endpoints, p, phase="fallback-exhaustive"
         )
         return self._execute(
             plan,
@@ -897,30 +885,27 @@ class DistributedListingDriver:
     # -- shared execution path ---------------------------------------------------
 
     def _plan_exhaustive_pass(
-        self, graph: nx.Graph, index: LabelCSR, listers: np.ndarray, p: int, phase: str
+        self, index: LabelCSR, listers: np.ndarray, p: int, phase: str
     ) -> tuple[ClusterProtocolPlan, CostAccountant]:
-        """Plan and cost one exhaustive pass in which ``listers`` (ids of
-        ``index``) list every ``K_p`` through themselves from their 2-hop view.
+        """Plan and cost one exhaustive pass in which ``listers`` (ids of the
+        run's ``index`` of ``G``) list every ``K_p`` through themselves.
 
         The communication graph is ``index`` induced on the listers' closed
-        neighbourhood, which contains that view; the prediction is
+        neighbourhood, which contains their 2-hop views; the prediction is
         :func:`charge_exhaustive_pass` with alpha the largest lister degree,
         charged to ``phase`` of a fresh accountant.
         """
         closure = np.union1d(listers, index.matrix[listers].indices)
         labels = index.label_array[listers].tolist()
         plan = plan_two_hop_protocol(index.induced(closure), labels, p=p)
-        predicted = self._new_accountant(graph.number_of_nodes())
-        alpha = int(index.degrees[listers].max(initial=1))
-        charge_exhaustive_pass(graph, labels, alpha, predicted, phase=phase)
-        return plan, predicted
-
-    def _new_accountant(self, n: int) -> CostAccountant:
-        return CostAccountant(
-            n=n,
+        predicted = CostAccountant(
+            n=index.n,
             overhead=self.overhead if self.overhead is not None else polylog_overhead(),
             metrics=CongestMetrics(),
         )
+        degrees = index.degrees[listers]
+        charge_exhaustive_pass(degrees, int(degrees.max(initial=1)), predicted, phase=phase)
+        return plan, predicted
 
     def _execute(
         self,
@@ -931,8 +916,9 @@ class DistributedListingDriver:
         predicted_rounds: int,
         phase: str,
     ) -> set[Clique]:
+        # Positional: perfbench's probe reads the topology as ``args[1]``.
         run = self._session.execute(
-            plan.graph,
+            plan.index,
             plan.factory(),
             backend=self._backend,
             scenario=self._scenario,
@@ -955,7 +941,7 @@ class DistributedListingDriver:
                 level=level,
                 cluster_index=cluster_index,
                 vertices=plan.index.n,
-                edges=plan.index.num_edges,
+                edges=plan.index.number_of_edges(),
                 listers=plan.listers,
                 demands=plan.demands,
                 rounds=run.rounds,

@@ -18,7 +18,7 @@ pass of the clique kernel over the edges of the vertices' 2-hop views
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import networkx as nx
 import numpy as np
@@ -72,28 +72,26 @@ def _cliques_through(
 
 
 def charge_exhaustive_pass(
-    graph: nx.Graph,
-    vertices: Iterable[int],
+    degrees: Sequence[int] | np.ndarray,
     alpha: int,
     accountant: CostAccountant,
     phase: str = "exhaustive-2hop",
 ) -> int:
-    """Charge the ``O(alpha)`` round cost of the Lemma 35 pass, nothing else.
+    """Charge the ``O(alpha)`` rounds of a Lemma 35 pass at these ``degrees``.
 
     Shared by :func:`two_hop_exhaustive_listing` (which also performs the
     centralized clique extraction) and by the distributed listing planner,
     which needs the *predicted* cost of an exhaustive pass it is about to
     execute for real on the engine.  Returns the charged round bound.
     """
-    vertex_list = [v for v in vertices if v in graph]
     rounds = exhaustive_rounds_bound(alpha)
-    if vertex_list:
+    if len(degrees):
         accountant.direct_exchange(
             max_words_sent_per_vertex=2 * alpha,
             max_words_received_per_vertex=2 * alpha,
             min_degree=1,
             phase=phase,
-            total_words=sum(min(alpha, graph.degree(v)) * 2 for v in vertex_list),
+            total_words=2 * int(np.minimum(degrees, alpha).sum()),
         )
     return rounds
 
@@ -134,11 +132,12 @@ def two_hop_exhaustive_listing(
     vertex_list = [v for v in vertices if v in graph]
     if not vertex_list:
         return ExhaustiveListingOutcome(cliques=set(), rounds=0, vertices_processed=0)
+    degrees = [graph.degree(v) for v in vertex_list]
     if alpha is None:
-        alpha = max(graph.degree(v) for v in vertex_list)
+        alpha = max(degrees)
     rounds = exhaustive_rounds_bound(alpha)
     if accountant is not None:
-        charge_exhaustive_pass(graph, vertex_list, alpha, accountant, phase=phase)
+        charge_exhaustive_pass(degrees, alpha, accountant, phase=phase)
     return ExhaustiveListingOutcome(
         _cliques_through(graph, vertex_list, p), rounds, len(vertex_list)
     )

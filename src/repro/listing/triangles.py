@@ -147,17 +147,16 @@ class TriangleListing:
         blueprint was built.
         """
         prefix = f"level{task.level}-c{task.cluster_index}"
+        index = blueprint.cluster.index
         if blueprint.low_degree:
             charge_exhaustive_pass(
-                blueprint.cluster.cluster_graph, blueprint.low_degree, blueprint.alpha,
+                index.degrees[index.ids(blueprint.low_degree)], blueprint.alpha,
                 accountant, phase=f"{prefix}:low-degree",
             )
         if blueprint.tiny_core:
-            degree = blueprint.cluster.communication_degree
-            tiny_alpha = max(map(degree, blueprint.tiny_core))
+            degrees = index.degrees[index.ids(blueprint.tiny_core)]
             charge_exhaustive_pass(
-                blueprint.cluster.cluster_graph, blueprint.tiny_core, tiny_alpha,
-                accountant, phase=f"{prefix}:tiny-core",
+                degrees, int(degrees.max()), accountant, phase=f"{prefix}:tiny-core"
             )
         # Step 1/2 of Lemma 34: interval announcements plus edge deliveries.
         # Loads are degree-proportional (each vertex sends each of its edges

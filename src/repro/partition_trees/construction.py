@@ -188,7 +188,7 @@ def construct_k3_partition_tree(
         empty_tree = PartitionTree.with_root([], 3, Partition.whole([]))
         return K3TreeResult(tree=empty_tree, assignment=LeafAssignment(), rounds=0)
 
-    m = core.num_edges
+    m = core.number_of_edges()
     plan = SimulationPlan(cluster=cluster, t_max=1)
 
     def build_layer(ancestor_lists: list[list[VertexInterval]]) -> list[Partition]:
@@ -258,7 +258,7 @@ def construct_k3_partition_tree(
 
     violations: list[str] = []
     if check_constraints:
-        violations = constraints.check_tree(tree, cluster.cluster_graph.subgraph(members))
+        violations = constraints.check_tree(tree, cluster.index.graph.subgraph(members))
 
     rounds_after = router.accountant.metrics.rounds if router is not None else 0
     return K3TreeResult(

@@ -18,7 +18,14 @@ from hypothesis import given, settings, strategies as st
 from repro.engine import AdversarialDelayScenario, ComposedScenario, LinkDropScenario
 from repro.engine.scenarios import resolve_scenario
 from repro.experiments import Session
-from repro.graphs import enumerate_cliques, erdos_renyi, planted_cliques, ring_of_cliques
+from repro.graphs import (
+    enumerate_cliques,
+    erdos_renyi,
+    planted_cliques,
+    power_law,
+    ring_of_cliques,
+)
+from repro.graphs.index import LabelCSR
 from repro.listing import (
     list_cliques_distributed,
     list_triangles_distributed,
@@ -161,7 +168,7 @@ def _per_vertex_plan(p: int):
     graph.add_edges_from(itertools.combinations([0, 1, 2, 3], 2))
     graph.add_edges_from([(4, 1), (4, 2), (4, 3), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9)])
     owner_edges = {6: set(itertools.combinations([1, 2, 3, 4], 2)) | {(6, 7)}}
-    plan = plan_two_hop_protocol(graph, [0, 4], p)
+    plan = plan_two_hop_protocol(LabelCSR.from_graph(graph), [0, 4], p)
     learn_label_edges(plan, owner_edges)
     return plan, owner_edges
 
@@ -170,9 +177,9 @@ def _per_vertex_plan(p: int):
 @pytest.mark.parametrize("p", [3, 4])
 def test_each_vertex_outputs_exactly_its_own_cliques(backend, p):
     plan, owner_edges = _per_vertex_plan(p)
-    run = Session().execute(plan.graph, plan.factory(), backend=backend)
+    run = Session().execute(plan.index, plan.factory(), backend=backend)
     assert run.halted
-    truth = enumerate_cliques(plan.graph, p)
+    truth = enumerate_cliques(plan.index.graph, p)
     labels = plan.index.labels
     assert [labels[i] for i in np.flatnonzero(plan.idle())] == [7, 8, 9]
     for vertex_id, vertex in enumerate(labels):
@@ -195,13 +202,20 @@ def test_an_isolated_lister_lists_the_same_on_both_paths(p):
     is still its own ``K_1``, as its per-vertex twin reports."""
     graph = nx.complete_graph(3)
     graph.add_node(3)
-    plan = plan_two_hop_protocol(graph, [0, 3], p)
+    plan = plan_two_hop_protocol(LabelCSR.from_graph(graph), [0, 3], p)
     reference, vectorized = (
-        Session().execute(plan.graph, plan.factory(), backend=backend).outputs
+        Session().execute(plan.index, plan.factory(), backend=backend).outputs
         for backend in ("reference", "vectorized")
     )
     assert vectorized == reference
     assert vectorized[3] == ({(3,)} if p == 1 else set())
+
+
+def test_a_lister_outside_the_communication_graph_raises():
+    """A lister the plan's index lacks is a caller's mistake: it raises
+    ``KeyError`` naming the label instead of listing fewer cliques."""
+    with pytest.raises(KeyError, match="7"):
+        plan_two_hop_protocol(LabelCSR.from_graph(nx.complete_graph(4)), [0, 7], 3)
 
 
 def test_crashed_vertices_keep_their_outputs_and_list_no_more(monkeypatch):
@@ -221,7 +235,7 @@ def test_crashed_vertices_keep_their_outputs_and_list_no_more(monkeypatch):
         calls.clear()
         scenario = CrashStopVertexScenario(max_faulty=3, first_round=2, window=12, seed=37)
         outputs[backend] = Session().execute(
-            plan.graph, plan.factory(), backend=backend, scenario=scenario
+            plan.index, plan.factory(), backend=backend, scenario=scenario
         ).outputs
         crashes[backend] = scenario.crash_rounds()
     assert outputs["vectorized"] == outputs["reference"]
@@ -293,3 +307,28 @@ def test_fallback_pass_alone_lists_every_clique(backend, build, p, max_levels, f
     assert last.is_fallback
     assert all(record.level in range(max_levels) for record in clusters)
     assert result.measured_rounds <= result.predicted_rounds
+
+
+@pytest.mark.parametrize(
+    "graph, p, max_levels, shape",
+    [
+        pytest.param(
+            power_law(150, avg_degree=12, seed=1), 3, None, [(False, 15346)], id="routed"
+        ),
+        pytest.param(ring_of_cliques(4, 30), 4, None, [(False, 0)] * 8, id="kp-clusters"),
+        pytest.param(ring_of_cliques(4, 30), 3, 0, [(True, 0)], id="fallback"),
+    ],
+)
+def test_the_listing_path_builds_no_networkx_graph(monkeypatch, graph, p, max_levels, shape):
+    """Every execution runs on its plan's index: the vectorized engine reads
+    the index's arrays, so nothing on the path builds its ``networkx``
+    graph."""
+    truth = enumerate_cliques(graph, p)
+
+    def refuse(index):
+        raise AssertionError("the listing path built a networkx graph from an index")
+
+    monkeypatch.setattr(LabelCSR, "graph", property(refuse))
+    result = list_cliques_distributed(graph, p, backend="vectorized", max_levels=max_levels)
+    assert result.cliques == truth
+    assert [(e.is_fallback, e.demands) for e in result.executions] == shape

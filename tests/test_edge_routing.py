@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.experiments import Session
 from repro.graphs import clustered_communities, planted_cliques, power_law
 from repro.graphs.cliques import enumerate_cliques
+from repro.graphs.index import LabelCSR
 from repro.listing import distributed
 from repro.listing.distributed import (
     add_edge_learning,
@@ -50,7 +51,7 @@ def small_plans(draw, max_vertices=12):
         edges = sorted(e for e in graph.edges if e[0] in reach)
         if edges:
             owner_edges[owner] = draw(st.sets(st.sampled_from(edges)))
-    plan = plan_two_hop_protocol(graph, sorted(listers), 3)
+    plan = plan_two_hop_protocol(LabelCSR.from_graph(graph), sorted(listers), 3)
     learn_label_edges(plan, owner_edges)
     return plan
 
@@ -76,7 +77,7 @@ def test_routes_are_shortest_paths_from_a_nearest_endpoint(plan):
         received[owner] += 1
     assert plan.counts[:, distributed._RELAYED].tolist() == relayed.tolist()
     assert plan.counts[:, distributed._RECEIVED].tolist() == received.tolist()
-    run = Session().execute(plan.graph, plan.factory(), backend="vectorized")
+    run = Session().execute(plan.index, plan.factory(), backend="vectorized")
     assert run.halted
     words = plan.edge_words()
     assert int(words.sum()) == run.metrics.words
@@ -86,7 +87,9 @@ def test_routes_are_shortest_paths_from_a_nearest_endpoint(plan):
 def test_demand_rows_take_either_orientation_and_repeats():
     """``(owner, u, w)`` rows are demands on undirected edges: a reversed or
     repeated row compiles to the same plan as the canonical rows."""
-    canonical, loose = (plan_two_hop_protocol(nx.path_graph(6), [], 3) for _ in range(2))
+    canonical, loose = (
+        plan_two_hop_protocol(LabelCSR.from_graph(nx.path_graph(6)), [], 3) for _ in range(2)
+    )
     add_edge_learning(canonical, np.array([[0, 4, 5], [5, 0, 1], [5, 1, 2]]))
     add_edge_learning(loose, np.array([[5, 2, 1], [5, 1, 0], [0, 5, 4], [5, 0, 1], [5, 1, 2]]))
     for name in ("route_hops", "route_ends", "route_edges", "preloaded", "counts"):

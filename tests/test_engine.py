@@ -3,6 +3,7 @@
 import networkx as nx
 import pytest
 
+from common import vector_broadcast_workload
 from repro.congest.message import Message, words_for_payload
 from repro.congest.network import CongestNetwork
 from repro.congest.vertex import VertexAlgorithm
@@ -19,6 +20,7 @@ from repro.engine import (
     resolve_scenario,
     run_algorithm,
 )
+from repro.graphs.index import LabelCSR
 
 ALL_BACKENDS = ["reference", "vectorized"]
 
@@ -141,8 +143,12 @@ class TestScenarioResolution:
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
 class TestBackendContract:
     def test_empty_graph_rejected(self, backend):
-        with pytest.raises(ValueError):
-            run_algorithm(nx.empty_graph(0), Chatter, backend=backend)
+        # Per-vertex code runs on a LabelCSR's graph, a vector class on its
+        # arrays; an empty index is refused like an empty graph either way.
+        for graph in (nx.empty_graph(0), LabelCSR.from_edges([])):
+            for factory in (Chatter, vector_broadcast_workload(1)):
+                with pytest.raises(ValueError, match="over an empty graph"):
+                    run_algorithm(graph, factory, backend=backend)
 
     def test_forged_sender_rejected(self, backend):
         class Forger(VertexAlgorithm):

@@ -42,7 +42,7 @@ def test_index_and_its_graph_are_in_label_order(graph):
     assert {canonical_edge(*e) for e in built.edges} == {
         canonical_edge(*e) for e in graph.edges
     }
-    assert index.num_edges == graph.number_of_edges()
+    assert index.number_of_edges() == graph.number_of_edges()
 
 
 def test_from_edges_takes_either_orientation_and_repeats():
@@ -115,6 +115,6 @@ def test_slots_address_directed_edges(graph):
 
 def test_empty_index():
     index = LabelCSR.from_edges([])
-    assert index.n == 0 and index.num_edges == 0
+    assert index.n == 0 and index.number_of_edges() == 0
     assert index.graph.number_of_nodes() == 0
     assert index.induced(np.zeros(0, dtype=np.int64)).labels == ()

@@ -332,7 +332,7 @@ PINS = {
 
 def route_digest(plan) -> str:
     """sha256 of ``[[u, w], [hop, ...]]`` per demand, in labels."""
-    nodes = list(plan.graph.nodes)
+    nodes = plan.index.labels
     routes = []
     start = 0
     for (u, w), end in zip(plan.route_edges.tolist(), plan.route_ends.tolist()):

@@ -36,6 +36,7 @@ from repro.engine import (
 from repro.engine.vector import as_vertex_factory, is_vector_algorithm
 from repro.experiments import Session
 from repro.graphs import planted_cliques, power_law
+from repro.graphs.index import LabelCSR
 from repro.listing import list_cliques_distributed
 from repro.listing.distributed import plan_two_hop_protocol
 from test_distributed_listing import _per_vertex_plan, learn_label_edges
@@ -58,7 +59,7 @@ def _hub_plan(relabel: bool = False):
             name(hub): {(name(u), name(w)) for u, w in far}
             for hub, far in owner_edges.items()
         }
-    plan = plan_two_hop_protocol(graph, listers, 3)
+    plan = plan_two_hop_protocol(LabelCSR.from_graph(graph), listers, 3)
     learn_label_edges(plan, owner_edges)
     return plan
 
@@ -69,7 +70,7 @@ def _isolated_plan():
     graph.add_edges_from(itertools.combinations([0, 1, 2, 3], 2))
     graph.add_edges_from([(3, 4), (4, 5)])
     graph.add_nodes_from([6, 7])
-    plan = plan_two_hop_protocol(graph, [0, 6], 3)
+    plan = plan_two_hop_protocol(LabelCSR.from_graph(graph), [0, 6], 3)
     learn_label_edges(plan, {5: {(0, 1), (0, 2), (1, 2), (4, 5)}})
     return plan
 
@@ -80,7 +81,8 @@ PLANS = [
     pytest.param(_hub_plan, None, id="power-law-hubs"),
     pytest.param(lambda: _hub_plan(relabel=True), None, id="string-labels"),
     pytest.param(
-        lambda: plan_two_hop_protocol(nx.empty_graph(5), [0, 2, 4], 3), None,
+        lambda: plan_two_hop_protocol(LabelCSR.from_graph(nx.empty_graph(5)), [0, 2, 4], 3),
+        None,
         id="edgeless",
     ),
     pytest.param(_isolated_plan, None, id="isolated-vertices"),
@@ -120,7 +122,7 @@ def test_listing_vector_matches_its_twin_on_every_backend(build, max_rounds, sce
     runs = {
         name: run_signature(
             session.execute(
-                plan.graph, algorithm, backend=backend, scenario=scenario,
+                plan.index, algorithm, backend=backend, scenario=scenario,
                 max_rounds=cap,
             )
         )
@@ -140,7 +142,7 @@ def test_listing_vector_matches_its_twin_on_every_backend(build, max_rounds, sce
         assert not runs["vectorized"]["halted"]
         assert runs["vectorized"]["rounds"] == max_rounds
         full = session.execute(
-            plan.graph, factory, backend="vectorized", scenario=scenario
+            plan.index, factory, backend="vectorized", scenario=scenario
         ).outputs
         cut = runs["vectorized"]["outputs"]
         assert all(cut[v] in (set(), full[v]) for v in full)
@@ -172,13 +174,15 @@ def _reversed_vertex_order(graph):
         lambda graph: nx.path_graph(graph.number_of_nodes()),
         lambda graph: nx.relabel_nodes(graph, {v: v + 100 for v in graph}),
         _reversed_vertex_order,
+        lambda graph: graph,
     ],
-    ids=["other-edges", "other-labels", "other-vertex-order"],
+    ids=["other-edges", "other-labels", "other-vertex-order", "its-index-graph"],
 )
 def test_plan_bound_listing_vector_refuses_a_foreign_graph(foreign):
     """The plan's vertex and edge ids are its own index's ids and slots, so
-    its array path runs on the plan's graph only."""
+    its array path runs on the plan's index only, not even on that index's
+    own ``networkx`` graph."""
     plan, _ = _per_vertex_plan(3)
-    graph = foreign(plan.graph)
+    graph = foreign(plan.index.graph)
     with pytest.raises(ValueError, match="bound to a plan over another graph"):
         Session().execute(graph, plan.factory(), backend="vectorized")

@@ -38,6 +38,7 @@ from repro.engine import (
 )
 from repro.engine.delivery import GraphIndex
 from repro.graphs import erdos_renyi
+from repro.graphs.index import LabelCSR
 
 
 def executions(algorithm):
@@ -95,16 +96,25 @@ def test_vector_classes_match_scalar_reference(algorithm, graph_name, graph):
         )
 
 
+FAULTS = [
+    ("link-drop", LinkDropScenario(drop_probability=0.15, seed=21)),
+    ("adversarial-delay", AdversarialDelayScenario(stall_period=4, seed=2)),
+]
+
+
 @pytest.mark.parametrize(
-    "scenario",
+    "scenario,on_index",
     [
-        LinkDropScenario(drop_probability=0.15, seed=21),
-        AdversarialDelayScenario(stall_period=4, seed=2),
+        pytest.param(scenario, on_index, id=name + ("-on-index" if on_index else ""))
+        for on_index in (False, True)
+        for name, scenario in FAULTS
     ],
-    ids=["link-drop", "adversarial-delay"],
 )
 @pytest.mark.parametrize("algorithm", vector_workloads())
-def test_vector_classes_match_scalar_reference_under_faults(algorithm, scenario):
+def test_vector_classes_match_scalar_reference_under_faults(algorithm, scenario, on_index):
+    """On the graph or on its ``LabelCSR`` (a vector run reads the index's
+    arrays, per-vertex code its graph), every run equals the per-vertex twin
+    on the graph."""
     graph = erdos_renyi(30, 8.0, seed=9)
     truth = run_signature(
         run_algorithm(
@@ -115,10 +125,11 @@ def test_vector_classes_match_scalar_reference_under_faults(algorithm, scenario)
             max_rounds=5000,
         )
     )
+    topology = LabelCSR.from_graph(graph) if on_index else graph
     for backend, factory in executions(algorithm):
         candidate = run_signature(
             run_algorithm(
-                graph, factory, backend=backend, scenario=scenario,
+                topology, factory, backend=backend, scenario=scenario,
                 max_rounds=5000,
             )
         )
