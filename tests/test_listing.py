@@ -223,6 +223,15 @@ class TestKpListingCorrectness:
         report = validate_listing(community_graph, list_cliques(community_graph, 4))
         assert report.correct, report.summary()
 
+    @pytest.mark.parametrize("p", [4, 5])
+    @pytest.mark.parametrize("fixture", ["community_graph", "small_dense_graph"])
+    def test_split_trees_meet_definition_22(self, fixture, p, request):
+        """Every split tree the listing builds is checked against Definition 22
+        (a violation raises), and the output stays exact."""
+        graph = request.getfixturevalue(fixture)
+        result = CliqueListing(p=p, check_tree_constraints=True).run(graph)
+        assert result.cliques == enumerate_cliques(graph, p)
+
     def test_clique_free_graph(self):
         graph = nx.cycle_graph(20)
         assert list_cliques(graph, 4).cliques == set()

@@ -25,6 +25,14 @@ the sparse planted graph decomposes into two components.  Clusters are
 numbered by their smallest vertex label, so the pinned order does not
 depend on the order the cuts find them in (which can follow BLAS's thread
 count where the Fiedler vector is not unique, as on the rings).
+
+The centralized ``K_p`` listing (:class:`~repro.listing.cliques.CliqueListing`)
+is pinned the same way on three cases that reach its split-tree path
+(``|V_C^-|`` is 40, 40 and 63): the charged rounds and words, the per-phase
+rounds and messages of the run and of every cluster's accountant, the
+clique digest, and per ``p'`` a sha256 of each split tree (every node's
+path and part endpoints) and of its leaf assignment, captured by wrapping
+``construct_split_kp_tree``.
 """
 
 from __future__ import annotations
@@ -36,8 +44,15 @@ import json
 import pytest
 
 from repro.engine import LinkDropScenario
-from repro.graphs import clustered_communities, planted_cliques, power_law, ring_of_cliques
-from repro.listing import distributed, recursion
+from repro.graphs import (
+    clustered_communities,
+    erdos_renyi,
+    planted_cliques,
+    power_law,
+    ring_of_cliques,
+)
+from repro.listing import cliques, distributed, recursion
+from repro.listing.cliques import CliqueListing
 from repro.listing.distributed import list_cliques_distributed
 
 
@@ -385,3 +400,169 @@ def test_listing_costs_and_routes_are_pinned(case, monkeypatch):
     assert [dataclasses.astuple(r) for r in result.level_reports] == pin["levels"]
     assert (len(result.cliques), _sha256(sorted(result.cliques))) == pin["cliques"]
     assert [(plan.demands, route_digest(plan)) for plan in plans] == pin["routes"]
+
+
+# ---------------------------------------------------------------------------
+# The centralized K_p listing's split trees (Theorem 26 per p', Lemma 37)
+# ---------------------------------------------------------------------------
+
+
+def _dense():
+    return erdos_renyi(40, 14.0, seed=7)
+
+
+SPLIT_TREE_CASES = {
+    "dense-40-k4": (_dense, 4),
+    "dense-40-k5": (_dense, 5),
+    "communities-72-k4": (lambda: clustered_communities(4, 18, 0.6, 0.02, seed=3), 4),
+}
+
+# Per case: the run's (rounds, words, phase_rounds, phase_messages), then
+# every cluster accountant's, in cluster order.
+SPLIT_TREE_METRICS = {
+    "dense-40-k4": [
+        (3024, 23494, {"level0:decomposition": 216, "level0:clusters": 2808},
+         {"level0:clusters": 23494}),
+        (2808, 23494,
+         {"level0-c0:lemma43-import": 0, "level0-c0:lemma45-degstar": 38,
+          "level0-c0:lemma27-layer": 1235, "level0-c0:phase1-tokens": 214,
+          "streaming:phase2-steps": 706, "level0-c0:lemma20-redistribute": 6,
+          "level0-c0:lemma20-fetch": 4, "level0-c0:lemma37-edge-learning-p2": 58,
+          "level0-c0:lemma37-edge-learning-p3": 149,
+          "level0-c0:lemma37-edge-learning-p4": 398},
+         {"level0-c0:lemma45-degstar": 7, "level0-c0:lemma27-layer": 1183,
+          "level0-c0:phase1-tokens": 2400, "streaming:phase2-state": 2352,
+          "level0-c0:lemma20-redistribute": 120, "level0-c0:lemma20-fetch": 117,
+          "level0-c0:lemma37-edge-learning-p2": 511,
+          "level0-c0:lemma37-edge-learning-p3": 3173,
+          "level0-c0:lemma37-edge-learning-p4": 13631}),
+    ],
+    "dense-40-k5": [
+        (7674, 85685, {"level0:decomposition": 216, "level0:clusters": 7458},
+         {"level0:clusters": 85685}),
+        (7458, 85685,
+         {"level0-c0:lemma43-import": 0, "level0-c0:lemma45-degstar": 38,
+          "level0-c0:lemma27-layer": 2394, "level0-c0:phase1-tokens": 2135,
+          "streaming:phase2-steps": 1080, "level0-c0:lemma20-redistribute": 8,
+          "level0-c0:lemma20-fetch": 6, "level0-c0:lemma37-edge-learning-p2": 58,
+          "level0-c0:lemma37-edge-learning-p3": 149,
+          "level0-c0:lemma37-edge-learning-p4": 398,
+          "level0-c0:lemma37-edge-learning-p5": 1192},
+         {"level0-c0:lemma45-degstar": 7, "level0-c0:lemma27-layer": 3738,
+          "level0-c0:phase1-tokens": 7280, "streaming:phase2-state": 6448,
+          "level0-c0:lemma20-redistribute": 160, "level0-c0:lemma20-fetch": 360,
+          "level0-c0:lemma37-edge-learning-p2": 511,
+          "level0-c0:lemma37-edge-learning-p3": 3173,
+          "level0-c0:lemma37-edge-learning-p4": 13631,
+          "level0-c0:lemma37-edge-learning-p5": 50377}),
+    ],
+    "communities-72-k4": [
+        (3777, 26177, {"level0:decomposition": 293, "level0:clusters": 3484},
+         {"level0:clusters": 26177}),
+        (3484, 26177,
+         {"level0-c0:low-degree": 34, "level0-c0:lemma43-import": 1,
+          "level0-c0:lemma45-degstar": 87, "level0-c0:phase1-tokens": 207,
+          "streaming:phase2-steps": 1080, "level0-c0:lemma27-layer": 1215,
+          "level0-c0:lemma20-redistribute": 6, "level0-c0:lemma20-fetch": 3,
+          "level0-c0:lemma37-edge-learning-p2": 198,
+          "level0-c0:lemma37-edge-learning-p3": 233,
+          "level0-c0:lemma37-edge-learning-p4": 420},
+         {"level0-c0:low-degree": 136, "level0-c0:lemma43-import": 1,
+          "level0-c0:lemma45-degstar": 63, "level0-c0:phase1-tokens": 3807,
+          "streaming:phase2-state": 2832, "level0-c0:lemma27-layer": 1183,
+          "level0-c0:lemma20-redistribute": 189, "level0-c0:lemma20-fetch": 117,
+          "level0-c0:lemma37-edge-learning-p2": 793,
+          "level0-c0:lemma37-edge-learning-p3": 4139,
+          "level0-c0:lemma37-edge-learning-p4": 12917}),
+    ],
+}
+
+# Per case: the clique count and digest, then per split tree built
+# ``(p', |V_C^-|, tree sha256, leaf assignment sha256)``.
+SPLIT_TREE_PINS = {
+    "dense-40-k4": (
+        (424, "c64a59953c33372273cb3e7518a7921aea27aae6248b200cb7395db8cfacc616"),
+        [
+            (2, 40, "976eb3a736c4f3e66345b5a50c147136f2f882101f342f78d0d92a3264855fd5",
+             "61be99d187493e9167e1a4e3b59ced25d35c1d8ff688fa204b00e94868e71028"),
+            (3, 40, "5673b5af797b58ce825a1fa8131dc980ba44ecf72cf037be1fb715d70b719166",
+             "cc9830675b5a7741c80292a848df48832d95ba45f5f8912dea68b9510c0dc2fa"),
+            (4, 40, "6c4bc8612442de78646ac2efade5810e34ee0ffb90638a2c83df6a4460ffae61",
+             "1a866a96c7dab9af750bdb5d21b4c4038d2fafca28069c69bde482e8561bbfdc"),
+        ],
+    ),
+    "dense-40-k5": (
+        (99, "d5534be1205ba6f6e4c2805e4a44ccdb5319a024126c682ada06dd75b122cdd4"),
+        [
+            (2, 40, "4c852b2ff28d18fc188d6a3f46dc01f6358b9f37c70e6454b866f6d266e50941",
+             "88eb674d8813c878b648d58d56318c655fb9f89c579e6c16f60a899372ccb790"),
+            (3, 40, "0721ff022c06cefe362ca112df0394420e668d355b7f3a5595fed4a8d906bf9a",
+             "f49fe82331ad4fefe5ca70f2c3f4a051cadc382b8c789b65bc06cac7be01d12d"),
+            (4, 40, "0770fd648de0033a11fb9707aeb73fab3fc2de3e2b5117adcb4bedee457989cc",
+             "34ad26613e49aeeaf9fa0ca5c1428f388823d8fd3e72562a7efe3f571cf8768a"),
+            (5, 40, "6f5b4edd3435cd0cfe487e52bee842f5e0bcd48f9468a1a482d4dac07c703c63",
+             "47a5010a301fda4d40f104f3b835a9dbebcff26720dc4da78b8a0f5f9edba087"),
+        ],
+    ),
+    "communities-72-k4": (
+        (617, "56af523c3218bad97a683833309821168ced1bccdffa9f7365c64e1b43305a8e"),
+        [
+            (2, 63, "c1d830c28e54a08150479cf22a6adda867547bf788823ea3fc081f9cd807133c",
+             "bf8cc55cea618d7750a98db73f4e217a95eeb4192bd957e131d21408af237b55"),
+            (3, 63, "66f2ff669240b7e40262116476c6a7b051ee303f0ef9c69daa59ae99bb61f7e1",
+             "a42e48d08123a9da40ece8b65d2d05db2e2746984fdaf4f7dfcded006c986f7a"),
+            (4, 63, "f650690c7ae305393512a3e2a6f2572fdd156bf4b7e93d5a09aaed95a7c91fd7",
+             "f7d574ca349be410e589241801c8ccf2fb1536cbb7aa53259bd5f90ec12a0161"),
+        ],
+    ),
+}
+
+
+def split_tree_digest(tree) -> str:
+    """sha256 of ``[path, [part endpoints, ...]]`` per node, by path."""
+    nodes = sorted(tree.nodes(), key=lambda node: node.path)
+    return _sha256(
+        [[list(node.path), [list(part.endpoints()) for part in node.partition]]
+         for node in nodes]
+    )
+
+
+def leaf_assignment_digest(assignment) -> str:
+    """sha256 of the sorted ``[path, part index, owner]`` rows."""
+    return _sha256(
+        sorted([list(path), part, owner] for (path, part), owner in assignment.owner.items())
+    )
+
+
+@pytest.mark.parametrize("case", list(SPLIT_TREE_CASES))
+def test_split_tree_listing_is_pinned(case, monkeypatch):
+    build, p = SPLIT_TREE_CASES[case]
+    trees = []
+    accountants = []
+    construct = cliques.construct_split_kp_tree
+    new_accountant = recursion.RecursiveListingDriver.new_accountant
+
+    def capture(cluster, *args, **kwargs):
+        result = construct(cluster, *args, **kwargs)
+        trees.append((
+            kwargs["p_prime"], cluster.k, split_tree_digest(result.tree),
+            leaf_assignment_digest(result.assignment),
+        ))
+        return result
+
+    def capture_accountant(self, n, metrics=None):
+        accountant = new_accountant(self, n, metrics)
+        accountants.append(accountant.metrics)
+        return accountant
+
+    monkeypatch.setattr(cliques, "construct_split_kp_tree", capture)
+    monkeypatch.setattr(recursion.RecursiveListingDriver, "new_accountant", capture_accountant)
+    result = CliqueListing(p=p).run(build())
+    assert (result.rounds, result.metrics.words) == SPLIT_TREE_METRICS[case][0][:2]
+    assert [
+        (m.rounds, m.words, dict(m.phase_rounds), dict(m.phase_messages))
+        for m in accountants
+    ] == SPLIT_TREE_METRICS[case]
+    assert ((len(result.cliques), _sha256(sorted(result.cliques))), trees) == (
+        SPLIT_TREE_PINS[case]
+    )
