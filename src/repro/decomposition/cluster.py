@@ -4,10 +4,11 @@ A ``(φ, δ)``-communication cluster is a high-conductance cluster together
 with a designated subset ``V_C^-`` of vertices whose communication degree is
 at least ``δ``; these are the vertices that participate in the heavy
 load-balancing machinery.  For triangle listing ``δ = K^{1/3}`` (Definition
-15); for ``K_p`` listing with ``p > 3``, ``δ = n^{1-2/p}`` and the cluster
-additionally carries the imported edge sets ``E_bar`` (edges from outside
-into ``V_C^-``) and ``E'`` (edges entirely outside the cluster) together with
-the ``deg*`` bookkeeping (Definition 24).
+15); for ``K_p`` listing with ``p > 3``, ``δ = n^{1-2/p}`` (Definition 24).
+The edges a ``K_p`` cluster imports from outside, ``E_bar`` into ``V_C^-``
+and ``E'`` among its outside neighbours, are id ranges of its split graph
+(:class:`repro.partition_trees.split_tree.SplitGraph`), not sets on the
+cluster.
 
 :func:`core_vertices` implements the ``V_C^\\circ`` construction of Section
 2 / Lemma 33: the vertices that have the majority of their edges inside
@@ -26,7 +27,6 @@ import numpy as np
 from repro.graphs.index import LabelCSR
 
 Edge = tuple[int, int]
-DirectedEdge = tuple[int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -177,25 +177,12 @@ class K3CompatibleCluster(CommunicationCluster):
 
 @dataclass
 class KpCompatibleCluster(CommunicationCluster):
-    """A ``K_p``-compatible cluster for ``p > 3`` (Definition 24).
-
-    In addition to the (φ, δ)-cluster structure with ``δ = n^{1-2/p}`` the
-    cluster carries the imported edge information a clique of size ``>= 4``
-    may need:
-
-    * ``e_bar`` -- directed edges from ``V \\ V_C^-`` into ``V_C^-``
-      (each known to its head, a ``V_C^-`` vertex),
-    * ``e_prime`` -- directed edges entirely outside ``V_C^-`` that were
-      shipped into the cluster, stored per responsible ``V_C^-`` vertex,
-    * ``deg_star`` -- for every outside vertex that is the tail of at least
-      one imported edge, the total number of such edges (each held by exactly
-      one ``V_C^-`` vertex).
-    """
+    """A ``K_p``-compatible cluster for ``p > 3``: ``δ = n^{1-2/p}``
+    (Definition 24).  Its imported edges ``E_bar`` and ``E'`` are ``E_12``
+    and ``E_2`` of its split graph, whose delivery the listing charges
+    (:meth:`repro.listing.cliques.CliqueListing._import_outside_edges`)."""
 
     p: int = 4
-    e_bar: set[DirectedEdge] = field(default_factory=set)
-    e_prime_holder: dict[int, set[DirectedEdge]] = field(default_factory=dict)
-    deg_star: dict[int, int] = field(default_factory=dict)
 
     @classmethod
     def from_edges(
@@ -219,59 +206,3 @@ class KpCompatibleCluster(CommunicationCluster):
         if delta is None:
             delta = n ** (1.0 - 2.0 / p) if n else 0.0
         return cls(graph=graph, index=index, delta=delta, phi=phi, p=p)
-
-    # -- imported-edge bookkeeping -------------------------------------------
-
-    def attach_boundary_edges(self) -> None:
-        """Populate ``e_bar`` with all graph edges from outside into ``V_C^-``.
-
-        In the paper each ``v ∈ V_C^-`` knows the edges of ``E_bar`` incident
-        to it (Definition 24, first bullet); here we materialise them from
-        the ambient graph.
-        """
-        self.e_bar.clear()
-        members = set(self.v_minus)
-        for v in members:
-            for u in self.graph.neighbors(v):
-                if u not in members:
-                    self.e_bar.add((u, v))
-
-    def import_outside_edges(self, edges: Iterable[DirectedEdge], holder: int) -> None:
-        """Record directed outside edges (``E'``) as held by ``holder``."""
-        if holder not in self.v_minus:
-            raise ValueError(f"holder {holder} is not a V^- vertex of this cluster")
-        bucket = self.e_prime_holder.setdefault(holder, set())
-        for edge in edges:
-            bucket.add(tuple(edge))
-
-    @property
-    def e_prime(self) -> set[DirectedEdge]:
-        """All imported outside edges, regardless of holder."""
-        combined: set[DirectedEdge] = set()
-        for bucket in self.e_prime_holder.values():
-            combined |= bucket
-        return combined
-
-    def compute_deg_star(self) -> None:
-        """``deg*_C(u)``: number of imported edges (``E_bar ∪ E'``) with tail ``u``.
-
-        Lemma 45 / Lemma 47 of the paper ensure exactly one cluster vertex
-        holds each value; centrally we simply tabulate the counts.
-        """
-        counts: dict[int, int] = {}
-        for u, _ in self.e_bar:
-            counts[u] = counts.get(u, 0) + 1
-        for bucket in self.e_prime_holder.values():
-            for u, _ in bucket:
-                counts[u] = counts.get(u, 0) + 1
-        self.deg_star = counts
-
-    def input_degree(self, vertex: int) -> int:
-        """``deg*_C(v)`` of Definition 24 (0 if the vertex sent nothing)."""
-        return self.deg_star.get(vertex, 0)
-
-    def split_graph_parts(self) -> tuple[set[int], set[int]]:
-        """The split-graph vertex sets ``V_1 = V_C^-`` and ``V_2 = V \\ V_C^-``."""
-        v1 = set(self.v_minus)
-        v2 = set(self.graph.nodes) - v1
-        return v1, v2

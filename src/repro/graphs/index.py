@@ -61,7 +61,8 @@ class LabelCSR:
     """A simple undirected graph as label-sorted compressed sparse rows.
 
     Attributes:
-        labels: vertex labels in increasing order; id ``i`` is ``labels[i]``.
+        labels: vertex labels; id ``i`` is ``labels[i]``.  They increase,
+            except in an index built by :meth:`from_ids` in another order.
         indptr: ``int64[n + 1]``; the neighbours of ``i`` are
             ``indices[indptr[i]:indptr[i + 1]]``, increasing.
         indices: ``int64[2m]`` neighbour ids.
@@ -81,11 +82,12 @@ class LabelCSR:
         labels = tuple(sorted(set(flat).union(vertices)))
         id_of = dict(zip(labels, range(len(labels))))
         ends = np.fromiter(map(id_of.__getitem__, flat), dtype=np.int64, count=len(flat))
-        return cls._from_ids(labels, ends[0::2], ends[1::2])
+        return cls.from_ids(labels, ends[0::2], ends[1::2])
 
     @classmethod
-    def _from_ids(cls, labels: tuple, us: np.ndarray, ws: np.ndarray) -> "LabelCSR":
-        """The graph of the id pairs ``(us[i], ws[i])`` on ``labels``."""
+    def from_ids(cls, labels: tuple, us: np.ndarray, ws: np.ndarray) -> "LabelCSR":
+        """The graph of the id pairs ``(us[i], ws[i])`` (either orientation,
+        repeats allowed) on ``labels``, in their order."""
         if (loops := np.flatnonzero(us == ws)).size:
             raise self_loop(labels[us[loops[0]]])
         n = len(labels)
@@ -140,7 +142,7 @@ class LabelCSR:
         return list(zip(*(self.label_array[column].tolist() for column in rows.T)))
 
     def edges(self) -> list[tuple]:
-        """Every edge once, smaller label first, in row order."""
+        """Every edge once as a label pair, smaller id first, in row order."""
         upper = self.rows < self.indices
         return self.label_pairs(self.rows[upper] * self.n + self.indices[upper])
 
@@ -181,7 +183,7 @@ class LabelCSR:
         kept = sorted_distinct(ends)
         ends = np.searchsorted(kept, ends)
         labels = tuple(self.label_array[kept].tolist())
-        return LabelCSR._from_ids(labels, ends[: len(us)], ends[len(us):])
+        return LabelCSR.from_ids(labels, ends[: len(us)], ends[len(us):])
 
     @cached_property
     def slot_keys(self) -> np.ndarray:

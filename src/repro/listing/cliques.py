@@ -12,6 +12,9 @@ the per-cluster work implements Lemma 37:
   each leaf owner learns the edges between its part's ancestor parts and
   reports the ``K_p`` instances it sees.  Theorem 23 guarantees that every
   clique with exactly ``p'`` vertices in ``V_C^-`` is caught by some leaf.
+
+A cluster builds its split graph once, from ``G``'s index: the import
+charges, every tree and every leaf's edges read its id ranges.
 """
 
 from __future__ import annotations
@@ -27,11 +30,10 @@ from repro.congest.cost import RoutingOverhead
 from repro.decomposition.cluster import KpCompatibleCluster
 from repro.decomposition.routing import ClusterRouter
 from repro.graphs.cliques import Clique, cliques_by_group
+from repro.graphs.index import sorted_distinct
 from repro.listing.local import two_hop_exhaustive_listing
 from repro.listing.recursion import ClusterTask, ListingResult, RecursiveListingDriver
-from repro.partition_trees.split_tree import construct_split_kp_tree
-
-Edge = tuple[int, int]
+from repro.partition_trees.split_tree import SplitGraph, construct_split_kp_tree
 
 
 @dataclass
@@ -99,7 +101,8 @@ class CliqueListing:
             phase_prefix=f"level{task.level}-c{task.cluster_index}",
         )
 
-        self._import_outside_edges(task, cluster, router)
+        split = SplitGraph.from_index(task.index, task.index.ids(members))
+        self._import_outside_edges(split, router)
 
         if len(members) < self.p:
             # Too few high-degree vertices to host the split-tree machinery:
@@ -112,57 +115,34 @@ class CliqueListing:
             return found | outcome.cliques
 
         for p_prime in range(2, self.p + 1):
-            found |= self._list_with_split_tree(task, cluster, router, p_prime)
+            found |= self._list_with_split_tree(task, cluster, split, router, p_prime)
         return found
 
     # -- Lemma 43 / Theorem 31: building the K_p-compatible input ----------------
 
-    def _import_outside_edges(
-        self, task: ClusterTask, cluster: KpCompatibleCluster, router: ClusterRouter
-    ) -> None:
-        """Ship ``E_bar`` and ``E'`` into the cluster and charge the delivery."""
-        graph = task.graph
-        cluster.attach_boundary_edges()
-        members = set(cluster.v_minus)
+    @staticmethod
+    def _import_outside_edges(split: SplitGraph, router: ClusterRouter) -> None:
+        """Charge shipping ``E_bar`` and ``E'`` into the cluster (Lemma 43) and
+        distributing the ``deg*`` values (Lemma 45).
 
-        outside_neighbourhood: set[int] = set()
-        for vertex in members:
-            outside_neighbourhood.update(
-                u for u in graph.neighbors(vertex) if u not in members
-            )
-        # E': edges of G among the outside neighbourhood of V_C^-; every clique
-        # with >= 2 vertices inside has all its outside edges here (Lemma 43).
-        e_prime: set[Edge] = set()
-        for vertex in outside_neighbourhood:
-            for neighbor in graph.neighbors(vertex):
-                if neighbor in outside_neighbourhood and vertex < neighbor:
-                    e_prime.add((vertex, neighbor))
-        # Deterministic holder rule: edge (u, w) goes to the lowest-numbered
-        # V_C^- neighbour of u (mirrors the chunked delivery of Lemma 43).
-        ordered_members = cluster.ordered_members()
-        holder_of: dict[int, int] = {}
-        for outside_vertex in outside_neighbourhood:
-            inside_neighbors = sorted(u for u in graph.neighbors(outside_vertex) if u in members)
-            holder_of[outside_vertex] = inside_neighbors[0] if inside_neighbors else ordered_members[0]
-        per_holder: dict[int, list[Edge]] = {}
-        for u, w in e_prime:
-            per_holder.setdefault(holder_of[u], []).append((u, w))
-        for holder, edges in per_holder.items():
-            cluster.import_outside_edges(edges, holder)
-        cluster.compute_deg_star()
-
-        # Round cost of the import (Lemma 43) and of distributing deg* values
-        # (Lemma 45): direct exchanges bounded by the actual per-vertex loads.
-        max_received = max((len(edges) for edges in per_holder.values()), default=0)
-        max_sent = max(
-            (sum(1 for nb in graph.neighbors(v) if nb in outside_neighbourhood)
-             for v in outside_neighbourhood), default=0,
-        )
+        ``E'`` is the split graph's ``E_2``, the edges of ``G`` among the
+        outside neighbourhood of ``V_C^-`` (the ``V_2`` vertices with a
+        neighbour in ``V_1``): every clique with ``>= 2`` vertices inside has
+        all its outside edges there.  Edge ``(u, w)``, ``u`` the smaller
+        label, goes to the lowest-numbered ``V_C^-`` neighbour of ``u``, its
+        first neighbour in the split graph (mirrors the chunked delivery of
+        Lemma 43).  Both steps are charged by the actual per-vertex loads.
+        """
+        index, k = split.index, split.k
+        outside = k + np.flatnonzero(split.deg_v1[k:])
+        e_prime = split.edges_between(split.v2, split.v2)
+        holders = index.indices[index.indptr[e_prime // index.n]]
         router.direct(
-            max_sent=max_sent, max_received=max_received,
-            total_words=len(e_prime), phase="lemma43-import",
+            max_sent=int(split.deg_v2[outside].max(initial=0)),
+            max_received=int(np.bincount(holders).max(initial=0)),
+            total_words=int(e_prime.size), phase="lemma43-import",
         )
-        router.broadcast(total_words=max(1, len(holder_of)), phase="lemma45-degstar")
+        router.broadcast(total_words=max(1, outside.size), phase="lemma45-degstar")
 
     # -- Theorem 26 + final listing step of Lemma 37 -----------------------------
 
@@ -170,11 +150,12 @@ class CliqueListing:
         self,
         task: ClusterTask,
         cluster: KpCompatibleCluster,
+        split: SplitGraph,
         router: ClusterRouter,
         p_prime: int,
     ) -> set[Clique]:
         result = construct_split_kp_tree(
-            cluster, p=self.p, p_prime=p_prime, router=router,
+            cluster, split, p=self.p, p_prime=p_prime, router=router,
             check_constraints=self.check_tree_constraints,
         )
         if self.check_tree_constraints and result.violations:
@@ -182,33 +163,34 @@ class CliqueListing:
                 f"split tree (p'={p_prime}) violates Definition 22: "
                 + "; ".join(result.violations[:3])
             )
-        tree = result.tree
-        split = result.split
-        leaves: list[set[Edge]] = []
-        received_load: dict[int, int] = {}
-        for (path, part_index), owner in result.assignment.owner.items():
-            node = tree.node_at(path)
-            ancestors = tree.ancestor_parts(node, part_index)
-            learned: set[Edge] = set()
-            for first, second in itertools.combinations(range(len(ancestors)), 2):
-                learned |= split.edges_between(
-                    ancestors[first].vertices(), ancestors[second].vertices()
-                )
-            received_load[owner] = received_load.get(owner, 0) + len(learned)
-            leaves.append(learned)
+        # Each leaf owner learns the edges between its leaf part's ancestor
+        # parts (id ranges of the split graph), each once: leaf ``j``'s edge
+        # ``u * n + w`` is the key ``j * n^2 + u * n + w``.
+        tree, pi, n = result.tree, self.p - p_prime, split.n
+        learned = []
+        for j, (path, part_index) in enumerate(result.assignment.owner):
+            parts = tree.ancestor_parts(tree.node_at(path), part_index)
+            ranges = [split.part_ids(part, depth < pi) for depth, part in enumerate(parts)]
+            learned.extend(
+                j * n * n + split.index.edges_between(first, second)
+                for first, second in itertools.combinations(ranges, 2)
+            )
+        leaf, keys = np.divmod(sorted_distinct(np.concatenate(learned)), n * n)
         # One kernel pass over every leaf's edges, as ids of G's index, one
         # group per leaf.
-        index = task.index
-        ends = index.ids(itertools.chain.from_iterable(itertools.chain(*leaves)))
-        leaf = np.repeat(np.arange(len(leaves)), [len(learned) for learned in leaves])
-        _, rows = cliques_by_group(leaf, ends[0::2], ends[1::2], index.n, self.p)
-        found = set(index.label_rows(rows))
+        us, ws = (split.graph_ids[ends] for ends in np.divmod(keys, n))
+        _, rows = cliques_by_group(leaf, us, ws, task.index.n, self.p)
+        found = set(task.index.label_rows(rows))
 
         # Final edge-delivery step of Lemma 37: every V^- vertex pushes its
         # edges to the leaf owners that need them.  Loads are
         # degree-proportional (each edge is sent ~n^{1-2/p} times, each owner
         # receives ~n^{1-2/p} deg(v) edges), so Theorem 6 routes them in
         # ~n^{1-2/p} * n^{o(1)} rounds.
+        received_load: dict[int, int] = {}
+        owners = result.assignment.owner.values()
+        for owner, received in zip(owners, np.bincount(leaf, minlength=len(owners)).tolist()):
+            received_load[owner] = received_load.get(owner, 0) + received
         members = cluster.ordered_members()
         a = max(1.0, len(members) ** (1.0 / self.p))
         load_per_degree = a

@@ -155,10 +155,12 @@ class ClusterProtocolPlan:
             halts: announcements to answer (its lister neighbours), replies
             to collect (a lister's degree), packets to relay and packets to
             receive as an owner.
-        route_hops: every demand's route, from the injecting endpoint to
-            the owner, concatenated in demand order.
+        route_slots: every demand's route, the CSR slots of :attr:`index`
+            it crosses from the injecting endpoint to the owner,
+            concatenated in demand order.  Slot ``s`` leaves
+            ``index.rows[s]`` for ``index.indices[s]``.
         route_ends: ``route_ends[d]`` is where demand ``d``'s route ends
-            (exclusive) in ``route_hops``.
+            (exclusive) in ``route_slots``.
         route_edges: ``int64[demands, 2]`` — the demanded edge ``(u, w)``
             of each demand, ``u`` the smaller label.
         preloaded: ``int64[k, 3]`` — ``(owner, u, w)`` for each demanded
@@ -169,7 +171,7 @@ class ClusterProtocolPlan:
     p: int
     lister: np.ndarray
     counts: np.ndarray
-    route_hops: np.ndarray = field(default_factory=_no_routes)
+    route_slots: np.ndarray = field(default_factory=_no_routes)
     route_ends: np.ndarray = field(default_factory=_no_routes)
     route_edges: np.ndarray = field(default_factory=lambda: _no_routes(0, 2))
     preloaded: np.ndarray = field(default_factory=lambda: _no_routes(0, 3))
@@ -186,12 +188,13 @@ class ClusterProtocolPlan:
 
     @property
     def route_starts(self) -> np.ndarray:
-        """Where each demand's route starts in ``route_hops``."""
+        """Where each demand's route starts in ``route_slots``."""
         return self.route_ends - np.diff(self.route_ends, prepend=0)
 
     def idle(self) -> np.ndarray:
         """``bool[n]``: vertices that neither send nor expect anything."""
-        injects = np.bincount(self.route_hops[self.route_starts], minlength=self.index.n)
+        sources = self.index.rows[self.route_slots[self.route_starts]]
+        injects = np.bincount(sources, minlength=self.index.n)
         return ~(self.lister | (injects > 0) | self.counts.any(axis=1))
 
     def factory(self) -> type["ListingVector"]:
@@ -246,18 +249,10 @@ class ClusterProtocolPlan:
         return 2 + self.label_words[edges].sum(axis=1)
 
     def hop_words(self) -> np.ndarray:
-        """Per position of ``route_hops``, the words of its route's packet."""
+        """Per position of ``route_slots``, the words of its route's packet."""
         return np.repeat(
             self.packet_words(self.route_edges), np.diff(self.route_ends, prepend=0)
         )
-
-    def hop_slots(self) -> np.ndarray:
-        """Per position of ``route_hops``, the CSR slot of :attr:`index` the
-        packet crosses to reach it; ``-1`` where a route starts."""
-        hops = self.route_hops
-        slots = self.index.slots(np.roll(hops, 1), hops)
-        slots[self.route_starts] = -1
-        return slots
 
     def edge_words(self) -> np.ndarray:
         """``int64[2m]``: the words each directed edge carries, by CSR slot.
@@ -267,11 +262,7 @@ class ClusterProtocolPlan:
         bound on its rounds (one word per edge per round).
         """
         announce, reply = self.exchange_words
-        slots = self.hop_slots()
-        crossed = slots >= 0
-        routed = np.bincount(
-            slots[crossed], weights=self.hop_words()[crossed], minlength=announce.size
-        )
+        routed = np.bincount(self.route_slots, weights=self.hop_words(), minlength=announce.size)
         return announce + reply[self.index.reverse] + routed.astype(np.int64)
 
     @cached_property
@@ -283,8 +274,11 @@ class ClusterProtocolPlan:
         relays to its next hop; ``preloaded[v]`` lists the demanded edges
         ``v`` owns and is an endpoint of.
         """
-        labels = self.index.labels
-        hops = [labels[i] for i in self.route_hops.tolist()]
+        index, labels = self.index, self.index.labels
+        senders, receivers = (
+            [labels[i] for i in ends[self.route_slots].tolist()]
+            for ends in (index.rows, index.indices)
+        )
         inject: dict[Hashable, list] = defaultdict(list)
         forward: dict[Hashable, dict[int, Hashable]] = defaultdict(dict)
         preloaded: dict[Hashable, list[Edge]] = defaultdict(list)
@@ -292,9 +286,9 @@ class ClusterProtocolPlan:
         for demand, ((u, w), end) in enumerate(
             zip(self.route_edges.tolist(), self.route_ends.tolist())
         ):
-            inject[hops[start]].append((demand, labels[u], labels[w], hops[start + 1]))
-            for position in range(start + 1, end - 1):
-                forward[hops[position]][demand] = hops[position + 1]
+            inject[senders[start]].append((demand, labels[u], labels[w], receivers[start]))
+            for position in range(start + 1, end):
+                forward[senders[position]][demand] = receivers[position]
             start = end
         for owner, u, w in self.preloaded.tolist():
             preloaded[labels[owner]].append((labels[u], labels[w]))
@@ -466,27 +460,27 @@ class ListingVector(VectorAlgorithm):
         self._hits_words = reply_words[slots]
         self._hits_edges = index.reverse[slots]
 
-        # Edge packets: one flat route per demand.
-        hops, ends, starts = plan.route_hops, plan.route_ends, plan.route_starts
+        # Edge packets: one flat route of slots per demand; a packet's value
+        # is the position of the slot it crosses.
+        route, ends, starts = plan.route_slots, plan.route_ends, plan.route_starts
         self._hop_words = plan.hop_words()
-        self._hop_is_end = np.zeros(hops.size, dtype=bool)
+        self._hop_is_end = np.zeros(route.size, dtype=bool)
         self._hop_is_end[ends - 1] = True
-        self._hop_edges = plan.hop_slots()
         # Every owner's edges, ``(owner, u, w)``: preloaded, then routed.
         self._known = np.concatenate(
-            (plan.preloaded, np.column_stack((hops[ends - 1], plan.route_edges)))
+            (plan.preloaded, np.column_stack((index.indices[route[ends - 1]], plan.route_edges)))
         )
 
         # Round 0: announcements, then injects (on_round groups by sender).
-        first = starts + 1
+        first = route[starts]
         initial = (
-            np.concatenate((announcers, hops[starts])),
-            np.concatenate((answerers, hops[first])),
+            np.concatenate((announcers, index.rows[first])),
+            np.concatenate((answerers, index.indices[first])),
             np.concatenate(
-                ((np.arange(slots.size) << 2) | _ADJ, (first << 2) | _EDGE)
+                ((np.arange(slots.size) << 2) | _ADJ, (starts << 2) | _EDGE)
             ),
-            np.concatenate((announce_words[slots], self._hop_words[first])),
-            np.concatenate((slots, self._hop_edges[first])),
+            np.concatenate((announce_words[slots], self._hop_words[starts])),
+            np.concatenate((slots, first)),
         )
         self._initial: tuple[np.ndarray, ...] | None = initial
 
@@ -537,10 +531,11 @@ class ListingVector(VectorAlgorithm):
         out_values[answer] = _HITS
         out_words[answer] = self._hits_words[ident[answer]]
         out_edges[answer] = self._hits_edges[ident[answer]]
-        out_receivers[relay] = self.plan.route_hops[hop]
+        slot = self.plan.route_slots[hop]
+        out_receivers[relay] = self.plan.index.indices[slot]
         out_values[relay] = (hop << 2) | _EDGE
         out_words[relay] = self._hop_words[hop]
-        out_edges[relay] = self._hop_edges[hop]
+        out_edges[relay] = slot
         return (receivers[rows], *out)
 
     @cached_property
@@ -627,13 +622,12 @@ def add_edge_learning(plan: ClusterProtocolPlan, rows: np.ndarray) -> None:
         return
     edges = demands[~own, 1:]
     words = plan.packet_words(edges)
-    hops, lengths = route_by_load(index, owners, us, ws, words, plan.edge_words())
-    injected = np.bincount(hops[np.cumsum(lengths) - lengths], minlength=n)
+    slots, lengths = route_by_load(index, owners, us, ws, words, plan.edge_words())
     received = np.bincount(owners, minlength=n)
-    plan.counts[:, _RELAYED] += np.bincount(hops, minlength=n) - injected - received
+    plan.counts[:, _RELAYED] += np.bincount(index.indices[slots], minlength=n) - received
     plan.counts[:, _RECEIVED] += received
-    plan.route_ends = np.append(plan.route_ends, plan.route_hops.size + np.cumsum(lengths))
-    plan.route_hops = np.concatenate((plan.route_hops, hops))
+    plan.route_ends = np.append(plan.route_ends, plan.route_slots.size + np.cumsum(lengths))
+    plan.route_slots = np.concatenate((plan.route_slots, slots))
     plan.route_edges = np.concatenate((plan.route_edges, edges))
 
 

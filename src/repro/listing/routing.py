@@ -54,14 +54,16 @@ def route_by_load(
     words: np.ndarray,
     load: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Route one packet per demand ``(owners[i], us[i], ws[i])`` to its owner.
+    """Route one packet per demand ``(owners[i], us[i], ws[i])`` to its owner,
+    which is not an endpoint of its edge.
 
     ``words[i]`` is packet ``i``'s size and ``load`` the words each directed
     edge of ``index`` (by CSR slot) carries without the packets.
 
     Returns:
-        ``(hops, lengths)``: the routes' vertex ids, concatenated in demand
-        order, and each route's number of vertices (distance + 1).
+        ``(slots, lengths)``: the CSR slots the routes cross, concatenated in
+        demand order, and each route's number of slots (its distance).  Slot
+        ``s`` leaves ``index.rows[s]`` for ``index.indices[s]``.
 
     Raises:
         ValueError: when neither endpoint of a demanded edge can reach its
@@ -70,7 +72,7 @@ def route_by_load(
     router = _Router(index, owners, us, ws, words, load)
     router.batch_pass()
     router.reroute()
-    return router.hops()
+    return router.slots()
 
 
 class _Router:
@@ -284,8 +286,7 @@ class _Router:
             source[d] = start
             route[d, : len(path)] = path
 
-    def hops(self) -> tuple[np.ndarray, np.ndarray]:
-        """The routes as vertex ids, concatenated, and their vertex counts."""
+    def slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """The routes' slots, concatenated, and their lengths."""
         width = self.route.shape[1]
-        table = np.column_stack((self.source, self.index.indices[self.route]))
-        return table[np.arange(width + 1) <= self.length[:, None]], self.length + 1
+        return self.route[np.arange(width) < self.length[:, None]], self.length

@@ -1,6 +1,7 @@
 """Tests of communication clusters (Definitions 7, 15, 24) and cluster routing."""
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.congest.cost import CostAccountant, unit_overhead
@@ -13,6 +14,8 @@ from repro.decomposition.cluster import (
 )
 from repro.decomposition.routing import ClusterRouter
 from repro.graphs import LabelCSR, clustered_communities, erdos_renyi
+from repro.listing.cliques import CliqueListing
+from repro.partition_trees import SplitGraph
 
 
 def _whole_graph_cluster(graph, delta):
@@ -81,37 +84,70 @@ class TestKpCompatibleCluster:
         with pytest.raises(ValueError):
             KpCompatibleCluster.from_edges(small_dense_graph, small_dense_graph.edges, p=3)
 
+    @staticmethod
+    def _split(graph):
+        """A cluster of the first 30 vertices and its split graph."""
+        edges = [e for e in graph.edges if e[0] < 30 and e[1] < 30]
+        cluster = KpCompatibleCluster.from_edges(graph, edges, p=4, delta=2)
+        index = LabelCSR.from_graph(graph)
+        return cluster, SplitGraph.from_index(index, index.ids(cluster.ordered_members()))
+
     def test_boundary_edges_point_into_v_minus(self, community_graph):
-        edges = [e for e in community_graph.edges if e[0] < 30 and e[1] < 30]
-        cluster = KpCompatibleCluster.from_edges(community_graph, edges, p=4, delta=2)
-        cluster.attach_boundary_edges()
-        for tail, head in cluster.e_bar:
-            assert head in cluster.v_minus
-            assert tail not in cluster.v_minus
+        """``E_bar``, the split graph's ``E_12``: every edge of ``G`` with
+        exactly one end in ``V_C^-``, that end below ``k``."""
+        cluster, split = self._split(community_graph)
+        keys = split.edges_between(split.v1, split.v2)
+        assert keys.size > 0
+        boundary = set()
+        for inner, outer in zip(*np.divmod(keys, split.n)):
+            assert inner < split.k <= outer
+            head, tail = split.index.labels[inner], split.index.labels[outer]
+            assert head in cluster.v_minus and tail not in cluster.v_minus
             assert community_graph.has_edge(tail, head)
-
-    def test_import_requires_member_holder(self, community_graph):
-        edges = [e for e in community_graph.edges if e[0] < 30 and e[1] < 30]
-        cluster = KpCompatibleCluster.from_edges(community_graph, edges, p=4, delta=2)
-        outsider = max(community_graph.nodes)
-        with pytest.raises(ValueError):
-            cluster.import_outside_edges([(1, 2)], holder=outsider)
-
-    def test_deg_star_counts_imported_edges(self, community_graph):
-        edges = [e for e in community_graph.edges if e[0] < 30 and e[1] < 30]
-        cluster = KpCompatibleCluster.from_edges(community_graph, edges, p=4, delta=2)
-        cluster.attach_boundary_edges()
-        holder = cluster.ordered_members()[0]
-        cluster.import_outside_edges([(60, 61), (60, 62)], holder=holder)
-        cluster.compute_deg_star()
-        assert cluster.input_degree(60) == 2 + sum(1 for u, _ in cluster.e_bar if u == 60)
+            boundary.add(frozenset((tail, head)))
+        assert boundary == {
+            frozenset(e) for e in community_graph.edges
+            if (e[0] in cluster.v_minus) != (e[1] in cluster.v_minus)
+        }
 
     def test_split_graph_parts_cover_all_vertices(self, community_graph):
-        edges = [e for e in community_graph.edges if e[0] < 30 and e[1] < 30]
-        cluster = KpCompatibleCluster.from_edges(community_graph, edges, p=4, delta=2)
-        v1, v2 = cluster.split_graph_parts()
+        cluster, split = self._split(community_graph)
+        v1, v2 = (set(split.index.labels[lo : hi + 1]) for lo, hi in (split.v1, split.v2))
+        assert v1 == cluster.v_minus
         assert v1 | v2 == set(community_graph.nodes)
         assert not v1 & v2
+
+    def test_imports_are_charged_by_the_outside_neighbourhood(self, community_graph):
+        """Lemma 43 ships ``E'``, the edges among the outside neighbours of
+        ``V_C^-``, each to the lowest ``V_C^-`` neighbour of its smaller end;
+        Lemma 45 broadcasts one ``deg*`` value per outside neighbour."""
+        cluster, split = self._split(community_graph)
+        inside = cluster.v_minus
+        outside = {u for v in inside for u in community_graph[v]} - inside
+        e_prime = list(community_graph.subgraph(outside).edges)
+        holders = [min(set(community_graph[min(e)]) & inside) for e in e_prime]
+        assert e_prime and len(set(holders)) > 1
+
+        class Charges:
+            def __init__(self):
+                self.calls = []
+
+            def direct(self, **charge):
+                self.calls.append(charge)
+
+            def broadcast(self, **charge):
+                self.calls.append(charge)
+
+        charges = Charges()
+        CliqueListing._import_outside_edges(split, charges)
+        assert charges.calls == [
+            dict(
+                max_sent=max(len(set(community_graph[v]) & outside) for v in outside),
+                max_received=max(holders.count(h) for h in holders),
+                total_words=len(e_prime), phase="lemma43-import",
+            ),
+            dict(total_words=len(outside), phase="lemma45-degstar"),
+        ]
 
 
 class TestClusterRouter:

@@ -31,7 +31,7 @@ from repro.listing.distributed import (
     plan_two_hop_protocol,
 )
 from test_distributed_listing import learn_label_edges
-from test_listing_pins import CASES
+from test_listing_pins import CASES, route_vertices
 
 
 @st.composite
@@ -60,11 +60,9 @@ def small_plans(draw, max_vertices=12):
 @settings(max_examples=60, deadline=None)
 def test_routes_are_shortest_paths_from_a_nearest_endpoint(plan):
     index = plan.index
-    hops, ends, starts = plan.route_hops, plan.route_ends, plan.route_starts
     relayed = np.zeros(index.n, dtype=np.int64)
     received = np.zeros(index.n, dtype=np.int64)
-    for (u, w), start, end in zip(plan.route_edges.tolist(), starts.tolist(), ends.tolist()):
-        route = hops[start:end].tolist()
+    for (u, w), route in zip(plan.route_edges.tolist(), route_vertices(plan)):
         owner = route[-1]
         distance = index.distances(np.array([owner]))[0]
         nearest = min(d for d in (distance[u], distance[w]) if d >= 0)
@@ -92,10 +90,10 @@ def test_demand_rows_take_either_orientation_and_repeats():
     )
     add_edge_learning(canonical, np.array([[0, 4, 5], [5, 0, 1], [5, 1, 2]]))
     add_edge_learning(loose, np.array([[5, 2, 1], [5, 1, 0], [0, 5, 4], [5, 0, 1], [5, 1, 2]]))
-    for name in ("route_hops", "route_ends", "route_edges", "preloaded", "counts"):
+    for name in ("route_slots", "route_ends", "route_edges", "preloaded", "counts"):
         assert np.array_equal(getattr(canonical, name), getattr(loose, name)), name
     assert canonical.route_edges.tolist() == [[4, 5], [0, 1], [1, 2]]
-    assert canonical.route_hops.tolist() == [4, 3, 2, 1, 0, 1, 2, 3, 4, 5, 2, 3, 4, 5]
+    assert sum(route_vertices(canonical), []) == [4, 3, 2, 1, 0, 1, 2, 3, 4, 5, 2, 3, 4, 5]
 
 
 def _named_planted():

@@ -345,16 +345,26 @@ PINS = {
 }
 
 
+def route_vertices(plan) -> list[list[int]]:
+    """Each demand's route as ids of ``plan.index``: the sender of its first
+    slot, then the receiver of every slot."""
+    index = plan.index
+    return [
+        [int(index.rows[slots[0]]), *index.indices[slots].tolist()]
+        for slots in (
+            plan.route_slots[start:end]
+            for start, end in zip(plan.route_starts.tolist(), plan.route_ends.tolist())
+        )
+    ]
+
+
 def route_digest(plan) -> str:
     """sha256 of ``[[u, w], [hop, ...]]`` per demand, in labels."""
     nodes = plan.index.labels
-    routes = []
-    start = 0
-    for (u, w), end in zip(plan.route_edges.tolist(), plan.route_ends.tolist()):
-        hops = [nodes[i] for i in plan.route_hops[start:end].tolist()]
-        routes.append([[nodes[u], nodes[w]], hops])
-        start = end
-    return _sha256(routes)
+    return _sha256([
+        [[nodes[u], nodes[w]], [nodes[i] for i in hops]]
+        for (u, w), hops in zip(plan.route_edges.tolist(), route_vertices(plan))
+    ])
 
 
 def decomposition_digest(decomposition) -> tuple[list[tuple], str]:

@@ -11,6 +11,7 @@ from repro.decomposition.cluster import K3CompatibleCluster, KpCompatibleCluster
 from repro.decomposition.routing import ClusterRouter
 from repro.graphs import erdos_renyi
 from repro.graphs.cliques import enumerate_cliques
+from repro.graphs.index import LabelCSR
 from repro.partition_trees import (
     HTreeConstraints,
     Partition,
@@ -241,34 +242,41 @@ class TestSplitTree:
         graph = erdos_renyi(n, 16.0, seed=seed)
         core_edges = [e for e in graph.edges if e[0] < n // 2 and e[1] < n // 2]
         cluster = KpCompatibleCluster.from_edges(graph, core_edges, p=p, delta=3)
-        cluster.attach_boundary_edges()
-        # Import E': every graph edge with both endpoints outside V^-.
-        members = set(cluster.v_minus)
-        holder = cluster.ordered_members()[0]
-        outside_edges = [
-            (u, v) for u, v in graph.edges if u not in members and v not in members
-        ]
-        cluster.import_outside_edges(outside_edges, holder=holder)
-        cluster.compute_deg_star()
+        index = LabelCSR.from_graph(graph)
+        split = SplitGraph.from_index(index, index.ids(cluster.ordered_members()))
         accountant = CostAccountant(n=n, overhead=unit_overhead())
-        return graph, cluster, ClusterRouter(cluster=cluster, accountant=accountant)
+        return graph, cluster, split, ClusterRouter(cluster=cluster, accountant=accountant)
 
     def test_split_graph_edge_classification(self):
-        graph, cluster, _ = self._cluster()
-        split = SplitGraph.from_cluster(cluster)
-        assert split.v1 == cluster.v_minus
-        assert not split.v1 & split.v2
-        for u, v in split.e1:
-            assert u in split.v1 and v in split.v1
-        for u, v in split.e12:
-            assert (u in split.v1) != (v in split.v1)
+        """V_1 = V_C^- comes first and V_1 ∪ V_2 = V; E_1 is G[V_C^-], E_12
+        the boundary edges into V_C^-, E_2 the edges among its outside
+        neighbours (Definition 21, Lemma 43)."""
+        graph, cluster, split, _ = self._cluster()
+        labels = split.index.labels
+        assert set(labels[: split.k]) == cluster.v_minus
+        assert sorted(labels) == sorted(graph.nodes) and len(labels) == split.n
+        inside = cluster.v_minus
+        near = inside.union(*(graph[v] for v in inside))
+        e1, e12, e2 = set(), set(), set()
+        for u, w in split.index.edges():
+            edge = tuple(sorted((u, w)))
+            assert graph.has_edge(u, w)
+            (e1 if {u, w} <= inside else e2 if not {u, w} & inside else e12).add(edge)
+        assert e1 == {tuple(sorted(e)) for e in graph.subgraph(inside).edges}
+        assert e12 == {
+            tuple(sorted((u, w))) for u, w in graph.edges if (u in inside) != (w in inside)
+        }
+        assert e2 == {
+            tuple(sorted(e)) for e in graph.subgraph(near - inside).edges
+        }
+        assert (split.m1, split.m12, split.m2) == (len(e1), len(e12), len(e2))
 
     def test_split_tree_layer_universes(self):
-        _, cluster, router = self._cluster()
-        result = construct_split_kp_tree(cluster, p=4, p_prime=2, router=router)
+        _, cluster, split, router = self._cluster()
+        result = construct_split_kp_tree(cluster, split, p=4, p_prime=2, router=router)
         tree = result.tree
         pi = 4 - 2
-        v1, v2 = set(result.split.v1), set(result.split.v2)
+        v1, v2 = set(split.index.labels[: split.k]), set(split.index.labels[split.k :])
         for node in tree.nodes():
             universe = set(node.partition.universe)
             if node.depth < pi:
@@ -277,46 +285,100 @@ class TestSplitTree:
                 assert universe <= v1
 
     def test_split_tree_has_p_layers_and_valid_partitions(self):
-        _, cluster, router = self._cluster()
-        result = construct_split_kp_tree(cluster, p=4, p_prime=3, router=router)
+        _, cluster, split, router = self._cluster()
+        result = construct_split_kp_tree(cluster, split, p=4, p_prime=3, router=router)
         assert result.tree.num_layers == 4
         for node in result.tree.nodes():
             assert node.partition.covers_universe()
 
     def test_definition_22_constraints_hold(self):
-        _, cluster, router = self._cluster()
-        result = construct_split_kp_tree(cluster, p=4, p_prime=2, router=router,
+        _, cluster, split, router = self._cluster()
+        result = construct_split_kp_tree(cluster, split, p=4, p_prime=2, router=router,
                                          check_constraints=True)
         assert result.violations == []
 
+    @pytest.mark.parametrize("p_prime", [2, 3])
+    def test_range_queries_match_neighbour_sets(self, p_prime):
+        """Algorithm 2's per-vertex counters and Definition 22's counts (set
+        semantics: an edge inside two overlapping parts counts once) equal
+        the same counts over neighbour sets of ``G``, on every node of a tree
+        and with constants tight enough that parts violate them."""
+        graph, cluster, split, router = self._cluster()
+        result = construct_split_kp_tree(cluster, split, p=4, p_prime=p_prime, router=router)
+        labels, pi = split.index.labels, 4 - p_prime
+        v1, v2 = set(labels[: split.k]), set(labels[split.k :])
+        near = v1.union(*(graph[v] for v in v1))
+        adjacency = {v: set(graph[v]) & near if v in near else set() for v in labels}
+
+        def between(left, right):
+            return len({frozenset((a, b)) for a in left for b in adjacency[a] & set(right)})
+
+        tight = SplitTreeConstraints(c1=0.5, c2=0.5, p=4, p_prime=p_prime, a=2, b=2)
+        expected = []
+        for node in result.tree.nodes():
+            in_v2 = node.depth < pi
+            limits = tight.thresholds(split, node.depth)
+            universe = node.partition.universe
+            for index in range(len(node.partition)):
+                *ancestors, part = result.tree.ancestor_parts(node, index)
+                # Per universe vertex, its degree into each ancestor part.
+                up = [[len(adjacency[v] & set(anc)) for anc in ancestors] for v in universe]
+                if in_v2:
+                    reference = [
+                        [len(adjacency[v] & v2), len(adjacency[v] & v1), sum(row)]
+                        for v, row in zip(universe, up)
+                    ]
+                    counts = (between(part, v2), between(part, v1),
+                              sum(between(part, anc) for anc in ancestors))
+                else:
+                    reference = [
+                        [len(adjacency[v] & v1), sum(row[pi:]), sum(row[:pi])]
+                        for v, row in zip(universe, up)
+                    ]
+                    counts = (between(part, v1),
+                              sum(between(part, anc) for anc in ancestors[pi:]),
+                              sum(between(part, anc) for anc in ancestors[:pi]))
+                assert tight.counters(split, ancestors).tolist() == reference
+                expected.extend(
+                    f"{name} at {node.path}/{index}"
+                    for (name, limit), count in zip(limits.items(), counts)
+                    if count > limit + 1e-9
+                )
+        assert expected
+        assert tight.check_tree(result.tree, split) == expected
+
     def test_invalid_p_prime_rejected(self):
-        _, cluster, router = self._cluster()
+        _, cluster, split, router = self._cluster()
         with pytest.raises(ValueError):
-            construct_split_kp_tree(cluster, p=4, p_prime=1, router=router)
+            construct_split_kp_tree(cluster, split, p=4, p_prime=1, router=router)
 
     def test_rounds_charged(self):
-        _, cluster, router = self._cluster()
-        result = construct_split_kp_tree(cluster, p=4, p_prime=2, router=router)
+        _, cluster, split, router = self._cluster()
+        result = construct_split_kp_tree(cluster, split, p=4, p_prime=2, router=router)
         assert result.rounds > 0
 
     def test_theorem_23_coverage(self):
         """Cliques with exactly p' vertices in V1 are covered by some leaf."""
-        graph, cluster, router = self._cluster()
-        result = construct_split_kp_tree(cluster, p=4, p_prime=2, router=router)
-        split = result.split
-        v1 = set(split.v1)
+        graph, cluster, split, router = self._cluster()
+        result = construct_split_kp_tree(cluster, split, p=4, p_prime=2, router=router)
+        v1 = set(split.index.labels[: split.k])
         candidates = [
             clique for clique in enumerate_cliques(graph, 4)
             if len(set(clique) & v1) == 2
         ][:10]
+        assert candidates
         for clique in candidates:
             outside = sorted(set(clique) - v1)
             inside = sorted(set(clique) & v1)
             ordered = outside + inside  # V2 vertices choose first, then V1
             node, part_index, chosen = covering_leaf(result.tree, ordered)
             ancestors = result.tree.ancestor_parts(node, part_index)
+            ranges = [split.part_ids(part, depth < 2) for depth, part in enumerate(ancestors)]
             learned = set()
-            for a, b in itertools.combinations(range(len(ancestors)), 2):
-                learned |= split.edges_between(ancestors[a].vertices(), ancestors[b].vertices())
+            for a, b in itertools.combinations(ranges, 2):
+                learned.update(
+                    tuple(sorted(pair))
+                    for pair in split.index.label_pairs(split.edges_between(a, b))
+                )
             for u, v in itertools.combinations(clique, 2):
                 assert tuple(sorted((u, v))) in learned
