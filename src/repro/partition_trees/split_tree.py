@@ -155,29 +155,21 @@ class SplitTreeConstraints:
         m12_tilde = max(split.m12, split.n * self.a)
         return m1_tilde, m2_tilde, m12_tilde
 
-    def thresholds_v2(self, split: SplitGraph, depth: int) -> dict[str, float]:
-        """Counter maxima for a node at depth ``< π`` (a partition of ``V_2``)."""
-        _, m2_tilde, _ = self.m_tilde(split)
-        return {
-            "DEG_2to2": self.c1 * split.m2 / self.b + split.n,
-            "DEG_2to1": self.c1 * split.m12 / self.b + split.n,
-            "UP_DEG_2to2": self.c2 * depth * m2_tilde / (self.b ** 2) + split.n,
-        }
-
-    def thresholds_v1(self, split: SplitGraph, depth: int) -> dict[str, float]:
-        """Counter maxima for a node at depth ``>= π`` (a partition of ``V_1``)."""
-        m1_tilde, _, m12_tilde = self.m_tilde(split)
+    def thresholds(self, split: SplitGraph, depth: int) -> dict[str, float]:
+        """Counter maxima for a node at ``depth``: a partition of ``V_2``
+        below ``π``, of ``V_1`` from ``π`` on."""
+        m1_tilde, m2_tilde, m12_tilde = self.m_tilde(split)
+        if depth < self.pi:
+            return {
+                "DEG_2to2": self.c1 * split.m2 / self.b + split.n,
+                "DEG_2to1": self.c1 * split.m12 / self.b + split.n,
+                "UP_DEG_2to2": self.c2 * depth * m2_tilde / (self.b ** 2) + split.n,
+            }
         return {
             "DEG_1to1": self.c1 * split.m1 / self.a + split.k,
-            "UP_DEG_1to1": self.c2 * max(0, depth - self.pi) * m1_tilde / (self.a ** 2) + split.k,
+            "UP_DEG_1to1": self.c2 * (depth - self.pi) * m1_tilde / (self.a ** 2) + split.k,
             "UP_DEG_1to2": self.c2 * self.pi * m12_tilde / (self.a * self.b) + split.n,
         }
-
-    def thresholds(self, split: SplitGraph, depth: int) -> dict[str, float]:
-        """The counter maxima of a node at ``depth``, for its universe."""
-        if depth < self.pi:
-            return self.thresholds_v2(split, depth)
-        return self.thresholds_v1(split, depth)
 
     def counters(self, split: SplitGraph, ancestors: Sequence[VertexInterval]) -> np.ndarray:
         """``int64[|universe|, 3]``: per vertex of the universe a node at

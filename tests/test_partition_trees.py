@@ -248,28 +248,19 @@ class TestSplitTree:
         return graph, cluster, split, ClusterRouter(cluster=cluster, accountant=accountant)
 
     def test_split_graph_edge_classification(self):
-        """V_1 = V_C^- comes first and V_1 ∪ V_2 = V; E_1 is G[V_C^-], E_12
-        the boundary edges into V_C^-, E_2 the edges among its outside
-        neighbours (Definition 21, Lemma 43)."""
+        """``E_1`` is ``G[V_C^-]`` and ``E_2`` the edges among the outside
+        neighbours of ``V_C^-`` (Definition 21, Lemma 43); ``E_12`` and the
+        two vertex ranges are checked in tests/test_clusters_and_routing.py."""
         graph, cluster, split, _ = self._cluster()
-        labels = split.index.labels
-        assert set(labels[: split.k]) == cluster.v_minus
-        assert sorted(labels) == sorted(graph.nodes) and len(labels) == split.n
         inside = cluster.v_minus
         near = inside.union(*(graph[v] for v in inside))
-        e1, e12, e2 = set(), set(), set()
-        for u, w in split.index.edges():
-            edge = tuple(sorted((u, w)))
-            assert graph.has_edge(u, w)
-            (e1 if {u, w} <= inside else e2 if not {u, w} & inside else e12).add(edge)
-        assert e1 == {tuple(sorted(e)) for e in graph.subgraph(inside).edges}
-        assert e12 == {
-            tuple(sorted((u, w))) for u, w in graph.edges if (u in inside) != (w in inside)
-        }
-        assert e2 == {
-            tuple(sorted(e)) for e in graph.subgraph(near - inside).edges
-        }
-        assert (split.m1, split.m12, split.m2) == (len(e1), len(e12), len(e2))
+        edges = {frozenset(edge) for edge in split.index.edges()}
+        e1 = {edge for edge in edges if edge <= inside}
+        e2 = {edge for edge in edges if not edge & inside}
+        assert edges <= {frozenset(edge) for edge in graph.edges}
+        assert e1 == {frozenset(edge) for edge in graph.subgraph(inside).edges}
+        assert e2 == {frozenset(edge) for edge in graph.subgraph(near - inside).edges}
+        assert (split.m1, split.m2, split.m12) == (len(e1), len(e2), len(edges - e1 - e2))
 
     def test_split_tree_layer_universes(self):
         _, cluster, split, router = self._cluster()
