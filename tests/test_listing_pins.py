@@ -33,6 +33,13 @@ rounds and messages of the run and of every cluster's accountant, the
 clique digest, and per ``p'`` a sha256 of each split tree (every node's
 path and part endpoints) and of its leaf assignment, captured by wrapping
 ``construct_split_kp_tree``.
+
+The triangle listing's K3-partition trees (Theorem 16) are pinned on the
+``skewed-k3`` and ``planted-k3`` cases, per cluster: a sha256 of the tree and
+of its leaf assignment, captured by wrapping ``construct_k3_partition_tree``,
+and a sha256 of the blueprint's ``owner_edges`` with ``received_load`` and
+``load_per_degree`` plus the per-phase rounds and messages of the cluster's
+predicted cost, captured by wrapping ``TriangleListing.predict_cluster_cost``.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from repro.graphs import (
     power_law,
     ring_of_cliques,
 )
-from repro.listing import cliques, distributed, recursion
+from repro.listing import cliques, distributed, recursion, triangles
 from repro.listing.cliques import CliqueListing
 from repro.listing.distributed import list_cliques_distributed
 
@@ -576,3 +583,81 @@ def test_split_tree_listing_is_pinned(case, monkeypatch):
     assert ((len(result.cliques), _sha256(sorted(result.cliques))), trees) == (
         SPLIT_TREE_PINS[case]
     )
+
+
+# ---------------------------------------------------------------------------
+# The triangle listing's K3-partition trees (Theorem 16, Lemma 34)
+# ---------------------------------------------------------------------------
+
+# Per case and cluster: ``(|V_C^-|, tree sha256, leaf assignment sha256)``,
+# then ``(blueprint sha256, phase rounds, phase messages)`` of its predicted
+# cost.
+K3_TREE_PINS = {
+    "skewed-k3": (
+        [(150, "90b6640178b4da316c7ae8bbdb37d83ab17b59cb71b3ea692ad7d4bd090acd6c",
+          "fffef1d5590c308d08eec46a23f76bc739753a5cd2a5d42e5310024eae3b0ae8")],
+        [("514816ee26320cadbf8f39e5fb596a09829ec56a75ade2452c619ddb729946f8",
+          {"level0-c0:phase1-tokens": 205, "streaming:phase2-steps": 233,
+           "level0-c0:lemma19-phase1": 132, "level0-c0:lemma19-phase2": 131,
+           "level0-c0:lemma20-redistribute": 6, "level0-c0:lemma20-fetch": 4,
+           "level0-c0:lemma34-edge-learning": 427},
+          {"level0-c0:phase1-tokens": 8700, "streaming:phase2-state": 1072,
+           "level0-c0:lemma19-phase1": 336, "level0-c0:lemma19-phase2": 9744,
+           "level0-c0:lemma20-redistribute": 150, "level0-c0:lemma20-fetch": 343,
+           "level0-c0:lemma34-edge-learning": 28843})],
+    ),
+    "planted-k3": (
+        [(58, "c7694df9239845afcf3168733424f796ca837cceac3effb8ff4e2b128dd723d3",
+          "f28d2f0d722cdde095c63212a65dd435b6e1206a29fe197297489ecd436b7bcc")],
+        [("173ee5984eaba7fdc62a60528ac4b4f6af483653acac1188ea8d00aed4af7356",
+          {"level0-c0:phase1-tokens": 117, "streaming:phase2-steps": 176,
+           "level0-c0:lemma19-phase1": 66, "level0-c0:lemma19-phase2": 67,
+           "level0-c0:lemma20-redistribute": 3, "level0-c0:lemma20-fetch": 2,
+           "level0-c0:low-degree": 14, "level0-c0:lemma34-edge-learning": 151},
+          {"level0-c0:phase1-tokens": 1856, "streaming:phase2-state": 368,
+           "level0-c0:lemma19-phase1": 120, "level0-c0:lemma19-phase2": 1800,
+           "level0-c0:lemma20-redistribute": 58, "level0-c0:lemma20-fetch": 125,
+           "level0-c0:low-degree": 1760, "level0-c0:lemma34-edge-learning": 2010})],
+    ),
+}
+
+
+def blueprint_digest(blueprint) -> str:
+    """sha256 of the ``owner_edges`` rows, the sorted ``received_load`` items
+    and ``load_per_degree``."""
+    return _sha256([
+        blueprint.owner_edges.tolist(),
+        sorted(blueprint.received_load.items()),
+        blueprint.load_per_degree,
+    ])
+
+
+@pytest.mark.parametrize("case", list(K3_TREE_PINS))
+def test_k3_partition_trees_are_pinned(case, monkeypatch):
+    build, p, scenario = CASES[case]
+    trees = []
+    costs = []
+    construct = triangles.construct_k3_partition_tree
+    predict = triangles.TriangleListing.predict_cluster_cost
+
+    def capture(cluster, *args, **kwargs):
+        result = construct(cluster, *args, **kwargs)
+        trees.append((
+            cluster.k, split_tree_digest(result.tree),
+            leaf_assignment_digest(result.assignment),
+        ))
+        return result
+
+    def capture_cost(self, task):
+        blueprint, accountant = predict(self, task)
+        metrics = accountant.metrics
+        costs.append((
+            blueprint_digest(blueprint), dict(metrics.phase_rounds),
+            dict(metrics.phase_messages),
+        ))
+        return blueprint, accountant
+
+    monkeypatch.setattr(triangles, "construct_k3_partition_tree", capture)
+    monkeypatch.setattr(triangles.TriangleListing, "predict_cluster_cost", capture_cost)
+    list_cliques_distributed(build(), p, backend="vectorized", scenario=scenario())
+    assert (trees, costs) == K3_TREE_PINS[case]
