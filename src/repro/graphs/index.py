@@ -56,6 +56,26 @@ def unique_triples(keys: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack((first, *np.divmod(rest, n)))
 
 
+def runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1`` for every
+    ``i``, laid end to end."""
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+
+
+def edges_among(index: "LabelCSR", ranges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per group ``g`` of ``ranges`` (``int64[G, d, 2]``: ``d`` id ranges
+    ``(lo, hi)`` of ``index`` each), the edges between two of its ranges,
+    each once, as increasing pairs ``(g, u * n + w)`` with ``u < w``: one
+    :meth:`LabelCSR.edges_between` gather over every group's pairs."""
+    left, right = np.triu_indices(ranges.shape[1], k=1)
+    keys = index.edges_between(
+        ranges[:, left].reshape(-1, 2).T, ranges[:, right].reshape(-1, 2).T
+    )
+    # Key q * n^2 + e of pair q to g * n^2 + e of its group.
+    nn = index.n * index.n
+    return np.divmod(sorted_distinct(keys // (left.size * nn) * nn + keys % nn), nn)
+
+
 @dataclass(frozen=True, eq=False)
 class LabelCSR:
     """A simple undirected graph as label-sorted compressed sparse rows.
@@ -166,9 +186,7 @@ class LabelCSR:
         """The subgraph induced on the increasing ``ids``, renumbered ``0..k-1``;
         it reads only their rows, so its cost follows their degrees, not ``n``."""
         k, counts = len(ids), self.degrees[ids]
-        # The slots of the rows of ``ids``, laid end to end.
-        starts = np.repeat(self.indptr[ids] - np.cumsum(counts) + counts, counts)
-        neighbours = self.indices[starts + np.arange(starts.size)]
+        neighbours = self.indices[runs(self.indptr[ids], counts)]
         cols = np.searchsorted(ids, neighbours)
         keep = ids[np.minimum(cols, k - 1)] == neighbours
         indptr = np.zeros(k + 1, dtype=np.int64)
@@ -207,15 +225,25 @@ class LabelCSR:
         base = np.arange(self.n, dtype=np.int64) * self.n
         return np.searchsorted(keys, base + hi, "right") - np.searchsorted(keys, base + lo)
 
-    def edges_between(self, rows: tuple[int, int], columns: tuple[int, int]) -> np.ndarray:
+    def edges_between(self, rows: tuple, columns: tuple) -> np.ndarray:
         """Edges with one end in the id range ``rows`` and the other in the id
-        range ``columns`` (inclusive), as keys ``u * n + w`` with ``u < w``."""
-        (lo, hi), (first, last) = rows, columns
-        start, stop = self.indptr[lo], self.indptr[max(lo, hi + 1)]
-        us, ws = self.rows[start:stop], self.indices[start:stop]
-        hit = (first <= ws) & (ws <= last)
-        us, ws = us[hit], ws[hit]
-        return np.minimum(us, ws) * self.n + np.maximum(us, ws)
+        range ``columns`` (inclusive), as keys ``u * n + w`` with ``u < w``.
+
+        The ranges are ``(lo, hi)`` pairs of ids, or of equal-length id
+        arrays for many pairs of ranges in one gather: the edges of pair
+        ``q`` get the keys ``q * n^2 + u * n + w``.  An edge with both ends
+        in both ranges of a pair is listed twice.
+        """
+        lo, hi, first, last = map(np.atleast_1d, np.broadcast_arrays(*rows, *columns))
+        sizes = np.maximum(hi - lo + 1, 0)
+        pair = np.repeat(np.arange(lo.size), sizes)
+        us = runs(lo, sizes)
+        # A row's neighbours in a range are a run of its sorted slots.
+        begin = self.slot_keys.searchsorted(us * self.n + first[pair])
+        counts = self.slot_keys.searchsorted(us * self.n + last[pair], "right") - begin
+        ws = self.indices[runs(begin, counts)]
+        pair, us = np.repeat(pair, counts), np.repeat(us, counts)
+        return (pair * self.n + np.minimum(us, ws)) * self.n + np.maximum(us, ws)
 
     def distances(self, roots: np.ndarray) -> np.ndarray:
         """Hop distances from each root, ``int32[len(roots), n]``, ``-1`` where

@@ -19,7 +19,6 @@ charges, every tree and every leaf's edges read its id ranges.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +29,7 @@ from repro.congest.cost import RoutingOverhead
 from repro.decomposition.cluster import KpCompatibleCluster
 from repro.decomposition.routing import ClusterRouter
 from repro.graphs.cliques import Clique, cliques_by_group
-from repro.graphs.index import sorted_distinct
+from repro.graphs.index import edges_among
 from repro.listing.local import two_hop_exhaustive_listing
 from repro.listing.recursion import ClusterTask, ListingResult, RecursiveListingDriver
 from repro.partition_trees.split_tree import SplitGraph, construct_split_kp_tree
@@ -164,21 +163,14 @@ class CliqueListing:
                 + "; ".join(result.violations[:3])
             )
         # Each leaf owner learns the edges between its leaf part's ancestor
-        # parts (id ranges of the split graph), each once: leaf ``j``'s edge
-        # ``u * n + w`` is the key ``j * n^2 + u * n + w``.
-        tree, pi, n = result.tree, self.p - p_prime, split.n
-        learned = []
-        for j, (path, part_index) in enumerate(result.assignment.owner):
-            parts = tree.ancestor_parts(tree.node_at(path), part_index)
-            ranges = [split.part_ids(part, depth < pi) for depth, part in enumerate(parts)]
-            learned.extend(
-                j * n * n + split.index.edges_between(first, second)
-                for first, second in itertools.combinations(ranges, 2)
-            )
-        leaf, keys = np.divmod(sorted_distinct(np.concatenate(learned)), n * n)
+        # parts, id ranges of the split graph (its first π layers partition
+        # V_2, numbered from k), each once, all leaves in one gather.
+        ranges = result.tree.ancestor_ranges(result.assignment.owner)
+        ranges[:, : self.p - p_prime] += split.k
+        leaf, keys = edges_among(split.index, ranges)
         # One kernel pass over every leaf's edges, as ids of G's index, one
         # group per leaf.
-        us, ws = (split.graph_ids[ends] for ends in np.divmod(keys, n))
+        us, ws = (split.graph_ids[ends] for ends in np.divmod(keys, split.n))
         _, rows = cliques_by_group(leaf, us, ws, task.index.n, self.p)
         found = set(task.index.label_rows(rows))
 

@@ -19,7 +19,6 @@ degrees, partition-tree layers and ancestor-part edges are all read from it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +30,7 @@ from repro.congest.metrics import CongestMetrics
 from repro.decomposition.cluster import K3CompatibleCluster
 from repro.decomposition.routing import ClusterRouter
 from repro.graphs.cliques import Clique, cliques_by_group, cliques_through
-from repro.graphs.index import sorted_distinct, unique_triples
+from repro.graphs.index import edges_among, unique_triples
 from repro.listing.local import charge_exhaustive_pass
 from repro.listing.recursion import ClusterTask, ListingResult, RecursiveListingDriver
 from repro.partition_trees.construction import construct_k3_partition_tree
@@ -229,8 +228,9 @@ class TriangleListing:
         """Theorem 16 + step 2 of Lemma 34: who must learn which edges.
 
         Parts are id ranges of the core index, so the edges between two of
-        a leaf part's ancestor parts are range queries over its rows.  Core
-        id ``i`` is id ``cluster.core_ids[i]`` of the cluster's index.
+        a leaf part's ancestor parts are range queries over its rows, all
+        leaves' in one gather.  Core id ``i`` is id ``cluster.core_ids[i]``
+        of the cluster's index.
         """
         core = cluster.core
         router = ClusterRouter(
@@ -247,25 +247,19 @@ class TriangleListing:
                 "K3-partition tree violates Definition 14: " + "; ".join(result.violations[:3])
             )
 
-        tree = result.tree
-        n = cluster.index.n
-        learned = [np.empty(0, dtype=np.int64)]
+        # Every leaf's ancestor-part edges, each once per leaf, in one gather.
+        owners = list(result.assignment.owner.values())
+        leaf, edges = edges_among(core, result.tree.ancestor_ranges(result.assignment.owner))
         received_load: dict[int, int] = {}
+        for owner, received in zip(owners, np.bincount(leaf, minlength=len(owners)).tolist()):
+            received_load[owner] = received_load.get(owner, 0) + received
+        # Core keys u * core.n + w to keys (owner * n + u) * n + w of ids.
+        n, (us, ws) = cluster.index.n, np.divmod(edges, core.n)
+        owner_ids = cluster.index.ids(owners)[leaf]
+        owner_edges = unique_triples(
+            (owner_ids * n + cluster.core_ids[us]) * n + cluster.core_ids[ws], n
+        )
         x = max(1.0, core.n ** (1.0 / 3.0))
-
-        for (path, part_index), owner in result.assignment.owner.items():
-            parts = tree.ancestor_parts(tree.node_at(path), part_index)
-            edges = sorted_distinct(np.concatenate([
-                core.edges_between((left.lo, left.hi), (right.lo, right.hi))
-                for left, right in itertools.combinations(parts, 2)
-            ]))
-            received_load[owner] = received_load.get(owner, 0) + edges.size
-            # Core keys u * core.n + w to keys (owner * n + u) * n + w of ids.
-            us, ws = np.divmod(edges, core.n)
-            owner_id = cluster.index.id_of[owner]
-            learned.append((owner_id * n + cluster.core_ids[us]) * n + cluster.core_ids[ws])
-        owner_edges = unique_triples(np.concatenate(learned), n)
-
         load_per_degree = x  # the send side: every edge travels O(x) times
         for owner, received in received_load.items():
             degree = max(1, cluster.communication_degree(owner))

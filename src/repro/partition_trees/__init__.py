@@ -11,7 +11,7 @@ from repro.partition_trees.tree import (
     covering_leaf,
 )
 from repro.partition_trees.construction import (
-    K3LayerBuilder,
+    K3Layer,
     construct_k3_partition_tree,
     K3TreeResult,
 )
@@ -37,7 +37,7 @@ __all__ = [
     "LeafAssignment",
     "HTreeConstraints",
     "covering_leaf",
-    "K3LayerBuilder",
+    "K3Layer",
     "construct_k3_partition_tree",
     "K3TreeResult",
     "SplitGraph",

@@ -8,111 +8,120 @@ known to every ``V_C^-`` vertex (Lemma 19) and the leaf layer is spread over
 the ``V_C^*`` vertices proportionally to their communication degree
 (Lemma 20).
 
-Every layer reads the core index ``cluster.core``: a part is an interval of
+Every layer reads the core index ``cluster.core``: a part is an id range of
 the sorted core, so a degree into a part is a range query over a sorted row.
+Lemma 17's algorithm is three running counters that close a part where one
+would overflow, so a part is found by one search per counter over prefix
+sums of the degree columns (:meth:`K3Layer.parts`), and Theorem 11 charges
+the batch from its token owners, one per core vertex per algorithm
+(:func:`repro.streaming.simulation.charge_simulation`).
 """
 
 from __future__ import annotations
 
-import itertools
+import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from repro.decomposition.cluster import CommunicationCluster
 from repro.decomposition.routing import ClusterRouter
-from repro.graphs.index import LabelCSR
 from repro.partition_trees.load_balance import (
     amplifier_broadcast,
     balance_by_communication_degree,
 )
 from repro.partition_trees.parts import Partition, VertexInterval
-from repro.partition_trees.tree import HTreeConstraints, LeafAssignment, PartitionTree
-from repro.streaming.algorithm import PartialPassAlgorithm, StreamingParameters
-from repro.streaming.simulation import AlgorithmInstance, SimulationPlan, simulate_in_cluster
-from repro.streaming.stream import MainToken, Stream
+from repro.partition_trees.tree import (
+    HTreeConstraints,
+    LeafAssignment,
+    PartitionTree,
+    prefix_sums,
+)
+from repro.streaming.simulation import SimulationPlan, charge_simulation
 
 
-class K3LayerBuilder(PartialPassAlgorithm):
+@dataclass(frozen=True)
+class K3Layer:
     """The counter-based greedy layer construction of Lemma 17.
 
-    Processes the ``V'`` vertices in increasing identifier order; each main
-    token carries ``(vertex, deg(v, V'), degrees into each ancestor part)``.
-    Three counters mirror the constraints DEG, UP_DEG and SIZE of
-    Definition 14; whenever adding the current vertex would overflow a
-    counter, the current part is closed (its interval endpoints are written
-    to the output stream) and a fresh part is started.
+    The partial-pass streaming algorithm reads the ``V'`` vertices in
+    increasing id order; each main token carries the vertex's degree into
+    ``V'`` and its degree into each ancestor part.  Three counters mirror the
+    constraints SIZE, DEG and UP_DEG of Definition 14: whenever adding the
+    current vertex would take a counter past its cap, the current part is
+    closed (its endpoints are written to the output stream) and the vertex
+    starts a fresh part.  A part always takes its first vertex.
+
+    Attributes:
+        max_size, max_deg, max_up_deg: the caps of the three counters.
+        n_out: ``N_out``, the most parts (output tokens) the algorithm may
+            write.
     """
 
-    def __init__(
-        self,
-        k: int,
-        m: int,
-        num_ancestors: int,
-        n: int,
-        p: int = 3,
-        constraints: HTreeConstraints | None = None,
-    ):
-        self.k = max(1, k)
-        self.p = p
-        self.x = max(1.0, self.k ** (1.0 / p))
-        self.m = m
-        self.m_tilde = max(m, self.k * self.x)
-        self.num_ancestors = num_ancestors
-        self.n = n
-        self.constraints = constraints or HTreeConstraints(p=p)
-        c = self.constraints
-        self.max_deg = c.c1 * self.m_tilde / self.x
-        self.max_up_deg = c.c2 * max(1, num_ancestors) * self.m_tilde / (self.x * self.x) \
-            + c.c3 * p * self.k / self.x
-        self.max_size = c.c3 * self.k / self.x
+    max_size: float
+    max_deg: float
+    max_up_deg: float
+    n_out: int
 
-    def parameters(self) -> StreamingParameters:
-        logn = max(8, math.ceil(math.log2(max(2, self.n))))
-        # With the default build targets (c1=2, c2=4, c3=1) the closure
-        # counting of Lemma 17 gives at most ~3.5x parts; the additive slack
-        # keeps tiny test clusters within budget.
-        n_out = math.ceil(3.5 * self.x) + 8
-        return StreamingParameters(
-            token_bits=(3 + self.num_ancestors) * logn,
-            n_in=self.k,
-            n_out=n_out,
-            b_aux=0,
-            b_write=n_out,
+    @classmethod
+    def of(
+        cls, k: int, m: int, num_ancestors: int, constraints: HTreeConstraints
+    ) -> "K3Layer":
+        """The caps for a node with ``num_ancestors`` ancestor parts over a
+        ``k``-vertex universe with ``m`` edges."""
+        k = max(1, k)
+        x = max(1.0, k ** (1.0 / 3))
+        m_tilde = max(m, k * x)
+        c = constraints
+        return cls(
+            max_size=c.c3 * k / x,
+            max_deg=c.c1 * m_tilde / x,
+            max_up_deg=c.c2 * max(1, num_ancestors) * m_tilde / (x * x) + c.c3 * 3 * k / x,
+            # With the default build targets (c1=2, c2=4, c3=1) the closure
+            # counting of Lemma 17 gives at most ~3.5x parts; the additive
+            # slack keeps tiny test clusters within budget.
+            n_out=math.ceil(3.5 * x) + 8,
         )
 
-    def process(self, stream: Stream) -> None:
-        size_counter = 0
-        deg_counter = 0
-        up_deg_counter = 0
-        part_start: int | None = None
-        previous_vertex: int | None = None
+    def parts(self, degrees: np.ndarray, ancestors: Sequence[np.ndarray]) -> list[tuple[int, int]]:
+        """The parts ``(first id, last id)`` the algorithm writes for the
+        vertices ``0..len(degrees)-1``, given their degrees into ``V'`` and
+        into each ancestor part (non-negative integer columns).
 
-        while True:
-            token = stream.read()
-            if token is None:
-                break
-            vertex, degree, ancestor_degrees = token.summary
-            up_degree = sum(ancestor_degrees)
-            overflow = (
-                size_counter + 1 > self.max_size
-                or deg_counter + degree > self.max_deg
-                or up_deg_counter + up_degree > self.max_up_deg
+        A counter's sum over a part grows with the part, so a part that
+        starts at ``i`` ends before the first vertex whose prefix sum from
+        ``i`` passes the cap: one binary search per part and counter over
+        the prefix sums.  The sums are integers, so comparing them with
+        ``floor(cap)`` matches ``counter + value > cap`` exactly.
+
+        Raises:
+            AssertionError: when the algorithm writes more than ``N_out``
+                parts, as its stream run would.
+        """
+        k = len(degrees)
+        up = sum(ancestors, np.zeros(k, dtype=np.int64))
+        degree_sums, up_sums = (prefix_sums(column).tolist() for column in (degrees, up))
+        size, deg, up_deg = map(math.floor, (self.max_size, self.max_deg, self.max_up_deg))
+        parts = []
+        first = 0
+        while first < k:
+            last = min(
+                k - 1,
+                first + size - 1,
+                bisect.bisect_right(degree_sums, degree_sums[first] + deg) - 2,
+                bisect.bisect_right(up_sums, up_sums[first] + up_deg) - 2,
             )
-            if overflow and part_start is not None:
-                stream.write((part_start, previous_vertex))
-                size_counter = 0
-                deg_counter = 0
-                up_deg_counter = 0
-                part_start = vertex
-            elif part_start is None:
-                part_start = vertex
-            size_counter += 1
-            deg_counter += degree
-            up_deg_counter += up_degree
-            previous_vertex = vertex
-        if part_start is not None:
-            stream.write((part_start, previous_vertex))
+            last = max(first, last)
+            parts.append((first, last))
+            first = last + 1
+        if len(parts) > self.n_out:
+            raise AssertionError(
+                f"algorithm wrote {len(parts)} tokens, declared N_out={self.n_out}"
+            )
+        return parts
 
 
 @dataclass
@@ -130,21 +139,6 @@ class K3TreeResult:
     assignment: LeafAssignment
     rounds: int
     violations: list[str] = field(default_factory=list)
-
-
-def _vertex_tokens(
-    core: LabelCSR, ancestors: Sequence[VertexInterval]
-) -> list[MainToken]:
-    """One main token per core vertex: its degree into V' and into each
-    ancestor part (an id range of ``core``)."""
-    columns = [core.degrees_into(part.lo, part.hi).tolist() for part in ancestors]
-    ancestor_degrees = zip(*columns) if columns else itertools.repeat(())
-    return [
-        MainToken(index, vertex, (vertex, degree, counts))
-        for index, (vertex, degree, counts) in enumerate(
-            zip(core.labels, core.degrees.tolist(), ancestor_degrees)
-        )
-    ]
 
 
 #: Tighter constants the greedy *aims* for while building.  Any partition
@@ -181,7 +175,7 @@ def construct_k3_partition_tree(
     constraints = constraints or HTreeConstraints(p=3)
     build_constraints = build_constraints or DEFAULT_BUILD_CONSTRAINTS
     core = cluster.core
-    members = list(core.labels)
+    members = core.labels
     k = len(members)
     rounds_before = router.accountant.metrics.rounds if router is not None else 0
     if k == 0:
@@ -190,28 +184,22 @@ def construct_k3_partition_tree(
 
     m = core.number_of_edges()
     plan = SimulationPlan(cluster=cluster, t_max=1)
+    owners = np.arange(k)
+    # A root part is an ancestor of every node below it: read its column once.
+    degrees_into = functools.cache(core.degrees_into)
 
     def build_layer(ancestor_lists: list[list[VertexInterval]]) -> list[Partition]:
-        """Run one streaming batch: one partition per ancestor-part choice."""
-        instances = []
-        builders = []
+        """One Theorem 11 batch: one partition per ancestor-part choice."""
+        partitions = []
         for ancestors in ancestor_lists:
-            builder = K3LayerBuilder(
-                k=k, m=m, num_ancestors=len(ancestors), n=cluster.n, p=3,
-                constraints=build_constraints,
-            )
-            builders.append(builder)
-            tokens = _vertex_tokens(core, ancestors)
-            instances.append(AlgorithmInstance(algorithm=builder, tokens=tokens))
+            layer = K3Layer.of(k, m, len(ancestors), build_constraints)
+            columns = [degrees_into(part.lo, part.hi) for part in ancestors]
+            partitions.append(Partition(tuple(
+                VertexInterval(members, lo, hi) for lo, hi in layer.parts(core.degrees, columns)
+            )))
         if router is not None:
-            result = simulate_in_cluster(instances, plan, router=router)
-            outputs = result.outputs
-        else:
-            outputs = []
-            for instance in instances:
-                stream = instance.algorithm.enforce_budgets(list(instance.tokens))
-                outputs.append(instance.algorithm.run_reference(stream))
-        return [Partition.from_boundaries(members, boundaries) for boundaries in outputs]
+            charge_simulation(plan, router, [owners] * len(ancestor_lists))
+        return partitions
 
     # Layer 0 (root): a single instance with no ancestors.
     root_partition = build_layer([[]])[0]
@@ -258,7 +246,7 @@ def construct_k3_partition_tree(
 
     violations: list[str] = []
     if check_constraints:
-        violations = constraints.check_tree(tree, cluster.index.graph.subgraph(members))
+        violations = constraints.check_tree(tree, core)
 
     rounds_after = router.accountant.metrics.rounds if router is not None else 0
     return K3TreeResult(

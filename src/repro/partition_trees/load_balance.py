@@ -14,14 +14,15 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Sequence
 
 from repro.decomposition.cluster import CommunicationCluster
 from repro.decomposition.routing import ClusterRouter
 from repro.streaming.algorithm import PartialPassAlgorithm, StreamingParameters
-from repro.streaming.chains import disjoint_chains
 from repro.streaming.simulation import AlgorithmInstance, SimulationPlan, simulate_in_cluster
 from repro.streaming.stream import MainToken, Stream
 
@@ -148,19 +149,29 @@ class MessageBalancer(PartialPassAlgorithm):
 
 @dataclass
 class DegreeBalancedAssignment:
-    """Result of Lemma 20: which message numbers each vertex is responsible for."""
+    """Result of Lemma 20: which message numbers each vertex is responsible for.
+
+    ``ranges`` follows the balancer's output: vertex by vertex, each range
+    starting after the previous one, so the upper ends never decrease.
+    """
 
     ranges: dict[int, tuple[int, int] | None]
     rounds: int
 
+    @cached_property
+    def _by_upper_end(self) -> tuple[list[int], list[tuple[int, int]]]:
+        """The upper ends of the ranges, in order, and ``(lower end, vertex)``
+        of each; vertices without a range are skipped."""
+        ranged = [(interval, v) for v, interval in self.ranges.items() if interval is not None]
+        return [hi for (_, hi), _ in ranged], [(lo, v) for (lo, _), v in ranged]
+
     def owner_of_message(self, message_number: int) -> int | None:
-        """The vertex whose range contains ``message_number`` (1-based)."""
-        for vertex, interval in self.ranges.items():
-            if interval is None:
-                continue
-            lo, hi = interval
-            if lo <= message_number <= hi:
-                return vertex
+        """The vertex whose range contains ``message_number`` (1-based): the
+        first range whose upper end reaches it, found by binary search."""
+        upper, lower = self._by_upper_end
+        position = bisect.bisect_left(upper, message_number)
+        if position < len(lower) and lower[position][0] <= message_number:
+            return lower[position][1]
         return None
 
     def messages_of(self, vertex: int, num_messages: int) -> list[int]:

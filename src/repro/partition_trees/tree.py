@@ -16,11 +16,13 @@ Congested-Clique version tolerates; :class:`HTreeConstraints` checks them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-import networkx as nx
+import numpy as np
 
+from repro.graphs.index import LabelCSR
 from repro.partition_trees.parts import Partition, VertexInterval
 
 Path = tuple[int, ...]
@@ -118,6 +120,14 @@ class PartitionTree:
         parts.append(node.partition[part_index])
         return parts
 
+    def ancestor_ranges(self, leaves: Iterable[tuple[Path, int]]) -> np.ndarray:
+        """Per leaf part ``(path, part index)``, the ``(lo, hi)`` of each of
+        its ancestor parts, the root's first: ``int64[len(leaves), layers, 2]``."""
+        return np.array([
+            [(part.lo, part.hi) for part in self.ancestor_parts(self.node_at(path), index)]
+            for path, index in leaves
+        ], dtype=np.int64).reshape(-1, self.num_layers, 2)
+
     def validate_structure(self, x: int | None = None) -> None:
         """Check Definition 12: layers, child counts, partitions cover the universe."""
         for node in self.nodes():
@@ -176,6 +186,11 @@ def covering_leaf(tree: PartitionTree, instance_vertices: Sequence[int]) -> tupl
 # ---------------------------------------------------------------------------
 
 
+def prefix_sums(column: np.ndarray) -> np.ndarray:
+    """``[0, column[0], column[0] + column[1], ...]``: a range's sum is a difference."""
+    return np.concatenate(([0], np.cumsum(column)))
+
+
 @dataclass(frozen=True)
 class HTreeConstraints:
     """The DEG / UP_DEG / SIZE constraints of Definition 14.
@@ -191,28 +206,26 @@ class HTreeConstraints:
     c3: float = 4.0
     p: int = 3
 
-    def degrees_into(self, graph: nx.Graph, part: VertexInterval, target: Iterable[int]) -> int:
-        """``|E(U, W)|`` for a part ``U`` and vertex set ``W`` of ``graph``."""
-        target_set = set(target)
-        count = 0
-        for vertex in part:
-            if vertex not in graph:
-                continue
-            for neighbor in graph.neighbors(vertex):
-                if neighbor in target_set:
-                    count += 1
-        return count
+    def check_tree(self, tree: PartitionTree, core: LabelCSR) -> list[str]:
+        """Return human-readable violations of DEG / UP_DEG / SIZE (empty if valid).
 
-    def check_tree(self, tree: PartitionTree, graph: nx.Graph) -> list[str]:
-        """Return human-readable violations of DEG / UP_DEG / SIZE (empty if valid)."""
+        ``core`` indexes the tree's universe in its order, so a part is an id
+        range: its DEG is a range sum of ``core.degrees`` and its count into
+        an ancestor part a range sum of ``core.degrees_into`` that part.
+        """
         violations: list[str] = []
-        universe = set(tree.universe)
         k = len(tree.universe)
         if k == 0:
             return violations
         x = max(1.0, k ** (1.0 / self.p))
-        m = sum(1 for u, v in graph.edges if u in universe and v in universe)
-        m_tilde = max(m, k * x)
+        m_tilde = max(core.number_of_edges(), k * x)
+
+        degree_sums = prefix_sums(core.degrees)
+        into_sums = functools.cache(lambda lo, hi: prefix_sums(core.degrees_into(lo, hi)))
+
+        def count(sums: np.ndarray, part: VertexInterval) -> int:
+            return int(sums[part.hi + 1] - sums[part.lo]) if part.size else 0
+
         # d_i = number of already-placed neighbours of vertex i of H; for a
         # clique K_p, d_i = i.
         for node in tree.nodes():
@@ -223,7 +236,7 @@ class HTreeConstraints:
                         f"SIZE violated at path {node.path} part {index}: "
                         f"{part.size} > {self.c3 * k / x:.1f}"
                     )
-                degree = self.degrees_into(graph, part, universe)
+                degree = count(degree_sums, part)
                 if degree > self.c1 * m_tilde / x + 1e-9:
                     violations.append(
                         f"DEG violated at path {node.path} part {index}: "
@@ -231,10 +244,7 @@ class HTreeConstraints:
                     )
                 ancestors = tree.ancestor_parts(node, index)[:-1]
                 if ancestors:
-                    up_degree = sum(
-                        self.degrees_into(graph, part, ancestor.vertices())
-                        for ancestor in ancestors
-                    )
+                    up_degree = sum(count(into_sums(a.lo, a.hi), part) for a in ancestors)
                     d_i = depth  # for cliques, vertex i has i earlier neighbours
                     bound = self.c2 * d_i * m_tilde / (x * x) + self.c3 * self.p * k / x
                     if up_degree > bound + 1e-9:

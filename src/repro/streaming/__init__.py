@@ -4,8 +4,10 @@ from repro.streaming.stream import MainToken, Stream, StreamBudgetError
 from repro.streaming.algorithm import PartialPassAlgorithm, StreamingParameters
 from repro.streaming.chains import VertexChain, build_vertex_chain, disjoint_chains
 from repro.streaming.simulation import (
+    SimulationCharge,
     SimulationPlan,
     SimulationResult,
+    charge_simulation,
     simulate_in_cluster,
     simulate_state_passing,
     simulate_leader_with_queries,
@@ -20,8 +22,10 @@ __all__ = [
     "VertexChain",
     "build_vertex_chain",
     "disjoint_chains",
+    "SimulationCharge",
     "SimulationPlan",
     "SimulationResult",
+    "charge_simulation",
     "simulate_in_cluster",
     "simulate_state_passing",
     "simulate_leader_with_queries",

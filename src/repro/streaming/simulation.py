@@ -13,9 +13,15 @@ The executor here performs the simulation plan faithfully at the data level
 (token distribution to simulator chains, chain hand-offs, GET-AUX excursions
 back to token owners, local storage of output tokens) while the round cost of
 every communication step is charged through the cluster router, using the
-*actual* loads incurred rather than the worst-case formula.  The worst-case
-bound is also computed (:meth:`SimulationResult.theoretical_round_bound`) so
-experiments can compare measured against predicted.
+*actual* loads incurred rather than the worst-case formula.  Those charges
+depend only on who owns each main token and on how many GET-AUX excursions
+each algorithm makes, so one function charges them from per-algorithm owner
+arrays (:func:`charge_simulation`): :func:`simulate_in_cluster` calls it
+after running its streams, and a caller that knows its owners and outputs
+without a stream (the K3 layers of Lemma 17) calls it directly.  The
+worst-case bound is also computed
+(:meth:`SimulationResult.theoretical_round_bound`) so experiments can compare
+measured against predicted.
 
 For the ablation experiment (E4) the module also provides the two extreme
 approaches sketched in Section 1.2:
@@ -32,11 +38,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.congest.cost import CostAccountant
 from repro.decomposition.cluster import CommunicationCluster
 from repro.decomposition.routing import ClusterRouter
+from repro.graphs.index import sorted_distinct
 from repro.streaming.algorithm import PartialPassAlgorithm
-from repro.streaming.chains import VertexChain, disjoint_chains
 from repro.streaming.stream import MainToken
 
 
@@ -80,8 +88,8 @@ class SimulationPlan:
         t_max: ``T_max`` -- maximum number of main tokens per vertex.
         lam: ``λ`` -- number of simulator-chain members per algorithm
             (``1 <= λ <= k/ζ``).  ``None`` selects the balanced choice used
-            in the paper's corollaries, ``λ = ceil(k^{1/3})`` capped by
-            ``k/ζ``.
+            in the paper's corollaries, ``k^{1/3}`` rounded to the nearest
+            integer (``k = 40`` gives 3) and capped by ``k/ζ``.
     """
 
     cluster: CommunicationCluster
@@ -144,6 +152,87 @@ class SimulationResult:
         return (t_max / delta) * (zeta + k / lam) + (b_aux + 1) * (lam + zeta / delta)
 
 
+@dataclass(frozen=True)
+class SimulationCharge:
+    """The simulator chains :func:`charge_simulation` charged.
+
+    Attributes:
+        lam: the simulator-chain length ``λ``.
+        homes: per algorithm, the chain member hosting each main token, as a
+            position in ``cluster.ordered_members()``.
+        state_passes: total number of state hand-offs.
+    """
+
+    lam: int
+    homes: list[np.ndarray]
+    state_passes: int
+
+
+def charge_simulation(
+    plan: SimulationPlan,
+    router: ClusterRouter,
+    owners: Sequence[np.ndarray],
+    aux_calls: Sequence[int] = (),
+) -> SimulationCharge:
+    """Charge Theorem 11's Phases 1 and 2 for ``ζ = len(owners)`` algorithms.
+
+    ``owners[j]`` lists the owner of each main token of algorithm ``j``, in
+    stream order, as a position in ``cluster.ordered_members()``; a number
+    ``>= k`` stands for an owner outside that universe (distinct owners,
+    distinct numbers).  ``aux_calls[j]`` is the number of GET-AUX
+    excursions algorithm ``j`` made (none when empty).
+
+    Phase 0 takes no rounds: algorithm ``j`` is simulated by the ``j``-th
+    block of members (every algorithm by the first block when ``ζλ > k``),
+    and block member ``i // β`` hosts the token of member ``i``; a token
+    whose owner is outside the universe goes to block member
+    ``index // (β T_max)``, capped at the block's last.  Phase 1 ships every
+    token from its owner to its home, routed by the larger of the most
+    tokens one vertex sends and one receives.  Phase 2 charges ``B_aux + 1``
+    steps of ``λ`` chain rounds plus ``ζ/δ`` delivery rounds each (the ``ζ``
+    algorithms advance in parallel, which is the point of the batching in
+    the proof of Theorem 11), and the words of every state hand-off (one
+    fewer than the distinct homes of an algorithm) and GET-AUX round trip.
+    """
+    cluster = plan.cluster
+    accountant = router.accountant
+    zeta = len(owners)
+    k = cluster.k
+    lam = plan.resolved_lambda(zeta)
+    beta = math.ceil(k / lam)
+    per_chain = math.ceil(k / beta)
+    homes = []
+    for j, owner in enumerate(owners):
+        outside = np.minimum(per_chain - 1, np.arange(owner.size) // max(1, beta * plan.t_max))
+        start = 0 if zeta * lam > k else j * per_chain
+        homes.append(start + np.where(owner < k, owner // beta, outside))
+    sent, received = np.concatenate(owners), np.concatenate(homes)
+    router.route(
+        max_words_per_vertex=int(max(
+            np.bincount(sent).max(initial=0), np.bincount(received).max(initial=0)
+        )),
+        total_words=int(sent.size),
+        phase="phase1-tokens",
+    )
+
+    algorithm = np.repeat(np.arange(zeta), [home.size for home in homes])
+    active = np.bincount(sorted_distinct(algorithm * k + received) // k, minlength=zeta)
+    state_passes = int(np.maximum(active - 1, 0).sum())
+    excursions = sum(aux_calls)
+    steps = max(aux_calls, default=0) + 1
+    sequential_depth = steps * max(1, lam)
+    parallel_delivery = steps * math.ceil(zeta / max(1.0, cluster.delta))
+    accountant.local_rounds(
+        (sequential_depth + parallel_delivery) * accountant.overhead(cluster.n),
+        phase="streaming:phase2-steps",
+    )
+    state_words = 8 * (state_passes + 2 * excursions)  # a handful of counters each
+    accountant.metrics.add_messages(
+        state_words, phase="streaming:phase2-state", words=state_words
+    )
+    return SimulationCharge(lam=lam, homes=homes, state_passes=state_passes)
+
+
 def simulate_in_cluster(
     instances: Sequence[AlgorithmInstance],
     plan: SimulationPlan,
@@ -151,6 +240,11 @@ def simulate_in_cluster(
     accountant: CostAccountant | None = None,
 ) -> SimulationResult:
     """Simulate ``ζ`` partial-pass streaming algorithms in a cluster (Theorem 11).
+
+    Runs every algorithm over its stream, then charges the simulation with
+    :func:`charge_simulation` and records which vertex stores each output
+    token: the chain member hosting the main token read last, or that
+    token's owner for a token written during a GET-AUX excursion.
 
     Args:
         instances: the algorithms ``A_1..A_ζ`` with their input token streams.
@@ -172,100 +266,41 @@ def simulate_in_cluster(
         router = ClusterRouter(cluster=cluster, accountant=accountant, phase_prefix="streaming")
     metrics_before = router.accountant.metrics.snapshot()
 
-    lam = plan.resolved_lambda(zeta)
     members = cluster.ordered_members()
     if not members:
         raise ValueError("cluster has no V^- vertices; cannot host a simulation")
     for instance in instances:
         instance.validate_input_contiguity(plan.t_max)
 
-    # Phase 0: assign disjoint simulator chains (zero rounds -- deterministic
-    # local computation from identifiers alone).
-    beta = math.ceil(len(members) / lam)
-    chains: list[VertexChain] = disjoint_chains(members, beta=beta, num_chains=zeta) \
-        if zeta * lam <= len(members) else [
-            # Degenerate small clusters: all algorithms share one chain layout.
-            disjoint_chains(members, beta=beta, num_chains=1)[0] for _ in range(zeta)
-        ]
-
-    # Phase 1: ship main tokens to the simulator chains.
-    per_vertex_sent: dict[int, int] = {}
-    per_vertex_received: dict[int, int] = {}
-    token_home: list[dict[int, int]] = []  # per algorithm: token index -> chain member
-    for instance, chain in zip(instances, chains):
-        homes: dict[int, int] = {}
-        for token in instance.tokens:
-            target = chain.responsible_for(token.owner) if chain.covers(token.owner) \
-                else chain.members[min(len(chain.members) - 1, token.index // max(1, beta * plan.t_max))]
-            homes[token.index] = target
-            per_vertex_sent[token.owner] = per_vertex_sent.get(token.owner, 0) + 1
-            per_vertex_received[target] = per_vertex_received.get(target, 0) + 1
-        token_home.append(homes)
-    max_sent = max(per_vertex_sent.values(), default=0)
-    max_received = max(per_vertex_received.values(), default=0)
-    total_phase1 = sum(per_vertex_sent.values())
-    router.route(
-        max_words_per_vertex=max(max_sent, max_received),
-        total_words=total_phase1,
-        phase="phase1-tokens",
-    )
-
-    # Phase 2: run the algorithms, tracking state hand-offs and GET-AUX
-    # excursions, and record which vertex stores each output token.
     outputs: list[list[object]] = []
-    output_holders: list[dict[int, int]] = []
-    total_state_passes = 0
-    total_excursions = 0
-    per_instance_excursions: list[int] = []
-    state_words = 8  # polylog-size state: a handful of counters
-    for instance, chain, homes in zip(instances, chains, token_home):
+    logs = []
+    for instance in instances:
         stream = instance.algorithm.enforce_budgets(list(instance.tokens))
-        out = instance.algorithm.run_reference(stream)
-        outputs.append(out)
-        log = stream.log
-        total_excursions += log.get_aux_calls
-        per_instance_excursions.append(log.get_aux_calls)
+        outputs.append(instance.algorithm.run_reference(stream))
+        logs.append(stream.log)
+    # Owners as member positions; an owner outside the members gets the
+    # next free number.
+    position = dict(zip(members, range(len(members))))
+    owners = [
+        np.array([position.setdefault(t.owner, len(position)) for t in instance.tokens],
+                 dtype=np.int64)
+        for instance in instances
+    ]
+    charge = charge_simulation(plan, router, owners, [log.get_aux_calls for log in logs])
 
-        # Chain hand-offs: the state passes from chain member i to i+1 for
-        # every chain member that holds at least one token (lam - 1 at most).
-        active_members = sorted({homes[t.index] for t in instance.tokens})
-        passes = max(0, len(active_members) - 1)
-        total_state_passes += passes
-
-        # Output holders: tokens written while main token tau_i was current
-        # live at the chain member hosting tau_i, unless written during an
-        # aux excursion, in which case they live at tau_i's original owner.
-        holders: dict[int, int] = {}
-        owner_of_index = {t.index: t.owner for t in instance.tokens}
-        for out_index, (main_index, in_aux) in enumerate(log.write_contexts):
-            if main_index < 0:
-                holders[out_index] = active_members[0] if active_members else members[0]
-            elif in_aux:
-                holders[out_index] = owner_of_index.get(main_index, members[0])
-            else:
-                holders[out_index] = homes.get(main_index, members[0])
-        output_holders.append(holders)
-
-    # Charge Phase 2: the (B_aux + 1) steps of the theorem.  The zeta
-    # algorithms progress in parallel; each step costs lambda rounds of state
-    # propagation along a chain plus zeta/delta rounds to deliver the
-    # simultaneous GET-AUX requests and responses — NOT one round per state
-    # hand-off, which is the whole point of the batching argument in the
-    # proof of Theorem 11.
-    max_excursions = max(per_instance_excursions, default=0)
-    steps = max_excursions + 1
-    sequential_depth = steps * max(1, lam)
-    parallel_delivery = steps * math.ceil(zeta / max(1.0, cluster.delta))
-    router.accountant.local_rounds(
-        (sequential_depth + parallel_delivery) * router.accountant.overhead(cluster.n),
-        phase="streaming:phase2-steps",
-    )
-    # Message accounting for the actual state transfers performed.
-    router.accountant.metrics.add_messages(
-        (total_state_passes + 2 * total_excursions) * state_words,
-        phase="streaming:phase2-state",
-        words=(total_state_passes + 2 * total_excursions) * state_words,
-    )
+    # A token written before the first read lives at the first active chain
+    # member.
+    output_holders: list[dict[int, int]] = []
+    for instance, log, homes in zip(instances, logs, charge.homes):
+        first = members[int(homes.min()) if homes.size else 0]
+        output_holders.append({
+            out_index: (
+                first if main_index < 0
+                else instance.tokens[main_index].owner if in_aux
+                else members[homes[main_index]]
+            )
+            for out_index, (main_index, in_aux) in enumerate(log.write_contexts)
+        })
 
     metrics_after = router.accountant.metrics.snapshot()
     return SimulationResult(
@@ -273,10 +308,10 @@ def simulate_in_cluster(
         output_holders=output_holders,
         rounds=metrics_after["rounds"] - metrics_before["rounds"],
         messages=metrics_after["words"] - metrics_before["words"],
-        lam=lam,
+        lam=charge.lam,
         zeta=zeta,
-        state_passes=total_state_passes,
-        aux_excursions=total_excursions,
+        state_passes=charge.state_passes,
+        aux_excursions=sum(log.get_aux_calls for log in logs),
         plan=plan,
     )
 

@@ -6,11 +6,14 @@ compared with a set-based or networkx computation of the same thing, over
 int and string labels, isolated vertices and a disconnected graph.
 """
 
+import itertools
+
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro.graphs import LabelCSR, canonical_edge, power_law
+from repro.graphs.index import edges_among
 
 
 def _graphs():
@@ -88,6 +91,38 @@ def test_range_queries_match_set_counts(graph):
         }
         keys = core.edges_between((lo, hi), (k // 2, k - 1))
         assert set(core.label_pairs(keys)) == between
+
+
+@pytest.mark.parametrize("graph", _graphs())
+def test_many_range_pairs_are_one_gather(graph):
+    """Arrays of ranges give pair ``q`` the keys of its own call plus
+    ``q * n^2``; ``edges_among`` gives each group its distinct edges between
+    two of its ranges."""
+    index = LabelCSR.from_graph(graph)
+    n = index.n
+    rows = [(0, n - 1), (n // 3, n // 2), (5, 4), (n - 1, n - 1), (0, 0)]
+    columns = [(n // 2, n - 1), (0, n // 3), (0, n - 1), (0, n - 1), (0, n - 1)]
+    keys = index.edges_between(
+        tuple(np.array(ends) for ends in zip(*rows)),
+        tuple(np.array(ends) for ends in zip(*columns)),
+    )
+    expected = np.concatenate([
+        q * n * n + index.edges_between(row, column)
+        for q, (row, column) in enumerate(zip(rows, columns))
+    ])
+    assert keys.tolist() == expected.tolist()
+
+    ranges = np.array([rows[:3], rows[2:], [rows[0], columns[0], columns[1]]])
+    groups, edges = edges_among(index, ranges)
+    for g, group in enumerate(ranges):
+        parts = [set(index.labels[lo : hi + 1]) for lo, hi in group]
+        between = {
+            canonical_edge(u, w)
+            for first, second in itertools.combinations(parts, 2)
+            for u in first for w in graph[u] if w in second
+        }
+        assert set(index.label_pairs(edges[groups == g])) == between
+    assert np.all(np.diff(groups * n * n + edges) > 0)
 
 
 @pytest.mark.parametrize("graph", _graphs())

@@ -2,9 +2,12 @@
 
 import itertools
 import math
+import re
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.congest.cost import CostAccountant, unit_overhead
 from repro.decomposition.cluster import K3CompatibleCluster, KpCompatibleCluster
@@ -14,6 +17,7 @@ from repro.graphs.cliques import enumerate_cliques
 from repro.graphs.index import LabelCSR
 from repro.partition_trees import (
     HTreeConstraints,
+    K3Layer,
     Partition,
     PartitionTree,
     SplitGraph,
@@ -24,7 +28,12 @@ from repro.partition_trees import (
     construct_split_kp_tree,
     covering_leaf,
 )
-from repro.partition_trees.load_balance import MessageBalancer, amplifier_broadcast
+from repro.partition_trees.load_balance import (
+    DegreeBalancedAssignment,
+    MessageBalancer,
+    amplifier_broadcast,
+)
+from repro.streaming.algorithm import PartialPassAlgorithm, StreamingParameters
 from repro.streaming.stream import MainToken, Stream
 
 
@@ -125,8 +134,50 @@ class TestHTreeConstraints:
         child = tree.root.add_child(0, partition)
         child.add_child(0, partition)
         graph = erdos_renyi(256, 10.0, seed=1)
-        violations = HTreeConstraints(p=3).check_tree(tree, graph)
+        violations = HTreeConstraints(p=3).check_tree(tree, LabelCSR.from_graph(graph))
         assert any("SIZE" in violation for violation in violations)
+
+
+    def test_counts_match_neighbour_sets(self):
+        """DEG and UP_DEG read off the core index equal the counts over
+        neighbour sets (each part vertex's neighbours in the universe, in
+        each ancestor part), with constants tight enough that parts violate
+        all three constraints."""
+        graph = erdos_renyi(60, 14.0, seed=8)
+        cluster = K3CompatibleCluster.from_edges(graph, graph.edges)
+        tree = construct_k3_partition_tree(cluster).tree
+        tight = HTreeConstraints(c1=0.5, c2=1.0, c3=0.5, p=3)
+        members = cluster.ordered_members()
+        k, m = len(members), cluster.core.number_of_edges()
+        x = k ** (1.0 / 3)
+        m_tilde = max(m, k * x)
+
+        def into(part, target):
+            return sum(len(set(graph[v]) & set(target)) for v in part)
+
+        expected = []
+        for node in tree.nodes():
+            for index, part in enumerate(node.partition):
+                if part.size > tight.c3 * k / x + 1e-9:
+                    expected.append(
+                        f"SIZE violated at path {node.path} part {index}: "
+                        f"{part.size} > {tight.c3 * k / x:.1f}"
+                    )
+                degree = into(part, members)
+                if degree > tight.c1 * m_tilde / x + 1e-9:
+                    expected.append(
+                        f"DEG violated at path {node.path} part {index}: "
+                        f"{degree} > {tight.c1 * m_tilde / x:.1f}"
+                    )
+                ancestors = tree.ancestor_parts(node, index)[:-1]
+                up = sum(into(part, ancestor) for ancestor in ancestors)
+                bound = tight.c2 * node.depth * m_tilde / (x * x) + tight.c3 * 3 * k / x
+                if ancestors and up > bound + 1e-9:
+                    expected.append(
+                        f"UP_DEG violated at path {node.path} part {index}: {up} > {bound:.1f}"
+                    )
+        assert {violation.split()[0] for violation in expected} == {"SIZE", "DEG", "UP_DEG"}
+        assert tight.check_tree(tree, cluster.core) == expected
 
 
 class TestLoadBalanceLemmas:
@@ -167,6 +218,17 @@ class TestLoadBalanceLemmas:
         below_average = set(cluster.v_minus) - set(cluster.v_star)
         for vertex in below_average:
             assert assignment.ranges.get(vertex) is None
+
+    def test_owner_of_message_searches_the_ranges(self):
+        """Vertices without a range and empty ranges are skipped; a number
+        outside every range has no owner."""
+        assignment = DegreeBalancedAssignment(
+            ranges={"a": None, "b": (1, 4), "c": (5, 4), "d": None, "e": (5, 6), "f": (7, 10)},
+            rounds=0,
+        )
+        owners = [assignment.owner_of_message(m) for m in range(-1, 13)]
+        assert owners == [None, None] + ["b"] * 4 + ["e"] * 2 + ["f"] * 4 + [None] * 2
+        assert DegreeBalancedAssignment(ranges={}, rounds=0).owner_of_message(1) is None
 
     def test_amplifier_broadcast_reaches_everyone(self):
         cluster, router = self._cluster()
@@ -235,6 +297,101 @@ class TestK3Construction:
         result = construct_k3_partition_tree(cluster, router=None)
         assert result.rounds == 0
         assert len(result.assignment) > 0
+
+    @pytest.mark.parametrize("charged", [True, False], ids=["router", "no-router"])
+    def test_lemma_17_output_budget_is_enforced(self, charged):
+        """A DEG cap below every degree closes a part at every vertex: 60
+        parts, more than Lemma 17's ``N_out``."""
+        _, cluster, router = self._cluster()
+        with pytest.raises(AssertionError, match="algorithm wrote 60 tokens, declared N_out=22"):
+            construct_k3_partition_tree(
+                cluster, router=router if charged else None,
+                build_constraints=HTreeConstraints(c1=0.01, c2=4.0, c3=1.0, p=3),
+            )
+
+
+class StreamK3Layer(PartialPassAlgorithm):
+    """Lemma 17's greedy as a partial-pass streaming algorithm, with the caps
+    of a :class:`K3Layer`: main token ``i`` carries ``(i, degree, ancestor
+    degrees)``.  The oracle of :meth:`K3Layer.parts`."""
+
+    def __init__(self, layer: K3Layer, k: int):
+        self.layer = layer
+        self.k = k
+
+    def parameters(self) -> StreamingParameters:
+        n_out = self.layer.n_out
+        return StreamingParameters(token_bits=64, n_in=self.k, n_out=n_out, b_aux=0, b_write=n_out)
+
+    def process(self, stream: Stream) -> None:
+        layer = self.layer
+        size_counter = deg_counter = up_deg_counter = 0
+        part_start = previous_vertex = None
+        while (token := stream.read()) is not None:
+            vertex, degree, ancestor_degrees = token.summary
+            up_degree = sum(ancestor_degrees)
+            overflow = (
+                size_counter + 1 > layer.max_size
+                or deg_counter + degree > layer.max_deg
+                or up_deg_counter + up_degree > layer.max_up_deg
+            )
+            if overflow and part_start is not None:
+                stream.write((part_start, previous_vertex))
+                size_counter = deg_counter = up_deg_counter = 0
+                part_start = vertex
+            elif part_start is None:
+                part_start = vertex
+            size_counter += 1
+            deg_counter += degree
+            up_deg_counter += up_degree
+            previous_vertex = vertex
+        if part_start is not None:
+            stream.write((part_start, previous_vertex))
+
+
+# Zeros, small degrees and degrees past every drawn cap, so a vertex can pass
+# a cap alone; caps are exact integers or fractions.
+_degrees = st.one_of(st.just(0), st.integers(0, 6), st.integers(20, 40))
+_caps = st.one_of(st.integers(0, 30).map(float), st.floats(0.0, 30.0))
+
+
+@st.composite
+def k3_layer_inputs(draw):
+    k = draw(st.integers(1, 40))
+    column = st.lists(_degrees, min_size=k, max_size=k)
+    layer = K3Layer(
+        max_size=draw(st.one_of(st.integers(0, 12).map(float), st.floats(0.0, 12.0))),
+        max_deg=draw(_caps),
+        max_up_deg=draw(_caps),
+        # B_write is N_out, and two writes can follow the last read (the
+        # part it closes and the last part), so N_out >= 2 as in Lemma 17.
+        n_out=draw(st.integers(2, k + 1)),
+    )
+    return draw(column), draw(st.lists(column, max_size=2)), layer
+
+
+@given(k3_layer_inputs())
+@example(([3, 2, 5, 0, 0], [], K3Layer(10.0, 5.0, 0.0, 5)))  # sums hit an integer cap
+@example(([0, 9, 1, 1], [[1, 0, 0, 2]], K3Layer(10.0, 4.0, 2.0, 4)))  # 9 alone passes
+@example(([1, 1, 1], [[2, 2, 2], [1, 1, 1]], K3Layer(10.0, 9.0, 2.0, 2)))  # over N_out
+@settings(max_examples=300, deadline=None)
+def test_k3_layer_matches_the_stream_algorithm(inputs):
+    """:meth:`K3Layer.parts` writes the parts, or fails the ``N_out`` check
+    with the message, of the stream run of Lemma 17's greedy."""
+    degrees, ancestors, layer = inputs
+    tokens = [
+        MainToken(index=i, owner=i, summary=(i, degrees[i], tuple(a[i] for a in ancestors)))
+        for i in range(len(degrees))
+    ]
+    oracle = StreamK3Layer(layer, len(degrees))
+    columns = [np.array(a, dtype=np.int64) for a in ancestors]
+    try:
+        expected = oracle.run_reference(oracle.enforce_budgets(tokens))
+    except AssertionError as error:
+        with pytest.raises(AssertionError, match=re.escape(str(error))):
+            layer.parts(np.array(degrees, dtype=np.int64), columns)
+    else:
+        assert layer.parts(np.array(degrees, dtype=np.int64), columns) == expected
 
 
 class TestSplitTree:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.congest.cost import CostAccountant, unit_overhead
@@ -17,6 +18,7 @@ from repro.streaming import (
     StreamingParameters,
     VertexChain,
     build_vertex_chain,
+    charge_simulation,
     disjoint_chains,
     simulate_in_cluster,
     simulate_leader_with_queries,
@@ -277,6 +279,21 @@ class TestSimulation:
         assert len(result.outputs) == 3
         assert all(len(out) == len(members) for out in result.outputs)
 
+    def test_an_owner_outside_the_members_ships_by_token_index(self):
+        """λ = 4, β = 15: member 20's token lives at chain member 1, and the
+        two tokens of owner 1000, no member, at chain member
+        ``index // (β T_max) = 0``; each output is held where its token is."""
+        cluster, router = _make_cluster()
+        members = cluster.ordered_members()
+        tokens = _tokens([1, 2, 3], owners=[members[20], 1000, 1000])
+        result = simulate_in_cluster(
+            [AlgorithmInstance(algorithm=SummingAlgorithm(3), tokens=tokens)],
+            SimulationPlan(cluster=cluster, t_max=2), router=router,
+        )
+        assert result.outputs == [[1, 3, 6]]
+        assert result.output_holders == [{0: members[1], 1: members[0], 2: members[0]}]
+        assert result.state_passes == 1
+
     def test_theoretical_bound_positive(self):
         cluster, router = _make_cluster()
         members = cluster.ordered_members()
@@ -287,6 +304,67 @@ class TestSimulation:
             plan, router=router,
         )
         assert result.theoretical_round_bound() > 0
+
+
+class TestChargeSimulation:
+    """Theorem 11's charges from owner arrays, on a 60-vertex cluster whose
+    members all have degree >= δ = 3 (one routed word per round each)."""
+
+    def _charge(self, owners, aux_calls=(), lam=None, t_max=1):
+        cluster, router = _make_cluster()
+        assert cluster.k == 60
+        plan = SimulationPlan(cluster=cluster, t_max=t_max, lam=lam)
+        charge = charge_simulation(plan, router, owners, aux_calls)
+        return cluster.ordered_members(), charge, router.accountant.metrics
+
+    def test_homes_follow_the_vertex_chains(self):
+        """λ = 4 (60^{1/3} rounded), so β = 15 and algorithm ``j`` runs on
+        the ``j``-th block of 4 members, as ``disjoint_chains`` assigns."""
+        members, charge, metrics = self._charge([np.arange(60)] * 3, aux_calls=(0, 2, 1))
+        chains = disjoint_chains(members, beta=15, num_chains=3)
+        for chain, homes in zip(chains, charge.homes):
+            assert [members[h] for h in homes] == [chain.responsible_for(v) for v in members]
+        assert (charge.lam, charge.state_passes) == (4, 9)
+        # Phase 1: a member receives 15 tokens; Phase 2: 3 steps of 4 + 1.
+        assert dict(metrics.phase_rounds) == {
+            "cluster:phase1-tokens": 5, "streaming:phase2-steps": 15,
+        }
+        assert dict(metrics.phase_messages) == {
+            "cluster:phase1-tokens": 180, "streaming:phase2-state": 8 * (9 + 2 * 3),
+        }
+
+    @pytest.mark.parametrize("t_max, split_at", [(1, 30), (2, 42)])
+    def test_an_owner_outside_the_universe_goes_by_token_index(self, t_max, split_at):
+        """λ = 2, β = 30: the owners 0 and 59 map to chain members 0 and 1;
+        40 tokens of one owner outside the members go to chain member
+        ``index // (β T_max)``, capped at the last."""
+        owners = np.concatenate(([0, 59], np.full(40, 60)))
+        members, charge, metrics = self._charge([owners], lam=2, t_max=t_max)
+        chain = disjoint_chains(members, beta=30, num_chains=1)[0]
+        outsider_homes = [
+            chain.members[min(len(chain) - 1, index // (30 * t_max))] for index in range(2, 42)
+        ]
+        assert [members[h] for h in charge.homes[0]] == (
+            [chain.responsible_for(members[0]), chain.responsible_for(members[59])]
+            + outsider_homes
+        )
+        assert charge.homes[0].tolist() == [0, 1] + [0] * (split_at - 2) + [1] * (42 - split_at)
+        # The outside owner sends 40 tokens, more than any member receives.
+        assert metrics.phase_rounds["cluster:phase1-tokens"] == math.ceil(40 / 3)
+        assert charge.state_passes == 1
+
+    def test_more_algorithms_than_members_share_the_first_chain(self):
+        """ζ = 61 > k: λ = 1, every algorithm runs on member 0 alone, which
+        receives every token; no state moves."""
+        members, charge, metrics = self._charge([np.arange(60)] * 61)
+        assert charge.lam == 1
+        assert all(homes.tolist() == [0] * 60 for homes in charge.homes)
+        assert charge.state_passes == 0
+        assert dict(metrics.phase_rounds) == {
+            "cluster:phase1-tokens": math.ceil(61 * 60 / 3),
+            "streaming:phase2-steps": 1 + math.ceil(61 / 3),
+        }
+        assert metrics.phase_messages["streaming:phase2-state"] == 0
 
 
 class TestExtremeApproaches:
