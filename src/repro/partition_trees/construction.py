@@ -29,10 +29,7 @@ import numpy as np
 
 from repro.decomposition.cluster import CommunicationCluster
 from repro.decomposition.routing import ClusterRouter
-from repro.partition_trees.load_balance import (
-    amplifier_broadcast,
-    balance_by_communication_degree,
-)
+from repro.partition_trees.load_balance import amplifier_broadcast, assign_leaf_parts
 from repro.partition_trees.parts import Partition, VertexInterval
 from repro.partition_trees.tree import (
     HTreeConstraints,
@@ -233,16 +230,7 @@ def construct_k3_partition_tree(
         tree.root.children[j].add_child(l, partition)
 
     # Leaf distribution (Lemma 20): each V* vertex receives O(deg/mu) parts.
-    leaf_parts = tree.leaf_parts()
-    balanced = balance_by_communication_degree(cluster, router, num_messages=len(leaf_parts))
-    assignment = LeafAssignment()
-    v_star = sorted(cluster.v_star)
-    fallback = v_star if v_star else members
-    for number, (node, part_index) in enumerate(leaf_parts, start=1):
-        owner = balanced.owner_of_message(number)
-        if owner is None:
-            owner = fallback[number % len(fallback)]
-        assignment.assign(node.path, part_index, owner)
+    assignment = assign_leaf_parts(cluster, router, tree)
 
     violations: list[str] = []
     if check_constraints:

@@ -9,7 +9,8 @@
 * :func:`balance_by_communication_degree` -- Lemma 20 / Algorithm 1: a
   partial-pass streaming algorithm that assigns numbered messages to the
   high-degree vertices ``V_C^*`` proportionally to their communication
-  degree, so each receives ``O(deg_C(v)/μ)`` messages.
+  degree, so each receives ``O(deg_C(v)/μ)`` messages;
+  :func:`assign_leaf_parts` numbers a tree's leaf parts as those messages.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Hashable, Sequence
 
 from repro.decomposition.cluster import CommunicationCluster
 from repro.decomposition.routing import ClusterRouter
+from repro.partition_trees.tree import LeafAssignment, PartitionTree
 from repro.streaming.algorithm import PartialPassAlgorithm, StreamingParameters
 from repro.streaming.simulation import AlgorithmInstance, SimulationPlan, simulate_in_cluster
 from repro.streaming.stream import MainToken, Stream
@@ -243,3 +245,23 @@ def balance_by_communication_degree(
     rounds_after = router.accountant.metrics.rounds if router is not None else 0
     ranges = {vertex: interval for vertex, interval in outputs}
     return DegreeBalancedAssignment(ranges=ranges, rounds=rounds_after - rounds_before)
+
+
+def assign_leaf_parts(
+    cluster: CommunicationCluster, router: ClusterRouter | None, tree: PartitionTree
+) -> LeafAssignment:
+    """Lemma 20 for a partition tree's leaf layer: leaf part number ``i``
+    (from 1, in ``tree.leaf_parts()`` order) goes to the ``V_C^*`` vertex
+    whose range holds ``i``; a number past every range goes to ``V_C^*``
+    vertex ``i mod |V_C^*|`` (to a ``V_C^-`` vertex when ``V_C^*`` is empty,
+    to ``-1`` when there is none)."""
+    leaf_parts = tree.leaf_parts()
+    balanced = balance_by_communication_degree(cluster, router, num_messages=len(leaf_parts))
+    fallback = sorted(cluster.v_star) or cluster.ordered_members()
+    assignment = LeafAssignment()
+    for number, (node, part_index) in enumerate(leaf_parts, start=1):
+        owner = balanced.owner_of_message(number)
+        if owner is None:
+            owner = fallback[number % len(fallback)] if fallback else -1
+        assignment.assign(node.path, part_index, owner)
+    return assignment

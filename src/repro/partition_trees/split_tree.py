@@ -28,7 +28,7 @@ import numpy as np
 from repro.decomposition.cluster import KpCompatibleCluster
 from repro.decomposition.routing import ClusterRouter
 from repro.graphs.index import LabelCSR, sorted_distinct
-from repro.partition_trees.load_balance import balance_by_communication_degree
+from repro.partition_trees.load_balance import assign_leaf_parts
 from repro.partition_trees.parts import Partition, VertexInterval
 from repro.partition_trees.tree import LeafAssignment, PartitionTree, PartitionTreeNode
 from repro.streaming.algorithm import PartialPassAlgorithm, StreamingParameters
@@ -418,16 +418,7 @@ def construct_split_kp_tree(
             router.broadcast(total_words=max(1, layer_parts), phase="lemma27-layer")
 
     # Leaf distribution (Lemma 20).
-    leaf_parts = tree.leaf_parts()
-    balanced = balance_by_communication_degree(cluster, router, num_messages=len(leaf_parts))
-    assignment = LeafAssignment()
-    v_star = sorted(cluster.v_star)
-    fallback = v_star if v_star else members
-    for number, (node, part_index) in enumerate(leaf_parts, start=1):
-        owner = balanced.owner_of_message(number)
-        if owner is None and fallback:
-            owner = fallback[number % len(fallback)]
-        assignment.assign(node.path, part_index, owner if owner is not None else -1)
+    assignment = assign_leaf_parts(cluster, router, tree)
 
     violations: list[str] = []
     if check_constraints:
