@@ -240,7 +240,8 @@ class LabelCSR:
         us = runs(lo, sizes)
         # A row's neighbours in a range are a run of its sorted slots.
         begin = self.slot_keys.searchsorted(us * self.n + first[pair])
-        counts = self.slot_keys.searchsorted(us * self.n + last[pair], "right") - begin
+        end = self.slot_keys.searchsorted(us * self.n + last[pair], "right")
+        counts = np.maximum(end - begin, 0)
         ws = self.indices[runs(begin, counts)]
         pair, us = np.repeat(pair, counts), np.repeat(us, counts)
         return (pair * self.n + np.minimum(us, ws)) * self.n + np.maximum(us, ws)

@@ -100,8 +100,8 @@ def test_many_range_pairs_are_one_gather(graph):
     two of its ranges."""
     index = LabelCSR.from_graph(graph)
     n = index.n
-    rows = [(0, n - 1), (n // 3, n // 2), (5, 4), (n - 1, n - 1), (0, 0)]
-    columns = [(n // 2, n - 1), (0, n // 3), (0, n - 1), (0, n - 1), (0, n - 1)]
+    rows = [(0, n - 1), (n // 3, n // 2), (5, 4), (n - 1, n - 1), (0, 0), (0, n - 1)]
+    columns = [(n // 2, n - 1), (0, n // 3), (0, n - 1), (0, n - 1), (0, n - 1), (n - 2, 1)]
     keys = index.edges_between(
         tuple(np.array(ends) for ends in zip(*rows)),
         tuple(np.array(ends) for ends in zip(*columns)),
@@ -112,7 +112,7 @@ def test_many_range_pairs_are_one_gather(graph):
     ])
     assert keys.tolist() == expected.tolist()
 
-    ranges = np.array([rows[:3], rows[2:], [rows[0], columns[0], columns[1]]])
+    ranges = np.array([rows[:3], rows[2:5], [rows[0], columns[0], columns[5]]])
     groups, edges = edges_among(index, ranges)
     for g, group in enumerate(ranges):
         parts = [set(index.labels[lo : hi + 1]) for lo, hi in group]
