@@ -319,15 +319,18 @@ class TestChargeSimulation:
 
     def test_homes_follow_the_vertex_chains(self):
         """λ = 4 (60^{1/3} rounded), so β = 15 and algorithm ``j`` runs on
-        the ``j``-th block of 4 members, as ``disjoint_chains`` assigns."""
-        members, charge, metrics = self._charge([np.arange(60)] * 3, aux_calls=(0, 2, 1))
+        the ``j``-th block of 4 members, as ``disjoint_chains`` assigns; an
+        algorithm without tokens hands no state on."""
+        owners = [np.arange(60)] * 3 + [np.arange(0)]
+        members, charge, metrics = self._charge(owners, aux_calls=(0, 2, 1, 0))
         chains = disjoint_chains(members, beta=15, num_chains=3)
         for chain, homes in zip(chains, charge.homes):
             assert [members[h] for h in homes] == [chain.responsible_for(v) for v in members]
+        assert charge.homes[3].size == 0
         assert (charge.lam, charge.state_passes) == (4, 9)
-        # Phase 1: a member receives 15 tokens; Phase 2: 3 steps of 4 + 1.
+        # Phase 1: a member receives 15 tokens; Phase 2: 3 steps of 4 + 2.
         assert dict(metrics.phase_rounds) == {
-            "cluster:phase1-tokens": 5, "streaming:phase2-steps": 15,
+            "cluster:phase1-tokens": 5, "streaming:phase2-steps": 18,
         }
         assert dict(metrics.phase_messages) == {
             "cluster:phase1-tokens": 180, "streaming:phase2-state": 8 * (9 + 2 * 3),
