@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Iterable
 
 import networkx as nx
@@ -100,20 +101,18 @@ class CommunicationCluster:
         """``deg_C(v)``: number of cluster edges incident to ``v``."""
         return int(self.index.degrees[self.index.id_of[vertex]])
 
-    @property
+    @cached_property
     def mu(self) -> float:
         """Average communication degree ``μ`` of ``V_C^-`` vertices."""
-        if not self.v_minus:
+        if not self.k:
             return 0.0
-        return sum(self.communication_degree(v) for v in self.v_minus) / self.k
+        return int(self.index.degrees[self.core_ids].sum()) / self.k
 
-    @property
+    @cached_property
     def v_star(self) -> frozenset[int]:
         """``V_C^*``: the ``V_C^-`` vertices with at least half-average degree."""
-        threshold = self.mu / 2.0
-        return frozenset(
-            v for v in self.v_minus if self.communication_degree(v) >= threshold
-        )
+        kept = self.index.degrees[self.core_ids] >= self.mu / 2.0
+        return frozenset(compress(self.core.labels, kept.tolist()))
 
     @property
     def v_low(self) -> frozenset[int]:

@@ -2,9 +2,10 @@
 
 The reference simulator materialises every word fragment in a per-edge deque
 and pops one per edge per round — faithful, but ``O(directed edges)`` of
-Python work *every round*.  The :class:`WordScheduler` here computes, at
-enqueue time, the exact round in which each message completes under the same
-per-edge FIFO discipline, and then delivers whole rounds by popping a bucket:
+Python work *every round*.  The :class:`WordScheduler` here keeps whole
+transfers on arrays.  Under the clean scenario it computes, at enqueue time,
+the exact round in which each message completes under the same per-edge
+FIFO discipline, and then delivers whole rounds by popping a bucket:
 ``O(1)`` per transfer plus ``O(deliveries)`` per round, with the per-edge
 occupancy kept in a numpy array.  Intermediate fragments never exist as
 Python objects, yet the word accounting (one word per busy edge per round)
@@ -13,20 +14,19 @@ is reproduced exactly via a difference array over rounds.
 A run numbers its vertices and directed edges once, as the rows and slots of
 one :class:`GraphIndex`; occupancy, scenario kernels and vector sends share it.
 
-Under a faulty :class:`~repro.engine.scenarios.DeliveryScenario` the
-scheduler consumes the scenario's **batch transmit mask**
-(:meth:`~repro.engine.scenarios.DeliveryScenario.transmit_mask`): every
-edge of a batch scans its own window of per-round decisions, from its own
-start round and sized from its own remaining words, and turns it into a
-cumulative-transmission prefix sum — the round in which a transfer's
-``k``-th word crosses is the position of the ``k``-th set bit at/after the
-transfer's start.  Edges whose windows have similar lengths share one
-rectangular mask query.  Every faulty scenario takes this path: the
-built-ins answer the mask query with a numpy kernel, and a scenario that
-only implements the scalar ``transmits`` answers it through the base
-``transmit_mask``, one ``transmits`` call per cell.  Either way the
-schedule agrees word-for-word with the edge-by-edge reference under the
-same scenario.
+Under a faulty :class:`~repro.engine.scenarios.DeliveryScenario` no
+completion round is known at enqueue time, so the scheduler runs the
+reference simulator's round on arrays: every directed edge is a FIFO of
+transfers, and each round every busy edge reads one transmit decision, a
+set bit taking one word off its head transfer.  The decisions come from the
+scenario's **batch transmit mask**
+(:meth:`~repro.engine.scenarios.DeliveryScenario.transmit_mask`), read 64
+rounds per busy edge at a time into one 64-bit integer.  Every faulty
+scenario takes this path: the built-ins answer the mask query with a numpy
+kernel, and a scenario that only implements the scalar ``transmits``
+answers it through the base ``transmit_mask``, one ``transmits`` call per
+cell.  Either way the schedule agrees word-for-word with the edge-by-edge
+reference under the same scenario.
 """
 
 from __future__ import annotations
@@ -40,16 +40,15 @@ import numpy as np
 
 from repro.congest.message import Message, words_for_payload
 from repro.engine.scenarios import CleanSynchronous, DeliveryScenario
-from repro.graphs.index import LabelCSR, distinct_counts, sorted_distinct
+from repro.graphs.index import LabelCSR, distinct_counts
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 Edge = tuple[Hashable, Hashable]
 
-# No edge group scans more than _WINDOW_CAP rounds of the transmit mask at
-# once; windows of up to _SHARED_WINDOW rounds share one mask query, and no
-# query spans more than _WINDOW_CELLS (edge, round) cells.
-_WINDOW_CAP = 1 << 15
-_SHARED_WINDOW = 64
+# A faulty run reads each busy edge's transmit decisions _BUFFER_ROUNDS
+# rounds at a time, as the bits of one int64; one refill query spans at
+# most _WINDOW_CELLS (edge, round) cells.
+_BUFFER_ROUNDS = 64
 _WINDOW_CELLS = 1 << 16
 
 
@@ -133,15 +132,24 @@ class GraphIndex:
 class WordScheduler:
     """Schedules whole transfers; delivers completed messages per round.
 
-    Per directed edge the scheduler keeps only the last occupied round
-    (``edge_free_at``, a numpy int64 array).  A transfer of ``w`` words
-    enqueued in round ``r`` on edge ``e`` starts at
-    ``max(edge_free_at[e] + 1, r)`` and, under the clean scenario, completes
-    ``w`` rounds later — exactly the FIFO head-of-line behaviour of the
-    per-edge deques in the reference simulator.  Under a faulty scenario
-    the completion round comes from prefix sums over the scenario's
-    transmit mask, each edge scanning a window that starts at its own start
-    round.
+    Under the clean scenario the scheduler keeps per directed edge only the
+    last occupied round (``edge_free_at``, a numpy int64 array).  A transfer
+    of ``w`` words enqueued in round ``r`` on edge ``e`` starts at
+    ``max(edge_free_at[e] + 1, r)`` and completes ``w`` rounds later —
+    exactly the FIFO head-of-line behaviour of the per-edge deques in the
+    reference simulator.
+
+    Under a faulty scenario each directed edge is a FIFO of transfers, and
+    each delivery advances every busy edge by its transmit decision of the
+    round (:meth:`_advance`).  Transfers get ids in enqueue order;
+    ``_next``, ``_words`` and ``_payload`` hold those in flight (a
+    delivered one has ``_words`` 0, and :meth:`_compact` drops those, in id
+    order, when the store would grow), and ``_tail`` is each edge's last
+    transfer (-1 while it idles).  ``_busy`` is five arrays aligned with
+    the busy edges, so a round needs no gather per edge: the slot, its head
+    transfer, the words the head has left, and the start round and bits of
+    the edge's buffer of transmit decisions.  An idle edge keeps its buffer
+    in ``_idle_start`` and ``_idle_bits``.
 
     The scheduler binds a faulty scenario to its index's directed edges
     (slot order) at construction, so a scenario instance schedules for one
@@ -152,23 +160,31 @@ class WordScheduler:
         self,
         index: GraphIndex,
         scenario: DeliveryScenario | None,
-        horizon: int,
         tracer: Tracer = NULL_TRACER,
     ):
         self.index = index
         self.has_edge = index.has_edge
         self.scenario = scenario if scenario is not None else CleanSynchronous()
-        # Observability sink; the batch-enqueue paths emit one scheduler
-        # event per round when (and only when) the tracer is enabled.
+        # Observability sink; when (and only when) the tracer is enabled
+        # the clean path emits one scheduler event per batch, the faulty
+        # path one per round.
         self.tracer = tracer
-        # Exclusive bound on executed rounds (the run's max_rounds): a
-        # faulty scenario may block an edge forever, and the completion
-        # search must never scan past the last round that can execute —
-        # that is why the horizon is a required argument.
-        self.horizon = horizon
-        if not self.scenario.is_clean:
+        self.pending_messages = 0
+        slots = index.targets.size
+        self._faulty = not self.scenario.is_clean
+        if self._faulty:
             self.scenario.bind_edges(index.edges)
-        self.edge_free_at = np.full(index.targets.size, -1, dtype=np.int64)
+            self._tail = np.full(slots, -1, dtype=np.int64)
+            # A buffer that starts _BUFFER_ROUNDS before round 0 is used up.
+            self._idle_start = np.full(slots, -_BUFFER_ROUNDS, dtype=np.int64)
+            self._idle_bits = np.zeros(slots, dtype=np.int64)
+            # Transfers in the store, and this round's with their edges.
+            self._count = self._sent = self._sent_edges = 0
+            self._next, self._words = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+            self._payload: np.ndarray | None = None
+            self._busy = [np.empty(0, dtype=np.int64) for _ in range(5)]
+            return
+        self.edge_free_at = np.full(slots, -1, dtype=np.int64)
         self._buckets: dict[int, list[Message]] = defaultdict(list)
         # Array-mode buckets (the vector layer): per completion round, a
         # list of int64[3, k] chunks whose rows are senders, receivers and
@@ -179,156 +195,21 @@ class WordScheduler:
         # the number of words crossing the cut in each round.
         self._level_diff: dict[int, int] = defaultdict(int)
         self._level = 0
-        self.pending_messages = 0
 
-    # -- completion-round computation ----------------------------------------
-
-    def _kernel_completions(
-        self,
-        edge_rows: np.ndarray,
-        starts: np.ndarray,
-        needed: np.ndarray,
-        group_sizes: np.ndarray,
-        query_k: np.ndarray,
-    ) -> tuple[np.ndarray, int, int]:
-        """Per-transfer completion rounds from transmit-mask prefix sums.
-
-        Edge group ``g`` queues ``needed[g]`` words on edge ``edge_rows[g]``
-        from round ``starts[g]``.  Its ``group_sizes[g]`` transfers are
-        consecutive entries of ``query_k``, each the cumulative word count
-        of the group's FIFO up to that transfer, so the transfer completes
-        in the round its group's ``query_k``-th word crosses: the position
-        of the ``k``-th set mask bit at/after the start.  Transfers the
-        horizon cuts off resolve to ``horizon``: such a message never
-        completes, so it is parked one round beyond the last executable
-        round, stays pending (the reference simulator likewise keeps its
-        queue non-empty forever) and occupies the edge for any traffic
-        queued behind it.
-
-        Every pending group scans its own window of the mask from its
-        cursor (its start, then the end of its last window).  The first
-        window covers the group's words plus a quarter plus 16 rounds; a
-        later one is sized from the group's own transmit density, and
-        doubles after a window without a transmit.  Groups whose window
-        lengths agree within a factor of two share one rectangular mask
-        query, and all windows of up to ``_SHARED_WINDOW`` rounds share
-        one; a query spans at most ``_WINDOW_CELLS`` cells, so a long
-        block of rows is queried in row chunks.  Within a query the per-row
-        prefix sums answer every transfer whose word falls inside it via
-        one batched ``searchsorted``, and the per-round histogram of the
-        crossings the batch consumes (capped at each group's demand) feeds
-        the word-level difference array without ever extracting individual
-        crossings.
-
-        Returns the completion rounds, the number of mask queries and the
-        number of mask cells they evaluated.
-        """
-        horizon = self.horizon
-        level_diff = self._level_diff
-        done = np.full(query_k.size, horizon, dtype=np.int64)
-        query_first = np.cumsum(group_sizes) - group_sizes
-        counts = np.zeros(edge_rows.size, dtype=np.int64)
-        cursor = starts.astype(np.int64, copy=True)
-        # The pending groups and the lengths of their next windows; a group
-        # that starts at or past the horizon never completes.
-        pending = np.flatnonzero(cursor < horizon)
-        length = (needed + needed // 4 + 16)[pending]
-        windows = cells = 0
-        while pending.size:
-            room = np.minimum(horizon - cursor[pending], _WINDOW_CAP)
-            length = np.minimum(length, room)
-            # Length blocks: 0 for windows of up to _SHARED_WINDOW rounds,
-            # then one block per doubling of the length.
-            block = np.frexp((length - 1) // _SHARED_WINDOW)[1]
-            unfinished, next_length = [], []
-            queries = []
-            for key in sorted_distinct(block).tolist():
-                in_block = block == key
-                width = int(length[in_block].max())
-                # Row chunks of at most _WINDOW_CELLS cells bound the
-                # mask and every per-cell temporary derived from it.
-                step = max(1, _WINDOW_CELLS // width)
-                rows = pending[in_block]
-                queries += [(rows[i : i + step], width) for i in range(0, rows.size, step)]
-            for rows, width in queries:
-                first = cursor[rows]
-                mask = self.scenario.transmit_mask(edge_rows[rows], first, width)
-                windows += 1
-                cells += rows.size * width
-                limit = horizon - first
-                if int(limit.min()) < width:
-                    mask &= np.arange(width) < limit[:, None]
-                prefix = np.cumsum(mask, axis=1, dtype=np.int32)  # <= _WINDOW_CAP
-                before = counts[rows]
-                found = prefix[:, -1]
-                demand = needed[rows]
-                left = demand - before - found
-                # Word-level accounting: the crossings this batch consumes
-                # are the set bits whose running total stays within the
-                # group's demand; their per-round histogram updates the
-                # difference array (+c at the round, -c one round later).
-                if int(left.min()) >= 0:
-                    # No group exceeds its demand: every set bit is consumed.
-                    consumed = mask
-                else:
-                    consumed = mask & (prefix <= (demand - before)[:, None])
-                lo = int(first.min())
-                if int(first.max()) == lo:
-                    histogram = consumed.sum(axis=0)
-                else:
-                    row, column = np.nonzero(consumed)
-                    histogram = np.bincount(first[row] - lo + column)
-                for offset in np.flatnonzero(histogram).tolist():
-                    crossings = int(histogram[offset])
-                    level_diff[lo + offset] += crossings
-                    level_diff[lo + offset + 1] -= crossings
-                # Resolve the transfers whose k-th crossing falls in this
-                # window: the k-th set bit of row r is the first column whose
-                # prefix reaches k, found by one searchsorted over the
-                # row-offset flattened prefix (rows are kept monotonic by an
-                # offset larger than any prefix value).
-                sizes = group_sizes[rows]
-                local = np.repeat(np.arange(rows.size), sizes)
-                # Row r's transfers are the queries from query_first[r] on.
-                shift = query_first[rows] - np.cumsum(sizes) + sizes
-                queries = np.repeat(shift, sizes) + np.arange(local.size)
-                k = query_k[queries] - before[local]
-                inside = (k > 0) & (k <= found[local])
-                if inside.any():
-                    local = local[inside]
-                    offsets = np.arange(rows.size) * (width + 1)
-                    flat = (prefix + offsets[:, None]).ravel()
-                    keys = k[inside] + local * (width + 1)
-                    positions = np.searchsorted(flat, keys, side="left")
-                    done[queries[inside]] = first[local] + positions - local * width
-                counts[rows] = before + found
-                cursor[rows] = first + width
-                # A group whose window reached the horizon never completes.
-                # Size each other unfinished group's next window from its own
-                # transmit density in this one (+25% and 8 rounds of slack);
-                # double it after a window without a transmit.
-                more = (left > 0) & (first + width < horizon)
-                unfinished.append(rows[more])
-                by_density = left * width * 5 // (4 * np.maximum(found, 1)) + 8
-                next_length.append(np.where(found > 0, by_density, 2 * width)[more])
-            pending = np.concatenate(unfinished)
-            length = np.concatenate(next_length)
-        return done, windows, cells
+    # -- the clean path: completion rounds by arithmetic ----------------------
 
     def _schedule_transfers(
         self, edge_ids: np.ndarray, words: np.ndarray, round_index: int
     ) -> np.ndarray:
-        """Completion rounds (original array order) of a batch of transfers.
+        """Completion rounds (original array order) of a batch of clean
+        transfers.
 
         Each row queues its words on its directed edge behind everything
         queued there before, rows of the same edge in array order (the
         reference simulator's per-edge FIFO), with occupancy
         (``edge_free_at``) and the word-level difference array updated.
-        Two paths: clean (pure arithmetic) and kernel (prefix sums over the
-        scenario's transmit mask).
         """
         count = int(edge_ids.size)
-        windows = window_cells = 0
         # Group FIFO traffic per edge: a stable sort keeps each edge's
         # transfers in queue order.
         order = np.argsort(edge_ids, kind="stable")
@@ -337,59 +218,155 @@ class WordScheduler:
         group_first = np.empty(count, dtype=bool)
         group_first[0] = True
         group_first[1:] = e[1:] != e[:-1]
-        if self.scenario.is_clean:
-            path = "clean"
-            positions = np.arange(count)
-            first_index = np.maximum.accumulate(
-                np.where(group_first, positions, 0)
-            )
-            # Within an edge's FIFO group, transfer k starts right after
-            # the cumulative words of transfers 0..k-1 queued before it.
-            cumulative = np.cumsum(w)
-            preceding = cumulative - w
-            offset = preceding - preceding[first_index]
-            base = np.maximum(self.edge_free_at[e] + 1, round_index)
-            start = base[first_index] + offset
-            done_sorted = start + w - 1
-            group_last = np.empty(count, dtype=bool)
-            group_last[-1] = True
-            group_last[:-1] = group_first[1:]
-            self.edge_free_at[e[group_last]] = done_sorted[group_last]
-            for rounds, step in ((start, 1), (done_sorted + 1, -1)):
-                values, counts = distinct_counts(rounds)
-                for r, c in zip(values.tolist(), counts.tolist()):
-                    self._level_diff[r] += step * c
-        else:
-            # Answer "in which round does this edge's k-th word cross?"
-            # with one prefix-sum search over the transmit mask per batch.
-            path = "kernel"
-            first_pos = np.flatnonzero(group_first)
-            group_sizes = np.diff(np.append(first_pos, count))
-            u_edges = e[first_pos]
-            cumulative = np.cumsum(w)
-            group_base = cumulative[first_pos] - w[first_pos]
-            cum_within = cumulative - np.repeat(group_base, group_sizes)
-            last_pos = np.append(first_pos[1:], count) - 1
-            totals = cum_within[last_pos]
-            starts = np.maximum(self.edge_free_at[u_edges] + 1, round_index)
-            done_sorted, windows, window_cells = self._kernel_completions(
-                u_edges, starts, totals, group_sizes, cum_within
-            )
-            self.edge_free_at[u_edges] = done_sorted[last_pos]
+        positions = np.arange(count)
+        first_index = np.maximum.accumulate(np.where(group_first, positions, 0))
+        # Within an edge's FIFO group, transfer k starts right after the
+        # cumulative words of transfers 0..k-1 queued before it.
+        cumulative = np.cumsum(w)
+        preceding = cumulative - w
+        offset = preceding - preceding[first_index]
+        base = np.maximum(self.edge_free_at[e] + 1, round_index)
+        start = base[first_index] + offset
+        done_sorted = start + w - 1
+        group_last = np.empty(count, dtype=bool)
+        group_last[-1] = True
+        group_last[:-1] = group_first[1:]
+        self.edge_free_at[e[group_last]] = done_sorted[group_last]
+        for rounds, step in ((start, 1), (done_sorted + 1, -1)):
+            values, counts = distinct_counts(rounds)
+            for r, c in zip(values.tolist(), counts.tolist()):
+                self._level_diff[r] += step * c
         done = np.empty(count, dtype=np.int64)
         done[order] = done_sorted
         tracer = self.tracer
         if tracer.enabled:
             tracer.scheduler_batch(
                 round_index,
-                path=path,
+                path="clean",
                 transfers=count,
                 edges=int(group_first.sum()),
                 deferred=int((done > round_index).sum()),
-                windows=windows,
-                window_cells=window_cells,
             )
         return done
+
+    # -- the faulty path: per-edge FIFOs advanced round by round ---------------
+
+    def _enqueue(self, edge_ids: np.ndarray, words: np.ndarray, payload: np.ndarray) -> None:
+        """Append transfers (one ``payload`` column each) to their edges'
+        FIFOs, rows of one edge in array order."""
+        count = int(edge_ids.size)
+        if self._payload is None:
+            self._payload = np.empty((payload.shape[0], 0), dtype=payload.dtype)
+        if self._count + count > self._words.size:
+            self._compact(count)
+        first_id = self._count
+        self._count += count
+        self._words[first_id : self._count] = words
+        self._payload[:, first_id : self._count] = payload
+        order = np.argsort(edge_ids, kind="stable")
+        slots, ids = edge_ids[order], order + first_id
+        ends = np.flatnonzero(slots[1:] != slots[:-1])
+        firsts, lasts = np.concatenate(([0], ends + 1)), np.concatenate((ends, [count - 1]))
+        # Each transfer links to the next on its edge; an edge's first new
+        # transfer joins its old tail, if it has one.
+        self._next[ids[:-1]] = ids[1:]
+        self._next[ids[lasts]] = -1
+        slots, heads = slots[firsts], ids[firsts]
+        tails = self._tail[slots]
+        queued = tails >= 0
+        self._next[tails[queued]] = heads[queued]
+        self._tail[slots] = ids[lasts]
+        slots, heads = slots[~queued], heads[~queued]
+        joined = (slots, heads, self._words[heads], self._idle_start[slots], self._idle_bits[slots])
+        self._busy = [np.concatenate(pair) for pair in zip(self._busy, joined)]
+        self._sent += count
+        self._sent_edges += int(firsts.size)
+
+    def _advance(self, round_index: int) -> tuple[np.ndarray, int]:
+        """One round: each busy edge reads its transmit bit, a set bit takes
+        one word off its head, and finished heads give way to their
+        successors.  Returns the finished transfer ids, in id order, and
+        the words crossed.
+
+        An edge whose 64-round buffer is used up refills it from one
+        ``transmit_mask`` query per ``_WINDOW_CELLS`` cells.  Traced, the
+        round emits its ``scheduler`` event (``deferred``: sent this round
+        and not delivered in it; ``windows`` and ``window_cells``: the
+        refill queries and the cells they read) and, as the reference
+        simulator does, its ``blocked`` busy edges.
+        """
+        slot, head, left, start, bits = self._busy
+        offset = round_index - start
+        stale = np.flatnonzero(offset >= _BUFFER_ROUNDS)
+        rows_per_query = _WINDOW_CELLS // _BUFFER_ROUNDS
+        for lo in range(0, stale.size, rows_per_query):
+            rows = stale[lo : lo + rows_per_query]
+            mask = self.scenario.transmit_mask(slot[rows], round_index, _BUFFER_ROUNDS)
+            # Bit j of a buffer is the edge's decision in round start + j.
+            bits[rows] = np.packbits(mask, axis=1, bitorder="little").view("<i8")[:, 0]
+        start[stale] = round_index
+        offset[stale] = 0
+        sent = (bits >> offset) & 1
+        left -= sent
+        done = np.flatnonzero(left == 0)
+        finished = head[done]
+        if done.size:
+            successors = self._next[finished]
+            self._words[finished] = 0
+            more = successors >= 0
+            moving, successors = done[more], successors[more]
+            head[moving] = successors
+            left[moving] = self._words[successors]
+            if moving.size < done.size:
+                idle = done[~more]
+                slots = slot[idle]
+                self._tail[slots] = -1
+                self._idle_start[slots] = start[idle]
+                self._idle_bits[slots] = bits[idle]
+                keep = np.ones(slot.size, dtype=bool)
+                keep[idle] = False
+                self._busy = [column[keep] for column in self._busy]
+            finished.sort()
+        crossed = int(np.count_nonzero(sent))
+        self.pending_messages -= int(finished.size)
+        tracer = self.tracer
+        if tracer.enabled:
+            # This round's transfers hold the last ``_sent`` ids.
+            prompt = int(np.count_nonzero(finished >= self._count - self._sent))
+            tracer.scheduler_batch(
+                round_index,
+                path="kernel",
+                transfers=self._sent,
+                edges=self._sent_edges,
+                deferred=self._sent - prompt,
+                windows=-(-int(stale.size) // rows_per_query),
+                window_cells=int(stale.size) * _BUFFER_ROUNDS,
+            )
+            if slot.size > crossed:
+                tracer.edges_blocked(round_index, slot.size - crossed)
+        self._sent = self._sent_edges = 0
+        return finished, crossed
+
+    def _compact(self, incoming: int) -> None:
+        """Renumber the transfers in flight ``0, 1, ...`` in id order, in a
+        store with room for twice them and ``incoming`` more."""
+        live = np.flatnonzero(self._words[: self._count])
+        renumber = np.full(self._count + 1, -1, dtype=np.int64)  # [-1] stays -1
+        renumber[live] = np.arange(live.size)
+        size = max(2 * (live.size + incoming), 1024)
+
+        def store(values: np.ndarray) -> np.ndarray:
+            column = np.empty(values.shape[:-1] + (size,), dtype=values.dtype)
+            column[..., : live.size] = values
+            return column
+
+        self._next = store(renumber[self._next[live]])
+        self._words = store(self._words[live])
+        self._payload = store(self._payload[:, live])
+        self._tail = renumber[self._tail]
+        head = self._busy[1]
+        head[:] = renumber[head]
+        self._count = int(live.size)
 
     # -- enqueueing -----------------------------------------------------------
 
@@ -410,8 +387,9 @@ class WordScheduler:
         """Bulk-enqueue message objects (one round's outgoing traffic).
 
         Messages queue per directed edge in sequence order (the reference
-        simulator's FIFO), with completion rounds computed for the whole
-        batch at once by :meth:`_schedule_transfers`.
+        simulator's FIFO): clean completion rounds for the whole batch come
+        from :meth:`_schedule_transfers`, faulty transfers join their edges'
+        FIFOs.
         """
         count = len(messages)
         if count == 0:
@@ -423,11 +401,16 @@ class WordScheduler:
             np.fromiter((ids[m.receiver] for m in messages), dtype=np.int64, count=count),
         )
         words_array = np.asarray(words, dtype=np.int64)
+        self.pending_messages += count
+        if self._faulty:
+            column = np.empty((1, count), dtype=object)
+            column[0] = messages
+            self._enqueue(edge_ids, words_array, column)
+            return
         done = self._schedule_transfers(edge_ids, words_array, round_index)
         buckets = self._buckets
         for message, when in zip(messages, done.tolist()):
             buckets[when].append(message)
-        self.pending_messages += count
 
     def schedule_batch(
         self,
@@ -444,8 +427,7 @@ class WordScheduler:
         slots of those directed edges in this scheduler's :class:`GraphIndex`,
         ``words`` the per-transfer word counts, and ``values`` the payload
         words handed back verbatim by :meth:`deliver_batch`.  Rows queue
-        per directed edge in array order (the reference simulator's FIFO),
-        with completion rounds from :meth:`_schedule_transfers`.
+        per directed edge in array order (the reference simulator's FIFO).
 
         Completed rounds must then be drained with :meth:`deliver_batch`;
         a scheduler instance uses either the message-object API or the
@@ -453,6 +435,10 @@ class WordScheduler:
         """
         count = int(edge_ids.size)
         if count == 0:
+            return
+        self.pending_messages += count
+        if self._faulty:
+            self._enqueue(edge_ids, words, np.stack((senders, receivers, values)))
             return
         done = self._schedule_transfers(edge_ids, words, round_index)
         bucket_order = np.argsort(done, kind="stable")
@@ -467,7 +453,6 @@ class WordScheduler:
         buckets = self._array_buckets
         for lo, hi in zip(boundaries, boundaries[1:]):
             buckets[int(done_sorted[lo])].append(columns[:, lo:hi])
-        self.pending_messages += count
 
     # -- delivery -------------------------------------------------------------
 
@@ -479,10 +464,16 @@ class WordScheduler:
         Must be called once per executed round, in increasing round order,
         after that round's :meth:`schedule_batch` calls.
         """
+        empty = np.empty(0, dtype=np.int64)
+        if self._faulty:
+            finished, crossed = self._advance(round_index)
+            if not finished.size:
+                return empty, empty, empty, crossed
+            senders, receivers, values = self._payload[:, finished]
+            return senders, receivers, values, crossed
         self._level += self._level_diff.pop(round_index, 0)
         chunks = self._array_buckets.pop(round_index, None)
         if not chunks:
-            empty = np.empty(0, dtype=np.int64)
             return empty, empty, empty, self._level
         senders, receivers, values = (
             chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
@@ -496,6 +487,9 @@ class WordScheduler:
         Must be called once per executed round, in increasing round order,
         after that round's :meth:`schedule_messages` calls.
         """
+        if self._faulty:
+            finished, crossed = self._advance(round_index)
+            return self._payload[0, finished].tolist() if finished.size else [], crossed
         self._level += self._level_diff.pop(round_index, 0)
         completed = self._buckets.pop(round_index, [])
         self.pending_messages -= len(completed)

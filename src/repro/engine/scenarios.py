@@ -19,8 +19,9 @@ Every scenario exposes the decision function twice:
   simulator queries per ``(edge, round)``;
 * :meth:`DeliveryScenario.transmit_mask` — the batch form
   (``edge_ids x rounds`` boolean matrix, each row read from its own start
-  round) the :class:`~repro.engine.delivery.WordScheduler` consumes when
-  computing completion rounds by prefix sums.
+  round) the :class:`~repro.engine.delivery.WordScheduler` reads 64 rounds
+  per busy edge at a time while it advances the edges' FIFOs round by
+  round.
 
 The built-in scenarios override the batch form with native numpy kernels:
 the per-``(edge, round)`` decision is a
@@ -31,8 +32,8 @@ evaluates the *same* integer formula, so both forms agree call-for-call —
 a guarantee pinned by the property suite (``tests/test_scenario_kernels.py``).
 User scenarios only need to implement ``transmits``: the default
 ``transmit_mask`` replays it cell by cell, so the scheduler takes the same
-prefix-sum path at one Python ``transmits`` call per mask cell (see the
-README's Performance section for how to add a kernel).
+path at one Python ``transmits`` call per mask cell (see the README's
+Performance section for how to add a kernel).
 
 Batch queries address a directed edge by its id, its slot in the run's
 :class:`~repro.engine.delivery.GraphIndex`; :meth:`DeliveryScenario.bind_edges`

@@ -18,9 +18,9 @@ existing :class:`~repro.engine.delivery.WordScheduler` — so bandwidth
 semantics, word accounting, and delivery scenarios are byte-identical to the
 per-vertex backends.  Faulty scenarios stay on the array path end to end:
 every built-in scenario exposes a batch ``transmit_mask`` kernel, and the
-scheduler turns it into per-edge prefix sums, so link drops, bursts, and
-heterogeneous bandwidth cost numpy passes rather than per-(edge, round)
-Python replay.
+scheduler reads it 64 rounds per busy edge at a time into the bits it
+advances each round by, so link drops, bursts, and heterogeneous bandwidth
+cost numpy passes rather than per-(edge, round) Python replay.
 
 The first library :class:`VectorAlgorithm` is
 :class:`~repro.listing.distributed.ListingVector`, the cluster protocol of
@@ -382,9 +382,7 @@ def run_vector_algorithm(
     scenario = resolve_scenario(scenario)
     return run_rounds(
         VectorStep(algorithm, topology),
-        WordScheduler(
-            topology, link_projection(scenario), horizon=max_rounds, tracer=tracer
-        ),
+        WordScheduler(topology, link_projection(scenario), tracer=tracer),
         scenario,
         topology.nodes,
         max_rounds=max_rounds,

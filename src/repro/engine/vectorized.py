@@ -4,12 +4,14 @@ Semantically identical to the reference simulator — the same round driver
 (:mod:`repro.engine.rounds`), so the same validation, fault handling and
 metrics — but delivery goes through the
 :class:`~repro.engine.delivery.WordScheduler` instead of per-edge deques:
-``O(1)`` per transfer instead of ``O(words)`` deque operations, and a round
-with no completions costs ``O(active vertices)`` instead of
-``O(directed edges)``.  Intermediate word fragments are never materialised:
-the completion round of each message is computed arithmetically (clean
-scenario) or by prefix sums over the scenario's transmit mask (faulty
-scenarios), and word counts are recovered from a difference array.
+``O(1)`` per transfer instead of ``O(words)`` deque operations.
+Intermediate word fragments are never materialised.  Under the clean
+scenario the completion round of each message is computed arithmetically
+at enqueue time, word counts are recovered from a difference array, and a
+round with no completions costs ``O(active vertices)`` instead of
+``O(directed edges)``.  Under a faulty scenario each round advances the
+busy edges' FIFOs on numpy arrays, one transmit bit per busy edge, read 64
+rounds at a time from the scenario's transmit mask.
 
 The one observable difference is *within-round inbox ordering*: messages
 delivered in the same round may arrive in a different order than under the
@@ -75,9 +77,7 @@ class VectorizedBackend(Backend):
         scenario = resolve_scenario(scenario)
         return run_rounds(
             VertexStep(index.nodes, factory, graph),
-            WordScheduler(
-                index, link_projection(scenario), horizon=max_rounds, tracer=tracer
-            ),
+            WordScheduler(index, link_projection(scenario), tracer=tracer),
             scenario,
             index.nodes,
             max_rounds=max_rounds,

@@ -165,6 +165,8 @@ class ClusterProtocolPlan:
             of each demand, ``u`` the smaller label.
         preloaded: ``int64[k, 3]`` — ``(owner, u, w)`` for each demanded
             edge incident to its owner, which knows it without communication.
+        exchange_words: ``(announce, reply)`` words by CSR slot, computed
+            with the plan (:meth:`_exchange_words`).
     """
 
     index: LabelCSR
@@ -175,6 +177,12 @@ class ClusterProtocolPlan:
     route_ends: np.ndarray = field(default_factory=_no_routes)
     route_edges: np.ndarray = field(default_factory=lambda: _no_routes(0, 2))
     preloaded: np.ndarray = field(default_factory=lambda: _no_routes(0, 3))
+    exchange_words: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # Computed with the plan: the driver reads every plan's busiest
+        # edge (edge_words) before it runs it.
+        self.exchange_words = self._exchange_words()
 
     @property
     def listers(self) -> int:
@@ -221,14 +229,13 @@ class ClusterProtocolPlan:
             count=index.n,
         )
 
-    @cached_property
-    def exchange_words(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(announce, reply)``, ``int64[2m]`` by CSR slot ``a -> b``: the
-        words of lister ``a``'s announcement to ``b`` and of ``b``'s reply,
-        which travels back on the reverse slot; zero where ``a`` does not
-        list.  An announcement is one word plus ``a``'s neighbours' labels,
-        a reply one word plus the labels the pair has in common: an entry of
-        ``A[listers] · diag(label_words) · A``."""
+    def _exchange_words(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(announce, reply)``, ``int64[2m]`` by the CSR slot each
+        crosses: lister ``a``'s announcement to ``b`` on slot ``a -> b``,
+        and ``b``'s reply on the reverse slot ``b -> a``; zero on slots that
+        carry none.  An announcement is one word plus ``a``'s neighbours'
+        labels, a reply one word plus the labels the pair has in common: an
+        entry of ``A[listers] · diag(label_words) · A``."""
         index = self.index
         announce = np.zeros(index.indices.size, dtype=np.int64)
         reply = np.zeros(index.indices.size, dtype=np.int64)
@@ -240,7 +247,7 @@ class ClusterProtocolPlan:
             listers = np.flatnonzero(self.lister)
             common = adjacency[listers].multiply(self.label_words).tocsr() @ adjacency
             at = np.searchsorted(listers, announcers)
-            reply[slots] = 1 + np.asarray(common[at, answerers]).ravel()
+            reply[index.reverse[slots]] = 1 + np.asarray(common[at, answerers]).ravel()
         return announce, reply
 
     def packet_words(self, edges: np.ndarray) -> np.ndarray:
@@ -263,7 +270,7 @@ class ClusterProtocolPlan:
         """
         announce, reply = self.exchange_words
         routed = np.bincount(self.route_slots, weights=self.hop_words(), minlength=announce.size)
-        return announce + reply[self.index.reverse] + routed.astype(np.int64)
+        return announce + reply + routed.astype(np.int64)
 
     @cached_property
     def packet_tables(self) -> tuple[dict, dict, dict]:
@@ -457,8 +464,8 @@ class ListingVector(VectorAlgorithm):
         slots = np.flatnonzero(plan.lister[index.rows])
         announcers, answerers = index.rows[slots], index.indices[slots]
         announce_words, reply_words = plan.exchange_words
-        self._hits_words = reply_words[slots]
         self._hits_edges = index.reverse[slots]
+        self._hits_words = reply_words[self._hits_edges]
 
         # Edge packets: one flat route of slots per demand; a packet's value
         # is the position of the slot it crosses.
@@ -742,7 +749,8 @@ class DistributedListingDriver:
         overhead: routing-overhead model used for the *predicted* costs.
         max_levels: recursion depth cap (driver default when ``None``).
         max_rounds_per_execution: safety cap per engine execution; a
-            protocol that fails to terminate within it raises.
+            protocol that fails to terminate within it raises, and a plan
+            whose busiest edge carries more words raises before it runs.
         check_tree_constraints: validate partition trees (slow; tests).
         session: the :class:`~repro.experiments.Session` every per-cluster
             engine execution routes through (a private one when ``None``).
@@ -910,6 +918,15 @@ class DistributedListingDriver:
         predicted_rounds: int,
         phase: str,
     ) -> set[Clique]:
+        # An edge carries one word per round, so a plan whose busiest edge
+        # carries more words than the cap cannot halt within it.
+        busiest = int(plan.edge_words().max(initial=0))
+        if busiest > self.max_rounds_per_execution:
+            raise RuntimeError(
+                f"distributed listing protocol cannot terminate within "
+                f"{self.max_rounds_per_execution} rounds ({phase}): its busiest "
+                f"edge carries {busiest} words, one per round"
+            )
         # Positional: perfbench's probe reads the topology as ``args[1]``.
         run = self._session.execute(
             plan.index,

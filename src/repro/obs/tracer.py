@@ -4,10 +4,10 @@ A :class:`Tracer` is the one observability hook threaded through every
 engine layer: the round driver (:mod:`repro.engine.rounds`) emits round
 begin/end events (with wall time and the round's delivered/word/dropped
 totals, identical on every backend apart from the wall-clock fields), the
-:class:`~repro.engine.delivery.WordScheduler` emits per-batch scheduling
-events (which path ran — clean arithmetic or the transmit-mask kernel —
-plus the mask queries and cells of the kernel search),
-and every layer contributes *spans* — named wall-time buckets
+:class:`~repro.engine.delivery.WordScheduler` emits scheduling events
+(which path ran — clean arithmetic, per batch, or the faulty path's
+per-edge FIFOs, per round with the transmit-mask queries and cells it
+read), and every layer contributes *spans* — named wall-time buckets
 (``compute``, ``schedule``, ``deliver`` …) that roll up into
 the per-layer time budget :meth:`Tracer.span_totals` and onto
 :class:`~repro.experiments.session.RunResult.timings`.
@@ -31,9 +31,9 @@ Tracing is observability, not semantics: no tracer may perturb an
 execution, and the regression suite asserts that traced and untraced runs
 produce bit-identical result digests on every backend.  Event *content* is
 allowed to differ between backends where their internals differ (e.g. the
-reference simulator reports scenario-blocked edges, the batch scheduler
-reports deferred transfers) — only the delivered-message record is part of
-the cross-backend contract, which is what makes trace diffing possible.
+reference simulator reports ``scheduled`` events, the batch scheduler
+``scheduler`` events) — only the delivered-message record is part of the
+cross-backend contract, which is what makes trace diffing possible.
 """
 
 from __future__ import annotations
@@ -278,13 +278,17 @@ class Tracer:
         windows: int = 0,
         window_cells: int = 0,
     ) -> None:
-        """One :class:`~repro.engine.delivery.WordScheduler` bulk enqueue.
+        """One :class:`~repro.engine.delivery.WordScheduler` step.
 
-        ``path`` names which scheduling path ran — ``"clean"`` (pure
-        arithmetic) or ``"kernel"`` (transmit-mask prefix sums).  For the
-        kernel path ``windows`` counts the transmit-mask queries the batch
-        made and ``window_cells`` the (edge, round) mask cells they
-        evaluated.
+        ``path`` names which scheduling path ran.  ``"clean"`` (pure
+        arithmetic) reports each bulk enqueue: ``transfers`` enqueued on
+        ``edges`` distinct directed edges, ``deferred`` of them completing
+        in a later round.  ``"kernel"`` (per-edge FIFOs under a faulty
+        scenario) reports each round from its delivery step: the round's
+        enqueued ``transfers`` and their ``edges``, the ``deferred`` ones
+        among them not delivered in that round, and the transmit-mask
+        queries that refilled used-up 64-round buffers (``windows``) with
+        the (edge, round) cells they read (``window_cells``).
         """
         self._emit(
             {

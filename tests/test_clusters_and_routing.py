@@ -62,6 +62,19 @@ class TestCommunicationCluster:
         total_volume = sum(cluster.communication_degree(v) for v in cluster.v_minus)
         assert star_volume * 2 >= total_volume
 
+    def test_mu_and_v_star_follow_their_per_vertex_definitions(self):
+        """Core degrees 10, 9, 3 and 2 (the pendants fall below δ = 2):
+        μ = 6, and vertex 2 sits exactly at μ/2, so it is in ``V_C^*`` and
+        vertex 3 is not."""
+        edges = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 0)]
+        edges += [(0, 10 + i) for i in range(7)] + [(1, 20 + i) for i in range(7)]
+        cluster = _whole_graph_cluster(nx.Graph(edges), delta=2)
+        degree = cluster.communication_degree
+        mu = sum(degree(v) for v in cluster.v_minus) / len(cluster.v_minus)
+        assert cluster.mu == mu == 6.0
+        assert cluster.v_star == {v for v in cluster.v_minus if degree(v) >= mu / 2}
+        assert cluster.v_star == {0, 1, 2} and degree(2) == mu / 2
+
     def test_ordered_members_sorted(self, small_dense_graph):
         cluster = _whole_graph_cluster(small_dense_graph, delta=3)
         members = cluster.ordered_members()

@@ -272,6 +272,22 @@ def test_vertex_fault_scenarios_are_refused_before_any_work(backend, scenario, m
         list_cliques_distributed(graph, 3, backend=backend, scenario=scenario)
 
 
+@pytest.mark.parametrize("p", [3, 4])
+def test_a_plan_busier_than_the_round_cap_is_refused_before_it_runs(p, monkeypatch):
+    """An edge carries one word per round, so a plan whose busiest edge
+    carries more words than ``max_rounds_per_execution`` cannot halt within
+    it: the driver raises before the engine runs."""
+
+    def no_execution(*args, **kwargs):
+        raise AssertionError("the engine ran a plan that cannot halt within its cap")
+
+    monkeypatch.setattr(Session, "execute", no_execution)
+    graph = planted_cliques(60, 4, 3, background_avg_degree=3.0, seed=2)
+    busiest = r"within 5 rounds .*: its busiest edge carries \d+ words"
+    with pytest.raises(RuntimeError, match=busiest):
+        list_cliques_distributed(graph, p, max_rounds_per_execution=5)
+
+
 def test_distributed_kp_on_fixed_graph_across_backends():
     graph = planted_cliques(40, 5, 4, background_avg_degree=3.0, seed=11)
     truth = nx_clique_truth(graph, 4)

@@ -34,6 +34,7 @@ from repro.obs import (
     run_trace_diff,
     write_chrome_trace,
 )
+from test_scenario_kernels import _reference_delivery
 
 BACKENDS = ["reference", "vectorized"]
 
@@ -203,6 +204,38 @@ class TestEngineEvents:
         blocked = faulty.events_of("blocked")
         assert blocked and all(e["count"] > 0 for e in blocked)
 
+    @pytest.mark.parametrize("scenario", [None, "link-drop"], ids=["clean", "link-drop"])
+    @pytest.mark.parametrize(
+        "algorithm", [FloodMinimum, VectorFloodMinimum], ids=["messages", "arrays"]
+    )
+    def test_scheduler_events_match_the_reference_per_round(self, algorithm, scenario):
+        """Per round, the scheduler's blocked edges and deferred transfers
+        are the reference simulator's blocked and scheduled events, on the
+        message API and (``VectorFloodMinimum`` against its per-vertex
+        twin) on the array API."""
+        traces = {}
+        for backend in BACKENDS:
+            traces[backend] = RecordingTracer(record_messages=False)
+            run_algorithm(
+                workload_graph(), algorithm, backend, scenario=scenario,
+                tracer=traces[backend],
+            )
+        reference, vectorized = traces["reference"], traces["vectorized"]
+
+        def blocked(tracer):
+            return {e["round"]: e["count"] for e in tracer.events_of("blocked")}
+
+        assert blocked(vectorized) == blocked(reference)
+        assert bool(blocked(reference)) == (scenario is not None)
+        deferred = {
+            e["round"]: e["deferred"]
+            for e in reference.events_of("scheduled") if e["count"]
+        }
+        assert deferred and deferred == {
+            e["round"]: e["deferred"]
+            for e in vectorized.events_of("scheduler") if e["transfers"]
+        }
+
     def test_scheduler_batch_paths(self):
         clean = RecordingTracer()
         run_algorithm(
@@ -218,32 +251,45 @@ class TestEngineEvents:
             scenario="link-drop",
             tracer=faulty,
         )
-        batches = faulty.events_of("scheduler")
-        assert batches
-        assert all(e["path"] in ("kernel", "scalar") for e in batches)
-        kernel = [e for e in batches if e["path"] == "kernel"]
-        assert kernel and all(e["windows"] >= 1 for e in kernel)
-        assert all(e["window_cells"] >= e["windows"] for e in kernel)
+        rounds = faulty.events_of("scheduler")
+        assert rounds and {e["path"] for e in rounds} == {"kernel"}
+        # Round 0 fills a 64-round buffer per busy edge; a round reads
+        # 64 cells per refilled edge, in queries of at most 1,024 edges.
+        assert rounds[0]["windows"] >= 1
+        for event in rounds:
+            refills = event["window_cells"] // 64
+            assert event["window_cells"] == 64 * refills
+            assert event["windows"] == -(-refills // 1024)
 
     def test_scheduler_windows_follow_each_transfer(self):
         """A long transfer does not widen the mask windows of short ones.
 
         One 1,000-word transfer and 200 one-word transfers, each on its own
-        edge, are scheduled in round 0: the mask cells evaluated must scale
-        with the words of each transfer, not with the batch's longest one.
+        edge, are scheduled in round 0 and driven to completion: each edge
+        reads 64 mask cells per 64 rounds it is busy, so the cells follow
+        each transfer's own rounds, not the batch's longest one.
         """
         index = GraphIndex(nx.path_graph(203))
+        scenario = LinkDropScenario(0.1)
         tracer = RecordingTracer()
-        scheduler = WordScheduler(
-            index, LinkDropScenario(0.1), horizon=10_000, tracer=tracer
-        )
+        scheduler = WordScheduler(index, scenario, tracer=tracer)
         messages = [Message(i, i + 1, "t", 0) for i in range(201)]
         words = [1_000] + [1] * 200
         scheduler.schedule_messages(messages, words, 0)
-        (event,) = tracer.events_of("scheduler")
-        assert event["path"] == "kernel"
-        assert event["window_cells"] <= 4 * sum(words) + 32 * len(words)
-        assert event["windows"] <= 4
+        delivered = {}
+        round_index = 0
+        while scheduler.has_pending:
+            for message in scheduler.deliver(round_index)[0]:
+                delivered[id(message)] = round_index
+            round_index += 1
+        want, _ = _reference_delivery(
+            [(m, w, 0) for m, w in zip(messages, words)], scenario, round_index
+        )
+        assert delivered == want
+        # Each edge is busy from round 0 through its delivery round.
+        bound = sum(64 * -(-(done + 1) // 64) for done in delivered.values())
+        cells = sum(e["window_cells"] for e in tracer.events_of("scheduler"))
+        assert cells <= bound < 64 * 201 * 2
 
     def test_vector_fast_path_records_array_deliveries(self):
         tracer = RecordingTracer()

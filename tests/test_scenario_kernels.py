@@ -311,8 +311,8 @@ def _reference_delivery(plan, scenario, horizon):
     return delivered, levels
 
 
-def _run_scheduler(plan, scenario, index, horizon):
-    scheduler = WordScheduler(index, scenario, horizon=horizon)
+def _run_scheduler(plan, scenario, index, horizon, scheduler=None):
+    scheduler = scheduler or WordScheduler(index, scenario)
     by_round = defaultdict(list)
     for message, words, enqueue_round in plan:
         by_round[enqueue_round].append((message, words))
@@ -375,7 +375,7 @@ def _shuffled_string_graph() -> nx.Graph:
 def _run_batch_scheduler(plan, scenario, index, horizon):
     """:func:`_run_scheduler` on the array API: each message is one row,
     booked on its slot, whose value is its position in ``plan``."""
-    scheduler = WordScheduler(index, scenario, horizon=horizon)
+    scheduler = WordScheduler(index, scenario)
     ids = index.index
     by_round = defaultdict(list)
     for position, (message, words, enqueue_round) in enumerate(plan):
@@ -524,6 +524,30 @@ def test_scheduler_matches_reference_on_mixed_length_batches(scenario, horizon):
         assert got_levels.get(round_index, 0) == want_levels[round_index]
 
 
+def test_scheduler_store_keeps_only_transfers_in_flight():
+    """A long faulty run recycles the ids of delivered transfers: over
+    1,500 transfers pass through a store of 1,024, renumbered while a
+    40-word transfer and the two queued behind it are in flight, and the
+    schedule still meets the reference edge queues."""
+    index = GraphIndex(nx.path_graph(12))
+    scenario = LinkDropScenario(0.3, seed=5)
+    plan = []
+    for round_index in range(600):
+        for i in range(0, 10, 2):
+            if (round_index + i // 2) % 2 == 0:
+                plan.append((Message(i, i + 1, "short", 0), 1, round_index))
+        if round_index % 100 < 3:
+            words = 40 if round_index % 100 == 0 else 1
+            plan.append((Message(10, 11, "long", 0), words, round_index))
+    scheduler = WordScheduler(index, scenario)
+    got, got_levels = _run_scheduler(plan, scenario, index, 2_000, scheduler)
+    want, want_levels = _reference_delivery(plan, scenario, 2_000)
+    assert len(plan) > 1_024 and got == want
+    for round_index in want_levels:
+        assert got_levels.get(round_index, 0) == want_levels[round_index]
+    assert scheduler._words.size == 1_024
+
+
 def test_faulty_completion_never_precedes_clean():
     """Sanity: under any scenario a transfer completes no earlier than clean."""
     graph = nx.path_graph(4)
@@ -555,7 +579,7 @@ def test_blocked_edge_parks_at_horizon_in_bulk_path():
 
     graph = nx.path_graph(3)
     index = GraphIndex(graph)
-    scheduler = WordScheduler(index, Blackout(), horizon=50)
+    scheduler = WordScheduler(index, Blackout())
     scheduler.schedule_messages(
         [Message(0, 1, "t", 0), Message(0, 1, "t", 0)], [3, 2], 0
     )
