@@ -28,11 +28,11 @@ set-up that picks the two parts:
   clean synchronous, per-round link drops, adversarial bounded delay,
   correlated bursty outages, per-edge heterogeneous bandwidth, and the
   :class:`ComposedScenario` overlay/sequential combinator (JSON-serialisable
-  via :func:`build_composed`).  The vectorized backend schedules every faulty
-  scenario with per-edge prefix sums over its batch ``transmit_mask``, each
-  row read from where that edge's traffic starts; every built-in ships a
-  numpy kernel for it, and a ``transmits``-only scenario gets the base
-  mask, which replays ``transmits`` cell by cell.
+  via :func:`build_composed`).  The vectorized backend delivers every
+  faulty scenario on per-edge FIFOs advanced round by round, each busy edge
+  reading its batch ``transmit_mask`` 64 rounds at a time; every built-in
+  ships a numpy kernel for it, and a ``transmits``-only scenario gets the
+  base mask, which replays ``transmits`` cell by cell.
 * :mod:`repro.engine.runner` -- :func:`run_algorithm`, the one entry point
   for a single execution (``Session().execute``); declarative sweeps and
   grids live one layer up in :mod:`repro.experiments`.

@@ -1,4 +1,4 @@
-"""Scenario kernels and the prefix-sum scheduler: agreement properties.
+"""Scenario kernels and the faulty-path scheduler: agreement properties.
 
 Two contracts pin the vectorized scenario layer:
 
@@ -8,14 +8,15 @@ Two contracts pin the vectorized scenario layer:
    start round and for one start per row, because the fast backends
    consume the mask while the reference simulator replays the scalar form.
 2. **Word-accounting equivalence** — the
-   :class:`~repro.engine.delivery.WordScheduler`'s prefix-sum completion
-   computation must reproduce the reference edge-by-edge word queues
-   exactly: same delivery round per message, same words-per-round levels,
-   under every scenario, including FIFO contention, batches mixing deeply
-   queued and idle edges (no crossing before an edge's own start may count
-   toward its words), and batches mixing long and short transfers.  A
-   scenario that implements only ``transmits`` takes the same prefix-sum
-   path through the base ``transmit_mask`` and meets the same oracle.
+   :class:`~repro.engine.delivery.WordScheduler`'s per-edge FIFOs must
+   reproduce the reference edge-by-edge word queues exactly: same delivery
+   round per message, same words-per-round levels, under every scenario,
+   including FIFO contention, batches mixing deeply queued and idle edges
+   (no crossing before a transfer's turn may count toward its words),
+   batches mixing long and short transfers, and a store that recycles the
+   ids of delivered transfers.  A scenario that implements only
+   ``transmits`` takes the same path through the base ``transmit_mask`` and
+   meets the same oracle.
 """
 
 import random
@@ -451,10 +452,10 @@ def test_schedulers_match_reference_on_rows_out_of_id_order(seed, data):
 def test_scheduler_window_cursor_keeps_far_starts_culled():
     """Regression: a batch mixing a deeply queued edge with idle edges.
 
-    The deeply queued edge's transfers start far beyond the first scan
-    window; the window cursor must not let crossings before that start
-    count toward its words (the bug made faulty runs complete *earlier*
-    than clean ones).
+    The deeply queued edge's new transfer waits behind 60 words while the
+    idle edges start at once; no crossing before its turn may count toward
+    its words (a windowed completion search once let them, and faulty runs
+    completed *earlier* than clean ones).
     """
     graph = nx.path_graph(6)
     index = GraphIndex(graph)
@@ -503,10 +504,10 @@ def test_scheduler_matches_reference_on_mixed_length_batches(scenario, horizon):
     many short ones, then traffic queued behind the long one.
 
     Round 0 puts a 400-word transfer and 30 transfers of 1-3 words on
-    distinct edges, so windows of very different lengths are in play; the
-    sequential phases switch inside those windows.  Round 3 queues words
-    behind the long transfer and on idle edges.  At horizon 150 the horizon
-    cuts the long transfer while its edge still transmits.
+    distinct edges, so edges stay busy for very different spans; the
+    sequential phases switch inside the 64-round buffers.  Round 3 queues
+    words behind the long transfer and on idle edges.  At 150 rounds the run
+    ends while the long transfer's edge still transmits.
     """
     graph = nx.path_graph(40)
     index = GraphIndex(graph)
